@@ -3,165 +3,34 @@
 Subcommands: simulate (one chain, trace output), rho (correlation
 series or bounds along the activity grid), moments (reference and
 limit constants), experiment (the numbered drivers e1..e4).  All take
-a flat key-value config file; outputs land in --out as results.csv or
-results.json plus a manifest.json with checksums.
+a flat key-value config file and run through the harness; outputs land
+in --out as trace or results (.csv or .json) plus a manifest.json with
+checksums.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-import time
-from pathlib import Path
 
-from .correlation import RhoQuery, rho_bounds, rho_limit, rho_series_counts
-from .harness import (CHAIN_GRID, _model_dict, _single_order,
-                      build_experiment_config, config_model, parse_config,
-                      poisson_mean_interaction, run_experiment,
-                      _spread_facets, write_rows, write_rows_json,
-                      write_manifest)
-from .moments import (asymptotic_covariance, i_k_integrals,
-                      scaling_limit_constants)
-from .sampler import ChainConfig, run_chain
+from .harness import build_experiment_config, parse_config, run_experiment
 
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="key-value config file")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--out", default="facetproc-out", help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for experiment tasks")
-
-
-def _write(out_dir, name, header, rows, fmt):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.{fmt}"
-    if fmt == "csv":
-        write_rows(path, header, rows)
-    else:
-        write_rows_json(path, header, rows)
-    return path
-
-
-def _grid(conf) -> tuple[float, ...]:
-    if "a.grid" in conf:
-        return tuple(float(tok) for tok in conf["a.grid"].split(",")
-                     if tok.strip())
-    return CHAIN_GRID
-
-
-def _cmd_simulate(args) -> int:
-    conf = parse_config(args.config)
-    p = dataclasses.replace(config_model(conf), a=_grid(conf)[0])
-    steps = int(conf.get("chain.steps", "200000").split(",")[0])
-    burn = int(conf["chain.burnin"]) if "chain.burnin" in conf else None
-    thin = int(conf["chain.thin"]) if "chain.thin" in conf else None
-    cfg = ChainConfig(n_steps=steps, seed=args.seed, burn_in=burn, thin=thin)
-    start = time.perf_counter()
-    _, diag = run_chain(p, cfg)
-    wall = time.perf_counter() - start
-    header = ("step", "n") + tuple(f"G_{j}" for j in range(1, p.d + 1)) \
-        + ("accepted", "move")
-    rows = [
-        (int(diag.trace_step[i]), int(diag.trace_n[i]),
-         *[float(v) for v in diag.trace_g[i]],
-         int(diag.trace_accepted[i]), str(diag.trace_move[i]))
-        for i in range(diag.n_retained)
-    ]
-    path = _write(args.out, "trace", header, rows, args.format)
-    config = {"model": _model_dict(p), "a": p.a, "chain_steps": steps,
-              "chain_burnin": burn, "chain_thin": thin}
-    write_manifest(args.out, "simulate", config, args.seed, (), wall, [path])
-    n_mean, n_se = diag.n_mean_se()
-    g_mean, g_se = diag.g_mean_se(p.d)
-    print(f"retained {diag.n_retained} states "
-          f"(birth rate {diag.birth_rate:.3f}, "
-          f"death rate {diag.death_rate:.3f})")
-    print(f"mean count {n_mean:.4f} +- {n_se:.4f}; "
-          f"mean G_{p.d} {g_mean:.4g} +- {g_se:.4g}")
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_rho(args) -> int:
-    conf = parse_config(args.config)
-    p = config_model(conf)
-    grid = _grid(conf)
-    s = _single_order(p)
-    start = time.perf_counter()
-    if s == p.d:
-        header = ("a", "k", "series", "tail", "limit", "abs_error",
-                  "denominator", "n_max")
-        rows = []
-        for a in grid:
-            pa = dataclasses.replace(p, a=a)
-            for k in range(1, p.d):
-                counts = (1,) * (p.d - k) + (0,) * k
-                res = rho_series_counts(pa, counts)
-                lim = float(rho_limit(p.d, k))
-                rows.append((a, k, res.value, res.tail, lim,
-                             abs(res.value - lim), res.denominator,
-                             res.n_max))
-    else:
-        header = ("a", "s", "bound", "rate", "tail", "n_max")
-        rows = []
-        for a in grid:
-            pa = dataclasses.replace(p, a=a)
-            q = RhoQuery.from_model(pa, _spread_facets(pa, s))
-            res = rho_bounds(q)
-            rows.append((a, s, res.bound, res.rate, res.tail, res.n_max))
-    wall = time.perf_counter() - start
-    path = _write(args.out, "results", header, rows, args.format)
-    config = {"model": _model_dict(p), "a_grid": list(grid)}
-    write_manifest(args.out, "rho", config, args.seed, (), wall, [path])
-    print(f"{len(rows)} rows ({'series' if s == p.d else 'bounds'}) "
-          f"-> {path}")
-    return 0
-
-
-def _cmd_moments(args) -> int:
-    conf = parse_config(args.config)
-    grid = _grid(conf)
-    p = dataclasses.replace(config_model(conf), a=grid[0])
-    header = ("quantity", "i", "j", "value", "se")
-    rows: list[tuple] = [
-        ("count_mean", None, None, p.a * p.total_intensity, 0.0)]
-    start = time.perf_counter()
-    for j in range(1, p.d + 1):
-        rows.append(("interaction_mean", j, None,
-                     poisson_mean_interaction(p, j), 0.0))
-    for i in range(1, p.d + 1):
-        for j in range(i, p.d + 1):
-            val, se = asymptotic_covariance(i, j, p, n_samples=400,
-                                            seed=args.seed, resolution=100)
-            rows.append(("covariance", i, j, val, se))
-    chi = p.center.level
-    for k in range(1, p.d):
-        ik, ipk = i_k_integrals(p.d, k, b=p.b, chi=chi)
-        lim = scaling_limit_constants(p.d, k, ik, ipk)
-        rows.append(("i_k", k, None, ik, 0.0))
-        rows.append(("i_prime_k", k, None, ipk, 0.0))
-        rows.append(("mean_limit", k, None, lim.mean, 0.0))
-        rows.append(("variance_limit", k, None, lim.variance, 0.0))
-        rows.append(("variance_limit_alt", k, None, lim.variance_alt, 0.0))
-    wall = time.perf_counter() - start
-    path = _write(args.out, "results", header, rows, args.format)
-    config = {"model": _model_dict(p), "a": p.a}
-    write_manifest(args.out, "moments", config, args.seed, (), wall, [path])
-    print(f"{len(rows)} rows -> {path}")
-    return 0
-
-
-def _cmd_experiment(args) -> int:
-    conf = parse_config(args.config)
-    cfg = build_experiment_config(args.id, conf, args.out, args.seed)
-    res = run_experiment(cfg, threads=args.threads, fmt=args.format)
-    print(f"{args.id}: {len(res['rows'])} rows -> {res['results']}")
+def _summary(command: str, res: dict) -> None:
+    diag = res["chain"]
+    if diag is not None:
+        n_mean, n_se = diag.n_mean_se()
+        g_mean, g_se = diag.g_mean_se(diag.d)
+        print(f"retained {diag.n_retained} states "
+              f"(birth rate {diag.birth_rate:.3f}, "
+              f"death rate {diag.death_rate:.3f})")
+        print(f"mean count {n_mean:.4f} +- {n_se:.4f}; "
+              f"mean G_{diag.d} {g_mean:.4g} +- {g_se:.4g}")
+    kind = ""
+    if command == "rho":
+        kind = " (series)" if "series" in res["header"] else " (bounds)"
+    print(f"{command}: {len(res['rows'])} rows{kind} -> {res['results']}")
     print(f"manifest -> {res['manifest']}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -169,21 +38,29 @@ def main(argv=None) -> int:
         prog="facetproc",
         description="Facet-process simulation and numerical checks")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("simulate", _cmd_simulate), ("rho", _cmd_rho),
-                     ("moments", _cmd_moments)):
+    for name in ("simulate", "rho", "moments", "experiment"):
         sub = subs.add_parser(name)
-        _add_common(sub)
-        sub.set_defaults(fn=fn)
-    sub = subs.add_parser("experiment")
-    sub.add_argument("id", choices=("e1", "e2", "e3", "e4"))
-    _add_common(sub)
-    sub.set_defaults(fn=_cmd_experiment)
+        if name == "experiment":
+            sub.add_argument("id", choices=("e1", "e2", "e3", "e4"))
+        sub.add_argument("--config", required=True,
+                         help="key-value config file")
+        sub.add_argument("--seed", type=int, default=0, help="master seed")
+        sub.add_argument("--out", default="facetproc-out",
+                         help="output directory")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker threads for experiment tasks")
     args = parser.parse_args(argv)
+    command = getattr(args, "id", args.command)
     try:
-        return args.fn(args)
+        cfg = build_experiment_config(command, parse_config(args.config),
+                                      args.out, args.seed)
+        res = run_experiment(cfg, threads=args.threads, fmt=args.format)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _summary(command, res)
+    return 0
 
 
 if __name__ == "__main__":

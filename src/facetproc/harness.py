@@ -1,14 +1,17 @@
-"""Experiment drivers with reproducible persistence.
+"""Command drivers with reproducible persistence.
 
-Four numbered experiments probe the model's limit behavior: Poisson
-central-limit diagnostics (e1), degeneracy of coupled interaction
-counts (e2), correlation limits across orientation arrangements (e3),
-and the scaling constants of dilated counts (e4).  Every run is a pure
-function of its configuration and master seed: tasks own disjoint RNG
-streams indexed before dispatch, rows are assembled in grid order, and
-floats are written with repr so a re-run reproduces the result file
-byte for byte.  A JSON manifest records the resolved configuration and
-output checksums.
+Every command runs through run_experiment: simulate (one chain and its
+trace), rho (correlation series or bounds along the activity grid),
+moments (reference and limit constants), and four numbered experiments
+that probe the model's limit behavior: Poisson central-limit
+diagnostics (e1), degeneracy of coupled interaction counts (e2),
+correlation limits across orientation arrangements (e3), and the
+scaling constants of dilated counts (e4).  Every run is a pure function
+of its configuration and master seed: tasks own disjoint RNG streams
+indexed before dispatch, rows are assembled in grid order, and floats
+are written with repr so a re-run reproduces the result file byte for
+byte.  A JSON manifest records the resolved configuration and output
+checksums.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import numpy as np
 from .correlation import (RhoQuery, rho_bounds, rho_limit,
                           rho_limit_from_counts, rho_series_counts)
 from .geometry import Facet
-from .model import ModelParams, validate_params
+from .model import ModelParams
 from .moments import asymptotic_covariance, i_k_integrals, \
     scaling_limit_constants
 from .sampler import ChainConfig, batch_means_se, make_rng, run_chain, \
-    sample_poisson
+    sample_poisson, trace_table
 from .ustat import g_vector
 
 POISSON_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
@@ -39,6 +42,11 @@ CHAIN_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 _SCALAR_KEYS = ("d", "b", "chi.const", "a.grid", "chain.steps",
                 "chain.burnin", "chain.thin", "replicates")
+# commands that run Markov chains, that draw one RNG stream per replicate
+# task, and that run at the first grid value only
+_CHAIN_COMMANDS = ("simulate", "e2", "e4")
+_STREAM_COMMANDS = ("simulate", "e1", "e2", "e4")
+_FIRST_POINT_COMMANDS = ("simulate", "moments")
 
 
 # ---------------------------------------------------------------------------
@@ -67,35 +75,51 @@ def _check_keys(conf: dict[str, str], d: int):
     for key in conf:
         if key in _SCALAR_KEYS:
             continue
-        if key.startswith("nu."):
-            j = int(key[3:])
-            if not 1 <= j <= d:
+        if key.startswith("nu.") and key[3:].isdigit():
+            if not 1 <= int(key[3:]) <= d:
                 raise ValueError(f"{key}: order outside 1..{d}")
             continue
         raise ValueError(f"unknown config key {key!r}")
+
+
+def _numbers(conf: dict[str, str], key: str, default: tuple, kind=float):
+    """The comma-separated values of a key, or default when it is absent;
+    values that do not parse or are not finite are rejected by key."""
+    if key not in conf:
+        return default
+    try:
+        values = tuple(kind(tok) for tok in conf[key].split(",")
+                       if tok.strip())
+    except ValueError:
+        raise ValueError(f"{key} = {conf[key]}: expected "
+                         f"{kind.__name__} values") from None
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{key} = {conf[key]}: expected finite values")
+    return values
+
+
+def _scalar(conf: dict[str, str], key: str, default, kind=float):
+    values = _numbers(conf, key, (default,), kind)
+    if len(values) != 1:
+        raise ValueError(f"{key} = {conf[key]}: expected one value")
+    return values[0]
 
 
 def config_model(conf: dict[str, str]) -> ModelParams:
     """Model template at unit activity from parsed configuration."""
     if "d" not in conf:
         raise ValueError("config key 'd' is required")
-    d = int(conf["d"])
+    d = _scalar(conf, "d", None, int)
     _check_keys(conf, d)
-    b = float(conf.get("b", "1"))
-    chi = float(conf.get("chi.const", "1"))
-    nu = [float(conf.get(f"nu.{j}", "0")) for j in range(1, d + 1)]
-    p = ModelParams.special(d, tuple(nu), a=1.0, b=b, chi=chi)
-    validate_params(p)
-    return p
-
-
-def _grid_values(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    nu = [_scalar(conf, f"nu.{j}", 0.0) for j in range(1, d + 1)]
+    return ModelParams.special(d, tuple(nu), a=1.0,
+                               b=_scalar(conf, "b", 1.0),
+                               chi=_scalar(conf, "chi.const", 1.0))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved description of one experiment run."""
+    """Resolved description of one run of a command."""
 
     experiment: str
     params: ModelParams
@@ -107,8 +131,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if self.experiment not in ("e1", "e2", "e3", "e4"):
-            raise ValueError("experiment must be one of e1..e4")
+        if self.experiment not in _EXPERIMENTS:
+            raise ValueError("experiment must be one of "
+                             + ", ".join(_EXPERIMENTS))
         if not self.a_grid:
             raise ValueError("activity grid must be nonempty")
         if any(y <= x for x, y in zip(self.a_grid, self.a_grid[1:])):
@@ -117,21 +142,39 @@ class ExperimentConfig:
             raise ValueError("replicates must be at least 1")
         if len(self.chain_steps) != len(self.a_grid):
             raise ValueError("per-grid step list must match the grid")
+        # every grid point's model and chain settings, before any task runs
+        for ai, a in enumerate(self.a_grid):
+            try:
+                p, chain = self.point(ai)
+                if self.experiment in _CHAIN_COMMANDS:
+                    chain.resolve(p)
+            except ValueError as exc:
+                raise ValueError(f"grid point a = {a}: {exc}") from None
+
+    def point(self, a_idx: int, stream: int = 0
+              ) -> tuple[ModelParams, ChainConfig]:
+        """The model and the chain settings at one grid point, the chain
+        drawing from the given RNG stream."""
+        return (dataclasses.replace(self.params, a=self.a_grid[a_idx]),
+                dataclasses.replace(self.chain,
+                                    n_steps=self.chain_steps[a_idx],
+                                    seed=self.seed, chain_index=stream))
 
 
 def build_experiment_config(experiment: str, conf: dict[str, str],
                             out_dir, seed: int) -> ExperimentConfig:
     params = config_model(conf)
-    grid_default = POISSON_GRID if experiment == "e1" else CHAIN_GRID
-    grid = _grid_values(conf["a.grid"]) if "a.grid" in conf else grid_default
-    replicates = int(conf.get("replicates", "400" if experiment == "e1"
-                              else "1"))
-    steps_raw = conf.get("chain.steps", "200000")
-    steps = tuple(int(tok) for tok in steps_raw.split(",") if tok.strip())
+    grid = _numbers(conf, "a.grid",
+                    POISSON_GRID if experiment == "e1" else CHAIN_GRID)
+    replicates = _scalar(conf, "replicates",
+                         400 if experiment == "e1" else 1, int)
+    steps = _numbers(conf, "chain.steps", (200000,), int)
     if len(steps) == 1:
         steps = steps * len(grid)
-    burn = int(conf["chain.burnin"]) if "chain.burnin" in conf else None
-    thin = int(conf["chain.thin"]) if "chain.thin" in conf else None
+    if experiment in _FIRST_POINT_COMMANDS:
+        grid, steps, replicates = grid[:1], steps[:1], 1
+    burn = _scalar(conf, "chain.burnin", None, int)
+    thin = _scalar(conf, "chain.thin", None, int)
     chain = ChainConfig(n_steps=steps[0], seed=seed, burn_in=burn, thin=thin)
     return ExperimentConfig(experiment, params, grid, replicates, chain,
                             steps, str(out_dir), seed)
@@ -154,9 +197,8 @@ class RunManifest:
     outputs: dict[str, str]
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["tasks"] = list(payload["tasks"])
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True,
+                          indent=2) + "\n"
 
 
 def _package_version() -> str:
@@ -175,16 +217,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_rows(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
-
-
-def write_rows_json(path, header, rows):
-    payload = [dict(zip(header, row)) for row in rows]
-    Path(path).write_bytes(
-        (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+def write_table(path, header, rows):
+    """CSV (floats by repr, None empty) or, for a .json path, a list of
+    row objects."""
+    if Path(path).suffix == ".json":
+        text = json.dumps([dict(zip(header, row)) for row in rows],
+                          sort_keys=True, indent=2) + "\n"
+    else:
+        text = "".join(",".join(map(_fmt, row)) + "\n"
+                       for row in [header, *rows])
+    Path(path).write_bytes(text.encode())
 
 
 def _sha256(path) -> str:
@@ -200,7 +242,7 @@ def _model_dict(p: ModelParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shared closed forms
+# shared closed forms and tasks
 
 
 def poisson_mean_interaction(p: ModelParams, s: int) -> float:
@@ -224,11 +266,39 @@ def _single_order(p: ModelParams) -> int:
     return active[0] if active else p.d
 
 
-def _spread_facets(p: ModelParams, s: int) -> tuple[Facet, ...]:
-    return tuple(
-        Facet(tuple((0.2 + 0.11 * i + 0.07 * c) % 1.0 * p.b
-                    for c in range(p.d)), p.b, i)
+def _rho_bound(pa: ModelParams, s: int):
+    """Certified correlation bound for s facets spread over the first s
+    axes."""
+    facets = tuple(
+        Facet(tuple((0.2 + 0.11 * i + 0.07 * c) % 1.0 * pa.b
+                    for c in range(pa.d)), pa.b, i)
         for i in range(s))
+    return rho_bounds(RhoQuery.from_model(pa, facets))
+
+
+def _series_row(pa: ModelParams, k: int, variant: str, l, counts) -> tuple:
+    """(a, k, variant, l, series, tail, limit, abs_error, denominator,
+    n_max) for one orientation count vector."""
+    res = rho_series_counts(pa, counts)
+    lim = float(rho_limit(pa.d, k, variant, l))
+    return (pa.a, k, variant, l, res.value, res.tail, lim,
+            abs(res.value - lim), res.denominator, res.n_max)
+
+
+def _covariances(p: ModelParams, seed: int) -> dict:
+    """Asymptotic covariance constants (value, se) for orders i <= j."""
+    return {(i, j): asymptotic_covariance(i, j, p, n_samples=400, seed=seed,
+                                          resolution=100)
+            for i in range(1, p.d + 1) for j in range(i, p.d + 1)}
+
+
+def _scaling_limits(p: ModelParams) -> dict:
+    """k -> (I_k, I'_k, ScalingLimits) for k = 1..d-1."""
+    out = {}
+    for k in range(1, p.d):
+        ik, ipk = i_k_integrals(p.d, k, b=p.b, chi=p.center.level)
+        out[k] = (ik, ipk, scaling_limit_constants(p.d, k, ik, ipk))
+    return out
 
 
 def _map_tasks(fn, tasks, threads: int):
@@ -236,6 +306,86 @@ def _map_tasks(fn, tasks, threads: int):
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _streams(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """(grid index, replicate, RNG stream index) of every replicate task."""
+    reps = cfg.replicates
+    return [(ai, r, ai * reps + r)
+            for ai in range(len(cfg.a_grid)) for r in range(reps)]
+
+
+def _replicated(fn, cfg: ExperimentConfig, threads: int) -> list[list]:
+    """fn(grid index, stream index) over every replicate task, results
+    grouped per grid point in grid order."""
+    out = _map_tasks(lambda task: fn(task[0], task[2]), _streams(cfg),
+                     threads)
+    reps = cfg.replicates
+    return [out[ai * reps:(ai + 1) * reps] for ai in range(len(cfg.a_grid))]
+
+
+def _pool(values, own_se):
+    """Mean over replicates and its SE: the replicate SD / sqrt(reps)
+    when there are several, else the one chain's own SE."""
+    mean = float(np.mean(values))
+    if len(values) > 1:
+        return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    return mean, own_se
+
+
+# ---------------------------------------------------------------------------
+# simulate, rho and moments
+
+
+def _simulate(cfg: ExperimentConfig, threads: int):
+    """One chain at the first grid point and its retained-state trace."""
+    p, chain = cfg.point(0)
+    _, diag = run_chain(p, chain)
+    return (*trace_table(diag), diag)
+
+
+RHO_SERIES_HEADER = ("a", "k", "series", "tail", "limit", "abs_error",
+                     "denominator", "n_max")
+RHO_BOUNDS_HEADER = ("a", "s", "bound", "rate", "tail", "n_max")
+
+
+def _rho(cfg: ExperimentConfig, threads: int):
+    """Along the grid: the exact series for one facet per orientation on
+    d-k axes under a top-order coupling, else the certified bound."""
+    d = cfg.params.d
+    s = _single_order(cfg.params)
+    rows = []
+    for ai in range(len(cfg.a_grid)):
+        pa, _ = cfg.point(ai)
+        if s < d:
+            res = _rho_bound(pa, s)
+            rows.append((pa.a, s, res.bound, res.rate, res.tail, res.n_max))
+            continue
+        for k, variant, l, counts in _arrangements(d):
+            if variant == "distinct":
+                row = _series_row(pa, k, variant, l, counts)
+                rows.append(row[:2] + row[4:])
+    return (RHO_SERIES_HEADER if s == d else RHO_BOUNDS_HEADER), rows, None
+
+
+MOMENTS_HEADER = ("quantity", "i", "j", "value", "se")
+
+
+def _moments(cfg: ExperimentConfig, threads: int):
+    """Reference means, asymptotic covariances and scaling-limit
+    constants at the first grid point."""
+    p, _ = cfg.point(0)
+    rows = [("count_mean", None, None, p.a * p.total_intensity, 0.0)]
+    rows += [("interaction_mean", j, None, poisson_mean_interaction(p, j),
+              0.0) for j in range(1, p.d + 1)]
+    rows += [("covariance", i, j, val, se)
+             for (i, j), (val, se) in _covariances(p, cfg.seed).items()]
+    for k, (ik, ipk, lim) in _scaling_limits(p).items():
+        rows += [(name, k, None, value, 0.0) for name, value in (
+            ("i_k", ik), ("i_prime_k", ipk), ("mean_limit", lim.mean),
+            ("variance_limit", lim.variance),
+            ("variance_limit_alt", lim.variance_alt))]
+    return MOMENTS_HEADER, rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -258,52 +408,30 @@ def experiment_e1_poisson_clt(cfg: ExperimentConfig,
     reps = cfg.replicates
     means = {a: [poisson_mean_interaction(dataclasses.replace(p, a=a), j)
                  for j in range(1, d + 1)] for a in cfg.a_grid}
-
-    def one(task):
-        a_idx, rep = task
-        a = cfg.a_grid[a_idx]
-        rng = make_rng(cfg.seed, a_idx * reps + rep)
-        x = sample_poisson(dataclasses.replace(p, a=a), rng)
-        return g_vector(x)
-
-    tasks = [(ai, r) for ai in range(len(cfg.a_grid)) for r in range(reps)]
-    gs = _map_tasks(one, tasks, threads)
-    theory = {}
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            theory[(i, j)] = asymptotic_covariance(i, j, p, n_samples=400,
-                                                   seed=cfg.seed,
-                                                   resolution=100)
+    blocks = _replicated(
+        lambda ai, stream: g_vector(sample_poisson(
+            cfg.point(ai)[0], make_rng(cfg.seed, stream))), cfg, threads)
+    theory = _covariances(p, cfg.seed)
     rows = []
-    for ai, a in enumerate(cfg.a_grid):
-        block = np.array(gs[ai * reps:(ai + 1) * reps])
-        z = np.empty_like(block)
-        for j in range(1, d + 1):
-            z[:, j - 1] = (block[:, j - 1] - means[a][j - 1]) \
-                / a ** (j - 0.5)
+    for a, block in zip(cfg.a_grid, blocks):
+        z = np.array(block) - means[a]
+        for j in range(d):
+            z[:, j] /= a ** (j + 0.5)
         centered = z - z.mean(axis=0)
-        for i in range(1, d + 1):
-            for j in range(i, d + 1):
-                prods = centered[:, i - 1] * centered[:, j - 1]
-                c_emp = float(prods.mean())
-                c_se = float(prods.std(ddof=1) / math.sqrt(reps))
-                th, th_se = theory[(i, j)]
-                if i == j:
-                    zi = z[:, i - 1]
-                    sd = float(zi.std())
-                    mean = float(zi.mean())
-                    mean_se = sd / math.sqrt(reps)
-                    m3 = float((centered[:, i - 1] ** 3).mean())
-                    m4 = float((centered[:, i - 1] ** 4).mean())
-                    skew = m3 / sd ** 3 if sd else 0.0
-                    kurt = m4 / sd ** 4 - 3.0 if sd else 0.0
-                    rows.append((a, i, j, c_emp, c_se, th, th_se,
-                                 mean, mean_se,
-                                 skew, math.sqrt(6.0 / reps),
-                                 kurt, math.sqrt(24.0 / reps)))
-                else:
-                    rows.append((a, i, j, c_emp, c_se, th, th_se,
-                                 None, None, None, None, None, None))
+        for (i, j), (th, th_se) in theory.items():
+            prods = centered[:, i - 1] * centered[:, j - 1]
+            marginal = (None,) * 6
+            if i == j:
+                zi, ci = z[:, i - 1], centered[:, i - 1]
+                sd = float(zi.std())
+                skew = float((ci ** 3).mean()) / sd ** 3 if sd else 0.0
+                kurt = float((ci ** 4).mean()) / sd ** 4 - 3.0 if sd else 0.0
+                marginal = (float(zi.mean()), sd / math.sqrt(reps),
+                            skew, math.sqrt(6.0 / reps),
+                            kurt, math.sqrt(24.0 / reps))
+            rows.append((a, i, j, float(prods.mean()),
+                         float(prods.std(ddof=1) / math.sqrt(reps)),
+                         th, th_se, *marginal))
     return rows
 
 
@@ -325,45 +453,28 @@ def experiment_e2_degeneracy(cfg: ExperimentConfig,
     s = _single_order(p)
     nu_s = p.nu[s - 1]
     k = p.d - s
-    reps = cfg.replicates
 
-    def one(task):
-        a_idx, rep = task
-        pa = dataclasses.replace(p, a=cfg.a_grid[a_idx])
-        chain = dataclasses.replace(
-            cfg.chain, n_steps=cfg.chain_steps[a_idx], seed=cfg.seed,
-            chain_index=a_idx * reps + rep)
-        _, diag = run_chain(pa, chain)
+    def one(a_idx, stream):
+        _, diag = run_chain(*cfg.point(a_idx, stream))
         est, se = diag.g_mean_se(s)
         masks = diag.trace_occupancy[diag.trace_occupancy >= 0]
         poor = np.array([bin(int(m)).count("1") <= s - 1
                          for m in masks], dtype=float)
         return est, se, float(poor.mean()), batch_means_se(poor)
 
-    tasks = [(ai, r) for ai in range(len(cfg.a_grid)) for r in range(reps)]
-    results = _map_tasks(one, tasks, threads)
     rows = []
-    for ai, a in enumerate(cfg.a_grid):
-        part = results[ai * reps:(ai + 1) * reps]
-        ests = [r[0] for r in part]
-        occs = [r[2] for r in part]
-        est = float(np.mean(ests))
-        if reps > 1:
-            se = float(np.std(ests, ddof=1) / math.sqrt(reps))
-            occ_se = float(np.std(occs, ddof=1) / math.sqrt(reps))
-        else:
-            se = part[0][1]
-            occ_se = part[0][3]
-        pa = dataclasses.replace(p, a=a)
+    for ai, part in enumerate(_replicated(one, cfg, threads)):
+        est, se = _pool([r[0] for r in part], part[0][1])
+        occ, occ_se = _pool([r[2] for r in part], part[0][3])
+        pa, _ = cfg.point(ai)
         reference = poisson_mean_interaction(pa, s)
         if nu_s < 0.0 and k == 0:
             envelope = reference * rho_series_counts(pa, (1,) * p.d).value
         elif nu_s < 0.0:
-            q = RhoQuery.from_model(pa, _spread_facets(pa, s))
-            envelope = reference * rho_bounds(q).bound
+            envelope = reference * _rho_bound(pa, s).bound
         else:
             envelope = reference
-        rows.append((a, est, se, float(np.mean(occs)), occ_se, envelope))
+        rows.append((pa.a, est, se, occ, occ_se, envelope))
     return rows
 
 
@@ -383,20 +494,14 @@ def _arrangements(d: int) -> list[tuple]:
     for k in range(1, d):
         m = d - k
         out.append((k, "distinct", None, (1,) * m + (0,) * (d - m)))
-        for l in range(max(d - 2 * k, 0), m + 1):
-            c = [0] * d
-            for i in range(m):
-                c[i] += 1
-            for i in range(m - l, 2 * m - l):
-                c[i] += 1
-            out.append((k, "two_groups", l, tuple(c)))
-        for l in range(max(d - 2 * k - 1, 0), m):
-            c = [0] * d
-            for i in range(m):
-                c[i] += 1
-            for i in range(m - l, 2 * m - l - 1):
-                c[i] += 1
-            out.append((k, "overlapping_groups", l, tuple(c)))
+        for variant, shift, ls in (
+                ("two_groups", 0, range(max(d - 2 * k, 0), m + 1)),
+                ("overlapping_groups", 1, range(max(d - 2 * k - 1, 0), m))):
+            for l in ls:
+                c = [int(i < m) for i in range(d)]
+                for i in range(m - l, 2 * m - l - shift):
+                    c[i] += 1
+                out.append((k, variant, l, tuple(c)))
     return out
 
 
@@ -414,16 +519,10 @@ def experiment_e3_rho_limits(cfg: ExperimentConfig,
         if rho_limit(p.d, k, variant, l) != rho_limit_from_counts(counts):
             raise RuntimeError("arrangement construction is inconsistent "
                                "with the limit formulas")
-
-    def one(task):
-        a, (k, variant, l, counts) = task
-        res = rho_series_counts(dataclasses.replace(p, a=a), counts)
-        lim = float(rho_limit(p.d, k, variant, l))
-        return (a, k, variant, l, res.value, res.tail, lim,
-                abs(res.value - lim), res.denominator, res.n_max)
-
-    tasks = [(a, arr) for a in cfg.a_grid for arr in arrangements]
-    return _map_tasks(one, tasks, threads)
+    tasks = [(ai, arr) for ai in range(len(cfg.a_grid))
+             for arr in arrangements]
+    return _map_tasks(lambda task: _series_row(cfg.point(task[0])[0],
+                                               *task[1]), tasks, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +546,9 @@ def experiment_e4_scaling(cfg: ExperimentConfig,
     if _single_order(p) != p.d or p.nu[p.d - 1] >= 0.0:
         raise ValueError("needs a negative top-order coupling")
     d = p.d
-    reps = cfg.replicates
 
-    def one(task):
-        a_idx, rep = task
-        pa = dataclasses.replace(p, a=cfg.a_grid[a_idx])
-        chain = dataclasses.replace(
-            cfg.chain, n_steps=cfg.chain_steps[a_idx], seed=cfg.seed,
-            chain_index=a_idx * reps + rep)
-        _, diag = run_chain(pa, chain)
+    def one(a_idx, stream):
+        _, diag = run_chain(*cfg.point(a_idx, stream))
         stats = []
         for k in range(1, d):
             g = diag.trace_g[:, d - k - 1]
@@ -468,33 +561,15 @@ def experiment_e4_scaling(cfg: ExperimentConfig,
             stats.append((mean, mean_se, var, var_se, skew))
         return stats
 
-    tasks = [(ai, r) for ai in range(len(cfg.a_grid)) for r in range(reps)]
-    results = _map_tasks(one, tasks, threads)
-    chi = p.center.level
-    limits = {}
-    for k in range(1, d):
-        ik, ipk = i_k_integrals(d, k, b=p.b, chi=chi)
-        limits[k] = scaling_limit_constants(d, k, ik, ipk)
+    limits = _scaling_limits(p)
     rows = []
-    for ai, a in enumerate(cfg.a_grid):
-        part = results[ai * reps:(ai + 1) * reps]
+    for a, part in zip(cfg.a_grid, _replicated(one, cfg, threads)):
         for k in range(1, d):
             per = [st[k - 1] for st in part]
-            mean = float(np.mean([q[0] for q in per]))
-            var = float(np.mean([q[2] for q in per]))
-            skew = float(np.mean([q[4] for q in per]))
-            skew_se = None
-            if reps > 1:
-                mean_se = float(np.std([q[0] for q in per], ddof=1)
-                                / math.sqrt(reps))
-                var_se = float(np.std([q[2] for q in per], ddof=1)
-                               / math.sqrt(reps))
-                skew_se = float(np.std([q[4] for q in per], ddof=1)
-                                / math.sqrt(reps))
-            else:
-                mean_se = per[0][1]
-                var_se = per[0][3]
-            lim = limits[k]
+            mean, mean_se = _pool([q[0] for q in per], per[0][1])
+            var, var_se = _pool([q[2] for q in per], per[0][3])
+            skew, skew_se = _pool([q[4] for q in per], None)
+            lim = limits[k][2]
             mean_pow = a ** (d - k)
             var_pow = a ** (2 * (d - k) - 1)
             var_scaled = var / var_pow
@@ -516,64 +591,52 @@ def experiment_e4_scaling(cfg: ExperimentConfig,
 # dispatch and persistence
 
 
+def _fixed_header(driver, header):
+    return lambda cfg, threads: (header, driver(cfg, threads=threads), None)
+
+
+# command -> driver(cfg, threads) returning (header, rows, chain
+# diagnostics or None)
 _EXPERIMENTS = {
-    "e1": (experiment_e1_poisson_clt, E1_HEADER),
-    "e2": (experiment_e2_degeneracy, E2_HEADER),
-    "e3": (experiment_e3_rho_limits, E3_HEADER),
-    "e4": (experiment_e4_scaling, E4_HEADER),
+    "simulate": _simulate,
+    "rho": _rho,
+    "moments": _moments,
+    "e1": _fixed_header(experiment_e1_poisson_clt, E1_HEADER),
+    "e2": _fixed_header(experiment_e2_degeneracy, E2_HEADER),
+    "e3": _fixed_header(experiment_e3_rho_limits, E3_HEADER),
+    "e4": _fixed_header(experiment_e4_scaling, E4_HEADER),
 }
-
-
-def write_manifest(out_dir, experiment: str, config: dict, seed: int,
-                   tasks: tuple, wall: float, result_paths) -> str:
-    """Write manifest.json next to the results; returns its path."""
-    out = Path(out_dir)
-    manifest = RunManifest(
-        experiment=experiment,
-        config=config,
-        seed=seed,
-        tasks=tasks,
-        version=_package_version(),
-        wall_seconds=round(wall, 3),
-        outputs={Path(rp).name: _sha256(rp) for rp in result_paths},
-    )
-    path = out / "manifest.json"
-    path.write_text(manifest.to_json())
-    return str(path)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    fmt: str = "csv") -> dict:
-    """Run one experiment, write results and manifest, return paths."""
+    """Run one command, write its table (trace.<fmt> for simulate,
+    results.<fmt> otherwise) and manifest.json; return the paths, the
+    header and rows, and the chain diagnostics of simulate (else None)."""
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
-    driver, header = _EXPERIMENTS[cfg.experiment]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    rows = driver(cfg, threads=threads)
+    header, rows, chain = _EXPERIMENTS[cfg.experiment](cfg, threads)
     wall = time.perf_counter() - start
-    path = out / ("results.csv" if fmt == "csv" else "results.json")
-    if fmt == "csv":
-        write_rows(path, header, rows)
-    else:
-        write_rows_json(path, header, rows)
-    reps = cfg.replicates
-    if cfg.experiment == "e3":
-        tasks = ()
-    else:
-        tasks = tuple(
-            {"a": a, "replicate": r, "chain_index": ai * reps + r}
-            for ai, a in enumerate(cfg.a_grid) for r in range(reps))
-    config = {
-        "model": _model_dict(cfg.params),
-        "a_grid": list(cfg.a_grid),
-        "replicates": reps,
-        "chain_steps": list(cfg.chain_steps),
-        "chain_burnin": cfg.chain.burn_in,
-        "chain_thin": cfg.chain.thin,
-    }
-    manifest = write_manifest(out, cfg.experiment, config, cfg.seed,
-                              tasks, wall, [path])
-    return {"results": str(path), "manifest": manifest,
-            "header": header, "rows": rows}
+    name = "trace" if cfg.experiment == "simulate" else "results"
+    path = out / f"{name}.{fmt}"
+    write_table(path, header, rows)
+    tasks = ()
+    if cfg.experiment in _STREAM_COMMANDS:
+        tasks = tuple({"a": cfg.a_grid[ai], "replicate": r,
+                       "chain_index": stream}
+                      for ai, r, stream in _streams(cfg))
+    config = {"model": _model_dict(cfg.params), "a_grid": list(cfg.a_grid),
+              "replicates": cfg.replicates,
+              "chain_steps": list(cfg.chain_steps),
+              "chain_burnin": cfg.chain.burn_in, "chain_thin": cfg.chain.thin}
+    manifest = RunManifest(
+        experiment=cfg.experiment, config=config, seed=cfg.seed, tasks=tasks,
+        version=_package_version(), wall_seconds=round(wall, 3),
+        outputs={path.name: _sha256(path)})
+    manifest_path = out / "manifest.json"
+    manifest_path.write_text(manifest.to_json())
+    return {"results": str(path), "manifest": str(manifest_path),
+            "header": header, "rows": rows, "chain": chain}

@@ -38,15 +38,18 @@ class CenterIntensity:
         if (self.level is None) == (self.table is None):
             raise ValueError("give exactly one of a constant level or a table")
         if self.level is not None:
-            if not self.level > 0:
-                raise ValueError("constant intensity must be positive")
+            if not 0 < self.level < math.inf:
+                raise ValueError("constant intensity must be positive and "
+                                 "finite")
             object.__setattr__(self, "_cells", ())
             return
         table = np.asarray(self.table, dtype=float)
         if table.ndim != self.window.d:
             raise ValueError("table rank must equal the window dimension")
-        if (table < 0).any() or not (table > 0).any():
-            raise ValueError("table levels must be nonnegative with positive total")
+        if (table < 0).any() or not (table > 0).any() \
+                or not np.isfinite(table).all():
+            raise ValueError("table levels must be finite and nonnegative "
+                             "with positive total")
         object.__setattr__(self, "table", table)
         cell_vol = self.window.volume / table.size
         weights = (table.reshape(-1) * cell_vol)
@@ -90,8 +93,10 @@ class SizeLaw:
     def __post_init__(self):
         atoms = tuple((float(r), float(p)) for r, p in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if not atoms or any(r <= 0 or p < 0 for r, p in atoms):
-            raise ValueError("half-extents must be positive, weights nonnegative")
+        if not atoms or not all(0 < r < math.inf and 0 <= p < math.inf
+                                for r, p in atoms):
+            raise ValueError("half-extents must be positive, weights "
+                             "nonnegative, both finite")
         if abs(math.fsum(p for _, p in atoms) - 1.0) > 1e-12:
             raise ValueError("size law weights must sum to 1")
 
@@ -214,6 +219,10 @@ def validate_params(p: ModelParams) -> None:
         raise ValueError("dimension must be >= 2")
     if len(p.nu) != p.d:
         raise ValueError("nu must have one component per order 1..d")
+    for name, v in (("a", p.a), ("b", p.b), *(
+            (f"nu_{j}", v) for j, v in enumerate(p.nu, start=1))):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} = {v} is not finite")
     for j in range(2, p.d + 1):
         if p.nu[j - 1] > 0:
             raise ValueError(
@@ -227,8 +236,9 @@ def validate_params(p: ModelParams) -> None:
         raise ValueError("half-extents above the size scale b break the stability bound")
     if p.orientation.d != p.d or p.center.window.d != p.d:
         raise ValueError("component dimensions disagree")
-    if not p.total_intensity > 0:
-        raise ValueError("total center intensity must be positive")
+    if not 0 < p.total_intensity < math.inf:
+        raise ValueError("total center intensity must be positive and "
+                         "finite")
 
 
 def log_density_unnorm(x: FacetPattern, p: ModelParams) -> float:

@@ -103,7 +103,8 @@ class ChainConfig:
         burn = self.burn_in if self.burn_in is not None else int(round(10 * a_t))
         thin = self.thin if self.thin is not None else max(1, int(round(a_t / 10)))
         if not self.n_steps > burn >= 0:
-            raise ValueError("need n_steps > burn_in >= 0")
+            raise ValueError(f"need n_steps > burn_in >= 0, got n_steps = "
+                             f"{self.n_steps} and burn_in = {burn}")
         if thin < 1:
             raise ValueError("thin must be >= 1")
         return burn, thin
@@ -393,13 +394,19 @@ def _run_counts(p, cfg, rng, initial, burn, thin, n_keep):
     return samples, diag
 
 
+def trace_table(diag: ChainDiagnostics) -> tuple[tuple[str, ...], list[tuple]]:
+    """Header and rows of the retained-sample trace: step, n, G_1..G_d,
+    accepted (0 or 1) and move, as Python ints, floats and strings."""
+    header = ("step", "n") + tuple(f"G_{j}" for j in range(1, diag.d + 1)) \
+        + ("accepted", "move")
+    rows = [(step, n, *g, acc, move) for step, n, g, acc, move in zip(
+        diag.trace_step.tolist(), diag.trace_n.tolist(), diag.trace_g.tolist(),
+        diag.trace_accepted.astype(int).tolist(), diag.trace_move.tolist())]
+    return header, rows
+
+
 def export_trace(diag: ChainDiagnostics, path) -> None:
     """Write the retained-sample trace as CSV."""
-    header = ["step", "n"] + [f"G_{j}" for j in range(1, diag.d + 1)] + ["accepted", "move"]
+    header, rows = trace_table(diag)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(diag.n_retained):
-            row = [str(int(diag.trace_step[i])), str(int(diag.trace_n[i]))]
-            row += [repr(float(v)) for v in diag.trace_g[i]]
-            row += [str(int(diag.trace_accepted[i])), diag.trace_move[i]]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])

@@ -73,9 +73,6 @@ class FacetPattern:
     def is_canonical(self) -> bool:
         return self.centers is not None or not self.facets
 
-    def distinct_orientations(self) -> int:
-        return len(self.groups)
-
     def orientation_counts(self) -> np.ndarray:
         """Facet count per canonical axis (canonical patterns only)."""
         if not self.is_canonical:

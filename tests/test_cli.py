@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from facetproc.cli import main
+from facetproc.model import ModelParams
+from facetproc.sampler import ChainConfig, export_trace, run_chain
 
 
 def write_conf(tmp_path, text):
@@ -30,9 +32,17 @@ def test_simulate_writes_trace_and_manifest(tmp_path, capsys):
     assert len(trace) > 100
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "simulate"
+    assert manifest["tasks"] == [{"a": 2.0, "replicate": 0,
+                                  "chain_index": 0}]
     captured = capsys.readouterr()
     assert "retained" in captured.out
     assert "mean count" in captured.out
+    # the library's trace writer gives the same bytes for the same chain
+    p = ModelParams.special(2, (0.0, -1.0), a=2.0)
+    _, diag = run_chain(p, ChainConfig(n_steps=20000, seed=1))
+    export_trace(diag, tmp_path / "export.csv")
+    assert (tmp_path / "export.csv").read_bytes() \
+        == (out / "trace.csv").read_bytes()
 
 
 def test_rho_series_output(tmp_path, capsys):
@@ -95,17 +105,37 @@ def test_experiment_json_format(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_reruns_are_byte_identical(tmp_path, capsys):
-    conf = write_conf(tmp_path, "d = 2\nnu.2 = -1\na.grid = 1,2\n"
-                                "chain.steps = 10000\n")
+RERUN_CASES = {
+    "simulate": (["simulate"], "d = 2\nnu.2 = -1\na.grid = 2\n"
+                               "chain.steps = 5000\n"),
+    "rho-series": (["rho"], "d = 2\nnu.2 = -1\na.grid = 1,4\n"),
+    "rho-bounds": (["rho"], "d = 3\nnu.2 = -1\na.grid = 2\n"),
+    "moments": (["moments"], "d = 2\n"),
+    "e1": (["experiment", "e1"], "d = 2\na.grid = 1,2\nreplicates = 20\n"),
+    "e2": (["experiment", "e2"], "d = 2\nnu.2 = -1\na.grid = 1,2\n"
+                                 "chain.steps = 10000\n"),
+    "e3": (["experiment", "e3"], "d = 2\nnu.2 = -0.5\na.grid = 1,2\n"),
+    "e4": (["experiment", "e4"], "d = 3\nnu.3 = -1\na.grid = 2\n"
+                                 "chain.steps = 5000\nreplicates = 2\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(RERUN_CASES))
+def test_cli_reruns_are_byte_identical(tmp_path, capsys, case, fmt):
+    command, text = RERUN_CASES[case]
+    conf = write_conf(tmp_path, text)
+    name = ("trace" if command == ["simulate"] else "results") + "." + fmt
     blobs = []
-    for name in ("one", "two"):
-        out = tmp_path / name
-        assert run(["experiment", "e2", "--config", conf, "--seed", "6",
-                    "--out", str(out)]) == 0
-        blobs.append((out / "results.csv").read_bytes())
+    for run_dir in ("one", "two"):
+        out = tmp_path / run_dir
+        assert run(command + ["--config", conf, "--seed", "6", "--format",
+                              fmt, "--out", str(out)]) == 0
+        blobs.append((out / name).read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["outputs"]) == [name]
     assert blobs[0] == blobs[1]
-    capsys.readouterr()
+    assert "manifest" in capsys.readouterr().out
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
@@ -122,3 +152,19 @@ def test_cli_reports_missing_file(tmp_path, capsys):
                 "--out", str(tmp_path / "y")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text,named", [
+    # the a = 16 chain needs 160 burn-in steps: refused before a = 1 runs
+    (["experiment", "e2"], "d = 2\nnu.2 = -1\na.grid = 1,16\n"
+                           "chain.steps = 100\n", ("a = 16.0", "n_steps = 100")),
+    (["simulate"], "d = 2\nnu.2 = nan\n", ("nu.2",)),
+], ids=["e2-steps-short", "simulate-nu2-nan"])
+def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
+                                               text, named):
+    out = tmp_path / "out"
+    assert run(command + ["--config", write_conf(tmp_path, text),
+                          "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in named)
+    assert not out.exists()

@@ -73,6 +73,8 @@ def test_config_model_rejects_bad_keys():
         config_model({"b": "1"})
     with pytest.raises(ValueError, match="unknown"):
         config_model({"d": "2", "bogus": "1"})
+    with pytest.raises(ValueError, match="unknown"):
+        config_model({"d": "2", "nu.x": "1"})
     with pytest.raises(ValueError, match="outside"):
         config_model({"d": "2", "nu.3": "-1"})
     with pytest.raises(ValueError):

@@ -250,3 +250,28 @@ def test_batch_means_se():
     se = batch_means_se(iid)
     assert se == pytest.approx(1 / math.sqrt(6400), rel=0.35)
     assert batch_means_se(np.ones(3)) == math.inf
+
+
+def test_counts_match_exact_stationary_law():
+    # Top-order d=2 special model: any two non-parallel facets cross, so
+    # G_2 = n0 n1 and the counts (n0, n1) have the exact law proportional
+    # to Pois(beta; n0) Pois(beta; n1) exp(nu_2 n0 n1), beta = aT/2.  The
+    # chain's mean count and mean G_2 must match its moments.  At this
+    # seed the z-scores are -1.3 and 0.4.  A birth log-ratio biased by
+    # +0.05 reads 4.7 and 6.8; the same bias on log(aT) in both move
+    # types reads 11.5 and 7.6.
+    nu2, a = -0.5, 4.0
+    p = ModelParams.special(2, (0.0, nu2), a=a)
+    beta = a * p.total_intensity / 2.0
+    n = np.arange(60)
+    log_pois = n * math.log(beta) - np.array([math.lgamma(k + 1) for k in n])
+    log_w = log_pois[:, None] + log_pois[None, :] + nu2 * np.outer(n, n)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+    exact_n = float((w * (n[:, None] + n[None, :])).sum())
+    exact_g2 = float((w * np.outer(n, n)).sum())
+    _, diag = run_chain(p, ChainConfig(n_steps=400_000, seed=2015))
+    n_mean, n_se = diag.n_mean_se()
+    g2_mean, g2_se = diag.g_mean_se(2)
+    assert abs(n_mean - exact_n) < 4.0 * n_se
+    assert abs(g2_mean - exact_g2) < 4.0 * g2_se
