@@ -16,6 +16,7 @@ the orientation arrangement of the query facets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,8 +106,8 @@ class RhoQuery:
         return (self.a * self.total_intensity / self.d) * math.exp(
             self.nu_first * (2 * self.b) ** (self.d - 1))
 
-    def _log_first_order_factor(self) -> float:
-        return self.nu_first * len(self.facets) * (2 * self.b) ** (self.d - 1)
+    def _log_first_order_factor(self, n_query: int) -> float:
+        return self.nu_first * n_query * (2 * self.b) ** (self.d - 1)
 
 
 def rho_limit_from_counts(counts: Sequence[int]) -> Fraction:
@@ -162,13 +163,20 @@ class RhoSeriesResult(NamedTuple):
     n_max: int
 
 
-def _series_sums(beta: float, nu: float, d: int, counts, n: int):
+def _count_grid(beta: float, dims: int, n: int):
+    """Orientation counts 0..n on dims axes as open (broadcastable)
+    grids, and the dense grid of their summed Poisson(beta) log weights.
+    Only the sums and products built from the open grids are dense."""
     edge = np.arange(n + 1, dtype=float)
     log_pmf = edge * math.log(beta) - gammaln(edge + 1.0) - beta
-    logw = sum(np.meshgrid(*([log_pmf] * (d - 1)), indexing="ij"))
-    shifted = np.meshgrid(*[edge + counts[i] for i in range(d - 1)], indexing="ij")
+    logw = sum(np.meshgrid(*([log_pmf] * dims), indexing="ij", sparse=True))
+    return np.meshgrid(*([edge] * dims), indexing="ij", sparse=True), logw
+
+
+def _series_sums(beta: float, nu: float, d: int, counts, n: int):
+    bare, logw = _count_grid(beta, d - 1, n)
+    shifted = [bare[i] + counts[i] for i in range(d - 1)]
     prod_q = math.prod(shifted[1:], start=shifted[0])
-    bare = np.meshgrid(*([edge] * (d - 1)), indexing="ij")
     prod_0 = math.prod(bare[1:], start=bare[0])
     log_num = logw + nu * counts[d - 1] * prod_q + beta * np.exp(nu * prod_q)
     log_den = logw + beta * np.exp(nu * prod_0)
@@ -190,6 +198,13 @@ def _series_core(beta: float, nu: float, d: int, counts,
         n = int(n * 1.5) + 5
 
 
+def _series_result(q: RhoQuery, counts) -> RhoSeriesResult:
+    log_a, log_b, tail, n = _series_core(q._beta(), q.nu, q.d, counts,
+                                         q.n_cap, q.tol)
+    value = math.exp(q._log_first_order_factor(sum(counts)) + log_a - log_b)
+    return RhoSeriesResult(value, tail, math.exp(log_a), math.exp(log_b), n)
+
+
 def rho_series_full_order(q: RhoQuery) -> RhoSeriesResult:
     """Exact correlation of a distinct-orientation query under the
     top-order interaction, as a ratio of truncated multinomial series.
@@ -205,10 +220,7 @@ def rho_series_full_order(q: RhoQuery) -> RhoSeriesResult:
     counts = q.query_counts()
     if any(c > 1 for c in counts):
         raise ValueError("query facets must have pairwise distinct orientations")
-    log_a, log_b, tail, n = _series_core(q._beta(), q.nu, q.d, counts,
-                                         q.n_cap, q.tol)
-    value = math.exp(q._log_first_order_factor() + log_a - log_b)
-    return RhoSeriesResult(value, tail, math.exp(log_a), math.exp(log_b), n)
+    return _series_result(q, counts)
 
 
 def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
@@ -220,41 +232,37 @@ def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
     included, so arrangement sweeps can skip constructing facets.  Same
     series and tail certificate as rho_series_full_order.
     """
-    _require_special(p)
-    s, nu = _single_active_order(p)
-    if s != p.d:
+    q = RhoQuery.from_model(p, (), n_cap=n_cap, tol=tol)
+    if q.s != p.d:
         raise ValueError("counts series needs the top-order interaction only")
     counts = tuple(int(c) for c in counts)
     if len(counts) != p.d or any(c < 0 for c in counts) or sum(counts) == 0:
         raise ValueError("counts must be d nonnegative integers, not all zero")
-    beta = (p.a * p.total_intensity / p.d) * math.exp(
-        p.nu[0] * (2 * p.b) ** (p.d - 1))
-    log_a, log_b, tail, n = _series_core(beta, nu, p.d, counts, n_cap, tol)
-    log_pref = p.nu[0] * sum(counts) * (2 * p.b) ** (p.d - 1)
-    return RhoSeriesResult(math.exp(log_pref + log_a - log_b), tail,
-                           math.exp(log_a), math.exp(log_b), n)
+    return _series_result(q, counts)
 
 
 def correlation_provider(p: ModelParams, tol: float = 1e-8):
     """Exact correlation-function evaluator for moment integrals.
 
-    Returns rho(facets) for the top-order-coupled model, cached per
-    orientation count vector via rho_series_counts.
+    Returns rho(axes) for the top-order-coupled model: axes (K, m) holds
+    the orientations of K facet m-tuples, the result their K
+    correlations.  Each distinct orientation count vector is evaluated
+    once by rho_series_counts and cached.
     """
     _require_special(p)
     s, _ = _single_active_order(p)
     if s != p.d:
         raise ValueError("provider needs the top-order interaction only")
-    cache: dict[tuple[int, ...], float] = {}
 
-    def rho(facets) -> float:
-        counts = [0] * p.d
-        for f in facets:
-            counts[f.orientation] += 1
-        key = tuple(counts)
-        if key not in cache:
-            cache[key] = rho_series_counts(p, key, tol=tol).value
-        return cache[key]
+    @functools.lru_cache(maxsize=None)
+    def rho_of_counts(counts: tuple[int, ...]) -> float:
+        return rho_series_counts(p, counts, tol=tol).value
+
+    def rho(axes) -> np.ndarray:
+        counts = (np.asarray(axes)[..., None] == np.arange(p.d)).sum(axis=1)
+        keys, inverse = np.unique(counts, axis=0, return_inverse=True)
+        return np.array([rho_of_counts(tuple(key)) for key in keys.tolist()]
+                        )[inverse.reshape(-1)]
 
     return rho
 
@@ -293,7 +301,7 @@ def rho_bounds(q: RhoQuery) -> RhoBoundResult:
     counts = q.query_counts()
     if any(c > 1 for c in counts):
         raise ValueError("query facets must have pairwise distinct orientations")
-    pref = math.exp(q._log_first_order_factor())
+    pref = math.exp(q._log_first_order_factor(len(q.facets)))
     k = q.d - q.s
     if q.nu == 0.0:
         return RhoBoundResult(pref, 0.0, 0.0, 0)
@@ -304,13 +312,10 @@ def rho_bounds(q: RhoQuery) -> RhoBoundResult:
     while True:
         if (n + 1) ** q.d > _MAX_CELLS:
             raise ValueError("truncation grid too large; lower a or raise tol")
-        edge = np.arange(n + 1, dtype=float)
-        log_pmf = edge * math.log(beta) - gammaln(edge + 1.0) - beta
-        logw = sum(np.meshgrid(*([log_pmf] * q.d), indexing="ij"))
-        bare = np.meshgrid(*([edge] * q.d), indexing="ij")
+        bare, logw = _count_grid(beta, q.d, n)
         shifted = [bare[i] + counts[i] for i in range(q.d)]
         num_exp = q.nu * q.b ** k * _distinct_subset_count(shifted, q.s)
-        den_exp = q.nu * (2 * q.b) ** k * _distinct_subset_count(list(bare), q.s)
+        den_exp = q.nu * (2 * q.b) ** k * _distinct_subset_count(bare, q.s)
         log_a = float(logsumexp(logw + num_exp))
         log_b = float(logsumexp(logw + den_exp))
         tail = q.d * float(poisson.sf(n, beta))

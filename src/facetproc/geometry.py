@@ -5,6 +5,9 @@ r > 0, and an orientation given either by a canonical axis index (the normal
 direction e_i, any d >= 2) or by a unit normal vector (d = 2 only).  The facet
 is the sup-norm ball of radius r around z inside its hyperplane, i.e. an
 axis-aligned (d-1)-cube for canonical orientations.
+
+canonical_content is the one implementation of the intersection content of
+canonical facets, over whole batches of facet tuples held as arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,9 @@ class Facet:
             raise ValueError("facets need ambient dimension d >= 2")
         if not self.half_extent > 0:
             raise ValueError("half_extent must be positive")
-        if isinstance(self.orientation, (int,)) and not isinstance(self.orientation, bool):
+        if isinstance(self.orientation, (int, np.integer)) \
+                and not isinstance(self.orientation, bool):
+            object.__setattr__(self, "orientation", int(self.orientation))
             if not 0 <= self.orientation < d:
                 raise ValueError(f"canonical axis {self.orientation} outside [0, {d})")
         else:
@@ -115,33 +122,32 @@ def general_position(facets: Iterable[Facet]) -> bool:
     return True
 
 
-def _check_same_dimension(facets: Sequence[Facet]) -> int:
-    d = facets[0].d
-    for f in facets[1:]:
-        if f.d != d:
-            raise ValueError("facets live in different ambient dimensions")
-    return d
+def canonical_content(centers: np.ndarray, extents: np.ndarray,
+                      axes: np.ndarray) -> np.ndarray:
+    """Intersection content of K tuples of j canonical facets: centers
+    (K, j, d), extents (K, j) and integer axes (K, j) to K floats.
 
-
-def _canonical_intersection(facets: Sequence[Facet], d: int) -> float:
-    # Intersection of j canonical facets with pairwise distinct axes is an
-    # axis-aligned box: fixed coordinates must fall inside every facet's
-    # extent (closed inequalities, no epsilon), free coordinates contribute
-    # their interval overlap length.
-    axes = {f.orientation: f for f in facets}
-    measure = 1.0
-    for c in range(d):
-        lo = max(f.center[c] - f.half_extent for f in facets)
-        hi = min(f.center[c] + f.half_extent for f in facets)
-        if c in axes:
-            v = axes[c].center[c]
-            if not (lo <= v <= hi):
-                return 0.0
-        else:
-            length = hi - lo
-            if length <= 0.0:
-                return 0.0
-            measure *= length
+    One facet gives (2r)^(d-1).  Otherwise each coordinate contributes,
+    in coordinate order: the closed containment indicator of the fixed
+    value if exactly one facet is normal to it, the interval overlap if
+    none is, and 0 if two are (parallel facets, so also any j > d).
+    """
+    _, j, d = centers.shape
+    if j == 1:
+        # Python's pow, as facet_measure uses: numpy's may round otherwise
+        r, inverse = np.unique(extents[:, 0], return_inverse=True)
+        return np.array([(2.0 * v) ** (d - 1) for v in r.tolist()])[inverse]
+    r = extents[..., None]
+    lo = (centers - r).max(axis=1)
+    hi = (centers + r).min(axis=1)
+    normal = axes[..., None] == np.arange(d)
+    n_normal = normal.sum(axis=1)
+    fixed = (centers * normal).sum(axis=1)
+    factor = np.where(n_normal == 0, np.maximum(0.0, hi - lo),
+                      (n_normal == 1) & (lo <= fixed) & (fixed <= hi))
+    measure = factor[:, 0]
+    for c in range(1, d):
+        measure = measure * factor[:, c]
     return measure
 
 
@@ -182,7 +188,9 @@ def intersection_measure(facets: Sequence[Facet]) -> float:
     facets = list(facets)
     if not facets:
         raise ValueError("need at least one facet")
-    d = _check_same_dimension(facets)
+    d = facets[0].d
+    if any(f.d != d for f in facets):
+        raise ValueError("facets live in different ambient dimensions")
     j = len(facets)
     if j > d:
         return 0.0
@@ -191,7 +199,10 @@ def intersection_measure(facets: Sequence[Facet]) -> float:
     if not general_position(facets):
         return 0.0
     if all(f.is_canonical for f in facets):
-        return _canonical_intersection(facets, d)
+        return float(canonical_content(
+            np.array([[f.center for f in facets]]),
+            np.array([[f.half_extent for f in facets]]),
+            np.array([[f.orientation for f in facets]]))[0])
     if d != 2:
         raise ValueError("non-canonical orientations are supported in d = 2 only")
     return 1.0 if _segments_cross(facets[0], facets[1]) else 0.0

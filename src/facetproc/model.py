@@ -63,25 +63,24 @@ class CenterIntensity:
         cum, _, _ = self._cells
         return float(cum[-1])
 
-    def sample_from_uniforms(self, u: Sequence[float]) -> tuple[float, ...]:
-        """Map d iid uniforms to a center draw from chi/T (deterministic)."""
+    def sample_from_uniforms(self, u: Sequence) -> tuple:
+        """Map d iid uniforms to a center draw from chi/T (deterministic);
+        given d equal-shape arrays of uniforms, d arrays of coordinates."""
         b = self.window.bounds
         if self.level is not None:
             return tuple(lo + u_i * (hi - lo) for (lo, hi), u_i in zip(b, u))
         cum, shape, _ = self._cells
-        flat = int(np.searchsorted(cum, u[0] * cum[-1], side="right"))
-        flat = min(flat, len(cum) - 1)
+        mass = u[0] * cum[-1]
+        flat = np.minimum(np.searchsorted(cum, mass, side="right"),
+                          len(cum) - 1)
         idx = np.unravel_index(flat, shape)
         # recycle the cell-selection uniform for the first coordinate
-        prev = cum[flat - 1] if flat else 0.0
+        prev = np.where(flat > 0, cum[flat - 1], 0.0)
         w = cum[flat] - prev
-        u0 = (u[0] * cum[-1] - prev) / w if w > 0 else 0.5
+        u0 = np.where(w > 0, (mass - prev) / np.where(w > 0, w, 1.0), 0.5)
         us = (u0,) + tuple(u[1:])
-        out = []
-        for c, ((lo, hi), i, u_c) in enumerate(zip(b, idx, us)):
-            step = (hi - lo) / shape[c]
-            out.append(lo + (i + min(max(u_c, 0.0), 1.0)) * step)
-        return tuple(out)
+        return tuple(lo + (i + np.clip(u_c, 0.0, 1.0)) * ((hi - lo) / n_c)
+                     for (lo, hi), i, u_c, n_c in zip(b, idx, us, shape))
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,8 @@ class SizeLaw:
     """Half-extent law: a point mass (special model) or a discrete table."""
 
     atoms: tuple[tuple[float, float], ...]  # (half_extent, probability)
+    _radii: np.ndarray = field(init=False, repr=False, compare=False)
+    _cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple((float(r), float(p)) for r, p in self.atoms)
@@ -99,6 +100,9 @@ class SizeLaw:
                              "nonnegative, both finite")
         if abs(math.fsum(p for _, p in atoms) - 1.0) > 1e-12:
             raise ValueError("size law weights must sum to 1")
+        radii, weights = np.array(atoms).T
+        object.__setattr__(self, "_radii", radii)
+        object.__setattr__(self, "_cuts", np.cumsum(weights)[:-1])
 
     @classmethod
     def fixed(cls, half_extent: float) -> "SizeLaw":
@@ -112,13 +116,10 @@ class SizeLaw:
     def max_extent(self) -> float:
         return max(r for r, _ in self.atoms)
 
-    def sample_from_uniform(self, u: float) -> float:
-        acc = 0.0
-        for r, p in self.atoms:
-            acc += p
-            if u < acc:
-                return r
-        return self.atoms[-1][0]
+    def sample_from_uniform(self, u):
+        """The first atom whose cumulative weight exceeds the uniform u;
+        elementwise for an array of uniforms."""
+        return self._radii[np.searchsorted(self._cuts, u, side="right")]
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,12 @@ class OrientationLaw:
     def is_canonical(self) -> bool:
         return self.kind == "canonical"
 
-    def sample_from_uniform(self, u: float):
+    def sample_from_uniform(self, u):
+        """Axis index, or unit normal (hemisphere, scalar u only); the
+        axis is elementwise for an array of uniforms."""
         if self.kind == "canonical":
-            return min(int(u * self.d), self.d - 1)
+            return np.minimum(np.multiply(u, self.d).astype(np.intp),
+                              self.d - 1)
         theta = u * math.pi
         nx, ny = math.cos(theta), math.sin(theta)
         if nx < 0 or (nx == 0 and ny < 0):

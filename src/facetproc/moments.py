@@ -4,7 +4,11 @@ Mixed moments of interaction counts expand over grouped partitions of
 the factor indices, one correlation-weighted integral per partition;
 the integrals are done by Monte Carlo against the reference intensity,
 which keeps every closed-form special case exact because the integrand
-is then constant.  The module also carries the expected-increment
+is then constant.  Each integral scores all its draws as one batch:
+kernels map the arrays (centers, extents, axes) of K facet tuples to K
+values through geometry.canonical_content, and a correlation provider
+maps the axes of K merged tuples to K correlations, so these integrals
+need canonical models.  The module also carries the expected-increment
 functional of a single extra facet, the asymptotic covariances built
 from it, and the constants of the dilation scaling limit.
 """
@@ -19,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import Facet, facet_measure, intersection_measure
+from .geometry import Facet, canonical_content, facet_measure
 from .model import ModelParams
 from .sampler import batch_means_se, make_rng, sample_poisson
 from .ustat import g_increment
@@ -124,12 +128,12 @@ def enumerate_partitions(sizes) -> tuple[GroupedPartition, ...]:
 # kernels driving the interaction counts as sums over ordered tuples
 
 
-def unit_kernel(facets) -> float:
-    return 1.0
+def unit_kernel(centers, extents, axes) -> np.ndarray:
+    return np.ones(len(axes))
 
 
-def measure_kernel(facets) -> float:
-    return facet_measure(facets[0])
+def measure_kernel(centers, extents, axes) -> np.ndarray:
+    return canonical_content(centers[:, :1], extents[:, :1], axes[:, :1])
 
 
 def interaction_kernel(j: int) -> Callable:
@@ -138,8 +142,8 @@ def interaction_kernel(j: int) -> Callable:
     distinct j-tuples reproduces the unordered statistic."""
     norm = float(math.factorial(j))
 
-    def kernel(facets) -> float:
-        return intersection_measure(facets) / norm
+    def kernel(centers, extents, axes) -> np.ndarray:
+        return canonical_content(centers, extents, axes) / norm
 
     return kernel
 
@@ -150,11 +154,15 @@ def interaction_kernel(j: int) -> Callable:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """One product-moment request: factors are (order, kernel) pairs,
-    kernel taking a tuple of that many facets.  provider evaluates the
-    correlation function of the merged variables (None means the
-    reference process, rho identically one).  max_draws caps the total
-    Monte Carlo facet draws across all partitions."""
+    """One product-moment request.
+
+    factors are (order k, kernel) pairs.  A kernel scores a whole batch
+    of K facet k-tuples at once: it takes centers (K, k, d), half-extents
+    (K, k) and axes (K, k) and returns K floats, 0 for parallel tuples.
+    provider evaluates the correlation function of the merged variables
+    from their axes alone, (K, m) to K floats; None means the reference
+    process, rho identically one.  max_draws caps the total Monte Carlo
+    facet draws across all partitions."""
 
     factors: tuple
     provider: Callable | None = None
@@ -174,39 +182,24 @@ class MomentSpec:
             raise ValueError("n_samples must be at least 2")
 
 
-def _draw_facets(p: ModelParams, rng, count: int, n: int) -> list[list[Facet]]:
+def _weighted_integral(factors, provider, p: ModelParams, rng, count: int,
+                       n: int, scale: float) -> tuple[float, float]:
+    """scale times the mean and its standard error, over n draws of count
+    facets, of the product of each factor's kernel at the facets its
+    slots pick, times the provider at all count facets.  Each facet's
+    d + 2 uniforms go through the model's laws as in sample_poisson."""
     u = rng.random((n, count, p.d + 2))
-    return [
-        [p.sample_facet_from_uniforms(u[t, i, 0], u[t, i, 1:1 + p.d],
-                                      u[t, i, 1 + p.d]) for i in range(count)]
-        for t in range(n)
-    ]
-
-
-def _partition_integral(part: GroupedPartition, spec: MomentSpec,
-                        p: ModelParams, rng) -> tuple[float, float]:
-    m = part.n_blocks
-    block_of = {}
-    for bi, blk in enumerate(part.blocks):
-        for idx in blk:
-            block_of[idx] = bi
-    slots = []
-    start = 0
-    for k, _ in spec.factors:
-        slots.append(tuple(block_of[start + off] for off in range(k)))
-        start += k
-    draws = _draw_facets(p, rng, m, spec.n_samples)
-    vals = np.empty(spec.n_samples)
-    for t, ys in enumerate(draws):
-        acc = 1.0
-        for (k, kernel), sl in zip(spec.factors, slots):
-            acc *= kernel(tuple(ys[b] for b in sl))
-            if acc == 0.0:
-                break
-        if acc != 0.0 and spec.provider is not None:
-            acc *= spec.provider(tuple(ys))
-        vals[t] = acc
-    scale = (p.a * p.total_intensity) ** m
+    centers = np.stack(p.center.sample_from_uniforms(
+        np.moveaxis(u[..., 1:1 + p.d], -1, 0)), axis=-1)
+    extents = p.size.sample_from_uniform(u[..., 1 + p.d])
+    axes = p.orientation.sample_from_uniform(u[..., 0])
+    vals = np.ones(n)
+    for kernel, slots in factors:
+        vals = vals * kernel(centers[:, slots], extents[:, slots],
+                             axes[:, slots])
+    if provider is not None:
+        live = vals != 0.0
+        vals[live] = vals[live] * provider(axes[live])
     return scale * float(vals.mean()), scale * batch_means_se(vals)
 
 
@@ -215,10 +208,12 @@ def mixed_moment(spec: MomentSpec, p: ModelParams) -> tuple[float, float]:
 
     Expands over grouped partitions; each partition contributes the
     correlation-weighted integral of the merged kernel product against
-    the reference intensity, estimated by Monte Carlo.  Returns value
-    and a combined standard error, zero when every integrand is
-    constant.
+    the reference intensity, estimated by Monte Carlo on one batch of
+    draws.  Returns value and a combined standard error, zero when every
+    integrand is constant.  Canonical models only.
     """
+    if not p.orientation.is_canonical:
+        raise ValueError("Monte Carlo moments need axis-aligned orientations")
     parts = enumerate_partitions([k for k, _ in spec.factors])
     rng = make_rng(spec.seed)
     drawn = 0
@@ -232,7 +227,14 @@ def mixed_moment(spec: MomentSpec, p: ModelParams) -> tuple[float, float]:
                 "partial sum %r" % (len(terms), len(parts),
                                     math.fsum(terms)))
         drawn += need
-        v, e = _partition_integral(part, spec, p, rng)
+        # each factor's slots: the blocks its global indices fall in
+        block_of = {i: bi for bi, blk in enumerate(part.blocks) for i in blk}
+        starts = itertools.accumulate((k for k, _ in spec.factors), initial=0)
+        factors = [(kernel, [block_of[s + off] for off in range(k)])
+                   for (k, kernel), s in zip(spec.factors, starts)]
+        v, e = _weighted_integral(factors, spec.provider, p, rng,
+                                  part.n_blocks, spec.n_samples,
+                                  (p.a * p.total_intensity) ** part.n_blocks)
         terms.append(v)
         errs.append(e)
     return math.fsum(terms), math.sqrt(math.fsum(e * e for e in errs))
@@ -243,7 +245,8 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
                             n_samples: int = 10000,
                             seed: int = 0) -> tuple[float, float]:
     """Leading coefficient, in the activity, of the m-th centered moment
-    of the order-k statistic driven by the kernel.
+    of the order-k statistic driven by the kernel (batch contract of
+    MomentSpec; canonical models only).
 
     The coefficient of a^(mk) is the alternating binomial combination
     of the correlation integrals J_l over l*k variables, l = 0..m; it
@@ -251,6 +254,8 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
     factorizes (reference process), which the combination reproduces by
     exact cancellation for constant kernels.
     """
+    if not p.orientation.is_canonical:
+        raise ValueError("Monte Carlo moments need axis-aligned orientations")
     if m < 1:
         raise ValueError("moment order must be positive")
     if m == 1:
@@ -259,23 +264,14 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
         raise ValueError("too many variables; m*k at most 12 supported")
     rng = make_rng(seed)
     t_mass = p.total_intensity
-    j_val = [1.0]
-    j_err = [0.0]
+    j_val, j_err = [1.0], [0.0]
     for l in range(1, m + 1):
-        draws = _draw_facets(p, rng, l * k, n_samples)
-        vals = np.empty(n_samples)
-        for t, ys in enumerate(draws):
-            acc = 1.0
-            for g in range(l):
-                acc *= kernel(tuple(ys[g * k:(g + 1) * k]))
-                if acc == 0.0:
-                    break
-            if acc != 0.0 and provider is not None:
-                acc *= provider(tuple(ys))
-            vals[t] = acc
-        scale = t_mass ** (l * k)
-        j_val.append(scale * float(vals.mean()))
-        j_err.append(scale * batch_means_se(vals))
+        factors = [(kernel, list(range(g * k, (g + 1) * k)))
+                   for g in range(l)]
+        v, e = _weighted_integral(factors, provider, p, rng, l * k,
+                                  n_samples, t_mass ** (l * k))
+        j_val.append(v)
+        j_err.append(e)
     terms = [math.comb(m, l) * (-1) ** (m - l) * j_val[l] * j_val[1] ** (m - l)
              for l in range(m + 1)]
     value = math.fsum(terms)

@@ -25,6 +25,7 @@ from .model import ModelParams, log_conditional_intensity
 from .ustat import FacetPattern, g_vector
 
 _BLOCK = 1 << 15
+_MAX_TRACE = 5_000_000  # retained states per chain
 
 
 def make_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -107,6 +108,10 @@ class ChainConfig:
                              f"{self.n_steps} and burn_in = {burn}")
         if thin < 1:
             raise ValueError("thin must be >= 1")
+        if (self.n_steps - burn) // thin > _MAX_TRACE:
+            raise ValueError(f"trace too large: n_steps = {self.n_steps}, "
+                             f"burn_in = {burn} and thin = {thin} keep more "
+                             f"than {_MAX_TRACE} states; increase thin")
         return burn, thin
 
 
@@ -218,8 +223,6 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
     if engine == "counts" and not _counts_eligible(p):
         raise ValueError("model not eligible for the counts engine")
     n_keep = (cfg.n_steps - burn) // thin
-    if n_keep > 5_000_000:
-        raise ValueError("trace too large; increase thin")
     if engine == "counts":
         return _run_counts(p, cfg, rng, initial, burn, thin, n_keep)
     return _run_pattern(p, cfg, rng, initial, burn, thin, n_keep)

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Facet, facet_measure, intersection_measure
+from .geometry import (Facet, canonical_content, facet_measure,
+                       intersection_measure)
 
 
 @dataclass(frozen=True)
@@ -97,28 +98,24 @@ def _subset_rows(index_groups: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, len(index_groups))
 
 
-def _rows_measure(centers, extents, axes, rows) -> np.ndarray:
-    """Intersection content for each row of facet indices.
-
-    Rows must have pairwise distinct axes.  Matches the scalar algorithm in
-    geometry bit for bit: per coordinate, fixed values contribute a closed
-    containment indicator, free coordinates the interval overlap length.
-    """
-    d = centers.shape[1]
-    c_rows = centers[rows]
-    r_rows = extents[rows][..., None]
-    lo = (c_rows - r_rows).max(axis=1)
-    hi = (c_rows + r_rows).min(axis=1)
-    ax_rows = axes[rows]
-    meas = np.ones(rows.shape[0])
-    for c in range(d):
-        sel = ax_rows == c
-        has = sel.any(axis=1)
-        fixed = (c_rows[:, :, c] * sel).sum(axis=1)
-        inside = (lo[:, c] <= fixed) & (fixed <= hi[:, c])
-        free_len = np.maximum(0.0, hi[:, c] - lo[:, c])
-        meas = meas * np.where(has, inside.astype(float), free_len)
-    return meas
+def _content_sum(x: FacetPattern, arrays, keys, m: int,
+                 u: Facet | None = None) -> float:
+    """fsum of the intersection contents of the subsets taking one facet
+    from each of m of the given orientation classes of x, and u if given.
+    arrays holds the canonical centers, extents and axes of x (then u),
+    or is None for patterns with non-canonical facets."""
+    tail, extra = ([], []) if u is None else ([np.array([x.n])], [u])
+    terms: list[float] = []
+    for combo in itertools.combinations(keys, m):
+        groups = [x.groups[k] for k in combo]
+        if arrays is not None:
+            rows = _subset_rows(groups + tail)
+            terms.extend(canonical_content(*(a[rows] for a in arrays)).tolist())
+        else:
+            terms.extend(intersection_measure([x.facets[i] for i in members]
+                                              + extra)
+                         for members in itertools.product(*groups))
+    return math.fsum(terms)
 
 
 def g_vector(x: FacetPattern) -> np.ndarray:
@@ -127,18 +124,9 @@ def g_vector(x: FacetPattern) -> np.ndarray:
     keys = list(x.groups)
     if x.facets:
         g[0] = math.fsum(facet_measure(f) for f in x.facets)
-    for j in range(2, x.d + 1):
-        if j > len(keys):
-            break
-        terms: list[float] = []
-        for combo in itertools.combinations(keys, j):
-            if x.is_canonical:
-                rows = _subset_rows([x.groups[k] for k in combo])
-                terms.extend(_rows_measure(x.centers, x.extents, x.axes, rows).tolist())
-            else:
-                for members in itertools.product(*(x.groups[k] for k in combo)):
-                    terms.append(intersection_measure([x.facets[i] for i in members]))
-        g[j - 1] = math.fsum(terms)
+    arrays = (x.centers, x.extents, x.axes) if x.is_canonical else None
+    for j in range(2, min(x.d, len(keys)) + 1):
+        g[j - 1] = _content_sum(x, arrays, keys, j)
     return g
 
 
@@ -155,11 +143,11 @@ def g_increment(x: FacetPattern, u: Facet, orders: Sequence[int] | None = None) 
     d = x.d
     wanted = range(1, d + 1) if orders is None else sorted(set(orders))
     out = np.full(d, np.nan)
-    canonical = x.is_canonical and u.is_canonical
-    if canonical and x.n:
-        centers = np.vstack([x.centers, [u.center]])
-        extents = np.append(x.extents, u.half_extent)
-        axes = np.append(x.axes, u.orientation)
+    arrays = None
+    if x.is_canonical and u.is_canonical and x.n:
+        arrays = (np.vstack([x.centers, [u.center]]),
+                  np.append(x.extents, u.half_extent),
+                  np.append(x.axes, u.orientation))
     u_key = u.orientation_key()
     other_keys = [k for k in x.groups if k != u_key]
     for j in wanted:
@@ -167,21 +155,10 @@ def g_increment(x: FacetPattern, u: Facet, orders: Sequence[int] | None = None) 
             raise ValueError(f"order {j} outside 1..{d}")
         if j == 1:
             out[0] = facet_measure(u)
-            continue
-        m = j - 1
-        if m > len(other_keys):
+        elif j - 1 > len(other_keys):
             out[j - 1] = 0.0
-            continue
-        terms: list[float] = []
-        for combo in itertools.combinations(other_keys, m):
-            if canonical:
-                rows = _subset_rows([x.groups[k] for k in combo])
-                rows = np.hstack([rows, np.full((len(rows), 1), x.n, dtype=np.intp)])
-                terms.extend(_rows_measure(centers, extents, axes, rows).tolist())
-            else:
-                for members in itertools.product(*(x.groups[k] for k in combo)):
-                    terms.append(intersection_measure([x.facets[i] for i in members] + [u]))
-        out[j - 1] = math.fsum(terms)
+        else:
+            out[j - 1] = _content_sum(x, arrays, other_keys, j - 1, u)
     return out
 
 

@@ -159,7 +159,11 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     (["experiment", "e2"], "d = 2\nnu.2 = -1\na.grid = 1,16\n"
                            "chain.steps = 100\n", ("a = 16.0", "n_steps = 100")),
     (["simulate"], "d = 2\nnu.2 = nan\n", ("nu.2",)),
-], ids=["e2-steps-short", "simulate-nu2-nan"])
+    # the a = 16 chain would keep 5999840 states: refused before a = 1 runs
+    (["experiment", "e2"], "d = 2\nnu.2 = -1\na.grid = 1,16\n"
+                           "chain.steps = 100000,6000000\nchain.thin = 1\n",
+     ("a = 16.0", "trace too large")),
+], ids=["e2-steps-short", "simulate-nu2-nan", "e2-trace-too-large"])
 def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
                                                text, named):
     out = tmp_path / "out"

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from facetproc.geometry import (
     Facet,
     Window,
+    canonical_content,
     facet_measure,
     general_position,
     intersection_measure,
@@ -146,6 +149,46 @@ def test_against_interval_oracle_sweep():
             # order invariance
             for perm in itertools.islice(itertools.permutations(facets), 3):
                 assert intersection_measure(list(perm)) == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def facet_batches(draw):
+    """A batch of K canonical j-tuples in dimension d, j up to d + 1.
+
+    Centers and half-extents sit on a grid of quarters, so facet edges
+    often fall exactly on other facets' fixed coordinates (closed-boundary
+    ties); axes repeat freely, so parallel rows are common.
+    """
+    d = draw(st.integers(2, 4))
+    j = draw(st.integers(1, d + 1))
+    k = draw(st.integers(1, 6))
+    quarters = st.integers(0, 8).map(lambda q: q / 4.0)
+    centers = draw(st.lists(quarters, min_size=k * j * d, max_size=k * j * d))
+    extents = draw(st.lists(st.integers(1, 4).map(lambda q: q / 4.0),
+                            min_size=k * j, max_size=k * j))
+    axes = draw(st.lists(st.integers(0, d - 1), min_size=k * j,
+                         max_size=k * j))
+    return (np.array(centers).reshape(k, j, d),
+            np.array(extents).reshape(k, j), np.array(axes).reshape(k, j))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(facet_batches())
+def test_kernel_matches_interval_oracle(batch):
+    centers, extents, axes = batch
+    got = canonical_content(centers, extents, axes)
+    assert got.shape == (len(axes),)
+    for row, value in enumerate(got.tolist()):
+        facets = [Facet(tuple(c), r, int(ax)) for c, r, ax in
+                  zip(centers[row], extents[row], axes[row])]
+        if len(facets) == 1:
+            assert value == facet_measure(facets[0])
+            assert value == pytest.approx(interval_oracle(facets))
+        elif len(set(axes[row].tolist())) < len(facets):
+            assert value == 0.0  # parallel facets, hence every j > d
+        else:
+            assert value == interval_oracle(facets)
 
 
 def test_window():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from facetproc.correlation import correlation_provider
+from facetproc.correlation import correlation_provider, rho_series_counts
 from facetproc.geometry import Facet, facet_measure, intersection_measure
 from facetproc.model import ModelParams, OrientationLaw
 from facetproc.moments import (
@@ -135,6 +135,34 @@ def test_moment_spec_validation():
         MomentSpec(((1, 3.0),))
     with pytest.raises(ValueError):
         MomentSpec(((1, unit_kernel),), n_samples=1)
+
+
+def test_moments_reject_non_canonical_models():
+    p = dataclasses.replace(ModelParams.special(2, (0.0, 0.0)),
+                            orientation=OrientationLaw(2, "hemisphere"))
+    with pytest.raises(ValueError, match="axis-aligned"):
+        mixed_moment(MomentSpec(((1, unit_kernel),), n_samples=8), p)
+    with pytest.raises(ValueError, match="axis-aligned"):
+        centered_moment_leading(unit_kernel, 1, 2, None, p, n_samples=8)
+
+
+def test_batch_kernels_and_provider():
+    # rows: crossing pair, parallel pair, pair apart on the free axis
+    centers = np.array([[[0.5, 0.5, 0.5], [0.2, 0.7, 0.1]],
+                        [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
+                        [[0.5, 0.5, 0.0], [0.2, 0.7, 2.5]]])
+    extents = np.ones((3, 2))
+    axes = np.array([[0, 1], [2, 2], [0, 1]])
+    assert interaction_kernel(2)(centers, extents, axes).tolist() == \
+        [1.6 / 2.0, 0.0, 0.0]
+    assert measure_kernel(centers, extents, axes).tolist() == [4.0] * 3
+    assert unit_kernel(centers, extents, axes).tolist() == [1.0] * 3
+    p = ModelParams.special(3, (0.0, 0.0, -1.0), a=2.0)
+    rho = correlation_provider(p)
+    want = {ax: rho_series_counts(p, np.bincount(ax, minlength=3)).value
+            for ax in ((0, 1), (2, 2))}
+    got = rho(np.array([[0, 1], [2, 2], [1, 0]]))
+    assert got.tolist() == [want[(0, 1)], want[(2, 2)], want[(0, 1)]]
 
 
 def test_centered_moment_first_order_vanishes():

@@ -252,26 +252,39 @@ def test_batch_means_se():
     assert batch_means_se(np.ones(3)) == math.inf
 
 
-def test_counts_match_exact_stationary_law():
-    # Top-order d=2 special model: any two non-parallel facets cross, so
-    # G_2 = n0 n1 and the counts (n0, n1) have the exact law proportional
-    # to Pois(beta; n0) Pois(beta; n1) exp(nu_2 n0 n1), beta = aT/2.  The
-    # chain's mean count and mean G_2 must match its moments.  At this
-    # seed the z-scores are -1.3 and 0.4.  A birth log-ratio biased by
-    # +0.05 reads 4.7 and 6.8; the same bias on log(aT) in both move
-    # types reads 11.5 and 7.6.
-    nu2, a = -0.5, 4.0
-    p = ModelParams.special(2, (0.0, nu2), a=a)
-    beta = a * p.total_intensity / 2.0
+def _exact_top_order_moments(d, nu, a):
+    """Mean count and mean G_d of the top-order special model, exactly.
+
+    Any d facets with distinct axes meet in one point when the window
+    side is b, so G_d = n_0 ... n_(d-1) and the orientation counts have
+    the law proportional to prod_i Pois(aT/d; n_i) exp(nu n_0 ... n_(d-1)).
+    """
+    beta = a / d  # T = 1 for the unit special model
     n = np.arange(60)
     log_pois = n * math.log(beta) - np.array([math.lgamma(k + 1) for k in n])
-    log_w = log_pois[:, None] + log_pois[None, :] + nu2 * np.outer(n, n)
+    grids = np.meshgrid(*[n] * d, indexing="ij", sparse=True)
+    prod = math.prod(grids[1:], start=grids[0])
+    log_w = sum(log_pois[g] for g in grids) + nu * prod
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
-    exact_n = float((w * (n[:, None] + n[None, :])).sum())
-    exact_g2 = float((w * np.outer(n, n)).sum())
-    _, diag = run_chain(p, ChainConfig(n_steps=400_000, seed=2015))
+    return float((w * sum(grids)).sum()), float((w * prod).sum())
+
+
+@pytest.mark.parametrize("d,nu,a,steps,thin", [
+    (2, -0.5, 4.0, 400_000, None),
+    (3, -0.5, 6.0, 600_000, 10),
+], ids=["d2", "d3"])
+def test_counts_match_exact_stationary_law(d, nu, a, steps, thin):
+    # The chain's mean count and mean G_d must match the exact stationary
+    # law of the orientation counts, which shares no code with the
+    # acceptance ratio.  At seed 2015 the z-scores are -1.3 and 0.4 (d=2)
+    # and -0.5 and 0.3 (d=3).  A counts-engine birth log-ratio biased by
+    # +0.05 reads 4.7 and 6.8 (d=2) and 4.1 and 4.7 (d=3); the same bias
+    # on log(aT) in both move types reads 11.5 and 7.6 (d=2).
+    p = ModelParams.submodel(d, d, nu, a=a)
+    exact_n, exact_g = _exact_top_order_moments(d, nu, a)
+    _, diag = run_chain(p, ChainConfig(n_steps=steps, seed=2015, thin=thin))
     n_mean, n_se = diag.n_mean_se()
-    g2_mean, g2_se = diag.g_mean_se(2)
+    g_mean, g_se = diag.g_mean_se(d)
     assert abs(n_mean - exact_n) < 4.0 * n_se
-    assert abs(g2_mean - exact_g2) < 4.0 * g2_se
+    assert abs(g_mean - exact_g) < 4.0 * g_se
