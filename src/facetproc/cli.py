@@ -48,14 +48,12 @@ def main(argv=None) -> int:
         sub.add_argument("--out", default="facetproc-out",
                          help="output directory")
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for experiment tasks")
     args = parser.parse_args(argv)
     command = getattr(args, "id", args.command)
     try:
         cfg = build_experiment_config(command, parse_config(args.config),
                                       args.out, args.seed)
-        res = run_experiment(cfg, threads=args.threads, fmt=args.format)
+        res = run_experiment(cfg, fmt=args.format)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

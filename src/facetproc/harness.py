@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -301,13 +300,6 @@ def _scaling_limits(p: ModelParams) -> dict:
     return out
 
 
-def _map_tasks(fn, tasks, threads: int):
-    if threads <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _streams(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
     """(grid index, replicate, RNG stream index) of every replicate task."""
     reps = cfg.replicates
@@ -315,11 +307,10 @@ def _streams(cfg: ExperimentConfig) -> list[tuple[int, int, int]]:
             for ai in range(len(cfg.a_grid)) for r in range(reps)]
 
 
-def _replicated(fn, cfg: ExperimentConfig, threads: int) -> list[list]:
+def _replicated(fn, cfg: ExperimentConfig) -> list[list]:
     """fn(grid index, stream index) over every replicate task, results
     grouped per grid point in grid order."""
-    out = _map_tasks(lambda task: fn(task[0], task[2]), _streams(cfg),
-                     threads)
+    out = [fn(ai, stream) for ai, _, stream in _streams(cfg)]
     reps = cfg.replicates
     return [out[ai * reps:(ai + 1) * reps] for ai in range(len(cfg.a_grid))]
 
@@ -337,7 +328,7 @@ def _pool(values, own_se):
 # simulate, rho and moments
 
 
-def _simulate(cfg: ExperimentConfig, threads: int):
+def _simulate(cfg: ExperimentConfig):
     """One chain at the first grid point and its retained-state trace."""
     p, chain = cfg.point(0)
     _, diag = run_chain(p, chain)
@@ -349,7 +340,7 @@ RHO_SERIES_HEADER = ("a", "k", "series", "tail", "limit", "abs_error",
 RHO_BOUNDS_HEADER = ("a", "s", "bound", "rate", "tail", "n_max")
 
 
-def _rho(cfg: ExperimentConfig, threads: int):
+def _rho(cfg: ExperimentConfig):
     """Along the grid: the exact series for one facet per orientation on
     d-k axes under a top-order coupling, else the certified bound."""
     d = cfg.params.d
@@ -371,7 +362,7 @@ def _rho(cfg: ExperimentConfig, threads: int):
 MOMENTS_HEADER = ("quantity", "i", "j", "value", "se")
 
 
-def _moments(cfg: ExperimentConfig, threads: int):
+def _moments(cfg: ExperimentConfig):
     """Reference means, asymptotic covariances and scaling-limit
     constants at the first grid point."""
     p, _ = cfg.point(0)
@@ -396,8 +387,7 @@ E1_HEADER = ("a", "i", "j", "c_emp", "c_emp_se", "c_theory", "c_theory_se",
              "mean", "mean_se", "skew", "skew_se", "kurt", "kurt_se")
 
 
-def experiment_e1_poisson_clt(cfg: ExperimentConfig,
-                              threads: int = 1) -> list[tuple]:
+def experiment_e1_poisson_clt(cfg: ExperimentConfig) -> list[tuple]:
     """Standardized interaction vector under the reference process:
     empirical covariances against the asymptotic constants, with
     per-component skewness and excess kurtosis along the grid."""
@@ -410,7 +400,7 @@ def experiment_e1_poisson_clt(cfg: ExperimentConfig,
                  for j in range(1, d + 1)] for a in cfg.a_grid}
     blocks = _replicated(
         lambda ai, stream: g_vector(sample_poisson(
-            cfg.point(ai)[0], make_rng(cfg.seed, stream))), cfg, threads)
+            cfg.point(ai)[0], make_rng(cfg.seed, stream))), cfg)
     theory = _covariances(p, cfg.seed)
     rows = []
     for a, block in zip(cfg.a_grid, blocks):
@@ -442,8 +432,7 @@ def experiment_e1_poisson_clt(cfg: ExperimentConfig,
 E2_HEADER = ("a", "estimate", "se", "occupancy", "occupancy_se", "envelope")
 
 
-def experiment_e2_degeneracy(cfg: ExperimentConfig,
-                             threads: int = 1) -> list[tuple]:
+def experiment_e2_degeneracy(cfg: ExperimentConfig) -> list[tuple]:
     """Chain estimates of the coupled interaction count along the grid,
     with the fraction of retained states too orientation-poor to
     support it, against a certified reference curve: the exact series
@@ -463,7 +452,7 @@ def experiment_e2_degeneracy(cfg: ExperimentConfig,
         return est, se, float(poor.mean()), batch_means_se(poor)
 
     rows = []
-    for ai, part in enumerate(_replicated(one, cfg, threads)):
+    for ai, part in enumerate(_replicated(one, cfg)):
         est, se = _pool([r[0] for r in part], part[0][1])
         occ, occ_se = _pool([r[2] for r in part], part[0][3])
         pa, _ = cfg.point(ai)
@@ -505,8 +494,7 @@ def _arrangements(d: int) -> list[tuple]:
     return out
 
 
-def experiment_e3_rho_limits(cfg: ExperimentConfig,
-                             threads: int = 1) -> list[tuple]:
+def experiment_e3_rho_limits(cfg: ExperimentConfig) -> list[tuple]:
     """Series correlations along the grid against their closed-form
     limits, one row per admissible orientation arrangement, with
     truncation tails and the normalized denominator."""
@@ -519,10 +507,8 @@ def experiment_e3_rho_limits(cfg: ExperimentConfig,
         if rho_limit(p.d, k, variant, l) != rho_limit_from_counts(counts):
             raise RuntimeError("arrangement construction is inconsistent "
                                "with the limit formulas")
-    tasks = [(ai, arr) for ai in range(len(cfg.a_grid))
-             for arr in arrangements]
-    return _map_tasks(lambda task: _series_row(cfg.point(task[0])[0],
-                                               *task[1]), tasks, threads)
+    return [_series_row(cfg.point(ai)[0], *arr)
+            for ai in range(len(cfg.a_grid)) for arr in arrangements]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +520,7 @@ E4_HEADER = ("a", "k", "mean_scaled", "mean_se", "mean_limit",
              "supports", "skew", "skew_se")
 
 
-def experiment_e4_scaling(cfg: ExperimentConfig,
-                          threads: int = 1) -> list[tuple]:
+def experiment_e4_scaling(cfg: ExperimentConfig) -> list[tuple]:
     """Chain means and variances of every lower-order count under the
     top-order coupling, rescaled by the activity powers of the limit
     statement, against both variance normalizations in circulation.
@@ -563,7 +548,7 @@ def experiment_e4_scaling(cfg: ExperimentConfig,
 
     limits = _scaling_limits(p)
     rows = []
-    for a, part in zip(cfg.a_grid, _replicated(one, cfg, threads)):
+    for a, part in zip(cfg.a_grid, _replicated(one, cfg)):
         for k in range(1, d):
             per = [st[k - 1] for st in part]
             mean, mean_se = _pool([q[0] for q in per], per[0][1])
@@ -592,11 +577,10 @@ def experiment_e4_scaling(cfg: ExperimentConfig,
 
 
 def _fixed_header(driver, header):
-    return lambda cfg, threads: (header, driver(cfg, threads=threads), None)
+    return lambda cfg: (header, driver(cfg), None)
 
 
-# command -> driver(cfg, threads) returning (header, rows, chain
-# diagnostics or None)
+# command -> driver(cfg) returning (header, rows, chain diagnostics or None)
 _EXPERIMENTS = {
     "simulate": _simulate,
     "rho": _rho,
@@ -612,13 +596,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    fmt: str = "csv") -> dict:
     """Run one command, write its table (trace.<fmt> for simulate,
     results.<fmt> otherwise) and manifest.json; return the paths, the
-    header and rows, and the chain diagnostics of simulate (else None)."""
+    header and rows, and the chain diagnostics of simulate (else None).
+    Tasks run serially; threads is accepted only as 1."""
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    header, rows, chain = _EXPERIMENTS[cfg.experiment](cfg, threads)
+    header, rows, chain = _EXPERIMENTS[cfg.experiment](cfg)
     wall = time.perf_counter() - start
     name = "trace" if cfg.experiment == "simulate" else "results"
     path = out / f"{name}.{fmt}"

@@ -5,12 +5,13 @@ with min(1, lambda*(u;x) * aT/(n+1)); a death removes a uniformly chosen
 facet xi and accepts with min(1, n/(aT * lambda*(xi; x\\xi))); death from the
 empty pattern is an automatic rejection.  Every step consumes exactly d+4
 uniforms (move, aux, d center coordinates, size, acceptance) regardless of
-the branch taken, so all engines reproduce the same chain from the same seed.
+the branch taken.
 
-Two engines run the chain: a general one over immutable FacetPattern states,
-and a scalar fast path for the finite-orientation special model, where any
-two non-parallel facets intersect and the active increments reduce to
-orientation-count products.  Both produce bit-identical trajectories.
+One loop, _run, takes the steps of run_chain and bdmh_step; an increment
+rule holds the chain's state.  _GeneralRule serves every model.
+_CountsRule serves the finite-orientation special model with orders
+2..d-1 inactive, where lambda* depends only on the orientation counts.
+Both rules give bit-identical trajectories from the same seed.
 """
 
 from __future__ import annotations
@@ -61,31 +62,12 @@ def death_log_ratio(p: ModelParams, x: FacetPattern, i: int) -> float:
     return -birth_log_ratio(p, x.without_index(i), x.facets[i])
 
 
-def _pattern_step(x: FacetPattern, p: ModelParams, row, a_t: float, log_a_t: float):
-    d = p.d
-    if row[0] < 0.5:
-        u = p.sample_facet_from_uniforms(row[1], row[2:2 + d], row[2 + d])
-        if u in x.facets:
-            return x, False, "B"
-        log_r = log_conditional_intensity([u], x, p) + log_a_t - math.log(x.n + 1)
-        if math.log(row[d + 3]) < log_r:
-            return x.with_facet(u), True, "B"
-        return x, False, "B"
-    if x.n == 0:
-        return x, False, "D"
-    i = min(int(row[1] * x.n), x.n - 1)
-    reduced = x.without_index(i)
-    log_r = -(log_conditional_intensity([x.facets[i]], reduced, p) + log_a_t
-              - math.log(x.n))
-    if math.log(row[d + 3]) < log_r:
-        return reduced, True, "D"
-    return x, False, "D"
-
-
 def bdmh_step(x: FacetPattern, p: ModelParams, rng) -> tuple[FacetPattern, bool, str]:
     """One birth-death MH step; consumes d+4 uniforms from rng."""
-    a_t = p.a * p.total_intensity
-    return _pattern_step(x, p, rng.random(p.d + 4), a_t, math.log(a_t))
+    rule = _GeneralRule(p, x)
+    accepted, move = _run(rule, x.n, [rng.random(p.d + 4)[np.newaxis]],
+                          ChainDiagnostics(p.d, rule.engine, 0, 1), None)
+    return rule.x, accepted, move
 
 
 @dataclass(frozen=True)
@@ -192,83 +174,125 @@ def _counts_eligible(p: ModelParams) -> bool:
     r = p.size.max_extent
     if any(hi - lo > r for lo, hi in p.window.bounds):
         return False
-    # increments of intermediate orders are center-dependent; the scalar
-    # engine only tracks counts, so orders 2..d-1 must be inactive
+    # increments of intermediate orders are center-dependent; the counts
+    # rule only tracks counts, so orders 2..d-1 must be inactive
     return all(p.nu[j - 1] == 0.0 for j in range(2, p.d))
 
 
-def _occupancy_mask(x: FacetPattern) -> int:
-    if not x.is_canonical:
-        return -1
-    mask = 0
-    for key in x.groups:
-        mask |= 1 << key
-    return mask
-
-
-def run_chain(p: ModelParams, cfg: ChainConfig):
-    """Run BDMH; returns (samples, ChainDiagnostics).
-
-    samples is empty unless cfg.keep_samples; the diagnostics trace always
-    records (step, n, G vector, move, occupancy) per retained state.
-    """
-    burn, thin = cfg.resolve(p)
-    rng = make_rng(cfg.seed, cfg.chain_index)
-    initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
-    if initial.d != p.d:
+def _check_initial(p: ModelParams, x: FacetPattern) -> None:
+    """Refuse an initial pattern the model cannot produce."""
+    if x.d != p.d:
         raise ValueError("initial pattern dimension mismatch")
-    engine = cfg.engine
-    if engine == "auto":
-        engine = "counts" if _counts_eligible(p) else "pattern"
-    if engine == "counts" and not _counts_eligible(p):
-        raise ValueError("model not eligible for the counts engine")
-    n_keep = (cfg.n_steps - burn) // thin
-    if engine == "counts":
-        return _run_counts(p, cfg, rng, initial, burn, thin, n_keep)
-    return _run_pattern(p, cfg, rng, initial, burn, thin, n_keep)
+    extents = {r for r, w in p.size.atoms if w > 0}
+    for f in x.facets:
+        if f.half_extent not in extents:
+            raise ValueError(f"initial {f}: half-extent not in the size law")
+        if f.is_canonical != p.orientation.is_canonical:
+            raise ValueError(f"initial {f}: orientation not in the model's law")
+        if not p.window.contains(f.center):
+            raise ValueError(f"initial {f}: center outside the window")
 
 
-def _new_diag(p, engine, burn, thin, n_keep):
-    return ChainDiagnostics(
-        d=p.d, engine=engine, burn_in=burn, thin=thin,
-        trace_step=np.empty(n_keep, dtype=np.int64),
-        trace_n=np.empty(n_keep, dtype=np.int64),
-        trace_g=np.empty((n_keep, p.d)),
-        trace_accepted=np.empty(n_keep, dtype=bool),
-        trace_move=np.empty(n_keep, dtype="U1"),
-        trace_occupancy=np.empty(n_keep, dtype=np.int64),
-    )
+class _GeneralRule:
+    """Increments of any model, by log_conditional_intensity over an
+    immutable FacetPattern.  birth gives -inf for a facet already in x."""
+
+    engine = "pattern"
+
+    def __init__(self, p: ModelParams, x: FacetPattern):
+        self.p = p
+        self.x = x
+        self._next = x  # the proposed facet, or the pattern after a death
+
+    def birth(self, row) -> float:
+        d = self.p.d
+        u = self.p.sample_facet_from_uniforms(row[1], row[2:2 + d], row[2 + d])
+        if u in self.x.facets:
+            return -math.inf
+        self._next = u
+        return log_conditional_intensity([u], self.x, self.p)
+
+    def add(self, row) -> None:
+        self.x = self.x.with_facet(self._next)
+
+    def death(self, i: int) -> float:
+        self._next = self.x.without_index(i)
+        return log_conditional_intensity([self.x.facets[i]], self._next, self.p)
+
+    def remove(self, i: int) -> None:
+        self.x = self._next
+
+    def retained(self, sample: bool) -> tuple:
+        x = self.x
+        mask = sum(1 << key for key in x.groups) if x.is_canonical else -1
+        return g_vector(x), mask, x
 
 
-def _run_pattern(p, cfg, rng, x, burn, thin, n_keep):
-    diag = _new_diag(p, "pattern", burn, thin, n_keep)
-    samples = []
-    a_t = p.a * p.total_intensity
-    log_a_t = math.log(a_t)
-    width = p.d + 4
-    k = 0
-    for start in range(0, cfg.n_steps, _BLOCK):
-        rows = rng.random((min(_BLOCK, cfg.n_steps - start), width))
-        for local in range(len(rows)):
-            x, accepted, move = _pattern_step(x, p, rows[local], a_t, log_a_t)
-            if move == "B":
-                diag.birth_proposed += 1
-                diag.birth_accepted += accepted
-            else:
-                diag.death_proposed += 1
-                diag.death_accepted += accepted
-            step = start + local + 1
-            if step > burn and (step - burn) % thin == 0 and k < n_keep:
-                diag.trace_step[k] = step
-                diag.trace_n[k] = x.n
-                diag.trace_g[k] = g_vector(x)
-                diag.trace_accepted[k] = accepted
-                diag.trace_move[k] = move
-                diag.trace_occupancy[k] = _occupancy_mask(x)
-                k += 1
-                if cfg.keep_samples:
-                    samples.append(x)
-    return samples, diag
+class _CountsRule:
+    """Closed-form increments of a counts-eligible model: a facet on axis
+    k has log lambda* = nu_1 (2r)^(d-1) + nu_d prod_{i != k} n_i, where n_i
+    counts the facets on axis i.  A birth's center is mapped only once
+    the birth is accepted."""
+
+    engine = "counts"
+
+    def __init__(self, p: ModelParams, x: FacetPattern):
+        self.p = p
+        self.d = p.d
+        self.r = p.size.max_extent
+        self.dg1 = (2.0 * self.r) ** (p.d - 1)
+        # nu1_term + nud * prod is the fsum the general rule takes: a sum of
+        # two floats is correctly rounded, an inactive order adds +-0.0
+        self.nu1_term = p.nu[0] * self.dg1
+        self.nud = p.nu[p.d - 1]
+        self.cents = [f.center for f in x.facets]
+        self.axs = [f.orientation for f in x.facets]
+        self.counts = [self.axs.count(ax) for ax in range(p.d)]
+        self._ax = 0  # axis of the proposed birth
+
+    def _log_lambda(self, ax: int) -> float:
+        # c[ax - 1] (and c[ax - 2] in d = 3) are the other axes' counts
+        c = self.counts
+        prod = c[ax - 1] if self.d == 2 else c[ax - 1] * c[ax - 2]
+        return self.nu1_term + self.nud * prod
+
+    def birth(self, row) -> float:
+        ax = int(row[1] * self.d)
+        if ax >= self.d:
+            ax = self.d - 1
+        self._ax = ax
+        return self._log_lambda(ax)
+
+    def add(self, row) -> None:
+        self.cents.append(self.p.center.sample_from_uniforms(row[2:2 + self.d]))
+        self.axs.append(self._ax)
+        self.counts[self._ax] += 1
+
+    def death(self, i: int) -> float:
+        # x_i's own axis is skipped: the other counts are those of x - x_i
+        return self._log_lambda(self.axs[i])
+
+    def remove(self, i: int) -> None:
+        self.cents.pop(i)
+        self.counts[self.axs.pop(i)] -= 1
+
+    def retained(self, sample: bool) -> tuple:
+        c = self.counts
+        g1 = len(self.axs) * self.dg1
+        if self.d == 2:
+            g = (g1, float(c[0] * c[1]))
+        else:
+            g = (g1, _g2_special_d3(self.cents, self.axs, 2.0 * self.r),
+                 float(c[0] * c[1] * c[2]))
+        mask = 0
+        for ax in range(self.d):
+            if c[ax]:
+                mask |= 1 << ax
+        x = None
+        if sample:
+            x = FacetPattern.of([Facet(z, self.r, ax)
+                                 for z, ax in zip(self.cents, self.axs)], self.d)
+        return g, mask, x
 
 
 def _g2_special_d3(cents, axs, two_r):
@@ -290,111 +314,99 @@ def _g2_special_d3(cents, axs, two_r):
     return total
 
 
-def _run_counts(p, cfg, rng, initial, burn, thin, n_keep):
-    diag = _new_diag(p, "counts", burn, thin, n_keep)
-    samples = []
-    d = p.d
-    r_fix = p.size.max_extent
-    two_r = 2.0 * r_fix
-    dg1 = two_r ** (d - 1)
-    nu1 = p.nu[0]
-    nud = p.nu[d - 1]
-    a_t = p.a * p.total_intensity
-    log_a_t = math.log(a_t)
+def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples) -> tuple[bool, str]:
+    """Step from a state of n facets, one step per row of each block (an
+    array of rows of d+4 uniforms).  Counts the moves into diag, fills its trace
+    with the states after steps burn_in + thin, burn_in + 2 thin, ... and
+    appends their patterns to samples unless it is None.  Returns the
+    last step's acceptance and move.
 
-    cents: list[tuple] = [f.center for f in initial.facets]
-    axs: list[int] = [f.orientation for f in initial.facets]
-    counts = [0] * d
-    for ax in axs:
-        counts[ax] += 1
-    n = len(axs)
-
-    def log_lambda(ax_new: int) -> float:
-        terms = []
-        if nu1 != 0.0:
-            terms.append(nu1 * dg1)
-        if nud != 0.0:
-            prod = 1.0
-            for ax in range(d):
-                if ax != ax_new:
-                    prod *= counts[ax]
-            terms.append(nud * prod)
-        return math.fsum(terms)
-
-    def record(k, step, accepted, move):
-        diag.trace_step[k] = step
-        diag.trace_n[k] = n
-        g1 = n * dg1
-        if d == 2:
-            g = (g1, float(counts[0] * counts[1]))
-        else:
-            g = (g1, _g2_special_d3(cents, axs, two_r),
-                 float(counts[0] * counts[1] * counts[2]))
-        diag.trace_g[k] = g
-        diag.trace_accepted[k] = accepted
-        diag.trace_move[k] = move
-        mask = 0
-        for ax in range(d):
-            if counts[ax]:
-                mask |= 1 << ax
-        diag.trace_occupancy[k] = mask
-        if cfg.keep_samples:
-            samples.append(FacetPattern.of(
-                [Facet(c, r_fix, ax) for c, ax in zip(cents, axs)], d))
-
-    k = 0
+    rule.birth(row) is log lambda*(u; x) of the facet u the row proposes,
+    rule.add(row) adds u; rule.death(i) is log lambda*(x_i; x minus x_i),
+    rule.remove(i) removes x_i; rule.retained(sample) is the G vector, the
+    occupancy mask (-1 off the canonical family) and, if sample, x."""
+    p = rule.p
     log = math.log
-    b_prop = b_acc = d_prop = d_acc = 0
-    for start in range(0, cfg.n_steps, _BLOCK):
-        block = rng.random((min(_BLOCK, cfg.n_steps - start), d + 4))
-        cols = block.T.tolist()
-        move_c, aux_c, acc_c = cols[0], cols[1], cols[d + 3]
-        center_c = cols[2:2 + d]
-        for local in range(len(move_c)):
-            if move_c[local] < 0.5:
-                b_prop += 1
-                accepted = False
-                move = "B"
-                u_ax = aux_c[local]
-                ax = int(u_ax * d)
-                if ax >= d:
-                    ax = d - 1
-                log_r = log_lambda(ax) + log_a_t - log(n + 1)
-                if log(acc_c[local]) < log_r:
-                    accepted = True
+    log_a_t = log(p.a * p.total_intensity)
+    acc = p.d + 3
+    birth, add, death, remove = rule.birth, rule.add, rule.death, rule.remove
+    keep_at = diag.burn_in + diag.thin if len(diag.trace_step) else 0
+    k = step = b_acc = d_prop = d_acc = 0
+    for block in blocks:
+        for row in block.tolist():
+            step += 1
+            if row[0] < 0.5:
+                accepted = log(row[acc]) < birth(row) + log_a_t - log(n + 1)
+                if accepted:
+                    add(row)
                     b_acc += 1
-                    center = p.center.sample_from_uniforms(
-                        tuple(center_c[c][local] for c in range(d)))
-                    cents.append(center)
-                    axs.append(ax)
-                    counts[ax] += 1
                     n += 1
             else:
                 d_prop += 1
                 accepted = False
-                move = "D"
                 if n:
-                    i = int(aux_c[local] * n)
+                    i = int(row[1] * n)
                     if i >= n:
                         i = n - 1
-                    ax = axs[i]
-                    # log_lambda(ax) skips the removed facet's own axis, so
-                    # the current counts already describe x minus that facet
-                    log_r = -(log_lambda(ax) + log_a_t - log(n))
-                    if log(acc_c[local]) < log_r:
-                        accepted = True
+                    accepted = log(row[acc]) < -(death(i) + log_a_t - log(n))
+                    if accepted:
+                        remove(i)
                         d_acc += 1
-                        cents.pop(i)
-                        axs.pop(i)
-                        counts[ax] -= 1
                         n -= 1
-            step = start + local + 1
-            if step > burn and (step - burn) % thin == 0 and k < n_keep:
-                record(k, step, accepted, move)
+            if step == keep_at:
+                g, mask, x = rule.retained(samples is not None)
+                diag.trace_step[k] = step
+                diag.trace_n[k] = n
+                diag.trace_g[k] = g
+                diag.trace_accepted[k] = accepted
+                diag.trace_move[k] = "B" if row[0] < 0.5 else "D"
+                diag.trace_occupancy[k] = mask
+                if samples is not None:
+                    samples.append(x)
                 k += 1
-    diag.birth_proposed, diag.birth_accepted = b_prop, b_acc
-    diag.death_proposed, diag.death_accepted = d_prop, d_acc
-    return samples, diag
+                keep_at += diag.thin
+    diag.birth_proposed += step - d_prop
+    diag.birth_accepted += b_acc
+    diag.death_proposed += d_prop
+    diag.death_accepted += d_acc
+    return accepted, "B" if row[0] < 0.5 else "D"
+
+
+def run_chain(p: ModelParams, cfg: ChainConfig):
+    """Run BDMH; returns (samples, ChainDiagnostics).
+
+    samples is empty unless cfg.keep_samples; the diagnostics trace always
+    records (step, n, G vector, move, occupancy) per retained state.
+    cfg.engine forces an increment rule; "auto" takes the counts rule when
+    the model allows it.  Initial patterns the model cannot draw are refused.
+    """
+    if cfg.engine not in ("auto", "counts", "pattern"):
+        raise ValueError("engine must be one of auto, counts and pattern, "
+                         f"got {cfg.engine!r}")
+    counts = cfg.engine != "pattern" and _counts_eligible(p)
+    if cfg.engine == "counts" and not counts:
+        raise ValueError("model not eligible for the counts engine")
+    burn, thin = cfg.resolve(p)
+    if cfg.initial is not None:
+        _check_initial(p, cfg.initial)
+    rng = make_rng(cfg.seed, cfg.chain_index)
+    initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
+    rule = (_CountsRule if counts else _GeneralRule)(p, initial)
+    n_keep = (cfg.n_steps - burn) // thin
+    diag = ChainDiagnostics(
+        d=p.d, engine=rule.engine, burn_in=burn, thin=thin,
+        trace_step=np.empty(n_keep, dtype=np.int64),
+        trace_n=np.empty(n_keep, dtype=np.int64),
+        trace_g=np.empty((n_keep, p.d)),
+        trace_accepted=np.empty(n_keep, dtype=bool),
+        trace_move=np.empty(n_keep, dtype="U1"),
+        trace_occupancy=np.empty(n_keep, dtype=np.int64),
+    )
+    samples = [] if cfg.keep_samples else None
+    blocks = (rng.random((min(_BLOCK, cfg.n_steps - start), p.d + 4))
+              for start in range(0, cfg.n_steps, _BLOCK))
+    _run(rule, initial.n, blocks, diag, samples)
+    return samples or [], diag
 
 
 def trace_table(diag: ChainDiagnostics) -> tuple[tuple[str, ...], list[tuple]]:

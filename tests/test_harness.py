@@ -335,15 +335,14 @@ def test_run_experiment_reruns_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_experiment_threads_do_not_change_bytes(tmp_path):
-    conf = {"d": "2", "nu.2": "-1", "a.grid": "1,2",
-            "chain.steps": "20000", "replicates": "2"}
-    outs = []
-    for name, threads in (("t1", 1), ("t3", 3)):
-        cfg = make_cfg("e2", conf, tmp_path / name, seed=8)
-        res = run_experiment(cfg, threads=threads)
-        outs.append(Path(res["results"]).read_bytes())
-    assert outs[0] == outs[1]
+def test_run_experiment_refuses_threads(tmp_path):
+    # tasks run serially; threads=1 is accepted and nothing else
+    cfg = make_cfg("e3", {"d": "2", "nu.2": "-0.5", "a.grid": "1"},
+                   tmp_path / "out", seed=0)
+    with pytest.raises(ValueError, match="threads must be 1"):
+        run_experiment(cfg, threads=2)
+    assert not (tmp_path / "out" / "results.csv").exists()
+    assert Path(run_experiment(cfg, threads=1)["results"]).exists()
 
 
 def test_run_experiment_json_format(tmp_path):

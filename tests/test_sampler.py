@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from facetproc.correlation import _count_grid
+from facetproc.geometry import Facet
 from facetproc.model import ModelParams, OrientationLaw, local_stability_bound
 from facetproc.sampler import (
     ChainConfig,
@@ -220,6 +223,30 @@ def test_config_validation():
     assert (diag.trace_occupancy[~nonempty] == 0).all()
 
 
+_PAIR = ModelParams.special(2, (0.0, -1.0), a=2.0)
+_HEMISPHERE = ModelParams(2, 1.0, _PAIR.nu, 2.0, _PAIR.center, _PAIR.size,
+                          OrientationLaw(2, "hemisphere"))
+
+
+@pytest.mark.parametrize("model,engine,facets,match", [
+    (_PAIR, "Counts", [Facet((0.5, 0.5), 1.0, 0)], "engine must be one of"),
+    (_PAIR, "auto", [Facet((0.2, 0.5), 0.25, 0), Facet((0.5, 0.5), 0.25, 1)],
+     "half-extent"),
+    (_PAIR, "auto", [Facet((0.5, 0.5), 1.0, (0.6, 0.8))], "orientation"),
+    (_HEMISPHERE, "auto", [Facet((0.5, 0.5), 1.0, 0)], "orientation"),
+    (_PAIR, "pattern", [Facet((0.2, 0.5), 1.0, 0), Facet((5.0, 0.5), 1.0, 1)],
+     "window"),
+], ids=["engine-name", "extent", "normal-in-canonical-model",
+        "axis-in-hemisphere-model", "center-outside"])
+def test_run_chain_rejects_bad_input(model, engine, facets, match):
+    # the two rules disagree on a pattern the model cannot produce (the
+    # counts rule takes G_1 from the model's extent), so it is refused
+    initial = FacetPattern.of(facets, 2)
+    with pytest.raises(ValueError, match=match):
+        run_chain(model, ChainConfig(n_steps=100, burn_in=0, engine=engine,
+                                     initial=initial))
+
+
 def test_default_burnin_thin():
     p = ModelParams.special(2, (0.0, 0.0), a=10.0)  # aT = 10
     burn, thin = ChainConfig(n_steps=500).resolve(p)
@@ -288,3 +315,39 @@ def test_counts_match_exact_stationary_law(d, nu, a, steps, thin):
     g_mean, g_se = diag.g_mean_se(d)
     assert abs(n_mean - exact_n) < 4.0 * n_se
     assert abs(g_mean - exact_g) < 4.0 * g_se
+
+
+@pytest.mark.parametrize("engine,steps", [("counts", 600_000),
+                                          ("pattern", 60_000)],
+                         ids=["counts", "pattern"])
+def test_count_histogram_matches_exact_law(engine, steps):
+    # In the d=2 pair model the orientation counts (n_0, n_1) have the law
+    # proportional to Pois(aT/2; n_0) Pois(aT/2; n_1) exp(nu n_0 n_1), the
+    # weights the series module sums.  The trace gives the counts up to
+    # order, as the roots of t^2 - n t + G_2, so the histogram is folded
+    # onto n_0 <= n_1.  Chi-square over the cells expecting at least 5
+    # states (the rest pooled into one cell), on states 10 steps apart.
+    # At seed 2015 p = 0.66 (counts) and 0.44 (pattern).  With 1M steps
+    # at seeds 1-20, p ranged over 0.04-0.95, and a birth log-ratio biased
+    # by +0.05 in the loop gave at most 4e-16.  At seed 2015 that bias
+    # gives 1e-7 on the counts rule, but only 0.14 on the shorter pattern
+    # run, which checks the general rule's law for gross errors.  A bias
+    # in the general rule alone breaks test_engines_produce_identical_chains.
+    nu, a = -1.0, 1.5
+    p = ModelParams.submodel(2, 2, nu, a=a)
+    _, diag = run_chain(p, ChainConfig(n_steps=steps, seed=2015, thin=10,
+                                       engine=engine))
+    grids, log_w = _count_grid(a / 2, 2, 60)
+    w = np.exp(log_w + nu * grids[0] * grids[1])
+    w /= w.sum()
+    law = np.triu(w) + np.triu(w.T, 1)
+    n = diag.trace_n
+    low = np.rint((n - np.sqrt(n * n - 4 * diag.trace_g[:, 1])) / 2)
+    observed = np.zeros_like(law)
+    np.add.at(observed, (low.astype(int), n - low.astype(int)), 1)
+    expected = law * len(n)
+    big = expected >= 5
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2.sf(stat, len(obs) - 1) > 1e-4

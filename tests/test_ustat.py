@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from facetproc.geometry import Facet, facet_measure, intersection_measure
+from facetproc.model import OrientationLaw
 from facetproc.ustat import FacetPattern, g_increment, g_vector, u_statistic
 
 
@@ -90,6 +93,40 @@ def test_increment_definition_sweep():
             assert np.allclose(inc, full, rtol=1e-12, atol=1e-12)
             # superadditivity: adding a facet never decreases any G_j
             assert (inc >= 0).all()
+
+
+@st.composite
+def patterns_and_new_facet(draw):
+    """A pattern x and a facet u not in it: canonical facets in d=2..4 with
+    centers and extents on a quarter grid, so contents tie at closed
+    boundaries, or d=2 segments with normals at multiples of pi/8."""
+    quarters = st.integers(0, 8).map(lambda q: q / 4.0)
+    extents = st.integers(1, 4).map(lambda q: q / 4.0)
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        orientations = st.integers(0, d - 1)
+    else:
+        d = 2
+        hemisphere = OrientationLaw(2, "hemisphere")
+        orientations = st.integers(0, 7).map(
+            lambda k: hemisphere.sample_from_uniform(k / 8))
+    facet = st.builds(lambda c, r, o: Facet(tuple(c), r, o),
+                      st.lists(quarters, min_size=d, max_size=d), extents,
+                      orientations)
+    facets = draw(st.lists(facet, min_size=1, max_size=9, unique=True))
+    return FacetPattern.of(facets[:-1], d), facets[-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(patterns_and_new_facet())
+def test_increment_matches_whole_pattern_difference(case):
+    x, u = case
+    grown = g_vector(x.with_facet(u))
+    # the difference of two sums is exact only up to their own rounding
+    scale = np.maximum(np.abs(grown), 1.0)
+    assert np.all(np.abs(g_increment(x, u) - (grown - g_vector(x)))
+                  <= 1e-12 * scale)
 
 
 def test_increment_into_empty():
