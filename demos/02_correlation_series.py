@@ -1,16 +1,17 @@
 """Correlation functions under the top-order coupling.
 
-With only nu_d active the k-point correlation of distinct-orientation
-queries is an exact ratio of two fast-converging series, and it tends
-to k/d as the activity grows.  Below the top order the exact value
-depends on the query centers, but a certified envelope still decays
-exponentially in a.
+Every query is given by its orientation counts: how many query facets
+lie on each axis.  With only nu_d active the correlation is an exact
+ratio of two fast-converging series, and for one facet on each of d-k
+axes it tends to k/d as the activity grows.  Below the top order the
+exact value depends on the query centers, but a certified envelope of
+the counts still decays exponentially in a.
 """
 
 import dataclasses
 
-from facetproc import (Facet, ModelParams, RhoQuery, rho_bounds,
-                       rho_decay_rate, rho_limit, rho_series_counts)
+from facetproc import (ModelParams, rho_bounds, rho_decay_rate, rho_limit,
+                       rho_series_counts)
 
 p = ModelParams.special(3, (0.0, 0.0, -1.0))
 
@@ -32,10 +33,10 @@ print(f"\nshared-axis pair at a=16: {res.value:.5f} (limit {lim:.4f})")
 # below the top order: certified bound with its decay rate
 ps = ModelParams.special(3, (0.0, -1.0, 0.0))
 print("\ncertified envelope, d=3, nu_2 = -1, pair query")
-pair = (Facet((0.2, 0.4, 0.6), 1.0, 0), Facet((0.7, 0.3, 0.5), 1.0, 1))
 for a in (1.0, 4.0, 16.0):
     pa = dataclasses.replace(ps, a=a)
-    res = rho_bounds(RhoQuery.from_model(pa, pair))
+    # a pair on two different axes: its envelope needs only the counts
+    res = rho_bounds(pa, (1, 1, 0))
     print(f"  a={a:4.0f}: bound {res.bound:.3e}, observed rate {res.rate:.4f}")
 rate = rho_decay_rate(3, 1, ps.b, ps.total_intensity, ps.nu[1])
 print(f"asymptotic exponent bound: {rate:.4f} per unit activity")

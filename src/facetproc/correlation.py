@@ -1,24 +1,28 @@
 """Correlation functions of the finite-orientation facet family.
 
-Four evaluators, by regime:
+A query is keyed by its orientation counts: how many query facets lie on
+each axis.  In the finite-orientation model the exact series, the
+certified envelope and the large-activity limit depend on the query only
+through these counts.  Evaluators, by regime:
 
 * exact truncated series when the top-order interaction is the only one
-  active (any query size, certified truncation tail),
+  active (any counts, repeats included, certified truncation tail),
 * certified upper bounds when a lower-order interaction is active, where
   the exact value depends on facet centers and only envelopes are
   available,
 * an exponential decay-rate constant for those bounds,
-* Monte Carlo estimation from chain output, valid for every submodel.
+* Monte Carlo estimation from chain output, valid for every submodel;
+  this one takes the query facets themselves.
 
-Closed-form large-activity limits are exposed as exact rationals keyed by
-the orientation arrangement of the query facets.
+Closed-form large-activity limits are exposed as exact rationals: the
+fraction of unused orientations, and three standard arrangements of the
+query facets as an independent check of it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -43,71 +47,29 @@ def _require_special(p: ModelParams) -> None:
             raise ValueError("window sides must not exceed b")
 
 
-def _single_active_order(p: ModelParams) -> tuple[int, float]:
-    """The one interaction order j >= 2 with nonzero coupling, or (d, 0)."""
-    active = [j for j in range(2, p.d + 1) if p.nu[j - 1] != 0.0]
-    if len(active) > 1:
-        raise ValueError("more than one interaction order is coupled")
-    if not active:
-        return p.d, 0.0
-    return active[0], p.nu[active[0] - 1]
+def _query(p: ModelParams, counts, n_cap: int | None
+           ) -> tuple[int, tuple[int, ...]]:
+    """The model's coupled order and the query's orientation counts,
+    after checking both and the truncation cap."""
+    _require_special(p)
+    s = p.coupled_order()
+    if n_cap is not None and n_cap < 1:
+        raise ValueError("truncation cap must be >= 1")
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != p.d or any(c < 0 for c in counts) or sum(counts) == 0:
+        raise ValueError("counts must be d nonnegative integers, not all zero")
+    return s, counts
 
 
-@dataclass(frozen=True)
-class RhoQuery:
-    """A correlation-function evaluation request.
+def _beta(p: ModelParams) -> float:
+    # first-order coupling tilts each orientation's Poisson activity
+    return (p.a * p.total_intensity / p.d) * math.exp(
+        p.nu[0] * (2 * p.b) ** (p.d - 1))
 
-    s is the order of the active interaction, not the number of query
-    facets; nu is its coupling and nu_first the first-order coupling,
-    which only tilts the per-orientation activity and contributes a
-    constant factor per query facet.
-    """
 
-    facets: tuple[Facet, ...]
-    s: int
-    nu: float
-    a: float
-    d: int
-    b: float
-    total_intensity: float
-    n_cap: int | None = None
-    tol: float = 1e-8
-    nu_first: float = 0.0
-
-    def __post_init__(self):
-        if len(set(self.facets)) != len(self.facets):
-            raise ValueError("query facets must be pairwise distinct")
-        if not 2 <= self.s <= self.d:
-            raise ValueError("interaction order must lie in [2, d]")
-        if self.n_cap is not None and self.n_cap < 1:
-            raise ValueError("truncation cap must be >= 1")
-        for f in self.facets:
-            if f.d != self.d or not isinstance(f.orientation, (int, np.integer)):
-                raise ValueError("query facets must be axis-aligned in dimension d")
-            if abs(f.half_extent - self.b) > 1e-9 * self.b:
-                raise ValueError("query facets must have half-extent b")
-
-    @classmethod
-    def from_model(cls, p: ModelParams, facets: Sequence[Facet],
-                   n_cap: int | None = None, tol: float = 1e-8) -> "RhoQuery":
-        _require_special(p)
-        s, nu = _single_active_order(p)
-        return cls(tuple(facets), s, nu, p.a, p.d, p.b, p.total_intensity,
-                   n_cap=n_cap, tol=tol, nu_first=p.nu[0])
-
-    def query_counts(self) -> tuple[int, ...]:
-        counts = [0] * self.d
-        for f in self.facets:
-            counts[f.orientation] += 1
-        return tuple(counts)
-
-    def _beta(self) -> float:
-        # first-order coupling tilts each orientation's Poisson activity
-        return (self.a * self.total_intensity / self.d) * math.exp(
-            self.nu_first * (2 * self.b) ** (self.d - 1))
-
-    def _log_first_order_factor(self, n_query: int) -> float:
-        return self.nu_first * n_query * (2 * self.b) ** (self.d - 1)
+def _log_first_order_factor(p: ModelParams, n_query: int) -> float:
+    # the first-order coupling also scales rho by a factor per query facet
+    return p.nu[0] * n_query * (2 * p.b) ** (p.d - 1)
 
 
 def rho_limit_from_counts(counts: Sequence[int]) -> Fraction:
@@ -183,31 +145,28 @@ def _series_sums(beta: float, nu: float, d: int, counts, n: int):
     return float(logsumexp(log_num)), float(logsumexp(log_den))
 
 
-def _series_core(beta: float, nu: float, d: int, counts,
-                 n_cap: int | None, tol: float):
-    n = n_cap if n_cap is not None else int(
-        math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20))
+def _truncated(sums, tail_at, dims: int, n: int, n_cap: int | None,
+               tol: float):
+    """Log numerator and denominator sums, their certified tail and the
+    truncation n: n_cap when given, else n grown from its start value
+    until the tail is at most tol times the numerator."""
+    if n_cap is not None:
+        n = n_cap
     while True:
-        if (n + 1) ** (d - 1) > _MAX_CELLS:
+        if (n + 1) ** dims > _MAX_CELLS:
             raise ValueError("truncation grid too large; lower a or raise tol")
-        log_a, log_b = _series_sums(beta, nu, d, counts, n)
-        tail = math.exp(math.log(max(d - 1, 1)) + beta
-                        + float(poisson.logsf(n, beta)))
+        log_a, log_b = sums(n)
+        tail = tail_at(n)
         if n_cap is not None or tail <= tol * math.exp(log_a):
             return log_a, log_b, tail, n
         n = int(n * 1.5) + 5
 
 
-def _series_result(q: RhoQuery, counts) -> RhoSeriesResult:
-    log_a, log_b, tail, n = _series_core(q._beta(), q.nu, q.d, counts,
-                                         q.n_cap, q.tol)
-    value = math.exp(q._log_first_order_factor(sum(counts)) + log_a - log_b)
-    return RhoSeriesResult(value, tail, math.exp(log_a), math.exp(log_b), n)
-
-
-def rho_series_full_order(q: RhoQuery) -> RhoSeriesResult:
-    """Exact correlation of a distinct-orientation query under the
-    top-order interaction, as a ratio of truncated multinomial series.
+def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
+                      tol: float = 1e-8) -> RhoSeriesResult:
+    """Exact correlation under the top-order interaction of a query with
+    the given orientation counts (repeats allowed), as a ratio of
+    truncated multinomial series.
 
     All but one orientation coordinate are summed on a grid after the
     last is eliminated in closed form; both sums run in log space.  The
@@ -215,30 +174,18 @@ def rho_series_full_order(q: RhoQuery) -> RhoSeriesResult:
     through the Poisson tail of one coordinate, every discarded term
     being at most e^beta times its weight.
     """
-    if q.s != q.d:
+    s, counts = _query(p, counts, n_cap)
+    if s != p.d:
         raise ValueError("lower-order interaction: use rho_bounds")
-    counts = q.query_counts()
-    if any(c > 1 for c in counts):
-        raise ValueError("query facets must have pairwise distinct orientations")
-    return _series_result(q, counts)
-
-
-def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
-                      tol: float = 1e-8) -> RhoSeriesResult:
-    """Series evaluation keyed by the query's orientation multiplicities.
-
-    The correlation of any query in the top-order-coupled model depends
-    on its facets only through how many carry each axis, repeats
-    included, so arrangement sweeps can skip constructing facets.  Same
-    series and tail certificate as rho_series_full_order.
-    """
-    q = RhoQuery.from_model(p, (), n_cap=n_cap, tol=tol)
-    if q.s != p.d:
-        raise ValueError("counts series needs the top-order interaction only")
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != p.d or any(c < 0 for c in counts) or sum(counts) == 0:
-        raise ValueError("counts must be d nonnegative integers, not all zero")
-    return _series_result(q, counts)
+    d, nu, beta = p.d, p.nu[p.d - 1], _beta(p)
+    log_a, log_b, tail, n = _truncated(
+        lambda n: _series_sums(beta, nu, d, counts, n),
+        lambda n: math.exp(math.log(max(d - 1, 1)) + beta
+                           + float(poisson.logsf(n, beta))),
+        d - 1, math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20),
+        n_cap, tol)
+    value = math.exp(_log_first_order_factor(p, sum(counts)) + log_a - log_b)
+    return RhoSeriesResult(value, tail, math.exp(log_a), math.exp(log_b), n)
 
 
 def correlation_provider(p: ModelParams, tol: float = 1e-8):
@@ -250,8 +197,7 @@ def correlation_provider(p: ModelParams, tol: float = 1e-8):
     once by rho_series_counts and cached.
     """
     _require_special(p)
-    s, _ = _single_active_order(p)
-    if s != p.d:
+    if p.coupled_order() != p.d:
         raise ValueError("provider needs the top-order interaction only")
 
     @functools.lru_cache(maxsize=None)
@@ -284,9 +230,11 @@ def _distinct_subset_count(values: list[np.ndarray], s: int) -> np.ndarray:
     return e[s]
 
 
-def rho_bounds(q: RhoQuery) -> RhoBoundResult:
+def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
+               tol: float = 1e-8) -> RhoBoundResult:
     """Certified upper bound on the correlation under a lower-order
-    interaction, where the exact value is center-dependent.
+    interaction, where the exact value is center-dependent, for a query
+    with at most one facet per orientation.
 
     Any s facets with distinct orientations intersect in measure between
     b^(d-s) and (2b)^(d-s); bounding every subset's contribution by the
@@ -296,32 +244,26 @@ def rho_bounds(q: RhoQuery) -> RhoBoundResult:
     the numerator integrand is at most one, so its tail is a bare
     Poisson tail.
     """
-    if q.s >= q.d:
-        raise ValueError("full-order interaction: use rho_series_full_order")
-    counts = q.query_counts()
+    s, counts = _query(p, counts, n_cap)
+    if s == p.d:
+        raise ValueError("full-order interaction: use rho_series_counts")
     if any(c > 1 for c in counts):
         raise ValueError("query facets must have pairwise distinct orientations")
-    pref = math.exp(q._log_first_order_factor(len(q.facets)))
-    k = q.d - q.s
-    if q.nu == 0.0:
-        return RhoBoundResult(pref, 0.0, 0.0, 0)
-    rate = rho_decay_rate(q.d, k, q.b, q.total_intensity, q.nu)
-    beta = q._beta()
-    n = q.n_cap if q.n_cap is not None else int(
-        math.ceil(beta + 10 * math.sqrt(beta + 1) + 20))
-    while True:
-        if (n + 1) ** q.d > _MAX_CELLS:
-            raise ValueError("truncation grid too large; lower a or raise tol")
-        bare, logw = _count_grid(beta, q.d, n)
-        shifted = [bare[i] + counts[i] for i in range(q.d)]
-        num_exp = q.nu * q.b ** k * _distinct_subset_count(shifted, q.s)
-        den_exp = q.nu * (2 * q.b) ** k * _distinct_subset_count(bare, q.s)
-        log_a = float(logsumexp(logw + num_exp))
-        log_b = float(logsumexp(logw + den_exp))
-        tail = q.d * float(poisson.sf(n, beta))
-        if q.n_cap is not None or tail <= q.tol * math.exp(log_a):
-            break
-        n = int(n * 1.5) + 5
+    d, b, nu, k, beta = p.d, p.b, p.nu[s - 1], p.d - s, _beta(p)
+    rate = rho_decay_rate(d, k, b, p.total_intensity, nu)
+
+    def sums(n):
+        bare, logw = _count_grid(beta, d, n)
+        shifted = [bare[i] + counts[i] for i in range(d)]
+        num_exp = nu * b ** k * _distinct_subset_count(shifted, s)
+        den_exp = nu * (2 * b) ** k * _distinct_subset_count(bare, s)
+        return (float(logsumexp(logw + num_exp)),
+                float(logsumexp(logw + den_exp)))
+
+    log_a, log_b, tail, n = _truncated(
+        sums, lambda n: d * float(poisson.sf(n, beta)),
+        d, math.ceil(beta + 10 * math.sqrt(beta + 1) + 20), n_cap, tol)
+    pref = math.exp(_log_first_order_factor(p, sum(counts)))
     bound = pref * (math.exp(log_a) + tail) / math.exp(log_b)
     return RhoBoundResult(bound, rate, tail, n)
 

@@ -26,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import (RhoQuery, rho_bounds, rho_limit,
-                          rho_limit_from_counts, rho_series_counts)
-from .geometry import Facet
+from .correlation import (rho_bounds, rho_limit, rho_limit_from_counts,
+                          rho_series_counts)
 from .model import ModelParams
 from .moments import asymptotic_covariance, i_k_integrals, \
     scaling_limit_constants
@@ -74,8 +73,11 @@ def _check_keys(conf: dict[str, str], d: int):
     for key in conf:
         if key in _SCALAR_KEYS:
             continue
-        if key.startswith("nu.") and key[3:].isdigit():
-            if not 1 <= int(key[3:]) <= d:
+        order = key[3:]
+        # only the spelling config_model reads: ASCII digits, no padding
+        if key.startswith("nu.") and order.isascii() and order.isdigit() \
+                and key == f"nu.{int(order)}":
+            if not 1 <= int(order) <= d:
                 raise ValueError(f"{key}: order outside 1..{d}")
             continue
         raise ValueError(f"unknown config key {key!r}")
@@ -247,32 +249,24 @@ def _model_dict(p: ModelParams) -> dict:
 def poisson_mean_interaction(p: ModelParams, s: int) -> float:
     """E G_s under the reference process of the special model: s facets
     must take distinct orientations; each free coordinate contributes
-    the mean overlap of s centered intervals."""
+    the mean overlap of s intervals of half-extent b whose centers are
+    uniform on a window side of length b."""
+    sides = [hi - lo for lo, hi in p.window.bounds]
     if p.center.table is not None or not p.size.is_fixed \
-            or p.orientation.kind != "canonical":
-        raise ValueError("closed form needs the constant-intensity "
-                         "fixed-size canonical model")
+            or p.orientation.kind != "canonical" \
+            or any(abs(r - p.b) > 1e-9 * p.b
+                   for r in (p.size.max_extent, *sides)):
+        raise ValueError("closed form needs the constant-intensity canonical "
+                         "model with half-extent and window sides b")
     free = p.b * (s + 3) / (s + 1)
     return ((p.a * p.total_intensity / p.d) ** s * math.comb(p.d, s)
             * free ** (p.d - s))
 
 
-def _single_order(p: ModelParams) -> int:
-    """The coupled submodel order; the top order when nothing couples."""
-    active = [j for j in p.active_orders if j >= 2]
-    if len(active) > 1:
-        raise ValueError("more than one interaction order is coupled")
-    return active[0] if active else p.d
-
-
 def _rho_bound(pa: ModelParams, s: int):
-    """Certified correlation bound for s facets spread over the first s
+    """Certified correlation bound for one facet on each of the first s
     axes."""
-    facets = tuple(
-        Facet(tuple((0.2 + 0.11 * i + 0.07 * c) % 1.0 * pa.b
-                    for c in range(pa.d)), pa.b, i)
-        for i in range(s))
-    return rho_bounds(RhoQuery.from_model(pa, facets))
+    return rho_bounds(pa, (1,) * s + (0,) * (pa.d - s))
 
 
 def _series_row(pa: ModelParams, k: int, variant: str, l, counts) -> tuple:
@@ -344,7 +338,7 @@ def _rho(cfg: ExperimentConfig):
     """Along the grid: the exact series for one facet per orientation on
     d-k axes under a top-order coupling, else the certified bound."""
     d = cfg.params.d
-    s = _single_order(cfg.params)
+    s = cfg.params.coupled_order()
     rows = []
     for ai in range(len(cfg.a_grid)):
         pa, _ = cfg.point(ai)
@@ -439,7 +433,7 @@ def experiment_e2_degeneracy(cfg: ExperimentConfig) -> list[tuple]:
     prediction at full order, a correlation-bound envelope below it,
     and the Poisson closed form for the uncoupled control."""
     p = cfg.params
-    s = _single_order(p)
+    s = p.coupled_order()
     nu_s = p.nu[s - 1]
     k = p.d - s
 
@@ -499,7 +493,7 @@ def experiment_e3_rho_limits(cfg: ExperimentConfig) -> list[tuple]:
     limits, one row per admissible orientation arrangement, with
     truncation tails and the normalized denominator."""
     p = cfg.params
-    if _single_order(p) != p.d:
+    if p.coupled_order() != p.d:
         raise ValueError("limit sweep needs the top-order interaction")
     arrangements = _arrangements(p.d)
     for k, variant, l, counts in arrangements:
@@ -528,7 +522,7 @@ def experiment_e4_scaling(cfg: ExperimentConfig) -> list[tuple]:
     p = cfg.params
     if p.d < 3:
         raise ValueError("scaling discrimination needs d at least 3")
-    if _single_order(p) != p.d or p.nu[p.d - 1] >= 0.0:
+    if p.coupled_order() != p.d or p.nu[p.d - 1] >= 0.0:
         raise ValueError("needs a negative top-order coupling")
     d = p.d
 

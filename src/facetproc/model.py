@@ -207,6 +207,14 @@ class ModelParams:
     def active_orders(self) -> tuple[int, ...]:
         return tuple(j for j in range(1, self.d + 1) if self.nu[j - 1] != 0.0)
 
+    def coupled_order(self) -> int:
+        """The one interaction order j >= 2 with nonzero coupling; the top
+        order d when no order above the first couples."""
+        active = [j for j in self.active_orders if j >= 2]
+        if len(active) > 1:
+            raise ValueError("more than one interaction order is coupled")
+        return active[0] if active else self.d
+
     def sample_facet_from_uniforms(self, u_aux: float, u_center: Sequence[float],
                                    u_size: float) -> Facet:
         return Facet(self.center.sample_from_uniforms(u_center),
@@ -263,10 +271,11 @@ def log_conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelPara
         return 0.0
     parts: list[float] = []
     cur = x
-    for y in ys:
+    for i, y in enumerate(ys):
+        if i:
+            cur = cur.with_facet(ys[i - 1])
         inc = g_increment(cur, y, orders=orders)
         parts.extend(p.nu[j - 1] * inc[j - 1] for j in orders)
-        cur = cur.with_facet(y)
     return math.fsum(parts)
 
 

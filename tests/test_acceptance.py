@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facetproc.correlation import RhoQuery, rho_series_full_order
-from facetproc.geometry import Facet
+from facetproc.correlation import rho_series_counts
 from facetproc.harness import build_experiment_config, \
     experiment_e1_poisson_clt, run_experiment
 from facetproc.model import (ModelParams, local_stability_bound,
@@ -116,10 +115,8 @@ def test_criterion_03_partition_counts_and_variance():
 
 def test_criterion_04_correlation_limits():
     p = ModelParams.special(3, (0.0, 0.0, -1.0), a=16.0)
-    pair = (Facet((0.3, 0.4, 0.5), 1.0, 0), Facet((0.6, 0.2, 0.7), 1.0, 1))
-    single = (Facet((0.3, 0.4, 0.5), 1.0, 0),)
-    r1 = rho_series_full_order(RhoQuery.from_model(p, pair))
-    r2 = rho_series_full_order(RhoQuery.from_model(p, single))
+    r1 = rho_series_counts(p, (1, 1, 0))   # a pair on two axes
+    r2 = rho_series_counts(p, (1, 0, 0))   # a single facet
     ok = (abs(r1.value - 1.0 / 3.0) < 0.02
           and abs(r2.value - 2.0 / 3.0) < 0.02
           and r1.tail < 1e-6 and r2.tail < 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,16 +6,15 @@ import numpy as np
 import pytest
 
 from facetproc.correlation import (
-    RhoQuery,
     rho_bounds,
     rho_decay_rate,
     rho_limit,
     rho_limit_from_counts,
     rho_mcmc,
-    rho_series_full_order,
+    rho_series_counts,
 )
 from facetproc.geometry import Facet
-from facetproc.model import ModelParams
+from facetproc.model import ModelParams, SizeLaw
 from facetproc.sampler import ChainConfig, run_chain
 
 
@@ -62,8 +62,7 @@ def test_rho_limit_range_checks():
 
 def test_series_is_one_without_interaction():
     p = ModelParams.special(3, (0.0, 0.0, 0.0), a=4.0)
-    q = RhoQuery.from_model(p, _query(3, (0, 1)))
-    res = rho_series_full_order(q)
+    res = rho_series_counts(p, (1, 1, 0))
     assert res.value == 1.0
     assert res.tail < 1e-8
 
@@ -74,8 +73,8 @@ def test_series_approaches_limits():
     gap2, gap1 = [], []
     for a in (4.0, 8.0, 16.0):
         p = ModelParams.special(3, (0.0, 0.0, -1.0), a=a)
-        r2 = rho_series_full_order(RhoQuery.from_model(p, _query(3, (0, 1))))
-        r1 = rho_series_full_order(RhoQuery.from_model(p, _query(3, (0,))))
+        r2 = rho_series_counts(p, (1, 1, 0))
+        r1 = rho_series_counts(p, (1, 0, 0))
         gap2.append(abs(r2.value - lim2))
         gap1.append(abs(r1.value - lim1))
         assert r2.tail < 1e-8 and r1.tail < 1e-8
@@ -84,29 +83,25 @@ def test_series_approaches_limits():
     assert gap2[-1] < 0.05 and gap1[-1] < 0.05
     # normalized pieces approach their own limits
     p = ModelParams.special(3, (0.0, 0.0, -1.0), a=16.0)
-    res = rho_series_full_order(RhoQuery.from_model(p, _query(3, (0, 1))))
+    res = rho_series_counts(p, (1, 1, 0))
     assert abs(res.denominator - 3.0) < 0.1
     assert abs(res.numerator - 1.0) < 0.1
 
 
 def test_series_symmetry():
     p = ModelParams.special(3, (0.0, 0.0, -0.7), a=5.0)
-    f = _query(3, (0, 1))
-    r_fwd = rho_series_full_order(RhoQuery.from_model(p, f))
-    r_rev = rho_series_full_order(RhoQuery.from_model(p, f[::-1]))
-    assert r_fwd.value == r_rev.value
+    r_fwd = rho_series_counts(p, (1, 1, 0))
     # relabeling the orientations only permutes the sums
-    r_rot = rho_series_full_order(RhoQuery.from_model(p, _query(3, (1, 2))))
+    r_rot = rho_series_counts(p, (0, 1, 1))
     assert r_rot.value == pytest.approx(r_fwd.value, rel=1e-10)
 
 
 def test_series_monotone_truncation():
     p = ModelParams.special(3, (0.0, 0.0, -1.0), a=8.0)
-    f = _query(3, (0, 1))
     prev_num = prev_den = 0.0
     prev_tail = math.inf
     for cap in (5, 10, 20, 40):
-        res = rho_series_full_order(RhoQuery.from_model(p, f, n_cap=cap))
+        res = rho_series_counts(p, (1, 1, 0), n_cap=cap)
         assert res.numerator >= prev_num and res.denominator >= prev_den
         assert res.tail <= prev_tail
         prev_num, prev_den, prev_tail = res.numerator, res.denominator, res.tail
@@ -115,11 +110,10 @@ def test_series_monotone_truncation():
 
 def test_series_agrees_with_mcmc():
     p = ModelParams.special(3, (0.0, 0.0, -1.0), a=3.0)
-    f = _query(3, (0, 1))
-    exact = rho_series_full_order(RhoQuery.from_model(p, f)).value
+    exact = rho_series_counts(p, (1, 1, 0)).value
     samples, _ = run_chain(p, ChainConfig(n_steps=300_000, seed=101, burn_in=30_000,
                                           thin=90, keep_samples=True))
-    est, se = rho_mcmc(f, samples, p)
+    est, se = rho_mcmc(_query(3, (0, 1)), samples, p)
     assert abs(est - exact) < 4 * se + 1e-3
 
 
@@ -127,50 +121,42 @@ def test_series_with_first_order_tilt():
     # nu_1 tilts the activity and scales rho by a constant; the chain
     # estimator sees the same physics without special-casing
     p = ModelParams.special(2, (0.3, -1.0), a=2.0)
-    f = _query(2, (0, 1))
-    exact = rho_series_full_order(RhoQuery.from_model(p, f)).value
+    exact = rho_series_counts(p, (1, 1)).value
     samples, _ = run_chain(p, ChainConfig(n_steps=200_000, seed=7, burn_in=20_000,
                                           thin=60, keep_samples=True))
-    est, se = rho_mcmc(f, samples, p)
+    est, se = rho_mcmc(_query(2, (0, 1)), samples, p)
     assert abs(est - exact) < 4 * se + 1e-3
 
 
 def test_series_rejects_lower_order_and_bad_queries():
     p = ModelParams.special(3, (0.0, -1.0, 0.0), a=2.0)
     with pytest.raises(ValueError, match="rho_bounds"):
-        rho_series_full_order(RhoQuery.from_model(p, _query(3, (0, 1))))
+        rho_series_counts(p, (1, 1, 0))
     p_full = ModelParams.special(3, (0.0, 0.0, -1.0), a=2.0)
-    with pytest.raises(ValueError, match="distinct orientations"):
-        rho_series_full_order(RhoQuery.from_model(p_full, _query(3, (0, 0))))
+    with pytest.raises(ValueError, match="counts"):
+        rho_series_counts(p_full, (0, 0, 0))
 
 
 def test_bound_certifies_mcmc():
     p = ModelParams.special(3, (0.0, -1.0, 0.0), a=2.0)
-    f = _query(3, (0, 1))
-    res = rho_bounds(RhoQuery.from_model(p, f))
+    res = rho_bounds(p, (1, 1, 0))
     assert res.rate < 0
     samples, _ = run_chain(p, ChainConfig(n_steps=40_000, seed=19, burn_in=4_000,
                                           thin=18, keep_samples=True))
-    est, se = rho_mcmc(f, samples, p)
+    est, se = rho_mcmc(_query(3, (0, 1)), samples, p)
     assert est - 3 * se <= res.bound
 
 
 def test_bound_vanishes_for_hard_repulsion():
     p = ModelParams.special(3, (0.0, -50.0, 0.0), a=2.0)
-    res = rho_bounds(RhoQuery.from_model(p, _query(3, (0, 1))))
+    res = rho_bounds(p, (1, 1, 0))
     assert res.bound < 1e-8
-
-
-def test_bound_trivial_without_coupling():
-    q = RhoQuery(_query(3, (0, 1)), 2, 0.0, 2.0, 3, 1.0, 1.0)
-    res = rho_bounds(q)
-    assert res.bound == 1.0 and res.rate == 0.0
 
 
 def test_bound_rejects_full_order():
     p = ModelParams.special(3, (0.0, 0.0, -1.0), a=2.0)
     with pytest.raises(ValueError, match="rho_series"):
-        rho_bounds(RhoQuery.from_model(p, _query(3, (0, 1))))
+        rho_bounds(p, (1, 1, 0))
 
 
 def test_decay_rate():
@@ -196,17 +182,20 @@ def test_rho_mcmc_poisson_is_one():
 
 
 def test_query_validation():
-    p = ModelParams.special(3, (0.0, 0.0, -1.0), a=2.0)
-    f = _query(3, (0, 1))
-    with pytest.raises(ValueError, match="distinct"):
-        RhoQuery.from_model(p, (f[0], f[0]))
-    with pytest.raises(ValueError):
-        RhoQuery(f, 1, -1.0, 2.0, 3, 1.0, 1.0)   # order below 2
-    with pytest.raises(ValueError):
-        RhoQuery(f, 2, -1.0, 2.0, 3, 1.0, 1.0, n_cap=0)
-    with pytest.raises(ValueError, match="half-extent"):
-        RhoQuery((Facet((0.5, 0.5, 0.5), 0.4, 0),), 3, -1.0, 2.0, 3, 1.0, 1.0)
     two = ModelParams.special(3, (0.0, -0.5, -1.0), a=2.0)
-    with pytest.raises(ValueError, match="more than one"):
-        RhoQuery.from_model(two, f)
-    assert RhoQuery.from_model(p, f).query_counts() == (1, 1, 0)
+    for evaluate, coupled in ((rho_series_counts, 3), (rho_bounds, 2)):
+        p = ModelParams.submodel(3, coupled, -1.0, a=2.0)
+        with pytest.raises(ValueError, match="cap"):
+            evaluate(p, (1, 1, 0), n_cap=0)
+        for counts in ((1, 1), (1, 1, 0, 0), (1, -1, 0), (0, 0, 0)):
+            with pytest.raises(ValueError, match="counts"):
+                evaluate(p, counts)
+        with pytest.raises(ValueError, match="more than one"):
+            evaluate(two, (1, 1, 0))
+        wide = dataclasses.replace(p, size=SizeLaw.fixed(0.4))
+        with pytest.raises(ValueError, match="half-extent"):
+            evaluate(wide, (1, 1, 0))
+    # the envelope holds for one facet per orientation only
+    p = ModelParams.submodel(3, 2, -1.0, a=2.0)
+    with pytest.raises(ValueError, match="distinct orientations"):
+        rho_bounds(p, (2, 0, 0))

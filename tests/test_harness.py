@@ -6,6 +6,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facetproc.harness import (CHAIN_GRID, POISSON_GRID, E1_HEADER,
                                E2_HEADER, E3_HEADER, E4_HEADER,
@@ -75,11 +77,70 @@ def test_config_model_rejects_bad_keys():
         config_model({"d": "2", "bogus": "1"})
     with pytest.raises(ValueError, match="unknown"):
         config_model({"d": "2", "nu.x": "1"})
+    # spellings of an order that config_model would not read
+    for key in ("nu.02", "nu.\u0662", "nu.\u00b2"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            config_model({"d": "2", key: "-1"})
     with pytest.raises(ValueError, match="outside"):
         config_model({"d": "2", "nu.3": "-1"})
     with pytest.raises(ValueError):
         # positive coupling above the first order is inadmissible
         config_model({"d": "2", "nu.2": "0.5"})
+
+
+# keys the parser must carry through, including near-miss spellings of
+# the coupling orders (zero-padded, non-ASCII digits)
+_KEYS = ("d", "b", "chi.const", "a.grid", "nu.1", "nu.2", "nu.3", "nu.4",
+         "nu.02", "nu.\u0662", "nu.\u00b2")
+_VALUES = ("2", "-1", "-0.5", "0", "0.25", "1e400", "x")
+_PAD = st.sampled_from(("", " ", "\t"))
+_KEY = st.one_of(st.sampled_from(_KEYS), st.text(
+    alphabet="abdnu.012_\u0662\u00b2\u00e9", min_size=1, max_size=6))
+_VALUE = st.one_of(st.sampled_from(_VALUES), st.text(
+    alphabet="0123456789.-=,e \u0662", min_size=1, max_size=6).map(str.strip)
+    .filter(bool))
+# (key, value, pad, pad, note) for a pair; (None, text, "", "", "") for
+# a comment, a blank or a malformed line
+_LINE = st.one_of(
+    st.tuples(_KEY, _VALUE, _PAD, _PAD, st.sampled_from(("", " # note"))),
+    st.tuples(st.none(), st.sampled_from(("", "  ", "# c", "d 2", "= 3",
+                                          "d =", "  = ")),
+              st.just(""), st.just(""), st.just("")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((None, "2", "3")), st.lists(_LINE, max_size=5))
+def test_parse_config_and_model_fuzz(tmp_path_factory, d, lines):
+    if d is not None:
+        lines = [("d", d, "", "", "")] + lines
+    text, expected, bad_line = [], {}, None
+    for ln, (key, value, pad, pad2, note) in enumerate(lines, start=1):
+        if key is None:
+            text.append(value)
+            malformed = value.strip() and not value.startswith("#")
+        else:
+            text.append(f"{pad}{key}{pad2}={pad}{value}{pad2}{note}")
+            malformed = key in expected
+            expected[key] = value
+        if malformed and bad_line is None:
+            bad_line = ln
+    path = tmp_path_factory.mktemp("fuzz") / "run.conf"
+    path.write_text("\n".join(text) + "\n")
+    try:
+        conf = parse_config(path)
+    except ValueError as exc:
+        assert bad_line is not None and str(exc).startswith(f"line {bad_line}:")
+        return
+    assert bad_line is None and conf == expected
+    try:
+        p = config_model(conf)
+    except ValueError:
+        return
+    orders = {f"nu.{j}": j for j in range(1, p.d + 1)}
+    for key, value in conf.items():
+        if key.startswith("nu."):
+            assert key in orders
+            assert p.nu[orders[key] - 1] == float(value)
 
 
 def test_build_experiment_config_defaults(tmp_path):
