@@ -55,10 +55,23 @@ def _query(p: ModelParams, counts, n_cap: int | None
     s = p.coupled_order()
     if n_cap is not None and n_cap < 1:
         raise ValueError("truncation cap must be >= 1")
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != p.d or any(c < 0 for c in counts) or sum(counts) == 0:
-        raise ValueError("counts must be d nonnegative integers, not all zero")
-    return s, counts
+    counts = tuple(counts)
+    whole = tuple(_whole(c) for c in counts)
+    if len(counts) != p.d or None in whole or any(c < 0 for c in whole) \
+            or sum(whole) == 0:
+        raise ValueError("counts must be d nonnegative integers, not all zero, "
+                         f"got {counts!r}")
+    return s, whole
+
+
+def _whole(c) -> int | None:
+    """c as an int if it has an integral value (1 and 1.0 alike), else
+    None: truncating 1.7 to 1 would answer a different query."""
+    try:
+        k = int(c)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return k if k == c else None
 
 
 def _beta(p: ModelParams) -> float:

@@ -6,8 +6,9 @@ direction e_i, any d >= 2) or by a unit normal vector (d = 2 only).  The facet
 is the sup-norm ball of radius r around z inside its hyperplane, i.e. an
 axis-aligned (d-1)-cube for canonical orientations.
 
-canonical_content is the one implementation of the intersection content of
-canonical facets, over whole batches of facet tuples held as arrays.
+The intersection content of canonical facets has one formula in two forms:
+canonical_content over whole batches of facet tuples held as arrays, and
+tuple_content over one tuple in plain Python, bit for bit the same value.
 """
 
 from __future__ import annotations
@@ -151,6 +152,37 @@ def canonical_content(centers: np.ndarray, extents: np.ndarray,
     return measure
 
 
+def tuple_content(facets: Sequence[tuple]) -> float:
+    """Intersection content of one tuple of canonical facets, each given
+    as a (center, half_extent, axis) triple: the value canonical_content
+    gives the tuple, bit for bit.  The same coordinate factors multiply in
+    coordinate order; a factor of 1 is skipped and a factor of 0 ends the
+    product, neither of which changes a bit."""
+    d = len(facets[0][0])
+    if len(facets) == 1:
+        return (2.0 * facets[0][1]) ** (d - 1)
+    measure = 1.0
+    for c in range(d):
+        lo, hi, fixed = -math.inf, math.inf, None
+        for z, r, axis in facets:
+            v = z[c]
+            if v - r > lo:
+                lo = v - r
+            if v + r < hi:
+                hi = v + r
+            if axis == c:
+                if fixed is not None:
+                    return 0.0  # parallel facets
+                fixed = v
+        if fixed is None:
+            if not hi > lo:
+                return 0.0
+            measure *= hi - lo
+        elif not lo <= fixed <= hi:
+            return 0.0
+    return measure
+
+
 def _segment_endpoints(f: Facet):
     if f.is_canonical:
         nx, ny = (1.0, 0.0) if f.orientation == 0 else (0.0, 1.0)
@@ -199,10 +231,8 @@ def intersection_measure(facets: Sequence[Facet]) -> float:
     if not general_position(facets):
         return 0.0
     if all(f.is_canonical for f in facets):
-        return float(canonical_content(
-            np.array([[f.center for f in facets]]),
-            np.array([[f.half_extent for f in facets]]),
-            np.array([[f.orientation for f in facets]]))[0])
+        return tuple_content([(f.center, f.half_extent, f.orientation)
+                              for f in facets])
     if d != 2:
         raise ValueError("non-canonical orientations are supported in d = 2 only")
     return 1.0 if _segments_cross(facets[0], facets[1]) else 0.0

@@ -10,6 +10,7 @@ half-extent, and an orientation law.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -120,6 +121,12 @@ class SizeLaw:
         """The first atom whose cumulative weight exceeds the uniform u;
         elementwise for an array of uniforms."""
         return self._radii[np.searchsorted(self._cuts, u, side="right")]
+
+    def scalar_sampler(self):
+        """sample_from_uniform for one float uniform in plain Python: the
+        same atom, by bisect_right over the same cumulative weights."""
+        radii, cuts = self._radii.tolist(), self._cuts.tolist()
+        return lambda u: radii[bisect_right(cuts, u)]
 
 
 @dataclass(frozen=True)

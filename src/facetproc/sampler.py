@@ -7,23 +7,46 @@ empty pattern is an automatic rejection.  Every step consumes exactly d+4
 uniforms (move, aux, d center coordinates, size, acceptance) regardless of
 the branch taken.
 
-One loop, _run, takes the steps of run_chain and bdmh_step; an increment
-rule holds the chain's state.  _GeneralRule serves every model.
-_CountsRule serves the finite-orientation special model with orders
-2..d-1 inactive, where lambda* depends only on the orientation counts.
-Both rules give bit-identical trajectories from the same seed.
+One loop, _run, takes the steps of run_chain and bdmh_step.  An increment
+rule gives it log lambda* of each proposal, applies the accepted moves and
+reports G at the retained states.  Chains of canonical models move one
+mutable state in place, _CanonicalState: the facets in pattern order as
+(center, half-extent, axis) triples, the same triples per axis, the
+orientation counts and a running G.  Two rules act on it, in plain Python:
+
+- _GeneralRule serves every canonical model.  The increment of order j is
+  the fsum of the intersection contents (geometry.tuple_content) of the
+  facet with j-1 facets of other axes, and log lambda* the fsum of nu_j
+  times these, as model.log_conditional_intensity takes it.  The orders
+  with nu_j = 0 are computed only for accepted moves, for G.
+- _CountsRule serves the finite-orientation special model with orders
+  2..d-1 inactive, where lambda* has a closed form in the counts; so do
+  G_1 and G_d.  In d = 3 each pair of facets meets in the overlap of one
+  free coordinate, and G_2 is their running sum.
+
+Both give bit-identical trajectories and G from the same seed.  No Facet or
+FacetPattern is built per step, only for kept samples.  _PatternRule holds
+an immutable FacetPattern and takes increments from ustat.g_increment; it
+serves every bdmh_step and the chains of the hemisphere law (d = 2).
+
+The running G is exact.  Each term (the content of one subset) is added
+when its subset appears and subtracted, bit for bit the same value, when a
+member leaves, into Shewchuk's non-overlapping partials (Shewchuk 1997,
+the algorithm behind math.fsum).  fsum of the partials is therefore the
+correctly rounded sum of the current terms: the value g_vector returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 import numpy as np
 
-from .geometry import Facet
+from .geometry import Facet, tuple_content
 from .model import ModelParams, log_conditional_intensity
-from .ustat import FacetPattern, g_vector
+from .ustat import FacetPattern, g_increment
 
 _BLOCK = 1 << 15
 _MAX_TRACE = 5_000_000  # retained states per chain
@@ -64,7 +87,7 @@ def death_log_ratio(p: ModelParams, x: FacetPattern, i: int) -> float:
 
 def bdmh_step(x: FacetPattern, p: ModelParams, rng) -> tuple[FacetPattern, bool, str]:
     """One birth-death MH step; consumes d+4 uniforms from rng."""
-    rule = _GeneralRule(p, x)
+    rule = _PatternRule(p, x)
     accepted, move = _run(rule, x.n, [rng.random(p.d + 4)[np.newaxis]],
                           ChainDiagnostics(p.d, rule.engine, 0, 1), None)
     return rule.x, accepted, move
@@ -193,16 +216,263 @@ def _check_initial(p: ModelParams, x: FacetPattern) -> None:
             raise ValueError(f"initial {f}: center outside the window")
 
 
-class _GeneralRule:
-    """Increments of any model, by log_conditional_intensity over an
-    immutable FacetPattern.  birth gives -inf for a facet already in x."""
+def _add_exact(partials: list, x: float) -> None:
+    """Add x to an exact sum held as non-overlapping partials of increasing
+    magnitude (Shewchuk 1997, the algorithm behind math.fsum)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _add_terms(partials: list, terms, sign: float) -> None:
+    """Add sign * t to partials for each nonzero term t."""
+    for t in terms:
+        if t:
+            _add_exact(partials, sign * t)
+
+
+def _split_orders(p: ModelParams) -> tuple:
+    """The active orders, their couplings nu_j and the inactive orders."""
+    orders = p.active_orders
+    return (orders, [p.nu[j - 1] for j in orders],
+            [j for j in range(1, p.d + 1) if j not in orders])
+
+
+class _CanonicalState:
+    """A canonical pattern moved in place: the facets in pattern order as
+    (center, half_extent, axis) triples, the same triples in per-axis
+    lists, the orientation counts and the running G as partials per order.
+    The rules of canonical models extend it; the d = 2 counts rule, whose
+    closed forms read only the counts, keeps no per-axis lists."""
+
+    def __init__(self, p: ModelParams):
+        self.p = p
+        self.d = p.d
+        self.facets: list[tuple] = []
+        self.by_axis: list[list[tuple]] = [[] for _ in range(p.d)]
+        self.counts = [0] * p.d
+        self.g: list[list[float]] = [[] for _ in range(p.d)]
+        center = p.center
+        self.center = center.sample_from_uniforms if center.table is None \
+            else lambda u: tuple(map(float, center.sample_from_uniforms(u)))
+
+    def _push(self, f: tuple) -> None:
+        self.facets.append(f)
+        self.by_axis[f[2]].append(f)
+        self.counts[f[2]] += 1
+
+    def _pop(self, i: int) -> tuple:
+        f = self.facets.pop(i)
+        self.by_axis[f[2]].remove(f)
+        self.counts[f[2]] -= 1
+        return f
+
+    def _mask(self) -> int:
+        mask = 0
+        for axis, c in enumerate(self.counts):
+            if c:
+                mask |= 1 << axis
+        return mask
+
+    def _pattern(self) -> FacetPattern:
+        return FacetPattern.of([Facet(*f) for f in self.facets], self.d)
+
+
+class _GeneralRule(_CanonicalState):
+    """Increments of any canonical model: for order j, the fsum of the
+    contents of the j-subsets holding the facet and j-1 facets of other
+    axes, each by geometry.tuple_content.  log lambda* is the fsum of
+    nu_j times these, as model.log_conditional_intensity takes it.  birth
+    gives -inf for a facet already present."""
+
+    engine = "pattern"
+
+    def __init__(self, p: ModelParams, x: FacetPattern):
+        super().__init__(p)
+        self.orders, self.nu, self.rest = _split_orders(p)
+        self.radius = p.size.scalar_sampler()
+        self._f = None  # the proposed facet
+        self._terms: list[list[float]] = []  # its active orders' terms
+        for f in x.facets:
+            f = (f.center, f.half_extent, f.orientation)
+            self._log_lambda(f)  # for its terms
+            self._update(f, 1.0)
+            self._push(f)
+
+    def terms(self, f: tuple, j: int) -> list[float]:
+        if j == 1:
+            return [(2.0 * f[1]) ** (self.d - 1)]
+        others = [fs for axis, fs in enumerate(self.by_axis)
+                  if fs and axis != f[2]]
+        return [tuple_content((f, *rest))
+                for group in combinations(others, j - 1)
+                for rest in product(*group)]
+
+    def _log_lambda(self, f: tuple) -> float:
+        self._terms = [self.terms(f, j) for j in self.orders]
+        return math.fsum([nu * math.fsum(t)
+                          for nu, t in zip(self.nu, self._terms)])
+
+    def _update(self, f: tuple, sign: float) -> None:
+        # G += sign * the terms of f, the active orders' from the proposal
+        for j, t in zip(self.orders, self._terms):
+            _add_terms(self.g[j - 1], t, sign)
+        for j in self.rest:
+            _add_terms(self.g[j - 1], self.terms(f, j), sign)
+
+    def birth(self, row) -> float:
+        d = self.d
+        axis = int(row[1] * d)
+        if axis >= d:
+            axis = d - 1
+        f = (self.center(row[2:2 + d]), self.radius(row[2 + d]), axis)
+        if f in self.by_axis[axis]:
+            return -math.inf
+        self._f = f
+        return self._log_lambda(f)
+
+    def add(self, row) -> None:
+        self._update(self._f, 1.0)
+        self._push(self._f)
+
+    def death(self, i: int) -> float:
+        return self._log_lambda(self.facets[i])
+
+    def remove(self, i: int) -> None:
+        self._update(self._pop(i), -1.0)
+
+    def retained(self, sample: bool) -> tuple:
+        return (tuple(map(math.fsum, self.g)), self._mask(),
+                self._pattern() if sample else None)
+
+
+class _CountsRule(_CanonicalState):
+    """Closed-form increments of a counts-eligible model: a facet on axis
+    k has log lambda* = nu_1 (2r)^(d-1) + nu_d prod_{i != k} n_i, where n_i
+    counts the facets on axis i.  G_1 and G_d are closed forms in the
+    counts.  In d = 3 each pair of facets on axes k != m meets in the
+    overlap of their free coordinate 3-k-m, the value tuple_content gives
+    when every center lies within r of every other, and G_2 is their
+    running sum.  A birth's center is mapped only once it is accepted."""
+
+    engine = "counts"
+
+    def __init__(self, p: ModelParams, x: FacetPattern):
+        super().__init__(p)
+        self.r = p.size.max_extent
+        self.dg1 = (2.0 * self.r) ** (p.d - 1)
+        # nu1_term + nud * prod is the fsum the general rule takes: a sum of
+        # two floats is correctly rounded, an inactive order adds +-0.0
+        self.nu1_term = p.nu[0] * self.dg1
+        self.nud = p.nu[p.d - 1]
+        self._axis = 0  # axis of the proposed birth
+        for f in x.facets:
+            self._enter((f.center, f.half_extent, f.orientation))
+
+    def _log_lambda(self, axis: int) -> float:
+        # c[axis - 1] (and c[axis - 2] in d = 3) are the other axes' counts
+        c = self.counts
+        prod = c[axis - 1] if self.d == 2 else c[axis - 1] * c[axis - 2]
+        return self.nu1_term + self.nud * prod
+
+    def _update_g2(self, f: tuple, sign: float) -> None:
+        z, r, k = f
+        g2 = self.g[1]
+        for m in range(3):
+            if m == k:
+                continue
+            free = 3 - k - m
+            zf = z[free]
+            for w, _, _ in self.by_axis[m]:
+                wf = w[free]
+                t = min(zf + r, wf + r) - max(zf - r, wf - r)
+                if t > 0.0:
+                    _add_exact(g2, sign * t)
+
+    def birth(self, row) -> float:
+        axis = int(row[1] * self.d)
+        if axis >= self.d:
+            axis = self.d - 1
+        self._axis = axis
+        return self._log_lambda(axis)
+
+    def _enter(self, f: tuple) -> None:
+        if self.d == 2:  # the closed forms read only the counts
+            self.facets.append(f)
+            self.counts[f[2]] += 1
+        else:
+            self._update_g2(f, 1.0)
+            self._push(f)
+
+    def add(self, row) -> None:
+        self._enter((self.center(row[2:2 + self.d]), self.r, self._axis))
+
+    def death(self, i: int) -> float:
+        # x_i's own axis is skipped: the other counts are those of x - x_i
+        return self._log_lambda(self.facets[i][2])
+
+    def remove(self, i: int) -> None:
+        if self.d == 2:
+            self.counts[self.facets.pop(i)[2]] -= 1
+        else:
+            self._update_g2(self._pop(i), -1.0)
+
+    def retained(self, sample: bool) -> tuple:
+        c = self.counts
+        g1 = len(self.facets) * self.dg1
+        if self.d == 2:
+            g = (g1, float(c[0] * c[1]))
+        else:
+            g = (g1, math.fsum(self.g[1]), float(c[0] * c[1] * c[2]))
+        mask = 0  # self._mask() inline: at thin 1 this runs every step
+        for axis in range(self.d):
+            if c[axis]:
+                mask |= 1 << axis
+        return g, mask, self._pattern() if sample else None
+
+
+class _PatternRule:
+    """Increments of any model by ustat.g_increment over an immutable
+    FacetPattern; birth gives -inf for a facet already in x.  It runs every
+    bdmh_step and the chains of the hemisphere law, which exists in d = 2
+    only.  There each increment is exact, one facet measure or a count of
+    crossing pairs, so the running G adds whole increments.  It starts at
+    the first retained state: bdmh_step retains none."""
 
     engine = "pattern"
 
     def __init__(self, p: ModelParams, x: FacetPattern):
         self.p = p
         self.x = x
+        self.orders, self.nu, self.rest = _split_orders(p)
+        self.active = np.isin(np.arange(1, p.d + 1), self.orders)
+        self.g: list[list[float]] | None = None
         self._next = x  # the proposed facet, or the pattern after a death
+        self._inc = None  # its active orders' increments
+
+    def _log_lambda(self, x: FacetPattern, f: Facet) -> float:
+        self._inc = inc = g_increment(x, f, self.orders)
+        return math.fsum([nu * inc[j - 1]
+                          for nu, j in zip(self.nu, self.orders)])
+
+    def _update(self, x: FacetPattern, f: Facet, sign: float) -> None:
+        # G += sign * the increment of f to x, the active orders' from the
+        # proposal
+        if self.g is None:
+            return
+        inc = self._inc
+        if self.rest:
+            inc = np.where(self.active, inc, g_increment(x, f, self.rest))
+        for partials, v in zip(self.g, inc.tolist()):
+            _add_terms(partials, (v,), sign)
 
     def birth(self, row) -> float:
         d = self.p.d
@@ -210,108 +480,31 @@ class _GeneralRule:
         if u in self.x.facets:
             return -math.inf
         self._next = u
-        return log_conditional_intensity([u], self.x, self.p)
+        return self._log_lambda(self.x, u)
 
     def add(self, row) -> None:
+        self._update(self.x, self._next, 1.0)
         self.x = self.x.with_facet(self._next)
 
     def death(self, i: int) -> float:
         self._next = self.x.without_index(i)
-        return log_conditional_intensity([self.x.facets[i]], self._next, self.p)
+        return self._log_lambda(self._next, self.x.facets[i])
 
     def remove(self, i: int) -> None:
+        self._update(self._next, self.x.facets[i], -1.0)
         self.x = self._next
 
     def retained(self, sample: bool) -> tuple:
         x = self.x
+        if self.g is None:
+            self.g = [[] for _ in range(x.d)]
+            for k, f in enumerate(x.facets):
+                for partials, v in zip(
+                        self.g, g_increment(FacetPattern(x.facets[:k], x.d),
+                                            f).tolist()):
+                    _add_terms(partials, (v,), 1.0)
         mask = sum(1 << key for key in x.groups) if x.is_canonical else -1
-        return g_vector(x), mask, x
-
-
-class _CountsRule:
-    """Closed-form increments of a counts-eligible model: a facet on axis
-    k has log lambda* = nu_1 (2r)^(d-1) + nu_d prod_{i != k} n_i, where n_i
-    counts the facets on axis i.  A birth's center is mapped only once
-    the birth is accepted."""
-
-    engine = "counts"
-
-    def __init__(self, p: ModelParams, x: FacetPattern):
-        self.p = p
-        self.d = p.d
-        self.r = p.size.max_extent
-        self.dg1 = (2.0 * self.r) ** (p.d - 1)
-        # nu1_term + nud * prod is the fsum the general rule takes: a sum of
-        # two floats is correctly rounded, an inactive order adds +-0.0
-        self.nu1_term = p.nu[0] * self.dg1
-        self.nud = p.nu[p.d - 1]
-        self.cents = [f.center for f in x.facets]
-        self.axs = [f.orientation for f in x.facets]
-        self.counts = [self.axs.count(ax) for ax in range(p.d)]
-        self._ax = 0  # axis of the proposed birth
-
-    def _log_lambda(self, ax: int) -> float:
-        # c[ax - 1] (and c[ax - 2] in d = 3) are the other axes' counts
-        c = self.counts
-        prod = c[ax - 1] if self.d == 2 else c[ax - 1] * c[ax - 2]
-        return self.nu1_term + self.nud * prod
-
-    def birth(self, row) -> float:
-        ax = int(row[1] * self.d)
-        if ax >= self.d:
-            ax = self.d - 1
-        self._ax = ax
-        return self._log_lambda(ax)
-
-    def add(self, row) -> None:
-        self.cents.append(self.p.center.sample_from_uniforms(row[2:2 + self.d]))
-        self.axs.append(self._ax)
-        self.counts[self._ax] += 1
-
-    def death(self, i: int) -> float:
-        # x_i's own axis is skipped: the other counts are those of x - x_i
-        return self._log_lambda(self.axs[i])
-
-    def remove(self, i: int) -> None:
-        self.cents.pop(i)
-        self.counts[self.axs.pop(i)] -= 1
-
-    def retained(self, sample: bool) -> tuple:
-        c = self.counts
-        g1 = len(self.axs) * self.dg1
-        if self.d == 2:
-            g = (g1, float(c[0] * c[1]))
-        else:
-            g = (g1, _g2_special_d3(self.cents, self.axs, 2.0 * self.r),
-                 float(c[0] * c[1] * c[2]))
-        mask = 0
-        for ax in range(self.d):
-            if c[ax]:
-                mask |= 1 << ax
-        x = None
-        if sample:
-            x = FacetPattern.of([Facet(z, self.r, ax)
-                                 for z, ax in zip(self.cents, self.axs)], self.d)
-        return g, mask, x
-
-
-def _g2_special_d3(cents, axs, two_r):
-    """G_2 for the d=3 special model: sum of (2r - |dz|) over non-parallel
-    pairs, free coordinate determined by the two axes."""
-    groups = {0: [], 1: [], 2: []}
-    for c, ax in zip(cents, axs):
-        groups[ax].append(c)
-    total = 0.0
-    for p_ax in range(3):
-        for q_ax in range(p_ax + 1, 3):
-            a, b = groups[p_ax], groups[q_ax]
-            if not a or not b:
-                continue
-            free = 3 - p_ax - q_ax
-            za = np.array([c[free] for c in a])
-            zb = np.array([c[free] for c in b])
-            total += float((two_r - np.abs(za[:, None] - zb[None, :])).sum())
-    return total
+        return tuple(map(math.fsum, self.g)), mask, x
 
 
 def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples) -> tuple[bool, str]:
@@ -391,7 +584,8 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
         _check_initial(p, cfg.initial)
     rng = make_rng(cfg.seed, cfg.chain_index)
     initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
-    rule = (_CountsRule if counts else _GeneralRule)(p, initial)
+    rule = (_CountsRule if counts else _GeneralRule
+            if p.orientation.is_canonical else _PatternRule)(p, initial)
     n_keep = (cfg.n_steps - burn) // thin
     diag = ChainDiagnostics(
         d=p.d, engine=rule.engine, burn_in=burn, thin=thin,

@@ -187,9 +187,14 @@ def test_query_validation():
         p = ModelParams.submodel(3, coupled, -1.0, a=2.0)
         with pytest.raises(ValueError, match="cap"):
             evaluate(p, (1, 1, 0), n_cap=0)
-        for counts in ((1, 1), (1, 1, 0, 0), (1, -1, 0), (0, 0, 0)):
+        for counts in ((1, 1), (1, 1, 0, 0), (1, -1, 0), (0, 0, 0),
+                       (1.7, 0, 0), (1, np.float64(0.5), 0), (0.5, 0.5, 0),
+                       (1, math.nan, 0), (1, math.inf, 0), (1, "1", 0)):
             with pytest.raises(ValueError, match="counts"):
                 evaluate(p, counts)
+        # integral values of any numeric type are the query they equal
+        assert evaluate(p, (1.0, np.int64(1), np.float64(0.0))) == \
+            evaluate(p, (1, 1, 0))
         with pytest.raises(ValueError, match="more than one"):
             evaluate(two, (1, 1, 0))
         wide = dataclasses.replace(p, size=SizeLaw.fixed(0.4))

@@ -13,6 +13,7 @@ from facetproc.geometry import (
     facet_measure,
     general_position,
     intersection_measure,
+    tuple_content,
 )
 
 
@@ -189,6 +190,35 @@ def test_kernel_matches_interval_oracle(batch):
             assert value == 0.0  # parallel facets, hence every j > d
         else:
             assert value == interval_oracle(facets)
+
+
+@st.composite
+def facet_tuples(draw):
+    """One tuple of 1..d+1 canonical facets: centers anywhere in [-2, 2]
+    or on a quarter grid (boundary ties), extents in (0, 2], any axes."""
+    d = draw(st.integers(2, 4))
+    j = draw(st.integers(1, d + 1))
+    coord = st.one_of(st.floats(-2.0, 2.0),
+                      st.integers(-8, 8).map(lambda q: q / 4.0))
+    extent = st.one_of(st.floats(1e-3, 2.0),
+                       st.integers(1, 8).map(lambda q: q / 4.0))
+    return [(tuple(draw(coord) for _ in range(d)), draw(extent),
+             draw(st.integers(0, d - 1))) for _ in range(j)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(facet_tuples())
+def test_tuple_content_is_the_batch_kernel(facets):
+    # the scalar and the batch form of the content formula agree bit for bit
+    batch = canonical_content(np.array([[f[0] for f in facets]]),
+                              np.array([[f[1] for f in facets]]),
+                              np.array([[f[2] for f in facets]]))[0]
+    value = tuple_content(facets)
+    assert type(value) is float
+    assert value == batch and math.copysign(1.0, value) == math.copysign(1.0, batch)
+    assert intersection_measure([Facet(*f) for f in facets]) == (
+        value if len({f[2] for f in facets}) == len(facets) else 0.0)
 
 
 def test_window():

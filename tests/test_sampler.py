@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from facetproc.correlation import _count_grid
-from facetproc.geometry import Facet
-from facetproc.model import ModelParams, OrientationLaw, local_stability_bound
+from facetproc.geometry import Facet, Window
+from facetproc.model import (
+    CenterIntensity,
+    ModelParams,
+    OrientationLaw,
+    SizeLaw,
+    local_stability_bound,
+)
 from facetproc.sampler import (
     ChainConfig,
     batch_means_se,
@@ -52,6 +60,49 @@ def test_birth_death_log_ratio_cancellation():
             continue
         grown = x.with_facet(u)
         assert birth_log_ratio(p, x, u) + death_log_ratio(p, grown, grown.n - 1) == 0.0
+
+
+def _hemisphere_model(nu, a):
+    window = Window.cube(1.0, 2)
+    return ModelParams(2, 1.0, nu, a, CenterIntensity(window, level=1.0),
+                       SizeLaw.fixed(1.0), OrientationLaw(2, "hemisphere"))
+
+
+@st.composite
+def _model_pattern_and_facet(draw):
+    """A model (canonical d = 2 or 3, or hemisphere), a pattern of up to 7
+    of its facets, one more facet and where to insert it."""
+    kind = draw(st.sampled_from(("d2", "d3", "hemisphere")))
+    d = 3 if kind == "d3" else 2
+    nu = [draw(st.floats(-1.0, 1.0))] + [draw(st.floats(-2.0, 0.0))
+                                         for _ in range(d - 1)]
+    a = draw(st.floats(1.0, 8.0))
+    p = (_hemisphere_model(tuple(nu), a) if kind == "hemisphere"
+         else ModelParams.special(d, nu, a=a))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    # quarter grid values put centers on facet boundaries
+    coord = st.one_of(unit, st.integers(0, 4).map(lambda q: q / 4.0))
+
+    def facet():
+        return p.sample_facet_from_uniforms(
+            draw(unit), [draw(coord) for _ in range(d)], draw(unit))
+
+    facets = list(dict.fromkeys(facet() for _ in range(draw(st.integers(0, 7)))))
+    u = facet()
+    return p, FacetPattern.of(facets, d), u, draw(st.integers(0, len(facets)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_model_pattern_and_facet())
+def test_birth_death_log_ratio_cancellation_property(case):
+    # the death of u, wherever it sits in the grown pattern, undoes the
+    # birth of u in the log domain exactly
+    p, x, u, k = case
+    if u in x.facets:
+        return
+    grown = FacetPattern.of(x.facets[:k] + (u,) + x.facets[k:], p.d)
+    assert birth_log_ratio(p, x, u) + death_log_ratio(p, grown, k) == 0.0
 
 
 def test_birth_into_empty_always_accepts():
@@ -113,6 +164,7 @@ def test_engines_produce_identical_chains():
         ModelParams.special(2, (0.0, 0.0), a=6.0),
         ModelParams.special(3, (0.0, 0.0, -1.0), a=3.0),
         ModelParams.special(2, (0.5, -1.0), a=2.0),
+        ModelParams.special(3, (0.0, 0.0, -1.0), a=8.0),
     ]
     for p in cases:
         cfg = dict(n_steps=3000, seed=42, burn_in=0, thin=1)
@@ -122,11 +174,90 @@ def test_engines_produce_identical_chains():
         assert np.array_equal(d_pat.trace_occupancy, d_cnt.trace_occupancy)
         assert np.array_equal(d_pat.trace_move, d_cnt.trace_move)
         assert np.array_equal(d_pat.trace_accepted, d_cnt.trace_accepted)
-        assert np.allclose(d_pat.trace_g, d_cnt.trace_g, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(d_pat.trace_g, d_cnt.trace_g)
         assert (d_pat.birth_proposed, d_pat.birth_accepted) == \
                (d_cnt.birth_proposed, d_cnt.birth_accepted)
         assert (d_pat.death_proposed, d_pat.death_accepted) == \
                (d_cnt.death_proposed, d_cnt.death_accepted)
+
+
+def _two_atom_model(d, nu, a):
+    return ModelParams(d, 1.0, nu, a, CenterIntensity(Window.cube(1.0, d), level=1.0),
+                       SizeLaw(((0.4, 0.3), (1.0, 0.7))), OrientationLaw(d))
+
+
+def _table_model(d, nu, a):
+    table = np.arange(1.0, 2 ** d + 1).reshape((2,) * d)
+    return ModelParams(d, 1.0, nu, a, CenterIntensity(Window.cube(1.0, d), table=table),
+                       SizeLaw.fixed(1.0), OrientationLaw(d))
+
+
+_CHAIN_CLASSES = {
+    "d3-nu2": (ModelParams.special(3, (0.0, -1.0, 0.0), a=4.0), "pattern"),
+    "two-atom": (_two_atom_model(3, (0.3, -1.0, -0.5), 4.0), "pattern"),
+    "table": (_table_model(3, (0.2, -1.0, 0.0), 4.0), "pattern"),
+    "d3-counts": (ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0), "counts"),
+    "hemisphere": (_hemisphere_model((0.3, -1.0), 4.0), "pattern"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_CLASSES))
+def test_running_g_equals_g_vector(name):
+    # The running G is an exact sum of the current terms, so it equals
+    # g_vector of the current pattern bit for bit after 20k steps of adding
+    # and removing terms.
+    p, engine = _CHAIN_CLASSES[name]
+    samples, diag = run_chain(p, ChainConfig(n_steps=20_000, seed=9, burn_in=0,
+                                             thin=10, keep_samples=True))
+    assert diag.engine == engine
+    assert diag.trace_n.max() >= 5
+    expected = np.array([g_vector(x) for x in samples])
+    assert np.array_equal(diag.trace_g, expected)
+
+
+class _Replay:
+    """Stands in for a generator: hands out the given rows in turn."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, k):
+        row = next(self.rows)
+        assert len(row) == k
+        return row
+
+
+@pytest.mark.parametrize("name", ["d3-nu2", "two-atom", "table", "d3-counts"])
+def test_canonical_state_matches_pattern_steps(name):
+    # run_chain moves the canonical state in place; bdmh_step moves an
+    # immutable FacetPattern by numpy increments.  On the same uniforms
+    # they take the same moves to the same patterns.
+    p, _ = _CHAIN_CLASSES[name]
+    initial = sample_poisson(p, make_rng(4))
+    steps = 1500
+    samples, diag = run_chain(p, ChainConfig(n_steps=steps, seed=8, burn_in=0,
+                                             thin=1, initial=initial,
+                                             keep_samples=True))
+    replay = _Replay(make_rng(8).random((steps, p.d + 4)))
+    x = initial
+    for t in range(steps):
+        x, accepted, move = bdmh_step(x, p, replay)
+        assert (accepted, move) == (diag.trace_accepted[t], diag.trace_move[t])
+        assert x.facets == samples[t].facets
+    assert diag.birth_accepted + diag.death_accepted > 200
+
+
+def test_canonical_chains_build_no_pattern_per_step(monkeypatch):
+    calls = []
+    for name in ("with_facet", "without_index"):
+        method = getattr(FacetPattern, name)
+        monkeypatch.setattr(FacetPattern, name,
+                            lambda self, *a, _m=method: calls.append(1) or _m(self, *a))
+    for name in ("d3-nu2", "d3-counts"):
+        run_chain(_CHAIN_CLASSES[name][0], ChainConfig(n_steps=2000, seed=1))
+    assert not calls
+    run_chain(_CHAIN_CLASSES["hemisphere"][0], ChainConfig(n_steps=200, seed=1))
+    assert calls  # the hemisphere law stays on the pattern path
 
 
 def test_run_chain_deterministic():
