@@ -9,6 +9,9 @@ axis-aligned (d-1)-cube for canonical orientations.
 The intersection content of canonical facets has one formula in two forms:
 canonical_content over whole batches of facet tuples held as arrays, and
 tuple_content over one tuple in plain Python, bit for bit the same value.
+tuple_content is the one scalar kernel for every facet tuple: it also gives
+the 0-or-1 crossing of two d = 2 segments with a vector normal, and
+intersection_measure is tuple_content on validated Facets.
 """
 
 from __future__ import annotations
@@ -153,14 +156,25 @@ def canonical_content(centers: np.ndarray, extents: np.ndarray,
 
 
 def tuple_content(facets: Sequence[tuple]) -> float:
-    """Intersection content of one tuple of canonical facets, each given
-    as a (center, half_extent, axis) triple: the value canonical_content
-    gives the tuple, bit for bit.  The same coordinate factors multiply in
-    coordinate order; a factor of 1 is skipped and a factor of 0 ends the
-    product, neither of which changes a bit."""
+    """Intersection content of one tuple of distinct facets, each given as
+    a (center, half_extent, orientation) triple.
+
+    One facet gives (2r)^(d-1), and more than d facets give 0.  A canonical
+    tuple gives the value canonical_content gives it, bit for bit: the same
+    coordinate factors multiply in coordinate order; a factor of 1 is
+    skipped and a factor of 0 ends the product, neither of which changes a
+    bit.  A d = 2 pair with a vector normal gives the 0-or-1 closed-segment
+    crossing, 0 for parallel segments.
+    """
     d = len(facets[0][0])
     if len(facets) == 1:
         return (2.0 * facets[0][1]) ** (d - 1)
+    if len(facets) > d:
+        return 0.0
+    if d == 2:
+        f, g = facets
+        if type(f[2]) is tuple or type(g[2]) is tuple:
+            return 0.0 if f[2] == g[2] else float(_segments_cross(f, g))
     measure = 1.0
     for c in range(d):
         lo, hi, fixed = -math.inf, math.inf, None
@@ -183,20 +197,19 @@ def tuple_content(facets: Sequence[tuple]) -> float:
     return measure
 
 
-def _segment_endpoints(f: Facet):
-    if f.is_canonical:
-        nx, ny = (1.0, 0.0) if f.orientation == 0 else (0.0, 1.0)
+def _segment_endpoints(f: tuple):
+    (cx, cy), r, orientation = f
+    if isinstance(orientation, int):
+        nx, ny = (1.0, 0.0) if orientation == 0 else (0.0, 1.0)
     else:
-        nx, ny = f.orientation
+        nx, ny = orientation
     # direction along the segment: perpendicular of the normal
     tx, ty = -ny, nx
-    cx, cy = f.center
-    r = f.half_extent
     return (cx - r * tx, cy - r * ty), (cx + r * tx, cy + r * ty)
 
 
-def _segments_cross(f1: Facet, f2: Facet) -> bool:
-    """Closed-segment intersection test for two non-parallel d=2 facets."""
+def _segments_cross(f1: tuple, f2: tuple) -> bool:
+    """Closed-segment intersection test for two d=2 facet triples."""
     (ax, ay), (bx, by) = _segment_endpoints(f1)
     (cx, cy), (dx, dy) = _segment_endpoints(f2)
     r_x, r_y = bx - ax, by - ay
@@ -211,11 +224,11 @@ def _segments_cross(f1: Facet, f2: Facet) -> bool:
 
 
 def intersection_measure(facets: Sequence[Facet]) -> float:
-    """H^(d-j) measure of the intersection of j distinct facets.
+    """H^(d-j) measure of the intersection of j distinct facets, by
+    tuple_content.
 
     Parallel facets (equal orientation class) yield 0, including coincident
-    ones.  For j = d the value is the 0-or-1 point count.  Non-canonical
-    orientations are supported in d = 2 only; elsewhere they raise.
+    ones.  For j = d the value is the 0-or-1 point count.
     """
     facets = list(facets)
     if not facets:
@@ -223,16 +236,5 @@ def intersection_measure(facets: Sequence[Facet]) -> float:
     d = facets[0].d
     if any(f.d != d for f in facets):
         raise ValueError("facets live in different ambient dimensions")
-    j = len(facets)
-    if j > d:
-        return 0.0
-    if j == 1:
-        return facet_measure(facets[0])
-    if not general_position(facets):
-        return 0.0
-    if all(f.is_canonical for f in facets):
-        return tuple_content([(f.center, f.half_extent, f.orientation)
-                              for f in facets])
-    if d != 2:
-        raise ValueError("non-canonical orientations are supported in d = 2 only")
-    return 1.0 if _segments_cross(facets[0], facets[1]) else 0.0
+    return tuple_content([(f.center, f.half_extent, f.orientation)
+                          for f in facets])

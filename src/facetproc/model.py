@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +64,23 @@ class CenterIntensity:
             return self.level * self.window.volume
         cum, _, _ = self._cells
         return float(cum[-1])
+
+    def in_support(self, point: Sequence[float]) -> bool:
+        """Whether sample_from_uniforms can give the point: it lies in the
+        window and, for a table, in the closure of a cell of positive
+        level."""
+        if not self.window.contains(point):
+            return False
+        if self.level is not None:
+            return True
+        near = []  # per coordinate, the cells whose closure holds it
+        for (lo, hi), n_c, x in zip(self.window.bounds, self.table.shape,
+                                    point):
+            # the cell edges sample_from_uniforms reaches, and the window's
+            edges = [lo + k * ((hi - lo) / n_c) for k in range(n_c)] + [hi]
+            near.append([k for k in range(n_c)
+                         if edges[k] <= x <= edges[k + 1]])
+        return any(self.table[cell] > 0 for cell in product(*near))
 
     def sample_from_uniforms(self, u: Sequence) -> tuple:
         """Map d iid uniforms to a center draw from chi/T (deterministic);

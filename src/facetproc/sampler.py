@@ -9,25 +9,27 @@ the branch taken.
 
 One loop, _run, takes the steps of run_chain and bdmh_step.  An increment
 rule gives it log lambda* of each proposal, applies the accepted moves and
-reports G at the retained states.  Chains of canonical models move one
-mutable state in place, _CanonicalState: the facets in pattern order as
-(center, half-extent, axis) triples, the same triples per axis, the
-orientation counts and a running G.  Two rules act on it, in plain Python:
+reports G at the retained states.  Every chain, and every bdmh_step,
+moves one mutable state in place, _ChainState: the facets in pattern order
+as (center, half-extent, orientation) triples, the same triples grouped by
+orientation class (keyed by axis index or by normal, as FacetPattern.groups
+keys them) and a running G.  Two rules act on it, in plain Python:
 
-- _GeneralRule serves every canonical model.  The increment of order j is
-  the fsum of the intersection contents (geometry.tuple_content) of the
-  facet with j-1 facets of other axes, and log lambda* the fsum of nu_j
-  times these, as model.log_conditional_intensity takes it.  The orders
-  with nu_j = 0 are computed only for accepted moves, for G.
+- _GeneralRule serves every model.  The increment of order j is the fsum
+  of the intersection contents (geometry.tuple_content) of the facet with
+  j-1 facets of other orientation classes, and log lambda* the fsum of
+  nu_j times these, as model.log_conditional_intensity takes it.  Under
+  the hemisphere law (d = 2) each content is the 0-or-1 crossing of two
+  segments.  The orders with nu_j = 0 are computed only for accepted
+  moves, for G.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
   G_1 and G_d.  In d = 3 each pair of facets meets in the overlap of one
   free coordinate, and G_2 is their running sum.
 
 Both give bit-identical trajectories and G from the same seed.  No Facet or
-FacetPattern is built per step, only for kept samples.  _PatternRule holds
-an immutable FacetPattern and takes increments from ustat.g_increment; it
-serves every bdmh_step and the chains of the hemisphere law (d = 2).
+FacetPattern is built per step, only for kept samples and the result of
+bdmh_step.
 
 The running G is exact.  Each term (the content of one subset) is added
 when its subset appears and subtracted, bit for bit the same value, when a
@@ -46,7 +48,7 @@ import numpy as np
 
 from .geometry import Facet, tuple_content
 from .model import ModelParams, log_conditional_intensity
-from .ustat import FacetPattern, g_increment
+from .ustat import FacetPattern
 
 _BLOCK = 1 << 15
 _MAX_TRACE = 5_000_000  # retained states per chain
@@ -87,10 +89,10 @@ def death_log_ratio(p: ModelParams, x: FacetPattern, i: int) -> float:
 
 def bdmh_step(x: FacetPattern, p: ModelParams, rng) -> tuple[FacetPattern, bool, str]:
     """One birth-death MH step; consumes d+4 uniforms from rng."""
-    rule = _PatternRule(p, x)
+    rule = _GeneralRule(p, x)
     accepted, move = _run(rule, x.n, [rng.random(p.d + 4)[np.newaxis]],
                           ChainDiagnostics(p.d, rule.engine, 0, 1), None)
-    return rule.x, accepted, move
+    return rule._pattern(), accepted, move
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,8 @@ def _check_initial(p: ModelParams, x: FacetPattern) -> None:
             raise ValueError(f"initial {f}: orientation not in the model's law")
         if not p.window.contains(f.center):
             raise ValueError(f"initial {f}: center outside the window")
+        if not p.center.in_support(f.center):
+            raise ValueError(f"initial {f}: center in a cell of level 0")
 
 
 def _add_exact(partials: list, x: float) -> None:
@@ -239,26 +243,20 @@ def _add_terms(partials: list, terms, sign: float) -> None:
             _add_exact(partials, sign * t)
 
 
-def _split_orders(p: ModelParams) -> tuple:
-    """The active orders, their couplings nu_j and the inactive orders."""
-    orders = p.active_orders
-    return (orders, [p.nu[j - 1] for j in orders],
-            [j for j in range(1, p.d + 1) if j not in orders])
-
-
-class _CanonicalState:
-    """A canonical pattern moved in place: the facets in pattern order as
-    (center, half_extent, axis) triples, the same triples in per-axis
-    lists, the orientation counts and the running G as partials per order.
-    The rules of canonical models extend it; the d = 2 counts rule, whose
-    closed forms read only the counts, keeps no per-axis lists."""
+class _ChainState:
+    """A pattern moved in place: the facets in pattern order as (center,
+    half_extent, orientation) triples, the same triples grouped by
+    orientation class, keyed by axis index or by normal as
+    FacetPattern.groups keys them, and the running G as partials per
+    order.  The rules extend it; the d = 2 counts rule, whose closed forms
+    read only the counts, keeps no groups."""
 
     def __init__(self, p: ModelParams):
         self.p = p
         self.d = p.d
+        self.canonical = p.orientation.is_canonical
         self.facets: list[tuple] = []
-        self.by_axis: list[list[tuple]] = [[] for _ in range(p.d)]
-        self.counts = [0] * p.d
+        self.groups: dict = {}
         self.g: list[list[float]] = [[] for _ in range(p.d)]
         center = p.center
         self.center = center.sample_from_uniforms if center.table is None \
@@ -266,30 +264,32 @@ class _CanonicalState:
 
     def _push(self, f: tuple) -> None:
         self.facets.append(f)
-        self.by_axis[f[2]].append(f)
-        self.counts[f[2]] += 1
+        self.groups.setdefault(f[2], []).append(f)
 
     def _pop(self, i: int) -> tuple:
         f = self.facets.pop(i)
-        self.by_axis[f[2]].remove(f)
-        self.counts[f[2]] -= 1
+        group = self.groups[f[2]]
+        group.remove(f)
+        if not group:
+            del self.groups[f[2]]
         return f
 
     def _mask(self) -> int:
+        if not self.canonical:
+            return -1 if self.facets else 0
         mask = 0
-        for axis, c in enumerate(self.counts):
-            if c:
-                mask |= 1 << axis
+        for axis in self.groups:
+            mask |= 1 << axis
         return mask
 
     def _pattern(self) -> FacetPattern:
         return FacetPattern.of([Facet(*f) for f in self.facets], self.d)
 
 
-class _GeneralRule(_CanonicalState):
-    """Increments of any canonical model: for order j, the fsum of the
-    contents of the j-subsets holding the facet and j-1 facets of other
-    axes, each by geometry.tuple_content.  log lambda* is the fsum of
+class _GeneralRule(_ChainState):
+    """Increments of any model: for order j, the fsum of the contents of
+    the j-subsets holding the facet and j-1 facets of other orientation
+    classes, each by geometry.tuple_content.  log lambda* is the fsum of
     nu_j times these, as model.log_conditional_intensity takes it.  birth
     gives -inf for a facet already present."""
 
@@ -297,7 +297,12 @@ class _GeneralRule(_CanonicalState):
 
     def __init__(self, p: ModelParams, x: FacetPattern):
         super().__init__(p)
-        self.orders, self.nu, self.rest = _split_orders(p)
+        self.orders = p.active_orders
+        self.nu = [p.nu[j - 1] for j in self.orders]
+        self.rest = [j for j in range(1, p.d + 1) if j not in self.orders]
+        law = p.orientation  # its normal draw is scalar; the axis's is not
+        self.orientation = law.sample_from_uniform if not law.is_canonical \
+            else lambda u, d=p.d: min(int(u * d), d - 1)
         self.radius = p.size.scalar_sampler()
         self._f = None  # the proposed facet
         self._terms: list[list[float]] = []  # its active orders' terms
@@ -310,8 +315,7 @@ class _GeneralRule(_CanonicalState):
     def terms(self, f: tuple, j: int) -> list[float]:
         if j == 1:
             return [(2.0 * f[1]) ** (self.d - 1)]
-        others = [fs for axis, fs in enumerate(self.by_axis)
-                  if fs and axis != f[2]]
+        others = [fs for key, fs in self.groups.items() if key != f[2]]
         return [tuple_content((f, *rest))
                 for group in combinations(others, j - 1)
                 for rest in product(*group)]
@@ -330,11 +334,9 @@ class _GeneralRule(_CanonicalState):
 
     def birth(self, row) -> float:
         d = self.d
-        axis = int(row[1] * d)
-        if axis >= d:
-            axis = d - 1
-        f = (self.center(row[2:2 + d]), self.radius(row[2 + d]), axis)
-        if f in self.by_axis[axis]:
+        f = (self.center(row[2:2 + d]), self.radius(row[2 + d]),
+             self.orientation(row[1]))
+        if f in self.groups.get(f[2], ()):
             return -math.inf
         self._f = f
         return self._log_lambda(f)
@@ -354,7 +356,7 @@ class _GeneralRule(_CanonicalState):
                 self._pattern() if sample else None)
 
 
-class _CountsRule(_CanonicalState):
+class _CountsRule(_ChainState):
     """Closed-form increments of a counts-eligible model: a facet on axis
     k has log lambda* = nu_1 (2r)^(d-1) + nu_d prod_{i != k} n_i, where n_i
     counts the facets on axis i.  G_1 and G_d are closed forms in the
@@ -367,6 +369,7 @@ class _CountsRule(_CanonicalState):
 
     def __init__(self, p: ModelParams, x: FacetPattern):
         super().__init__(p)
+        self.counts = [0] * p.d
         self.r = p.size.max_extent
         self.dg1 = (2.0 * self.r) ** (p.d - 1)
         # nu1_term + nud * prod is the fsum the general rule takes: a sum of
@@ -391,7 +394,7 @@ class _CountsRule(_CanonicalState):
                 continue
             free = 3 - k - m
             zf = z[free]
-            for w, _, _ in self.by_axis[m]:
+            for w, _, _ in self.groups.get(m, ()):
                 wf = w[free]
                 t = min(zf + r, wf + r) - max(zf - r, wf - r)
                 if t > 0.0:
@@ -405,9 +408,9 @@ class _CountsRule(_CanonicalState):
         return self._log_lambda(axis)
 
     def _enter(self, f: tuple) -> None:
+        self.counts[f[2]] += 1
         if self.d == 2:  # the closed forms read only the counts
             self.facets.append(f)
-            self.counts[f[2]] += 1
         else:
             self._update_g2(f, 1.0)
             self._push(f)
@@ -423,7 +426,9 @@ class _CountsRule(_CanonicalState):
         if self.d == 2:
             self.counts[self.facets.pop(i)[2]] -= 1
         else:
-            self._update_g2(self._pop(i), -1.0)
+            f = self._pop(i)
+            self.counts[f[2]] -= 1
+            self._update_g2(f, -1.0)
 
     def retained(self, sample: bool) -> tuple:
         c = self.counts
@@ -439,74 +444,6 @@ class _CountsRule(_CanonicalState):
         return g, mask, self._pattern() if sample else None
 
 
-class _PatternRule:
-    """Increments of any model by ustat.g_increment over an immutable
-    FacetPattern; birth gives -inf for a facet already in x.  It runs every
-    bdmh_step and the chains of the hemisphere law, which exists in d = 2
-    only.  There each increment is exact, one facet measure or a count of
-    crossing pairs, so the running G adds whole increments.  It starts at
-    the first retained state: bdmh_step retains none."""
-
-    engine = "pattern"
-
-    def __init__(self, p: ModelParams, x: FacetPattern):
-        self.p = p
-        self.x = x
-        self.orders, self.nu, self.rest = _split_orders(p)
-        self.active = np.isin(np.arange(1, p.d + 1), self.orders)
-        self.g: list[list[float]] | None = None
-        self._next = x  # the proposed facet, or the pattern after a death
-        self._inc = None  # its active orders' increments
-
-    def _log_lambda(self, x: FacetPattern, f: Facet) -> float:
-        self._inc = inc = g_increment(x, f, self.orders)
-        return math.fsum([nu * inc[j - 1]
-                          for nu, j in zip(self.nu, self.orders)])
-
-    def _update(self, x: FacetPattern, f: Facet, sign: float) -> None:
-        # G += sign * the increment of f to x, the active orders' from the
-        # proposal
-        if self.g is None:
-            return
-        inc = self._inc
-        if self.rest:
-            inc = np.where(self.active, inc, g_increment(x, f, self.rest))
-        for partials, v in zip(self.g, inc.tolist()):
-            _add_terms(partials, (v,), sign)
-
-    def birth(self, row) -> float:
-        d = self.p.d
-        u = self.p.sample_facet_from_uniforms(row[1], row[2:2 + d], row[2 + d])
-        if u in self.x.facets:
-            return -math.inf
-        self._next = u
-        return self._log_lambda(self.x, u)
-
-    def add(self, row) -> None:
-        self._update(self.x, self._next, 1.0)
-        self.x = self.x.with_facet(self._next)
-
-    def death(self, i: int) -> float:
-        self._next = self.x.without_index(i)
-        return self._log_lambda(self._next, self.x.facets[i])
-
-    def remove(self, i: int) -> None:
-        self._update(self._next, self.x.facets[i], -1.0)
-        self.x = self._next
-
-    def retained(self, sample: bool) -> tuple:
-        x = self.x
-        if self.g is None:
-            self.g = [[] for _ in range(x.d)]
-            for k, f in enumerate(x.facets):
-                for partials, v in zip(
-                        self.g, g_increment(FacetPattern(x.facets[:k], x.d),
-                                            f).tolist()):
-                    _add_terms(partials, (v,), 1.0)
-        mask = sum(1 << key for key in x.groups) if x.is_canonical else -1
-        return tuple(map(math.fsum, self.g)), mask, x
-
-
 def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples) -> tuple[bool, str]:
     """Step from a state of n facets, one step per row of each block (an
     array of rows of d+4 uniforms).  Counts the moves into diag, fills its trace
@@ -517,7 +454,8 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples) -> tuple[bool, s
     rule.birth(row) is log lambda*(u; x) of the facet u the row proposes,
     rule.add(row) adds u; rule.death(i) is log lambda*(x_i; x minus x_i),
     rule.remove(i) removes x_i; rule.retained(sample) is the G vector, the
-    occupancy mask (-1 off the canonical family) and, if sample, x."""
+    occupancy mask (the canonical axes present; -1 for a non-empty state of
+    the hemisphere law, 0 for the empty state) and, if sample, x."""
     p = rule.p
     log = math.log
     log_a_t = log(p.a * p.total_intensity)
@@ -584,8 +522,7 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
         _check_initial(p, cfg.initial)
     rng = make_rng(cfg.seed, cfg.chain_index)
     initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
-    rule = (_CountsRule if counts else _GeneralRule
-            if p.orientation.is_canonical else _PatternRule)(p, initial)
+    rule = (_CountsRule if counts else _GeneralRule)(p, initial)
     n_keep = (cfg.n_steps - burn) // thin
     diag = ChainDiagnostics(
         d=p.d, engine=rule.engine, burn_in=burn, thin=thin,

@@ -4,8 +4,8 @@ G_j(x) sums the (d-j)-dimensional intersection content over unordered
 j-subsets of x.  Only subsets with pairwise distinct orientation classes can
 contribute, so enumeration is grouped by orientation: choose j classes, then
 one facet per class.  One-point increments enumerate only the subsets that
-contain the new facet, which is what the sampler's pattern path needs per
-step (chains of canonical models take theirs in sampler, in plain Python).
+contain the new facet; model.log_conditional_intensity takes them (the
+chains take theirs in sampler, in plain Python).
 
 All reductions go through math.fsum (correctly rounded), so sums are
 order-independent and preserve the termwise ordering needed by the exact

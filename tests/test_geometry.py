@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from facetproc.geometry import (
     intersection_measure,
     tuple_content,
 )
+from facetproc.model import OrientationLaw
 
 
 def interval_oracle(facets):
@@ -219,6 +221,74 @@ def test_tuple_content_is_the_batch_kernel(facets):
     assert value == batch and math.copysign(1.0, value) == math.copysign(1.0, batch)
     assert intersection_measure([Facet(*f) for f in facets]) == (
         value if len({f[2] for f in facets}) == len(facets) else 0.0)
+
+
+def _exact_crossing(f, g):
+    """Independent reference for the d = 2 crossing: 1.0 iff the closed
+    segments of two non-parallel facet triples meet, decided in rational
+    arithmetic on their float endpoints (center -+ r times the normal turned
+    a quarter).  Non-parallel segments meet iff each one's endpoints lie on
+    opposite sides of, or on, the other's line."""
+    def endpoints(facet):
+        (cx, cy), r, o = facet
+        nx, ny = o if isinstance(o, tuple) else ((1.0, 0.0), (0.0, 1.0))[o]
+        return [(Fraction(cx - r * -ny), Fraction(cy - r * nx)),
+                (Fraction(cx + r * -ny), Fraction(cy + r * nx))]
+
+    def side(p, q, s):  # sign of the cross product (q - p) x (s - p)
+        v = (q[0] - p[0]) * (s[1] - p[1]) - (q[1] - p[1]) * (s[0] - p[0])
+        return (v > 0) - (v < 0)
+
+    (a, b), (c, e) = endpoints(f), endpoints(g)
+    if (b[0] - a[0]) * (e[1] - c[1]) == (b[1] - a[1]) * (e[0] - c[0]):
+        return 0.0  # parallel
+    return float(side(a, b, c) * side(a, b, e) <= 0
+                 and side(c, e, a) * side(c, e, b) <= 0)
+
+
+def _crossing_cases():
+    """Random, touching, end-on, near-miss and near-parallel d = 2 pairs."""
+    law = OrientationLaw(2, "hemisphere")
+    rng = np.random.default_rng(2015)
+    u = rng.random((10_000, 8))
+    for row in u.tolist():
+        yield ((row[0], row[1]), 0.05 + row[2], law.sample_from_uniform(row[3])), \
+              ((row[4], row[5]), 0.05 + row[6], law.sample_from_uniform(row[7]))
+    # axis-like vector normals on dyadic values: exact float endpoints
+    up, side = (1.0, 0.0), (0.0, 1.0)
+    v = ((0.5, 0.5), 0.25, up)  # x = 1/2, 1/4 <= y <= 3/4
+    ulp = 2.0 ** -52
+    for center in [(0.75, 0.5), (0.25, 0.5),  # end-on the interior of v
+                   (0.75, 0.75), (0.25, 0.25),  # end to end
+                   (0.5, 0.75), (0.5, 0.25),  # v end-on their interior
+                   (0.75 + ulp, 0.5), (0.25 - ulp, 0.5),  # one ulp short
+                   (0.5, 0.75 + ulp), (0.75, 0.25 - ulp)]:
+        yield v, (center, 0.25, side)
+        yield v, (center, 0.25, 1)  # a canonical facet meets a vector one
+    # near-parallel: through one point, or offset across their lines
+    for k, eps in enumerate([1e-6, 1e-9, 1e-12]):
+        n1 = law.sample_from_uniform(0.1 + 0.2 * k)
+        n2 = law.sample_from_uniform(0.1 + 0.2 * k + eps)
+        yield ((0.5, 0.5), 0.5, n1), ((0.5, 0.5), 0.25, n2)
+        yield ((0.5, 0.5), 0.5, n1), ((0.5 + 1e-3 * n1[0], 0.5 + 1e-3 * n1[1]),
+                                      0.25, n2)
+
+
+def test_crossing_matches_exact_rational_test():
+    # tuple_content's float crossing test equals the exact decision on the
+    # same endpoints, either way round; ties at a segment end count
+    hits = 0
+    for f, g in _crossing_cases():
+        expected = _exact_crossing(f, g)
+        assert tuple_content((f, g)) == expected, (f, g)
+        assert tuple_content((g, f)) == expected, (g, f)
+        assert intersection_measure([Facet(*f), Facet(*g)]) == expected
+        hits += expected
+    assert 2_000 < hits < 8_000
+    v = ((0.5, 0.5), 0.25, (1.0, 0.0))
+    assert tuple_content((v, ((0.75, 0.5), 0.25, (0.0, 1.0)))) == 1.0
+    assert tuple_content((v, ((0.75 + 2.0 ** -52, 0.5), 0.25, (0.0, 1.0)))) == 0.0
+    assert tuple_content((v, v)) == 0.0  # parallel, though they overlap
 
 
 def test_window():

@@ -114,48 +114,54 @@ def test_birth_into_empty_always_accepts():
     assert math.log(1.0 - 1e-16) < birth_log_ratio(p, empty, u)
 
 
-def test_bdmh_step_matches_full_recompute_reference():
-    p = ModelParams.special(2, (0.2, -0.8), a=3.0)
-    a_t = p.a * p.total_intensity
+class _Replay:
+    """Stands in for a generator: hands out the given rows in turn."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def random(self, k):
+        row = next(self.rows)
+        assert len(row) == k
+        return row
+
+
+def _full_recompute_step(p, x, row):
+    """Slow oracle for one d = 2 step: acceptance ratios from full g_vector
+    differences."""
+    log_a_t = math.log(p.a * p.total_intensity)
     nu = np.array(p.nu)
-
-    def reference_step(x, row):
-        # slow oracle: acceptance ratios from full g_vector differences
-        if row[0] < 0.5:
-            u = p.sample_facet_from_uniforms(row[1], row[2:4], row[4])
-            if u in x.facets:
-                return x, False, "B"
-            grown = x.with_facet(u)
-            log_lam = float(nu @ (g_vector(grown) - g_vector(x)))
-            if math.log(row[5]) < log_lam + math.log(a_t) - math.log(x.n + 1):
-                return grown, True, "B"
+    if row[0] < 0.5:
+        u = p.sample_facet_from_uniforms(row[1], row[2:4], row[4])
+        if u in x.facets:
             return x, False, "B"
-        if x.n == 0:
-            return x, False, "D"
-        i = min(int(row[1] * x.n), x.n - 1)
-        reduced = x.without_index(i)
-        log_lam = float(nu @ (g_vector(x) - g_vector(reduced)))
-        if math.log(row[5]) < -(log_lam + math.log(a_t) - math.log(x.n)):
-            return reduced, True, "D"
+        grown = x.with_facet(u)
+        log_lam = float(nu @ (g_vector(grown) - g_vector(x)))
+        if math.log(row[5]) < log_lam + log_a_t - math.log(x.n + 1):
+            return grown, True, "B"
+        return x, False, "B"
+    if x.n == 0:
         return x, False, "D"
+    i = min(int(row[1] * x.n), x.n - 1)
+    reduced = x.without_index(i)
+    log_lam = float(nu @ (g_vector(x) - g_vector(reduced)))
+    if math.log(row[5]) < -(log_lam + log_a_t - math.log(x.n)):
+        return reduced, True, "D"
+    return x, False, "D"
 
-    rows = make_rng(11).random((1000, 6))
-    fast = p.empty_pattern()
-    slow = p.empty_pattern()
 
-    class _Replay:
-        def __init__(self, rows):
-            self.rows = iter(rows)
-
-        def random(self, k):
-            return next(self.rows)
-
-    replay = _Replay(rows)
-    for t in range(1000):
-        fast, acc_f, move_f = bdmh_step(fast, p, replay)
-        slow, acc_s, move_s = reference_step(slow, rows[t])
-        assert (acc_f, move_f) == (acc_s, move_s)
-        assert fast.facets == slow.facets
+def test_bdmh_step_matches_full_recompute_reference():
+    for p in (ModelParams.special(2, (0.2, -0.8), a=3.0),
+              _hemisphere_model((0.2, -0.8), 3.0)):
+        rows = make_rng(11).random((1000, 6))
+        fast = p.empty_pattern()
+        slow = p.empty_pattern()
+        replay = _Replay(rows)
+        for t in range(1000):
+            fast, acc_f, move_f = bdmh_step(fast, p, replay)
+            slow, acc_s, move_s = _full_recompute_step(p, slow, rows[t])
+            assert (acc_f, move_f) == (acc_s, move_s)
+            assert fast.facets == slow.facets
 
 
 def test_engines_produce_identical_chains():
@@ -215,33 +221,38 @@ def test_running_g_equals_g_vector(name):
     assert np.array_equal(diag.trace_g, expected)
 
 
-class _Replay:
-    """Stands in for a generator: hands out the given rows in turn."""
+def _pattern_step(p, x, row):
+    """One birth-death MH step on an immutable FacetPattern, from the
+    public log-ratios (numpy g_increment) and the model's facet draw."""
+    d = p.d
+    log_u = math.log(row[d + 3])
+    if row[0] < 0.5:
+        u = p.sample_facet_from_uniforms(row[1], row[2:2 + d], row[2 + d])
+        accepted = u not in x.facets and log_u < birth_log_ratio(p, x, u)
+        return (x.with_facet(u) if accepted else x), accepted, "B"
+    if not x.n:
+        return x, False, "D"
+    i = min(int(row[1] * x.n), x.n - 1)
+    accepted = log_u < death_log_ratio(p, x, i)
+    return (x.without_index(i) if accepted else x), accepted, "D"
 
-    def __init__(self, rows):
-        self.rows = iter(rows)
 
-    def random(self, k):
-        row = next(self.rows)
-        assert len(row) == k
-        return row
-
-
-@pytest.mark.parametrize("name", ["d3-nu2", "two-atom", "table", "d3-counts"])
+@pytest.mark.parametrize("name", ["d3-nu2", "two-atom", "table", "d3-counts",
+                                  "hemisphere"])
 def test_canonical_state_matches_pattern_steps(name):
-    # run_chain moves the canonical state in place; bdmh_step moves an
-    # immutable FacetPattern by numpy increments.  On the same uniforms
-    # they take the same moves to the same patterns.
+    # run_chain moves the chain state in place by scalar increments; the
+    # reference steps an immutable FacetPattern by numpy increments.  On
+    # the same uniforms they take the same moves to the same patterns.
     p, _ = _CHAIN_CLASSES[name]
     initial = sample_poisson(p, make_rng(4))
     steps = 1500
     samples, diag = run_chain(p, ChainConfig(n_steps=steps, seed=8, burn_in=0,
                                              thin=1, initial=initial,
                                              keep_samples=True))
-    replay = _Replay(make_rng(8).random((steps, p.d + 4)))
+    rows = make_rng(8).random((steps, p.d + 4))
     x = initial
     for t in range(steps):
-        x, accepted, move = bdmh_step(x, p, replay)
+        x, accepted, move = _pattern_step(p, x, rows[t].tolist())
         assert (accepted, move) == (diag.trace_accepted[t], diag.trace_move[t])
         assert x.facets == samples[t].facets
     assert diag.birth_accepted + diag.death_accepted > 200
@@ -253,11 +264,10 @@ def test_canonical_chains_build_no_pattern_per_step(monkeypatch):
         method = getattr(FacetPattern, name)
         monkeypatch.setattr(FacetPattern, name,
                             lambda self, *a, _m=method: calls.append(1) or _m(self, *a))
-    for name in ("d3-nu2", "d3-counts"):
+    # the hemisphere law moves the same state as the canonical models
+    for name in ("d3-nu2", "d3-counts", "hemisphere"):
         run_chain(_CHAIN_CLASSES[name][0], ChainConfig(n_steps=2000, seed=1))
     assert not calls
-    run_chain(_CHAIN_CLASSES["hemisphere"][0], ChainConfig(n_steps=200, seed=1))
-    assert calls  # the hemisphere law stays on the pattern path
 
 
 def test_run_chain_deterministic():
@@ -357,6 +367,10 @@ def test_config_validation():
 _PAIR = ModelParams.special(2, (0.0, -1.0), a=2.0)
 _HEMISPHERE = ModelParams(2, 1.0, _PAIR.nu, 2.0, _PAIR.center, _PAIR.size,
                           OrientationLaw(2, "hemisphere"))
+# level 0 on the cell [0, 1/2] x [1/2, 1]
+_HOLE = ModelParams(2, 1.0, _PAIR.nu, 2.0,
+                    CenterIntensity(_PAIR.window, table=[[1.0, 0.0], [1.0, 1.0]]),
+                    _PAIR.size, _PAIR.orientation)
 
 
 @pytest.mark.parametrize("model,engine,facets,match", [
@@ -367,15 +381,28 @@ _HEMISPHERE = ModelParams(2, 1.0, _PAIR.nu, 2.0, _PAIR.center, _PAIR.size,
     (_HEMISPHERE, "auto", [Facet((0.5, 0.5), 1.0, 0)], "orientation"),
     (_PAIR, "pattern", [Facet((0.2, 0.5), 1.0, 0), Facet((5.0, 0.5), 1.0, 1)],
      "window"),
+    (_HOLE, "auto", [Facet((0.5, 0.75), 1.0, 0), Facet((0.25, 0.75), 1.0, 1)],
+     "level 0"),
 ], ids=["engine-name", "extent", "normal-in-canonical-model",
-        "axis-in-hemisphere-model", "center-outside"])
+        "axis-in-hemisphere-model", "center-outside", "center-in-zero-cell"])
 def test_run_chain_rejects_bad_input(model, engine, facets, match):
-    # the two rules disagree on a pattern the model cannot produce (the
-    # counts rule takes G_1 from the model's extent), so it is refused
+    # a pattern the model cannot produce is refused: the two rules would
+    # disagree on some (the counts rule takes G_1 from the model's extent)
     initial = FacetPattern.of(facets, 2)
     with pytest.raises(ValueError, match=match):
         run_chain(model, ChainConfig(n_steps=100, burn_in=0, engine=engine,
                                      initial=initial))
+
+
+def test_run_chain_accepts_centers_on_positive_cells():
+    # the sampler reaches the closed cells of positive level, boundaries
+    # shared with the level-0 cell included
+    initial = FacetPattern.of([Facet((0.5, 0.75), 1.0, 0),
+                               Facet((0.25, 0.5), 1.0, 1),
+                               Facet((0.0, 0.0), 1.0, 0)], 2)
+    _, diag = run_chain(_HOLE, ChainConfig(n_steps=100, burn_in=0,
+                                           initial=initial))
+    assert diag.n_retained == 100
 
 
 def test_default_burnin_thin():
