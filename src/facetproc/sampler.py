@@ -270,7 +270,7 @@ class _ChainState:
         f = self.facets.pop(i)
         group = self.groups[f[2]]
         group.remove(f)
-        if not group:
+        if not group:  # the mask reads the keys; a normal rarely recurs
             del self.groups[f[2]]
         return f
 

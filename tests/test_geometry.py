@@ -255,15 +255,16 @@ def _crossing_cases():
         yield ((row[0], row[1]), 0.05 + row[2], law.sample_from_uniform(row[3])), \
               ((row[4], row[5]), 0.05 + row[6], law.sample_from_uniform(row[7]))
     # axis-like vector normals on dyadic values: exact float endpoints
-    up, side = (1.0, 0.0), (0.0, 1.0)
-    v = ((0.5, 0.5), 0.25, up)  # x = 1/2, 1/4 <= y <= 3/4
+    # the normals of a vertical and of a horizontal segment
+    vertical, horizontal = (1.0, 0.0), (0.0, 1.0)
+    v = ((0.5, 0.5), 0.25, vertical)  # x = 1/2, 1/4 <= y <= 3/4
     ulp = 2.0 ** -52
     for center in [(0.75, 0.5), (0.25, 0.5),  # end-on the interior of v
                    (0.75, 0.75), (0.25, 0.25),  # end to end
                    (0.5, 0.75), (0.5, 0.25),  # v end-on their interior
                    (0.75 + ulp, 0.5), (0.25 - ulp, 0.5),  # one ulp short
                    (0.5, 0.75 + ulp), (0.75, 0.25 - ulp)]:
-        yield v, (center, 0.25, side)
+        yield v, (center, 0.25, horizontal)
         yield v, (center, 0.25, 1)  # a canonical facet meets a vector one
     # near-parallel: through one point, or offset across their lines
     for k, eps in enumerate([1e-6, 1e-9, 1e-12]):
