@@ -29,7 +29,7 @@ import numpy as np
 from .correlation import (rho_bounds, rho_limit, rho_limit_from_counts,
                           rho_series_counts)
 from .model import ModelParams
-from .moments import asymptotic_covariance, i_k_integrals, \
+from .moments import _covariance_table, i_k_integrals, \
     scaling_limit_constants
 from .sampler import ChainConfig, batch_means_se, make_rng, run_chain, \
     sample_poisson, trace_table
@@ -279,10 +279,12 @@ def _series_row(pa: ModelParams, k: int, variant: str, l, counts) -> tuple:
 
 
 def _covariances(p: ModelParams, seed: int) -> dict:
-    """Asymptotic covariance constants (value, se) for orders i <= j."""
-    return {(i, j): asymptotic_covariance(i, j, p, n_samples=400, seed=seed,
-                                          resolution=100)
-            for i in range(1, p.d + 1) for j in range(i, p.d + 1)}
+    """Asymptotic covariance constants (value, se) for orders i <= j, as
+    asymptotic_covariance gives each, on one draw of query facets with
+    each order's increments evaluated once."""
+    pairs = [(i, j) for i in range(1, p.d + 1) for j in range(i, p.d + 1)]
+    return _covariance_table(pairs, p, n_samples=400, seed=seed,
+                             method="auto", resolution=100, mc_patterns=2000)
 
 
 def _scaling_limits(p: ModelParams) -> dict:

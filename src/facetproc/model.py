@@ -101,6 +101,34 @@ class CenterIntensity:
         return tuple(lo + (i + np.clip(u_c, 0.0, 1.0)) * ((hi - lo) / n_c)
                      for (lo, hi), i, u_c, n_c in zip(b, idx, us, shape))
 
+    def scalar_sampler(self):
+        """sample_from_uniforms for one point's d float uniforms in plain
+        Python: the same cell by bisect_right over the same cumulative
+        masses, unravelled by divmod, and the same arithmetic."""
+        if self.level is not None:
+            return self.sample_from_uniforms
+        cum, shape, _ = self._cells
+        cum = cum.tolist()
+        total, last = cum[-1], len(cum) - 1
+        cells = [(lo, (hi - lo) / n_c) for (lo, hi), n_c
+                 in zip(self.window.bounds, shape)]
+
+        def sample(u):
+            mass = u[0] * total
+            flat = min(bisect_right(cum, mass), last)
+            idx, rest = [], flat
+            for n_c in reversed(shape):
+                rest, i = divmod(rest, n_c)
+                idx.append(i)
+            prev = cum[flat - 1] if flat > 0 else 0.0
+            w = cum[flat] - prev
+            us = ((mass - prev) / w if w > 0 else 0.5, *u[1:])
+            return tuple(lo + (i + min(max(u_c, 0.0), 1.0)) * width
+                         for (lo, width), i, u_c
+                         in zip(cells, reversed(idx), us))
+
+        return sample
+
 
 @dataclass(frozen=True)
 class SizeLaw:

@@ -10,7 +10,12 @@ values through geometry.canonical_content, and a correlation provider
 maps the axes of K merged tuples to K correlations, so these integrals
 need canonical models.  The module also carries the expected-increment
 functional of a single extra facet, the asymptotic covariances built
-from it, and the constants of the dilation scaling limit.
+from it, and the constants of the dilation scaling limit.  Under a
+constant center intensity the increments come from one batched midpoint
+quadrature over all query facets of a covariance table, each order
+evaluated once per table however many (i, j) pairs use it; a single
+expected_increment is the batch of one.  Quadrature resolutions must be
+integers >= 1, sample and pattern counts integers >= 2.
 """
 
 from __future__ import annotations
@@ -289,41 +294,98 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
 # expected increment of one extra facet and asymptotic covariances
 
 
-def _quad_increment(j: int, y: Facet, p: ModelParams,
-                    resolution: int) -> float:
+# Row chunks of the batched quadrature hold at most this many grid points,
+# so each of its temporaries stays near 8 MiB whatever the resolution.
+_QUAD_ELEMENTS = 1 << 20
+
+
+def _check_inputs(method: str, resolution, **counts) -> None:
+    """Refuse an unknown method, a resolution that is not an integer
+    >= 1 and sample counts that are not integers >= 2."""
+    if method not in ("auto", "quadrature", "mc"):
+        raise ValueError("unknown method")
+    for name, value, least in (("resolution", resolution, 1),
+                               *((k, v, 2) for k, v in counts.items())):
+        if isinstance(value, bool) \
+                or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}")
+
+
+def _increment_method(p: ModelParams, method: str) -> str:
+    """The method that serves orders above one: quadrature or mc."""
+    quad_ok = (p.orientation.kind == "canonical"
+               and p.center.table is None and p.size.is_fixed)
+    if method == "quadrature" and not quad_ok:
+        raise ValueError("quadrature needs a canonical model with "
+                         "constant center intensity and fixed size")
+    if method == "auto":
+        return "quadrature" if quad_ok else "mc"
+    return method
+
+
+def _quad_increments(j: int, p: ModelParams, centers: np.ndarray,
+                     axes: np.ndarray, resolution: int) -> np.ndarray:
+    """Order-j expected increments, j >= 2, of K axis-aligned query
+    facets, centers (K, d) and axes (K,), by midpoint tensor quadrature.
+
+    For each choice of j-1 further axes, distinct from the facet's, the
+    integral factorizes over coordinates.  Coordinate c contributes the
+    mean over the res^(j-1) midpoint grid points of: whether y_c lies
+    within r of every point coordinate, if c is the facet's axis; whether
+    the point coordinate on c lies within r of y_c and of the others, if
+    c is one of the chosen axes; the overlap length of all the ranges
+    otherwise.  The indicator means are exact counts over the grid, so
+    they come from one-dimensional counts; the overlap means are
+    row-wise means of (rows, res^(j-1)) arrays.  Rows go in chunks of
+    at most _QUAD_ELEMENTS grid points.  Factors multiply in coordinate
+    order and the choices add up by fsum.
+    """
     d = p.d
     r = p.size.max_extent
-    mass = p.total_intensity / d
-    mids = [lo + (hi - lo) * (np.arange(resolution) + 0.5) / resolution
-            for lo, hi in p.window.bounds]
-    others = [c for c in range(d) if c != int(y.orientation)]
-    y_c = np.asarray(y.center)
-    total: list[float] = []
-    for axes in itertools.combinations(others, j - 1):
-        factor = 1.0
-        for c in range(d):
-            grids = list(np.meshgrid(*[mids[c]] * (j - 1), indexing="ij"))
-            y_here = np.full_like(grids[0], y_c[c])
-            if c == int(y.orientation):
-                fixed, free = y_here, grids
-            elif c in axes:
-                t = axes.index(c)
-                fixed = grids[t]
-                free = [g for s, g in enumerate(grids) if s != t] + [y_here]
-            else:
-                fixed, free = None, grids + [y_here]
-            if fixed is not None:
-                ok = np.ones_like(fixed, dtype=bool)
-                for g in free:
-                    ok &= np.abs(fixed - g) <= r
-                piece = ok.astype(float)
-            else:
-                top = np.minimum.reduce([g + r for g in free])
-                bot = np.maximum.reduce([g - r for g in free])
-                piece = np.clip(top - bot, 0.0, None)
-            factor *= float(piece.mean())
-        total.append(mass ** (j - 1) * factor)
-    return math.fsum(total)
+    scale = (p.total_intensity / d) ** (j - 1)
+    size = int(resolution) ** (j - 1)
+    if size > 2 ** 53:  # the counts below stay exact in float64 and int64
+        raise ValueError("resolution ** (j - 1) exceeds 2 ** 53 grid points")
+    own, chosen, free = [], [], []
+    for c, (lo, hi) in enumerate(p.window.bounds):
+        mids = lo + (hi - lo) * (np.arange(resolution) + 0.5) / resolution
+        reach = (np.abs(mids[:, None] - mids) <= r).sum(axis=1) ** (j - 2)
+        own.append(np.empty(len(axes)))
+        chosen.append(np.empty(len(axes)))
+        step = max(1, _QUAD_ELEMENTS // resolution)
+        for k in range(0, len(axes), step):
+            near = (np.abs(mids - centers[k:k + step, c:c + 1]) <= r) \
+                .astype(np.int64)
+            own[c][k:k + step] = near.sum(axis=1) ** (j - 1) / size
+            chosen[c][k:k + step] = (near * reach).sum(axis=1) / size
+        free.append(np.zeros(len(axes)))
+        if j == d:  # every coordinate is an axis
+            continue
+        top, bot = mids + r, mids - r  # over the grid in C order
+        for _ in range(j - 2):
+            top = np.minimum.outer(top, mids + r).reshape(-1)
+            bot = np.maximum.outer(bot, mids - r).reshape(-1)
+        rows = np.flatnonzero(axes != c)
+        step = max(1, _QUAD_ELEMENTS // size)
+        for k in range(0, len(rows), step):
+            y = centers[rows[k:k + step], c:c + 1]
+            piece = np.minimum(top, y + r)
+            piece -= np.maximum(bot, y - r)
+            free[c][rows[k:k + step]] = np.clip(
+                piece, 0.0, None, out=piece).mean(axis=1)
+    out = np.empty(len(axes))
+    for o in range(d):
+        rows = np.flatnonzero(axes == o)
+        terms = []
+        for picked in itertools.combinations(
+                [c for c in range(d) if c != o], j - 1):
+            factor = np.ones(len(rows))
+            for c in range(d):
+                means = own if c == o else chosen if c in picked else free
+                factor *= means[c][rows]
+            terms.append(scale * factor)
+        out[rows] = [math.fsum(t) for t in zip(*terms)]
+    return out
 
 
 def expected_increment(j: int, y: Facet, p: ModelParams,
@@ -335,28 +397,24 @@ def expected_increment(j: int, y: Facet, p: ModelParams,
 
     j = 1 is the facet content itself, exactly.  For canonical models
     with constant center intensity the integral factorizes over
-    coordinates and is done by midpoint tensor quadrature (error set by
-    the resolution, standard error reported as zero); otherwise, and on
-    request, plain Monte Carlo over reference patterns with batch-means
-    errors.
+    coordinates and is done by midpoint tensor quadrature, the batched
+    quadrature of asymptotic_covariance on one facet (error set by the
+    resolution, standard error reported as zero); otherwise, and on
+    request, plain Monte Carlo over n_samples reference patterns with
+    batch-means errors.  resolution must be an integer >= 1 and
+    n_samples an integer >= 2.
     """
     if not 1 <= j <= p.d:
         raise ValueError("order out of range")
-    if method not in ("auto", "quadrature", "mc"):
-        raise ValueError("unknown method")
+    _check_inputs(method, resolution, n_samples=n_samples)
     if j == 1:
         return facet_measure(y), 0.0
-    quad_ok = (p.orientation.kind == "canonical"
-               and p.center.table is None and p.size.is_fixed)
-    if method == "quadrature" and not quad_ok:
-        raise ValueError("quadrature needs a canonical model with "
-                         "constant center intensity and fixed size")
-    if method == "auto":
-        method = "quadrature" if quad_ok else "mc"
-    if method == "quadrature":
-        if int(y.orientation) < 0:
+    if _increment_method(p, method) == "quadrature":
+        if not y.is_canonical:
             raise ValueError("query facet must be axis aligned")
-        return _quad_increment(j, y, p, resolution), 0.0
+        value = _quad_increments(j, p, np.array([y.center]),
+                                 np.array([y.orientation]), resolution)
+        return float(value[0]), 0.0
     unit = dataclasses.replace(p, a=1.0)
     rng = make_rng(seed)
     vals = np.empty(n_samples)
@@ -364,6 +422,60 @@ def expected_increment(j: int, y: Facet, p: ModelParams,
         x = sample_poisson(unit, rng)
         vals[t] = g_increment(x, y, orders=(j,))[j - 1]
     return float(vals.mean()), batch_means_se(vals)
+
+
+def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
+                      method: str, resolution: int,
+                      mc_patterns: int) -> dict:
+    """asymptotic_covariance for every (i, j) in pairs, on one draw of
+    query facets: the rows of one (n_samples, d + 2) uniform block, each
+    mapped through the model's laws as in sample_poisson.
+
+    Order 1 is the facet content, and under quadrature each order above
+    it is one batched _quad_increments call, so every order is evaluated
+    once however many pairs use it.  Monte Carlo evaluates each pair per
+    facet, facet t with seeds seed + 7t (order i) and seed + 7t + 3
+    (order j).
+    """
+    d = p.d
+    if not all(1 <= i <= d and 1 <= j <= d for i, j in pairs):
+        raise ValueError("order out of range")
+    _check_inputs(method, resolution, n_samples=n_samples,
+                  mc_patterns=mc_patterns)
+    rng = make_rng(seed)
+    u = rng.random((n_samples, d + 2))
+    extents = p.size.sample_from_uniform(u[:, 1 + d])
+    inc = {1: np.array([(2.0 * r) ** (d - 1) for r in extents.tolist()])}
+    orders = sorted({k for pair in pairs for k in pair if k > 1})
+    if orders and _increment_method(p, method) == "quadrature":
+        centers = np.stack(p.center.sample_from_uniforms(u[:, 1:1 + d].T),
+                           axis=-1)
+        axes = p.orientation.sample_from_uniform(u[:, 0])
+        for k in orders:
+            inc[k] = _quad_increments(k, p, centers, axes, resolution)
+    t_mass = p.total_intensity
+    out = {}
+    for i, j in pairs:
+        if i in inc and j in inc:
+            prods = inc[i] * inc[j]
+        else:
+            prods = np.empty(n_samples)
+            for t in range(n_samples):
+                y = p.sample_facet_from_uniforms(u[t, 0], u[t, 1:1 + d],
+                                                 u[t, 1 + d])
+                vi, _ = expected_increment(i, y, p, method="mc",
+                                           n_samples=mc_patterns,
+                                           seed=seed + 7 * t)
+                if j == i:
+                    vj = vi
+                else:
+                    vj, _ = expected_increment(j, y, p, method="mc",
+                                               n_samples=mc_patterns,
+                                               seed=seed + 7 * t + 3)
+                prods[t] = vi * vj
+        out[(i, j)] = (t_mass * float(prods.mean()),
+                       t_mass * batch_means_se(prods))
+    return out
 
 
 def asymptotic_covariance(i: int, j: int, p: ModelParams,
@@ -374,31 +486,16 @@ def asymptotic_covariance(i: int, j: int, p: ModelParams,
     at large activity: the integral over the reference intensity of the
     product of expected increments of orders i and j.
 
-    Monte Carlo over the query facet; each increment is evaluated by
-    expected_increment with the given method.  Returns value and the
+    Monte Carlo over n_samples query facets, drawn as arrays from one
+    uniform block.  Each increment is expected_increment with the given
+    method: under quadrature each order is one batched evaluation over
+    all the facets, done once when i == j; Monte Carlo runs mc_patterns
+    reference patterns per facet.  n_samples and mc_patterns must be
+    integers >= 2 and resolution an integer >= 1.  Returns value and the
     standard error of the outer average.
     """
-    if not (1 <= i <= p.d and 1 <= j <= p.d):
-        raise ValueError("order out of range")
-    rng = make_rng(seed)
-    u = rng.random((n_samples, p.d + 2))
-    prods = np.empty(n_samples)
-    for t in range(n_samples):
-        y = p.sample_facet_from_uniforms(u[t, 0], u[t, 1:1 + p.d],
-                                         u[t, 1 + p.d])
-        vi, _ = expected_increment(i, y, p, method=method,
-                                   n_samples=mc_patterns, seed=seed + 7 * t,
-                                   resolution=resolution)
-        if j == i:
-            vj = vi
-        else:
-            vj, _ = expected_increment(j, y, p, method=method,
-                                       n_samples=mc_patterns,
-                                       seed=seed + 7 * t + 3,
-                                       resolution=resolution)
-        prods[t] = vi * vj
-    t_mass = p.total_intensity
-    return t_mass * float(prods.mean()), t_mass * batch_means_se(prods)
+    return _covariance_table(((i, j),), p, n_samples, seed, method,
+                             resolution, mc_patterns)[(i, j)]
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,7 @@ class _ChainState:
         self.facets: list[tuple] = []
         self.groups: dict = {}
         self.g: list[list[float]] = [[] for _ in range(p.d)]
-        center = p.center
-        self.center = center.sample_from_uniforms if center.table is None \
-            else lambda u: tuple(map(float, center.sample_from_uniforms(u)))
+        self.center = p.center.scalar_sampler()
 
     def _push(self, f: tuple) -> None:
         self.facets.append(f)

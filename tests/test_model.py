@@ -160,6 +160,38 @@ def test_center_intensity_table_statistics():
     assert abs(in_hot - 0.5) < 0.03
 
 
+def test_center_scalar_sampler_is_the_array_draw():
+    # A 3x3 table with zero cells, on two windows: side 3, where the cell
+    # masses are the levels and every cell edge of the selection uniform
+    # is a dyadic fraction of the total, and the unit square.
+    levels = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    below_one = math.nextafter(1.0, 0.0)
+    for side in (3.0, 1.0):
+        chi = CenterIntensity(Window.cube(side, 2), table=levels)
+        inner = [c for c in (np.cumsum(levels.reshape(-1))
+                             / levels.sum()).tolist() if 0.0 < c < 1.0]
+        edges = [0.0, below_one, 0.5, 1.0 / 3.0, 2.0 / 3.0, *inner,
+                 *(math.nextafter(c, 0.0) for c in inner)]
+        u = np.random.default_rng(12).random((20_000, 2))
+        u[:len(edges) ** 2] = [(a, b) for a in edges for b in edges]
+        # past the range of a uniform: the last cell (level 0, so the
+        # fallback fraction 0.5) and the clip of the other coordinate
+        u = np.vstack([u, [(1.0, 0.5), (1.0, 1.0), (0.3, -0.25),
+                           (0.7, 1.5)]])
+        sample = chi.scalar_sampler()
+        scalar = [sample(row) for row in u.tolist()]
+        batch = np.stack(chi.sample_from_uniforms(u.T), axis=-1).tolist()
+        one = [tuple(map(float, chi.sample_from_uniforms(row)))
+               for row in u[:2000].tolist()]
+        assert [tuple(map(float.hex, z)) for z in scalar] \
+            == [tuple(map(float.hex, z)) for z in batch]
+        assert scalar[:2000] == one
+        assert all(chi.in_support(z) for z in scalar[:20_000])
+    level = CenterIntensity(Window.cube(2.0, 3), level=0.5)
+    assert level.scalar_sampler()([0.25, 0.0, below_one]) \
+        == level.sample_from_uniforms([0.25, 0.0, below_one])
+
+
 def test_size_law():
     q = SizeLaw(((0.5, 0.25), (1.0, 0.75)))
     assert q.max_extent == 1.0

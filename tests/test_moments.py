@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from facetproc.geometry import Facet, facet_measure, intersection_measure
 from facetproc.model import ModelParams, OrientationLaw
 from facetproc.moments import (
     GroupedPartition,
+    _covariance_table,
+    _quad_increments,
     MomentSpec,
     asymptotic_covariance,
     centered_moment_leading,
@@ -21,7 +25,7 @@ from facetproc.moments import (
     scaling_limit_constants,
     unit_kernel,
 )
-from facetproc.sampler import ChainConfig, run_chain
+from facetproc.sampler import ChainConfig, make_rng, run_chain
 
 
 def brute_partitions(sizes):
@@ -271,6 +275,168 @@ def test_expected_increment_validation_and_fallback():
     val, se = expected_increment(2, y, hemi, method="auto", n_samples=300,
                                  seed=1)
     assert se > 0.0 and val > 0.0
+
+
+def test_increment_and_covariance_reject_bad_sizes():
+    p = ModelParams.special(2, (0.0, 0.0))
+    y = Facet((0.5, 0.5), 1.0, 0)
+    for bad in (0, -3, 2.5, 3.0, True, "8"):
+        with pytest.raises(ValueError, match="resolution"):
+            expected_increment(2, y, p, resolution=bad)
+        with pytest.raises(ValueError, match="resolution"):
+            asymptotic_covariance(2, 2, p, n_samples=8, resolution=bad)
+    for bad in (0, 1, 2.5, 4.0, True, None):
+        with pytest.raises(ValueError, match="n_samples"):
+            expected_increment(2, y, p, method="mc", n_samples=bad)
+        with pytest.raises(ValueError, match="n_samples"):
+            asymptotic_covariance(1, 2, p, n_samples=bad)
+        with pytest.raises(ValueError, match="mc_patterns"):
+            asymptotic_covariance(1, 2, p, n_samples=8, mc_patterns=bad)
+    # the smallest sizes allowed run
+    assert expected_increment(2, y, p, resolution=1)[1] == 0.0
+    assert asymptotic_covariance(1, 1, p, n_samples=np.int64(2),
+                                 mc_patterns=2)[0] == 4.0
+
+
+def _reference_quad_increment(j, y, p, resolution):
+    """The per-facet midpoint tensor quadrature the batched one replaced:
+    full meshgrids of every coordinate factor, flat means."""
+    d = p.d
+    r = p.size.max_extent
+    mass = p.total_intensity / d
+    mids = [lo + (hi - lo) * (np.arange(resolution) + 0.5) / resolution
+            for lo, hi in p.window.bounds]
+    others = [c for c in range(d) if c != int(y.orientation)]
+    y_c = np.asarray(y.center)
+    total = []
+    for axes in itertools.combinations(others, j - 1):
+        factor = 1.0
+        for c in range(d):
+            grids = list(np.meshgrid(*[mids[c]] * (j - 1), indexing="ij"))
+            y_here = np.full_like(grids[0], y_c[c])
+            if c == int(y.orientation):
+                fixed, free = y_here, grids
+            elif c in axes:
+                t = axes.index(c)
+                fixed = grids[t]
+                free = [g for s, g in enumerate(grids) if s != t] + [y_here]
+            else:
+                fixed, free = None, grids + [y_here]
+            if fixed is not None:
+                ok = np.ones_like(fixed, dtype=bool)
+                for g in free:
+                    ok &= np.abs(fixed - g) <= r
+                piece = ok.astype(float)
+            else:
+                top = np.minimum.reduce([g + r for g in free])
+                bot = np.maximum.reduce([g - r for g in free])
+                piece = np.clip(top - bot, 0.0, None)
+            factor *= float(piece.mean())
+        total.append(mass ** (j - 1) * factor)
+    return math.fsum(total)
+
+
+@pytest.mark.parametrize("d,b,chi", [(2, 1.0, 1.0), (3, 1.0, 1.0),
+                                     (4, 1.0, 1.0), (3, 2.0, 0.5),
+                                     (4, 2.0, 0.5)])
+def test_batched_quadrature_is_the_per_facet_one(d, b, chi):
+    # Every order and orientation, centers on the window's edges and
+    # middle, and resolutions whose grids reach past one numpy block.
+    p = ModelParams.special(d, (0.0,) * d, b=b, chi=chi)
+    rng = np.random.default_rng(d)
+    centers = rng.random((3 * d, d)) * b
+    centers[:3] = [[0.0] * d, [b] * d, [b / 2] * d]
+    axes = np.arange(3 * d) % d
+    for res in (1, 7, 40, 100 if d == 4 else 200):
+        for j in range(2, d + 1):
+            batch = _quad_increments(j, p, centers, axes, res)
+            for t in range(3 * d):
+                y = Facet(tuple(centers[t]), b, int(axes[t]))
+                ref = _reference_quad_increment(j, y, p, res)
+                one, se = expected_increment(j, y, p, method="quadrature",
+                                             resolution=res)
+                assert float(batch[t]).hex() == ref.hex() == one.hex()
+                assert se == 0.0
+
+
+# Midpoint rule on one cell of width h holding the kink of 2r - |z - y|:
+# the error is (h/2 - |delta|)^2 <= h^2/4, delta the kink's offset from
+# the cell's midpoint.  Averaged over the side b, with h = b / res, one
+# overlap factor is off by at most MIDPOINT_KINK * b / res^2.
+MIDPOINT_KINK = 0.25
+
+
+@pytest.mark.parametrize("d,b,chi", [(2, 1.0, 1.0), (3, 1.0, 1.0),
+                                     (4, 1.0, 1.0), (3, 2.0, 0.5),
+                                     (4, 2.0, 0.5)])
+def test_pair_increment_quadrature_matches_closed_form(d, b, chi):
+    # Order 2 under a constant intensity: each further facet normal to
+    # axis a != o contributes mass T/d times one factor per coordinate.
+    # On o and a the factor is |[y_c - r, y_c + r] cap [0, b]| / b, which
+    # is 1 here (half-extent r = b), and 1 on the grid too; every other
+    # coordinate gives the mean of (2r - |z - y_c|)_+ over [0, b],
+    # 2b - (y_c^2 + (b - y_c)^2) / (2b).
+    p = ModelParams.special(d, (0.0,) * d, b=b, chi=chi)
+    rng = np.random.default_rng(50)
+    centers = rng.random((50, d)) * b
+    axes = rng.integers(0, d, 50)
+    overlap = 2 * b - (centers ** 2 + (b - centers) ** 2) / (2 * b)
+    mass = p.total_intensity / d
+    exact = np.array([mass * math.fsum(
+        math.prod(overlap[t, c] for c in range(d) if c not in (o, a))
+        for a in range(d) if a != o) for t, o in enumerate(axes)])
+    for res in (50, 100, 200):
+        err = MIDPOINT_KINK * b / res ** 2
+        # d - 2 overlap factors, each at most 2b, each off by err
+        bound = mass * (d - 1) * ((2 * b + err) ** (d - 2)
+                                  - (2 * b) ** (d - 2))
+        got = _quad_increments(2, p, centers, axes, res)
+        worst = float(np.abs(got - exact).max())
+        assert worst <= bound + 1e-12 * float(exact.max())
+        if d > 2:  # the bound is not vacuous
+            assert worst > 0.1 * bound
+
+
+def test_quadrature_temporaries_stay_bounded():
+    # The (3, 3) call chunks about 600 rows of 100^2 overlap points per
+    # coordinate: 17 MiB at peak, 96 MiB unchunked.
+    p = ModelParams.special(4, (0.0,) * 4)
+    for i, j, n, res in ((2, 4, 400, 40), (3, 3, 800, 100)):
+        tracemalloc.start()
+        try:
+            asymptotic_covariance(i, j, p, n_samples=n, resolution=res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+
+def test_covariance_table_shares_one_draw():
+    # Every pair of the table is asymptotic_covariance of that pair: the
+    # quadrature evaluates each order once, Monte Carlo keeps its seeds.
+    p = ModelParams.special(3, (0.0, 0.0, 0.0))
+    pairs = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+    table = _covariance_table(pairs, p, n_samples=60, seed=3, method="auto",
+                              resolution=30, mc_patterns=2000)
+    assert list(table) == pairs
+    for i, j in pairs:
+        assert table[(i, j)] == asymptotic_covariance(
+            i, j, p, n_samples=60, seed=3, resolution=30)
+    mc = _covariance_table([(1, 2), (2, 2)], p, n_samples=3, seed=5,
+                           method="mc", resolution=1, mc_patterns=20)
+    u = make_rng(5).random((3, 5))
+    facets = [p.sample_facet_from_uniforms(row[0], row[1:4], row[4])
+              for row in u]
+    for (i, j), (val, se) in mc.items():
+        prods = np.array([
+            expected_increment(i, y, p, method="mc", n_samples=20,
+                               seed=5 + 7 * t)[0]
+            * expected_increment(j, y, p, method="mc", n_samples=20,
+                                 seed=5 + 7 * t + 3 * (j != i))[0]
+            for t, y in enumerate(facets)])
+        assert val == p.total_intensity * float(prods.mean())
+        assert val == asymptotic_covariance(i, j, p, n_samples=3, seed=5,
+                                            method="mc", mc_patterns=20)[0]
 
 
 def test_asymptotic_covariance_planar_exact():
