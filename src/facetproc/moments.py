@@ -407,6 +407,8 @@ def expected_increment(j: int, y: Facet, p: ModelParams,
     if not 1 <= j <= p.d:
         raise ValueError("order out of range")
     _check_inputs(method, resolution, n_samples=n_samples)
+    if y.d != p.d:
+        raise ValueError("query facet dimension differs from the model's")
     if j == 1:
         return facet_measure(y), 0.0
     if _increment_method(p, method) == "quadrature":

@@ -11,9 +11,9 @@ from facetproc.geometry import Facet, facet_measure, intersection_measure
 from facetproc.model import ModelParams, OrientationLaw
 from facetproc.moments import (
     GroupedPartition,
+    MomentSpec,
     _covariance_table,
     _quad_increments,
-    MomentSpec,
     asymptotic_covariance,
     centered_moment_leading,
     enumerate_partitions,
@@ -277,7 +277,7 @@ def test_expected_increment_validation_and_fallback():
     assert se > 0.0 and val > 0.0
 
 
-def test_increment_and_covariance_reject_bad_sizes():
+def test_increment_and_covariance_reject_bad_input():
     p = ModelParams.special(2, (0.0, 0.0))
     y = Facet((0.5, 0.5), 1.0, 0)
     for bad in (0, -3, 2.5, 3.0, True, "8"):
@@ -292,6 +292,15 @@ def test_increment_and_covariance_reject_bad_sizes():
             asymptotic_covariance(1, 2, p, n_samples=bad)
         with pytest.raises(ValueError, match="mc_patterns"):
             asymptotic_covariance(1, 2, p, n_samples=8, mc_patterns=bad)
+    for axis in (0, 2):
+        with pytest.raises(ValueError, match="dimension"):
+            expected_increment(2, Facet((0.5, 0.5, 0.5), 1.0, axis), p)
+    # 200^7 grid points: counts past 2^53 would not be exact
+    p8 = ModelParams.special(8, (0.0,) * 8)
+    with pytest.raises(ValueError, match="2 \\*\\* 53"):
+        expected_increment(8, Facet((0.5,) * 8, 1.0, 0), p8)
+    assert expected_increment(8, Facet((0.5,) * 8, 1.0, 0), p8,
+                              resolution=2)[0] > 0.0
     # the smallest sizes allowed run
     assert expected_increment(2, y, p, resolution=1)[1] == 0.0
     assert asymptotic_covariance(1, 1, p, n_samples=np.int64(2),
