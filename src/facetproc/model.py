@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Facet, Window, facet_measure
-from .ustat import FacetPattern, g_increment, g_vector
+from .ustat import FacetPattern, _subset_terms, g_vector
 
 
 @dataclass(frozen=True)
@@ -313,22 +313,28 @@ def log_density_unnorm(x: FacetPattern, p: ModelParams) -> float:
 
 
 def log_conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelParams) -> float:
-    """log of exp(nu . (G(x + ys) - G(x))), via telescoping increments.
-
-    Per-order terms are combined with fsum, so for a single new facet the
-    value is exactly monotone in each increment (the repulsiveness and
-    stability contracts compare these values in the log domain).
-    """
+    """log of exp(nu . (G(x + ys) - G(x))), via telescoping increments:
+    each y takes ustat._subset_terms of every active order on one copy of
+    x's groups, then joins them; no pattern is built.  Dimensions other
+    than the model's are refused.  Terms are combined with fsum, so for a
+    single new facet the value is exactly monotone in each increment (the
+    repulsiveness and stability contracts compare these values in the log
+    domain)."""
+    if x.d != p.d or any(y.d != p.d for y in ys):
+        raise ValueError("pattern or facet dimension differs from the model's")
     orders = p.active_orders
     if not orders:
         return 0.0
+    groups = {key: list(fs) for key, fs in x.groups.items()}
     parts: list[float] = []
-    cur = x
-    for i, y in enumerate(ys):
-        if i:
-            cur = cur.with_facet(ys[i - 1])
-        inc = g_increment(cur, y, orders=orders)
-        parts.extend(p.nu[j - 1] * inc[j - 1] for j in orders)
+    for y in ys:
+        f = (y.center, y.half_extent, y.orientation)
+        group = groups.setdefault(f[2], [])
+        if f in group:
+            raise ValueError("facet already present")
+        parts.extend(p.nu[j - 1] * math.fsum(_subset_terms(groups, j - 1, f))
+                     for j in orders)
+        group.append(f)
     return math.fsum(parts)
 
 

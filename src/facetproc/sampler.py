@@ -15,13 +15,14 @@ as (center, half-extent, orientation) triples, the same triples grouped by
 orientation class (keyed by axis index or by normal, as FacetPattern.groups
 keys them) and a running G.  Two rules act on it, in plain Python:
 
-- _GeneralRule serves every model.  The increment of order j is the fsum
-  of the intersection contents (geometry.tuple_content) of the facet with
-  j-1 facets of other orientation classes, and log lambda* the fsum of
-  nu_j times these, as model.log_conditional_intensity takes it.  Under
-  the hemisphere law (d = 2) each content is the 0-or-1 crossing of two
-  segments.  The orders with nu_j = 0 are computed only for accepted
-  moves, for G.
+- _GeneralRule serves every model.  Its order-j increment is the fsum of
+  ustat._subset_terms on the state's groups, as in g_increment and
+  model.log_conditional_intensity: the contents (geometry.tuple_content)
+  of the facet with j-1 facets of other orientation classes.  log lambda*
+  is the fsum of nu_j times these.  Under the hemisphere law (d = 2) each
+  content is the 0-or-1 crossing of two segments.  The orders with
+  nu_j = 0 are computed only for accepted moves, for G, which bdmh_step
+  does not start: it retains no state.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
   G_1 and G_d.  In d = 3 each pair of facets meets in the overlap of one
@@ -42,13 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 import numpy as np
 
-from .geometry import Facet, tuple_content
+from .geometry import Facet
 from .model import ModelParams, log_conditional_intensity
-from .ustat import FacetPattern
+from .ustat import FacetPattern, _subset_terms
 
 _BLOCK = 1 << 15
 _MAX_TRACE = 5_000_000  # retained states per chain
@@ -285,11 +285,12 @@ class _ChainState:
 
 
 class _GeneralRule(_ChainState):
-    """Increments of any model: for order j, the fsum of the contents of
-    the j-subsets holding the facet and j-1 facets of other orientation
-    classes, each by geometry.tuple_content.  log lambda* is the fsum of
-    nu_j times these, as model.log_conditional_intensity takes it.  birth
-    gives -inf for a facet already present."""
+    """Increments of any model: for order j, the fsum of
+    ustat._subset_terms of the facet and j-1 other orientation classes of
+    the state's groups.  log lambda* is the fsum of nu_j times these, as
+    model.log_conditional_intensity takes it.  The constructor only
+    places the facets of x; seed_g starts the running G at G(x), which
+    only run_chain reads.  birth gives -inf for a facet already present."""
 
     engine = "pattern"
 
@@ -305,21 +306,15 @@ class _GeneralRule(_ChainState):
         self._f = None  # the proposed facet
         self._terms: list[list[float]] = []  # its active orders' terms
         for f in x.facets:
-            f = (f.center, f.half_extent, f.orientation)
-            self._log_lambda(f)  # for its terms
-            self._update(f, 1.0)
-            self._push(f)
+            self._push((f.center, f.half_extent, f.orientation))
 
-    def terms(self, f: tuple, j: int) -> list[float]:
-        if j == 1:
-            return [(2.0 * f[1]) ** (self.d - 1)]
-        others = [fs for key, fs in self.groups.items() if key != f[2]]
-        return [tuple_content((f, *rest))
-                for group in combinations(others, j - 1)
-                for rest in product(*group)]
+    def seed_g(self) -> None:
+        # every subset term of the placed facets, each once
+        for j in range(1, self.d + 1):
+            _add_terms(self.g[j - 1], _subset_terms(self.groups, j), 1.0)
 
     def _log_lambda(self, f: tuple) -> float:
-        self._terms = [self.terms(f, j) for j in self.orders]
+        self._terms = [_subset_terms(self.groups, j - 1, f) for j in self.orders]
         return math.fsum([nu * math.fsum(t)
                           for nu, t in zip(self.nu, self._terms)])
 
@@ -328,7 +323,7 @@ class _GeneralRule(_ChainState):
         for j, t in zip(self.orders, self._terms):
             _add_terms(self.g[j - 1], t, sign)
         for j in self.rest:
-            _add_terms(self.g[j - 1], self.terms(f, j), sign)
+            _add_terms(self.g[j - 1], _subset_terms(self.groups, j - 1, f), sign)
 
     def birth(self, row) -> float:
         d = self.d
@@ -520,7 +515,11 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
         _check_initial(p, cfg.initial)
     rng = make_rng(cfg.seed, cfg.chain_index)
     initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
-    rule = (_CountsRule if counts else _GeneralRule)(p, initial)
+    if counts:
+        rule = _CountsRule(p, initial)
+    else:
+        rule = _GeneralRule(p, initial)
+        rule.seed_g()
     n_keep = (cfg.n_steps - burn) // thin
     diag = ChainDiagnostics(
         d=p.d, engine=rule.engine, burn_in=burn, thin=thin,

@@ -3,9 +3,17 @@
 G_j(x) sums the (d-j)-dimensional intersection content over unordered
 j-subsets of x.  Only subsets with pairwise distinct orientation classes can
 contribute, so enumeration is grouped by orientation: choose j classes, then
-one facet per class.  One-point increments enumerate only the subsets that
-contain the new facet; model.log_conditional_intensity takes them (the
-chains take theirs in sampler, in plain Python).
+one facet per class.
+
+_subset_terms is the one enumeration of increment terms: the contents, by
+geometry.tuple_content in plain Python, of the subsets holding a head facet
+and one facet from each of j-1 other classes.  g_increment sums them per
+order, model.log_conditional_intensity weights them by nu, and the chains
+in sampler take theirs on their own groups (private: it runs on every chain
+step, and perfbench's tracer wraps the public functions).  Whole canonical
+patterns stay on geometry.canonical_content: g_vector scores all subsets of
+an order in one call, faster than the Python sum at a few dozen facets, and
+the moment integrals use the same kernel.  The kernels agree bit for bit.
 
 All reductions go through math.fsum (correctly rounded), so sums are
 order-independent and preserve the termwise ordering needed by the exact
@@ -21,20 +29,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (Facet, canonical_content, facet_measure,
-                       intersection_measure)
+from .geometry import Facet, canonical_content, facet_measure, tuple_content
 
 
 @dataclass(frozen=True)
 class FacetPattern:
-    """Immutable simple facet pattern with cached orientation grouping."""
+    """Immutable simple facet pattern: its facets, the dimension d and the
+    facets as (center, half_extent, orientation) triples grouped by
+    orientation class, keyed by axis index or by normal."""
 
     facets: tuple[Facet, ...]
     d: int
     groups: dict = field(init=False, repr=False, compare=False)
-    centers: np.ndarray | None = field(init=False, repr=False, compare=False)
-    extents: np.ndarray | None = field(init=False, repr=False, compare=False)
-    axes: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         facets = tuple(self.facets)
@@ -45,18 +51,11 @@ class FacetPattern:
             if f.d != self.d:
                 raise ValueError("facet dimension does not match pattern dimension")
         groups: dict = {}
-        for i, f in enumerate(facets):
-            groups.setdefault(f.orientation_key(), []).append(i)
+        for f in facets:
+            groups.setdefault(f.orientation_key(), []).append(
+                (f.center, f.half_extent, f.orientation))
         object.__setattr__(self, "groups",
-                           {k: np.asarray(v, dtype=np.intp) for k, v in groups.items()})
-        if facets and all(f.is_canonical for f in facets):
-            object.__setattr__(self, "centers", np.array([f.center for f in facets]))
-            object.__setattr__(self, "extents", np.array([f.half_extent for f in facets]))
-            object.__setattr__(self, "axes", np.array([f.orientation for f in facets]))
-        else:
-            object.__setattr__(self, "centers", None)
-            object.__setattr__(self, "extents", None)
-            object.__setattr__(self, "axes", None)
+                           {k: tuple(v) for k, v in groups.items()})
 
     @classmethod
     def of(cls, facets, d: int | None = None) -> "FacetPattern":
@@ -73,15 +72,15 @@ class FacetPattern:
 
     @property
     def is_canonical(self) -> bool:
-        return self.centers is not None or not self.facets
+        return all(f.is_canonical for f in self.facets)
 
     def orientation_counts(self) -> np.ndarray:
         """Facet count per canonical axis (canonical patterns only)."""
         if not self.is_canonical:
             raise ValueError("orientation counts are defined for canonical patterns")
         counts = np.zeros(self.d, dtype=np.intp)
-        for key, idx in self.groups.items():
-            counts[key] = len(idx)
+        for key, fs in self.groups.items():
+            counts[key] = len(fs)
         return counts
 
     def with_facet(self, u: Facet) -> "FacetPattern":
@@ -93,48 +92,54 @@ class FacetPattern:
         return FacetPattern(self.facets[:i] + self.facets[i + 1:], self.d)
 
 
-def _subset_rows(index_groups: Sequence[np.ndarray]) -> np.ndarray:
-    """Cartesian product of index groups as an (K, j) row array."""
-    mesh = np.meshgrid(*index_groups, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(index_groups))
-
-
-def _content_sum(x: FacetPattern, arrays, keys, m: int,
-                 u: Facet | None = None) -> float:
-    """fsum of the intersection contents of the subsets taking one facet
-    from each of m of the given orientation classes of x, and u if given.
-    arrays holds the canonical centers, extents and axes of x (then u),
-    or is None for patterns with non-canonical facets."""
-    tail, extra = ([], []) if u is None else ([np.array([x.n])], [u])
-    terms: list[float] = []
-    for combo in itertools.combinations(keys, m):
-        groups = [x.groups[k] for k in combo]
-        if arrays is not None:
-            rows = _subset_rows(groups + tail)
-            terms.extend(canonical_content(*(a[rows] for a in arrays)).tolist())
-        else:
-            terms.extend(intersection_measure([x.facets[i] for i in members]
-                                              + extra)
-                         for members in itertools.product(*groups))
-    return math.fsum(terms)
+def _subset_terms(groups: dict, m: int, head: tuple | None = None) -> list[float]:
+    """Intersection contents of the subsets that take one triple from each
+    of m orientation classes of groups (lists of (center, half_extent,
+    orientation) triples by class) and the triple head if given, whose own
+    class is then skipped.  With m = j - 1 these are the order-j increment
+    terms of adding head to the groups' pattern."""
+    if head is None:
+        return [tuple_content(rest)
+                for combo in itertools.combinations(groups.values(), m)
+                for rest in itertools.product(*combo)]
+    if not m:  # head alone, as tuple_content takes it: the chains' G_1 term
+        return [(2.0 * head[1]) ** (len(head[0]) - 1)]
+    others = [fs for key, fs in groups.items() if key != head[2]]
+    return [tuple_content((head, *rest))
+            for combo in itertools.combinations(others, m)
+            for rest in itertools.product(*combo)]
 
 
 def g_vector(x: FacetPattern) -> np.ndarray:
-    """The vector (G_1, ..., G_d) of interaction U-statistics."""
+    """The vector (G_1, ..., G_d) of interaction U-statistics: per order,
+    one canonical_content call over the pattern's arrays for a canonical
+    pattern, the fsum of _subset_terms otherwise."""
     g = np.zeros(x.d)
-    keys = list(x.groups)
     if x.facets:
         g[0] = math.fsum(facet_measure(f) for f in x.facets)
-    arrays = (x.centers, x.extents, x.axes) if x.is_canonical else None
-    for j in range(2, min(x.d, len(keys)) + 1):
-        g[j - 1] = _content_sum(x, arrays, keys, j)
+    classes = list(x.groups.values())
+    canonical = x.is_canonical
+    if canonical and len(classes) > 1:
+        triples = [f for fs in classes for f in fs]
+        arrays = [np.array([f[i] for f in triples]) for i in range(3)]
+        stops = itertools.accumulate(len(fs) for fs in classes)
+        index = [np.arange(stop - len(fs), stop) for fs, stop in zip(classes, stops)]
+    for j in range(2, min(x.d, len(classes)) + 1):
+        if not canonical:
+            g[j - 1] = math.fsum(_subset_terms(x.groups, j))
+            continue
+        terms: list[float] = []
+        for combo in itertools.combinations(index, j):
+            rows = np.stack(np.meshgrid(*combo, indexing="ij"), axis=-1).reshape(-1, j)
+            terms.extend(canonical_content(*(a[rows] for a in arrays)).tolist())
+        g[j - 1] = math.fsum(terms)
     return g
 
 
 def g_increment(x: FacetPattern, u: Facet, orders: Sequence[int] | None = None) -> np.ndarray:
     """Per-order difference g_vector(x + u) - g_vector(x).
 
-    Enumerates only subsets containing u: cost O(n^(j-1)) per order j.
+    The fsum of _subset_terms with head u: cost O(n^(j-1)) per order j.
     Entries for orders not requested are NaN.
     """
     if u in x.facets:
@@ -144,22 +149,11 @@ def g_increment(x: FacetPattern, u: Facet, orders: Sequence[int] | None = None) 
     d = x.d
     wanted = range(1, d + 1) if orders is None else sorted(set(orders))
     out = np.full(d, np.nan)
-    arrays = None
-    if x.is_canonical and u.is_canonical and x.n:
-        arrays = (np.vstack([x.centers, [u.center]]),
-                  np.append(x.extents, u.half_extent),
-                  np.append(x.axes, u.orientation))
-    u_key = u.orientation_key()
-    other_keys = [k for k in x.groups if k != u_key]
+    head = (u.center, u.half_extent, u.orientation)
     for j in wanted:
         if not 1 <= j <= d:
             raise ValueError(f"order {j} outside 1..{d}")
-        if j == 1:
-            out[0] = facet_measure(u)
-        elif j - 1 > len(other_keys):
-            out[j - 1] = 0.0
-        else:
-            out[j - 1] = _content_sum(x, arrays, other_keys, j - 1, u)
+        out[j - 1] = math.fsum(_subset_terms(x.groups, j - 1, head))
     return out
 
 

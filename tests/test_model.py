@@ -15,7 +15,7 @@ from facetproc.model import (
     log_density_unnorm,
     validate_params,
 )
-from facetproc.ustat import FacetPattern
+from facetproc.ustat import FacetPattern, g_vector
 
 
 def random_pattern(rng, p, n):
@@ -87,6 +87,23 @@ def test_conditional_intensity_telescopes_order_free():
         seq += log_conditional_intensity([y], cur, p)
         cur = cur.with_facet(y)
     assert fwd == pytest.approx(seq, rel=1e-12, abs=1e-12)
+
+
+def test_conditional_intensity_builds_no_pattern(monkeypatch):
+    rng = np.random.default_rng(12)
+    p = ModelParams.special(3, (0.3, -0.5, -1.0), a=2.0)
+    x = random_pattern(rng, p, 5)
+    ys = [f for f in random_pattern(rng, p, 3).facets if f not in x.facets]
+    assert len(ys) == 3
+    grown = FacetPattern.of(x.facets + tuple(ys), 3)
+    whole = math.fsum(p.nu * (g_vector(grown) - g_vector(x)))
+    built = []
+    init = FacetPattern.__post_init__
+    monkeypatch.setattr(FacetPattern, "__post_init__",
+                        lambda self: built.append(1) or init(self))
+    value = log_conditional_intensity(ys, x, p)
+    assert not built
+    assert value == pytest.approx(whole, rel=1e-12, abs=1e-12)
 
 
 def test_first_order_submodel_ignores_pattern():

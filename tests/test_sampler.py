@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from facetproc.correlation import _count_grid
-from facetproc.geometry import Facet, Window
+from facetproc.geometry import (Facet, Window, canonical_content,
+                                facet_measure, intersection_measure)
 from facetproc.model import (
     CenterIntensity,
     ModelParams,
@@ -221,27 +223,67 @@ def test_running_g_equals_g_vector(name):
     assert np.array_equal(diag.trace_g, expected)
 
 
+def _array_increment(x, u, j):
+    """Reference order-j increment of G from adding u to x, independent of
+    ustat._subset_terms: the subsets of x's facet indices, one index from
+    each of j-1 orientation classes other than u's, with u's index last.
+    Canonical tuples go as rows of index arrays through
+    canonical_content, the others through intersection_measure."""
+    if j == 1:
+        return facet_measure(u)
+    index: dict = {}
+    for i, f in enumerate(x.facets):
+        if f.orientation_key() != u.orientation_key():
+            index.setdefault(f.orientation_key(), []).append(i)
+    facets = x.facets + (u,)
+    canonical = all(f.is_canonical for f in facets)
+    if canonical:
+        arrays = (np.array([f.center for f in facets]),
+                  np.array([f.half_extent for f in facets]),
+                  np.array([f.orientation for f in facets]))
+    terms = []
+    for combo in itertools.combinations(index.values(), j - 1):
+        if canonical:
+            mesh = np.meshgrid(*combo, [x.n], indexing="ij")
+            rows = np.stack(mesh, axis=-1).reshape(-1, j)
+            terms.extend(canonical_content(*(a[rows] for a in arrays)).tolist())
+        else:
+            terms.extend(intersection_measure([x.facets[i] for i in members]
+                                              + [u])
+                         for members in itertools.product(*combo))
+    return math.fsum(terms)
+
+
+def _reference_log_ratio(p, x, u):
+    """The birth log-ratio log lambda*(u; x) + log(aT) - log(n+1), with
+    log lambda* the fsum of nu_j times _array_increment."""
+    log_lam = math.fsum([p.nu[j - 1] * _array_increment(x, u, j)
+                         for j in p.active_orders])
+    return log_lam + math.log(p.a * p.total_intensity) - math.log(x.n + 1)
+
+
 def _pattern_step(p, x, row):
     """One birth-death MH step on an immutable FacetPattern, from the
-    public log-ratios (numpy g_increment) and the model's facet draw."""
+    reference log-ratios and the model's facet draw."""
     d = p.d
     log_u = math.log(row[d + 3])
     if row[0] < 0.5:
         u = p.sample_facet_from_uniforms(row[1], row[2:2 + d], row[2 + d])
-        accepted = u not in x.facets and log_u < birth_log_ratio(p, x, u)
+        accepted = u not in x.facets and log_u < _reference_log_ratio(p, x, u)
         return (x.with_facet(u) if accepted else x), accepted, "B"
     if not x.n:
         return x, False, "D"
     i = min(int(row[1] * x.n), x.n - 1)
-    accepted = log_u < death_log_ratio(p, x, i)
-    return (x.without_index(i) if accepted else x), accepted, "D"
+    reduced = x.without_index(i)
+    accepted = log_u < -_reference_log_ratio(p, reduced, x.facets[i])
+    return (reduced if accepted else x), accepted, "D"
 
 
 @pytest.mark.parametrize("name", ["d3-nu2", "two-atom", "table", "d3-counts",
                                   "hemisphere"])
 def test_canonical_state_matches_pattern_steps(name):
-    # run_chain moves the chain state in place by scalar increments; the
-    # reference steps an immutable FacetPattern by numpy increments.  On
+    # run_chain moves the chain state in place by ustat._subset_terms; the
+    # reference steps an immutable FacetPattern by _array_increment.  On
     # the same uniforms they take the same moves to the same patterns.
     p, _ = _CHAIN_CLASSES[name]
     initial = sample_poisson(p, make_rng(4))

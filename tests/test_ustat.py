@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from facetproc.geometry import Facet, facet_measure, intersection_measure
 from facetproc.model import OrientationLaw
 from facetproc.ustat import FacetPattern, g_increment, g_vector, u_statistic
+from test_sampler import _array_increment
 
 
 def brute_g_vector(pattern):
@@ -99,10 +100,12 @@ def test_increment_definition_sweep():
 def patterns_and_new_facet(draw):
     """A pattern x and a facet u not in it: canonical facets in d=2..4 with
     centers and extents on a quarter grid, so contents tie at closed
-    boundaries, or d=2 segments with normals at multiples of pi/8."""
+    boundaries, or d=2 segments with normals at multiples of pi/8, alone
+    (hemisphere) or mixed with canonical ones."""
     quarters = st.integers(0, 8).map(lambda q: q / 4.0)
     extents = st.integers(1, 4).map(lambda q: q / 4.0)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("canonical", "hemisphere", "mixed")))
+    if kind == "canonical":
         d = draw(st.integers(2, 4))
         orientations = st.integers(0, d - 1)
     else:
@@ -110,6 +113,8 @@ def patterns_and_new_facet(draw):
         hemisphere = OrientationLaw(2, "hemisphere")
         orientations = st.integers(0, 7).map(
             lambda k: hemisphere.sample_from_uniform(k / 8))
+        if kind == "mixed":
+            orientations = st.one_of(orientations, st.integers(0, 1))
     facet = st.builds(lambda c, r, o: Facet(tuple(c), r, o),
                       st.lists(quarters, min_size=d, max_size=d), extents,
                       orientations)
@@ -164,17 +169,16 @@ def test_increment_rejects_duplicate():
         FacetPattern.of([f, f])
 
 
-def test_increment_generic_path_matches_array_path():
-    # mixed-orientation d=2 pattern forces the generic path; compare against
-    # an all-canonical twin evaluated both ways
-    rng = np.random.default_rng(99)
-    x = random_canonical_pattern(rng, 2, 5)
-    u = Facet((0.4, 0.6), 0.9, 1)
-    inc_fast = g_increment(x, u)
-    slow_terms = [
-        intersection_measure([f, u]) for f in x.facets
-    ]
-    assert inc_fast[1] == math.fsum(slow_terms)
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(patterns_and_new_facet())
+def test_increment_is_the_array_reference(case):
+    # g_increment sums ustat._subset_terms in plain Python; the reference
+    # takes canonical tuples as index rows through canonical_content and
+    # the others through intersection_measure.  Same terms, same fsum.
+    x, u = case
+    expected = [_array_increment(x, u, j).hex() for j in range(1, x.d + 1)]
+    assert [v.hex() for v in g_increment(x, u).tolist()] == expected
 
 
 def test_u_statistic():

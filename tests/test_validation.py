@@ -5,14 +5,22 @@ import math
 
 import pytest
 
-from facetproc.geometry import Window
+from facetproc.correlation import rho_mcmc
+from facetproc.geometry import Facet, Window
 from facetproc.harness import build_experiment_config, config_model, \
     poisson_mean_interaction
 from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
-                             SizeLaw)
+                             SizeLaw, log_conditional_intensity)
+from facetproc.sampler import birth_log_ratio
+from facetproc.ustat import FacetPattern
 
 NAN, INF = math.nan, math.inf
 WINDOW = Window.cube(1.0, 2)
+PAIR = ModelParams.special(2, (0.0, -1.0), a=2.0)
+# a 3-d pattern and facet: under the d=2 model they read as a G_2 increment
+CUBE_PATTERN = FacetPattern.of([Facet((0.5, 0.5, 0.5), 1.0, 0),
+                                Facet((0.2, 0.4, 0.6), 1.0, 1)], 3)
+CUBE_FACET = Facet((0.3, 0.3, 0.3), 1.0, 2)
 
 
 def _canonical(d: int, a: float, half_extent: float, side: float
@@ -59,6 +67,16 @@ BAD_INPUT = {
         _canonical(2, 4.0, 0.25, 1.0), 2),
     "mean-interaction-window": lambda: poisson_mean_interaction(
         _canonical(3, 16.0, 1.0, 0.5), 2),
+    # these gave -3.7, -4.105 and (0.0247, inf) instead of refusing
+    "intensity-pattern-dimension": lambda: log_conditional_intensity(
+        [CUBE_FACET], CUBE_PATTERN, PAIR),
+    "birth-pattern-dimension": lambda: birth_log_ratio(
+        PAIR, CUBE_PATTERN, CUBE_FACET),
+    "rho-mcmc-pattern-dimension": lambda: rho_mcmc(
+        [CUBE_FACET], [CUBE_PATTERN], PAIR),
+    # no active order: this gave 0.0
+    "intensity-facet-dimension": lambda: log_conditional_intensity(
+        [CUBE_FACET], FacetPattern.of([], 2), _canonical(2, 1.0, 1.0, 1.0)),
 }
 
 
