@@ -31,9 +31,8 @@ from .correlation import (rho_bounds, rho_limit, rho_limit_from_counts,
 from .model import ModelParams
 from .moments import _covariance_table, i_k_integrals, \
     scaling_limit_constants
-from .sampler import ChainConfig, batch_means_se, make_rng, run_chain, \
-    sample_poisson, trace_table
-from .ustat import g_vector
+from .sampler import ChainConfig, _poisson_g_vectors, batch_means_se, \
+    make_rng, run_chain, trace_table
 
 POISSON_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 CHAIN_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -386,7 +385,10 @@ E1_HEADER = ("a", "i", "j", "c_emp", "c_emp_se", "c_theory", "c_theory_se",
 def experiment_e1_poisson_clt(cfg: ExperimentConfig) -> list[tuple]:
     """Standardized interaction vector under the reference process:
     empirical covariances against the asymptotic constants, with
-    per-component skewness and excess kurtosis along the grid."""
+    per-component skewness and excess kurtosis along the grid.  Each
+    replicate draws one reference pattern from its own stream, and the
+    G vectors of a grid point's replicates are scored as one batch
+    (sampler._poisson_g_vectors)."""
     p = cfg.params
     if any(v != 0.0 for v in p.nu):
         raise ValueError("Poisson diagnostics need all couplings zero")
@@ -394,9 +396,12 @@ def experiment_e1_poisson_clt(cfg: ExperimentConfig) -> list[tuple]:
     reps = cfg.replicates
     means = {a: [poisson_mean_interaction(dataclasses.replace(p, a=a), j)
                  for j in range(1, d + 1)] for a in cfg.a_grid}
-    blocks = _replicated(
-        lambda ai, stream: g_vector(sample_poisson(
-            cfg.point(ai)[0], make_rng(cfg.seed, stream))), cfg)
+    streams = _streams(cfg)
+    blocks = [_poisson_g_vectors(cfg.point(ai)[0],
+                                 [make_rng(cfg.seed, stream)
+                                  for a_idx, _, stream in streams
+                                  if a_idx == ai])
+              for ai in range(len(cfg.a_grid))]
     theory = _covariances(p, cfg.seed)
     rows = []
     for a, block in zip(cfg.a_grid, blocks):

@@ -274,8 +274,35 @@ class ModelParams:
                      self.size.sample_from_uniform(u_size),
                      self.orientation.sample_from_uniform(u_aux))
 
+    def sample_facets_from_uniforms(self, u: np.ndarray) -> tuple:
+        """sample_facet_from_uniforms on every row of u (..., d + 2), one
+        facet per row of uniforms (aux, d center coordinates, size), by
+        the laws' array samplers: centers (..., d), half-extents (...)
+        and orientations, the axes (...) of the canonical law or, for the
+        hemisphere law and u (n, d + 2), a list of n normals drawn one by
+        one in plain Python (numpy's trig may round otherwise)."""
+        d = self.d
+        centers = np.stack(self.center.sample_from_uniforms(
+            np.moveaxis(u[..., 1:1 + d], -1, 0)), axis=-1)
+        extents = self.size.sample_from_uniform(u[..., 1 + d])
+        if self.orientation.is_canonical:
+            orientations = self.orientation.sample_from_uniform(u[..., 0])
+        else:
+            orientations = [self.orientation.sample_from_uniform(v)
+                            for v in u[:, 0].tolist()]
+        return centers, extents, orientations
+
     def empty_pattern(self) -> FacetPattern:
         return FacetPattern.of([], d=self.d)
+
+
+def _facet_list(centers: np.ndarray, extents: np.ndarray,
+                orientations) -> list[Facet]:
+    """Validated Facets, from Python floats, of the arrays that
+    ModelParams.sample_facets_from_uniforms maps one block of rows to."""
+    if isinstance(orientations, np.ndarray):
+        orientations = orientations.tolist()
+    return list(map(Facet, centers.tolist(), extents.tolist(), orientations))
 
 
 def validate_params(p: ModelParams) -> None:
@@ -316,15 +343,14 @@ def log_conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelPara
     """log of exp(nu . (G(x + ys) - G(x))), via telescoping increments:
     each y takes ustat._subset_terms of every active order on one copy of
     x's groups, then joins them; no pattern is built.  Dimensions other
-    than the model's are refused.  Terms are combined with fsum, so for a
-    single new facet the value is exactly monotone in each increment (the
-    repulsiveness and stability contracts compare these values in the log
-    domain)."""
+    than the model's are refused, and so is a facet already in x or
+    among the ys before it, with or without an active order.  Terms are
+    combined with fsum, so for a single new facet the value is exactly
+    monotone in each increment (the repulsiveness and stability contracts
+    compare these values in the log domain)."""
     if x.d != p.d or any(y.d != p.d for y in ys):
         raise ValueError("pattern or facet dimension differs from the model's")
     orders = p.active_orders
-    if not orders:
-        return 0.0
     groups = {key: list(fs) for key, fs in x.groups.items()}
     parts: list[float] = []
     for y in ys:

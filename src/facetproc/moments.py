@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import Facet, canonical_content, facet_measure
-from .model import ModelParams
-from .sampler import batch_means_se, make_rng, sample_poisson
-from .ustat import g_increment
+from .model import ModelParams, _facet_list
+from .sampler import _poisson_arrays, batch_means_se, make_rng, sample_poisson
+from .ustat import _CHUNK_ELEMENTS, _subset_sums, g_increment
 
 __all__ = [
     "GroupedPartition",
@@ -193,11 +193,8 @@ def _weighted_integral(factors, provider, p: ModelParams, rng, count: int,
     facets, of the product of each factor's kernel at the facets its
     slots pick, times the provider at all count facets.  Each facet's
     d + 2 uniforms go through the model's laws as in sample_poisson."""
-    u = rng.random((n, count, p.d + 2))
-    centers = np.stack(p.center.sample_from_uniforms(
-        np.moveaxis(u[..., 1:1 + p.d], -1, 0)), axis=-1)
-    extents = p.size.sample_from_uniform(u[..., 1 + p.d])
-    axes = p.orientation.sample_from_uniform(u[..., 0])
+    centers, extents, axes = p.sample_facets_from_uniforms(
+        rng.random((n, count, p.d + 2)))
     vals = np.ones(n)
     for kernel, slots in factors:
         vals = vals * kernel(centers[:, slots], extents[:, slots],
@@ -294,11 +291,6 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
 # expected increment of one extra facet and asymptotic covariances
 
 
-# Row chunks of the batched quadrature hold at most this many grid points,
-# so each of its temporaries stays near 8 MiB whatever the resolution.
-_QUAD_ELEMENTS = 1 << 20
-
-
 def _check_inputs(method: str, resolution, **counts) -> None:
     """Refuse an unknown method, a resolution that is not an integer
     >= 1 and sample counts that are not integers >= 2."""
@@ -337,7 +329,7 @@ def _quad_increments(j: int, p: ModelParams, centers: np.ndarray,
     otherwise.  The indicator means are exact counts over the grid, so
     they come from one-dimensional counts; the overlap means are
     row-wise means of (rows, res^(j-1)) arrays.  Rows go in chunks of
-    at most _QUAD_ELEMENTS grid points.  Factors multiply in coordinate
+    at most _CHUNK_ELEMENTS grid points.  Factors multiply in coordinate
     order and the choices add up by fsum.
     """
     d = p.d
@@ -352,7 +344,7 @@ def _quad_increments(j: int, p: ModelParams, centers: np.ndarray,
         reach = (np.abs(mids[:, None] - mids) <= r).sum(axis=1) ** (j - 2)
         own.append(np.empty(len(axes)))
         chosen.append(np.empty(len(axes)))
-        step = max(1, _QUAD_ELEMENTS // resolution)
+        step = max(1, _CHUNK_ELEMENTS // resolution)
         for k in range(0, len(axes), step):
             near = (np.abs(mids - centers[k:k + step, c:c + 1]) <= r) \
                 .astype(np.int64)
@@ -366,7 +358,7 @@ def _quad_increments(j: int, p: ModelParams, centers: np.ndarray,
             top = np.minimum.outer(top, mids + r).reshape(-1)
             bot = np.maximum.outer(bot, mids - r).reshape(-1)
         rows = np.flatnonzero(axes != c)
-        step = max(1, _QUAD_ELEMENTS // size)
+        step = max(1, _CHUNK_ELEMENTS // size)
         for k in range(0, len(rows), step):
             y = centers[rows[k:k + step], c:c + 1]
             piece = np.minimum(top, y + r)
@@ -401,8 +393,11 @@ def expected_increment(j: int, y: Facet, p: ModelParams,
     quadrature of asymptotic_covariance on one facet (error set by the
     resolution, standard error reported as zero); otherwise, and on
     request, plain Monte Carlo over n_samples reference patterns with
-    batch-means errors.  resolution must be an integer >= 1 and
-    n_samples an integer >= 2.
+    batch-means errors: the patterns are drawn from one generator in
+    turn, and for a canonical law and facet all of them are scored
+    against y by one ustat._subset_sums, the others one by one by
+    g_increment.  A pattern holding y is refused.  resolution must be an
+    integer >= 1 and n_samples an integer >= 2.
     """
     if not 1 <= j <= p.d:
         raise ValueError("order out of range")
@@ -419,10 +414,17 @@ def expected_increment(j: int, y: Facet, p: ModelParams,
         return float(value[0]), 0.0
     unit = dataclasses.replace(p, a=1.0)
     rng = make_rng(seed)
-    vals = np.empty(n_samples)
-    for t in range(n_samples):
-        x = sample_poisson(unit, rng)
-        vals[t] = g_increment(x, y, orders=(j,))[j - 1]
+    if not (unit.orientation.is_canonical and y.is_canonical):
+        vals = np.array([g_increment(sample_poisson(unit, rng), y,
+                                     orders=(j,))[j - 1]
+                         for _ in range(n_samples)])
+        return float(vals.mean()), batch_means_se(vals)
+    centers, extents, axes, owner = _poisson_arrays(unit, [rng] * n_samples)
+    if ((centers == y.center).all(axis=1) & (extents == y.half_extent)
+            & (axes == y.orientation)).any():
+        raise ValueError("facet already present")
+    vals = _subset_sums(centers, extents, axes, owner, n_samples, (j - 1,),
+                        (y.center, y.half_extent, y.orientation))[:, 0]
     return float(vals.mean()), batch_means_se(vals)
 
 
@@ -430,7 +432,7 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
                       method: str, resolution: int,
                       mc_patterns: int) -> dict:
     """asymptotic_covariance for every (i, j) in pairs, on one draw of
-    query facets: the rows of one (n_samples, d + 2) uniform block, each
+    query facets: the rows of one (n_samples, d + 2) uniform block,
     mapped through the model's laws as in sample_poisson.
 
     Order 1 is the facet content, and under quadrature each order above
@@ -444,17 +446,15 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
         raise ValueError("order out of range")
     _check_inputs(method, resolution, n_samples=n_samples,
                   mc_patterns=mc_patterns)
-    rng = make_rng(seed)
-    u = rng.random((n_samples, d + 2))
-    extents = p.size.sample_from_uniform(u[:, 1 + d])
+    mapped = p.sample_facets_from_uniforms(
+        make_rng(seed).random((n_samples, d + 2)))
+    centers, extents, orientations = mapped
     inc = {1: np.array([(2.0 * r) ** (d - 1) for r in extents.tolist()])}
     orders = sorted({k for pair in pairs for k in pair if k > 1})
     if orders and _increment_method(p, method) == "quadrature":
-        centers = np.stack(p.center.sample_from_uniforms(u[:, 1:1 + d].T),
-                           axis=-1)
-        axes = p.orientation.sample_from_uniform(u[:, 0])
         for k in orders:
-            inc[k] = _quad_increments(k, p, centers, axes, resolution)
+            inc[k] = _quad_increments(k, p, centers, orientations,
+                                      resolution)
     t_mass = p.total_intensity
     out = {}
     for i, j in pairs:
@@ -462,9 +462,7 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
             prods = inc[i] * inc[j]
         else:
             prods = np.empty(n_samples)
-            for t in range(n_samples):
-                y = p.sample_facet_from_uniforms(u[t, 0], u[t, 1:1 + d],
-                                                 u[t, 1 + d])
+            for t, y in enumerate(_facet_list(*mapped)):
                 vi, _ = expected_increment(i, y, p, method="mc",
                                            n_samples=mc_patterns,
                                            seed=seed + 7 * t)

@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Facet
-from .model import ModelParams, log_conditional_intensity
-from .ustat import FacetPattern, _subset_terms
+from .model import ModelParams, _facet_list, log_conditional_intensity
+from .ustat import FacetPattern, _subset_sums, _subset_terms, g_vector
 
 _BLOCK = 1 << 15
 _MAX_TRACE = 5_000_000  # retained states per chain
@@ -60,19 +60,49 @@ def make_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chain_index,))))
 
 
+def _uniform_block(p: ModelParams, rng) -> np.ndarray:
+    """The uniforms of one reference draw: N ~ Poisson(aT), then an
+    (N, d + 2) block, one row (aux, d center coordinates, size) per
+    facet."""
+    n = int(rng.poisson(p.a * p.total_intensity))
+    return rng.random((n, p.d + 2))
+
+
 def sample_poisson(p: ModelParams, rng) -> FacetPattern:
     """One draw of the reference Poisson process at activity a.
 
     N ~ Poisson(a*T); centers i.i.d. chi/T, sizes from Q, orientations from V,
-    all independent.
+    all independent: one uniform block, mapped through the laws' array
+    samplers (ModelParams.sample_facets_from_uniforms).  Batches of draws
+    take the same blocks, one per generator, through _poisson_arrays.
     """
     if isinstance(rng, (int, np.integer)):
         rng = make_rng(int(rng))
-    n = int(rng.poisson(p.a * p.total_intensity))
-    u = rng.random((n, p.d + 2))
-    facets = [p.sample_facet_from_uniforms(u[i, 0], u[i, 1:1 + p.d], u[i, 1 + p.d])
-              for i in range(n)]
-    return FacetPattern.of(facets, p.d)
+    mapped = p.sample_facets_from_uniforms(_uniform_block(p, rng))
+    return FacetPattern.of(_facet_list(*mapped), p.d)
+
+
+def _poisson_arrays(p: ModelParams, rngs: list) -> tuple:
+    """One reference draw per generator of rngs, in order (a generator
+    listed k times gives k successive draws), as the arrays of a
+    canonical model: centers (N, d), half-extents (N,), axes (N,) and
+    each facet's draw index, the facets of each draw in sample_poisson's
+    order."""
+    blocks = [_uniform_block(p, rng) for rng in rngs]
+    centers, extents, axes = p.sample_facets_from_uniforms(
+        np.concatenate(blocks))
+    owner = np.repeat(np.arange(len(blocks)), [len(u) for u in blocks])
+    return centers, extents, axes, owner
+
+
+def _poisson_g_vectors(p: ModelParams, rngs: list) -> np.ndarray:
+    """g_vector of one reference draw per generator of rngs, as rows:
+    all draws of a canonical model scored by one ustat._subset_sums,
+    the others one by one."""
+    if not p.orientation.is_canonical:
+        return np.array([g_vector(sample_poisson(p, rng)) for rng in rngs])
+    *arrays, owner = _poisson_arrays(p, rngs)
+    return _subset_sums(*arrays, owner, len(rngs), range(1, p.d + 1))
 
 
 def birth_log_ratio(p: ModelParams, x: FacetPattern, u: Facet) -> float:

@@ -25,7 +25,10 @@ from facetproc.moments import (
     scaling_limit_constants,
     unit_kernel,
 )
-from facetproc.sampler import ChainConfig, make_rng, run_chain
+from facetproc.sampler import ChainConfig, batch_means_se, make_rng, run_chain
+from facetproc.ustat import g_increment
+from test_sampler import (_hemisphere_model, _reference_sample_poisson,
+                          _table_model, _two_atom_model)
 
 
 def brute_partitions(sizes):
@@ -275,6 +278,55 @@ def test_expected_increment_validation_and_fallback():
     val, se = expected_increment(2, y, hemi, method="auto", n_samples=300,
                                  seed=1)
     assert se > 0.0 and val > 0.0
+
+
+def _reference_mc_increment(j, y, p, n_samples, seed):
+    """Monte Carlo expected increment one reference pattern at a time:
+    each pattern drawn facet by facet, then g_increment."""
+    unit = dataclasses.replace(p, a=1.0)
+    rng = make_rng(seed)
+    vals = np.array([g_increment(_reference_sample_poisson(unit, rng), y,
+                                 orders=(j,))[j - 1]
+                     for _ in range(n_samples)])
+    return float(vals.mean()), batch_means_se(vals)
+
+
+_MC_CASES = {
+    "d2-j2": (2, Facet((0.3, 0.6), 1.0, 1), ModelParams.special(2, (0.0,) * 2)),
+    "d3-j2": (2, Facet((0.3, 0.6, 0.2), 1.0, 0),
+              ModelParams.special(3, (0.0,) * 3)),
+    "d3-j3": (3, Facet((0.3, 0.6, 0.2), 1.0, 2),
+              ModelParams.special(3, (0.0,) * 3)),
+    "two-atom": (2, Facet((0.3, 0.6, 0.2), 0.4, 1),
+                 _two_atom_model(3, (0.0,) * 3, 1.0)),
+    "table": (3, Facet((0.3, 0.6, 0.2), 1.0, 1),
+              _table_model(3, (0.0,) * 3, 1.0)),
+    "hemisphere": (2, Facet((0.3, 0.6), 1.0, 1),
+                   _hemisphere_model((0.0, 0.0), 1.0)),
+    "normal-facet": (2, Facet((0.3, 0.6), 1.0, (0.6, 0.8)),
+                     ModelParams.special(2, (0.0,) * 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_MC_CASES))
+def test_mc_increment_is_the_per_pattern_reference(name):
+    # The batch scores all reference patterns against y at once; value
+    # and standard error are those of the per-pattern loop, bit for bit.
+    j, y, p = _MC_CASES[name]
+    for seed in (0, 5):
+        got = expected_increment(j, y, p, method="mc", n_samples=400,
+                                 seed=seed)
+        want = _reference_mc_increment(j, y, p, 400, seed)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_mc_increment_refuses_a_drawn_facet():
+    p = ModelParams.special(3, (0.0,) * 3)
+    seed = next(s for s in itertools.count()
+                if _reference_sample_poisson(p, make_rng(s)).n)
+    y = _reference_sample_poisson(p, make_rng(seed)).facets[0]
+    with pytest.raises(ValueError, match="already present"):
+        expected_increment(2, y, p, method="mc", n_samples=10, seed=seed)
 
 
 def test_increment_and_covariance_reject_bad_input():

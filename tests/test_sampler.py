@@ -52,6 +52,34 @@ def test_sample_poisson_moments():
     assert abs(np.mean(g2s) - 25.0) < 3 * np.std(g2s) / math.sqrt(reps)
 
 
+def _reference_sample_poisson(p, rng):
+    """A reference Poisson draw one facet at a time: the Poisson count,
+    then the facets' (n, d + 2) uniforms, each row mapped by
+    sample_facet_from_uniforms."""
+    n = int(rng.poisson(p.a * p.total_intensity))
+    u = rng.random((n, p.d + 2))
+    return FacetPattern.of([p.sample_facet_from_uniforms(
+        row[0], row[1:1 + p.d], row[1 + p.d]) for row in u], p.d)
+
+
+@pytest.mark.parametrize("name", ["d2", "d3", "d4", "table", "two-atom",
+                                  "hemisphere"])
+def test_sample_poisson_is_the_per_facet_reference(name):
+    # sample_poisson maps the whole uniform block through the laws' array
+    # samplers; the facets and the draws taken from the stream must be
+    # those of the per-facet mapping, to the last bit.
+    p = {"d2": ModelParams.special(2, (0.0, 0.0), a=6.0),
+         "d3": ModelParams.special(3, (0.0,) * 3, a=6.0),
+         "d4": ModelParams.special(4, (0.0,) * 4, a=6.0),
+         "table": _table_model(3, (0.0,) * 3, 2.0),
+         "two-atom": _two_atom_model(3, (0.0,) * 3, 6.0),
+         "hemisphere": _hemisphere_model((0.0, 0.0), 6.0)}[name]
+    rng, ref = make_rng(11), make_rng(11)
+    for _ in range(40):
+        assert repr(sample_poisson(p, rng).facets) \
+            == repr(_reference_sample_poisson(p, ref).facets)
+
+
 def test_birth_death_log_ratio_cancellation():
     p = ModelParams.special(2, (0.4, -1.3), a=2.0)
     rng = make_rng(3)

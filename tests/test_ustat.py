@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from facetproc.geometry import Facet, facet_measure, intersection_measure
-from facetproc.model import OrientationLaw
-from facetproc.ustat import FacetPattern, g_increment, g_vector, u_statistic
-from test_sampler import _array_increment
+from facetproc.model import ModelParams, OrientationLaw
+from facetproc.sampler import _poisson_g_vectors, make_rng, sample_poisson
+from facetproc.ustat import (FacetPattern, _subset_sums, g_increment,
+                             g_vector, u_statistic)
+from test_sampler import _array_increment, _table_model, _two_atom_model
 
 
 def brute_g_vector(pattern):
@@ -201,3 +204,93 @@ def test_orientation_counts_non_canonical_rejected():
         x.orientation_counts()
     # but g_vector still works through the generic path
     assert g_vector(x)[0] == pytest.approx(2.0)
+
+
+@st.composite
+def canonical_batches(draw):
+    """A batch of 1-5 canonical patterns of one dimension d = 2..4, each
+    empty, of one orientation class, on a quarter grid (contents tie at
+    closed boundaries) or a reference draw under the special, two-atom
+    size or table center model; a canonical head facet; a permutation
+    of the batch."""
+    d = draw(st.integers(2, 4))
+    quarters = st.integers(0, 8).map(lambda q: q / 4.0)
+    extents = st.integers(1, 4).map(lambda q: q / 4.0)
+
+    def grid_facets(axes):
+        return st.lists(st.builds(lambda c, r, o: Facet(tuple(c), r, o),
+                                  st.lists(quarters, min_size=d, max_size=d),
+                                  extents, axes), max_size=7, unique=True)
+
+    patterns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("empty", "one-class", "grid", "special", "two-atom", "table")),
+            min_size=1, max_size=5)):
+        if kind == "empty":
+            facets = []
+        elif kind == "one-class":
+            facets = draw(grid_facets(st.just(draw(st.integers(0, d - 1)))))
+        elif kind == "grid":
+            facets = draw(grid_facets(st.integers(0, d - 1)))
+        else:
+            a = draw(st.sampled_from((1.0, 3.0, 6.0)))
+            p = {"special": lambda: ModelParams.special(d, (0.0,) * d, a=a),
+                 "two-atom": lambda: _two_atom_model(d, (0.0,) * d, a),
+                 "table": lambda: _table_model(d, (0.0,) * d, 1.0)}[kind]()
+            facets = sample_poisson(p, make_rng(draw(st.integers(0, 999)))).facets
+        patterns.append(FacetPattern.of(facets, d))
+    head = draw(grid_facets(st.integers(0, d - 1)).filter(bool))[0]
+    return patterns, head, draw(st.permutations(range(len(patterns))))
+
+
+def _batch_arrays(patterns):
+    """The facets of a batch as arrays in pattern order, and their owners."""
+    facets = [f for x in patterns for f in x.facets]
+    d = patterns[0].d
+    return (np.array([f.center for f in facets]).reshape(-1, d),
+            np.array([f.half_extent for f in facets]),
+            np.array([f.orientation for f in facets], dtype=np.intp),
+            np.repeat(np.arange(len(patterns)), [x.n for x in patterns]))
+
+
+def _hex(rows):
+    return [[v.hex() for v in row] for row in np.asarray(rows).tolist()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(canonical_batches())
+def test_batch_sums_are_the_brute_force_sums(case):
+    # Every pattern's row of the batch is brute_g_vector of that pattern,
+    # and with the head its orders are _array_increment's, as float hex;
+    # permuting the batch permutes the rows.
+    patterns, head, perm = case
+    d = patterns[0].d
+    arrays = _batch_arrays(patterns)
+    g = _subset_sums(*arrays, len(patterns), range(1, d + 1))
+    assert _hex(g) == _hex([brute_g_vector(x) for x in patterns])
+    triple = (head.center, head.half_extent, head.orientation)
+    inc = _subset_sums(*arrays, len(patterns), range(d), triple)
+    assert _hex(inc) == _hex([[_array_increment(x, head, j)
+                               for j in range(1, d + 1)] for x in patterns])
+    shuffled = _batch_arrays([patterns[i] for i in perm])
+    assert _hex(_subset_sums(*shuffled, len(perm), range(1, d + 1))) \
+        == _hex(g[list(perm)])
+
+
+def test_batch_temporaries_stay_bounded():
+    # e1's batch at d = 4, a = 50: 709k order-4 subset rows in 24
+    # patterns, whose unchunked (rows, 4, 4) centers alone take 87 MiB;
+    # 40 MiB at peak chunked.  Chunks end inside patterns; each G still
+    # equals g_vector's.
+    p = ModelParams.special(4, (0.0,) * 4, a=50.0)
+    rngs = [make_rng(0, stream) for stream in range(24)]
+    tracemalloc.start()
+    try:
+        g = _poisson_g_vectors(p, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert g.tolist() == [g_vector(sample_poisson(p, make_rng(0, stream))
+                                   ).tolist() for stream in range(24)]

@@ -21,6 +21,10 @@ PAIR = ModelParams.special(2, (0.0, -1.0), a=2.0)
 CUBE_PATTERN = FacetPattern.of([Facet((0.5, 0.5, 0.5), 1.0, 0),
                                 Facet((0.2, 0.4, 0.6), 1.0, 1)], 3)
 CUBE_FACET = Facet((0.3, 0.3, 0.3), 1.0, 2)
+# no active order, and a facet already in the pattern
+INACTIVE = ModelParams.special(2, (0.0, 0.0), a=2.0)
+PRESENT = Facet((0.2, 0.7), 1.0, 0)
+HOLDING = FacetPattern.of([PRESENT, Facet((0.9, 0.1), 1.0, 1)])
 
 
 def _canonical(d: int, a: float, half_extent: float, side: float
@@ -77,6 +81,11 @@ BAD_INPUT = {
     # no active order: this gave 0.0
     "intensity-facet-dimension": lambda: log_conditional_intensity(
         [CUBE_FACET], FacetPattern.of([], 2), _canonical(2, 1.0, 1.0, 1.0)),
+    # these gave 0.0 and -0.405, where g_increment refuses the facet
+    "intensity-duplicate-inactive": lambda: log_conditional_intensity(
+        [PRESENT], HOLDING, INACTIVE),
+    "birth-duplicate-inactive": lambda: birth_log_ratio(
+        INACTIVE, HOLDING, PRESENT),
 }
 
 
