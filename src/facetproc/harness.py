@@ -396,12 +396,9 @@ def experiment_e1_poisson_clt(cfg: ExperimentConfig) -> list[tuple]:
     reps = cfg.replicates
     means = {a: [poisson_mean_interaction(dataclasses.replace(p, a=a), j)
                  for j in range(1, d + 1)] for a in cfg.a_grid}
-    streams = _streams(cfg)
-    blocks = [_poisson_g_vectors(cfg.point(ai)[0],
-                                 [make_rng(cfg.seed, stream)
-                                  for a_idx, _, stream in streams
-                                  if a_idx == ai])
-              for ai in range(len(cfg.a_grid))]
+    blocks = [_poisson_g_vectors(cfg.point(ai)[0], rngs)
+              for ai, rngs in enumerate(_replicated(
+                  lambda ai, stream: make_rng(cfg.seed, stream), cfg))]
     theory = _covariances(p, cfg.seed)
     rows = []
     for a, block in zip(cfg.a_grid, blocks):

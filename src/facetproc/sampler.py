@@ -48,7 +48,7 @@ import numpy as np
 
 from .geometry import Facet
 from .model import ModelParams, _facet_list, log_conditional_intensity
-from .ustat import FacetPattern, _subset_sums, _subset_terms, g_vector
+from .ustat import FacetPattern, _subset_sums, _subset_terms
 
 _BLOCK = 1 << 15
 _MAX_TRACE = 5_000_000  # retained states per chain
@@ -97,10 +97,8 @@ def _poisson_arrays(p: ModelParams, rngs: list) -> tuple:
 
 def _poisson_g_vectors(p: ModelParams, rngs: list) -> np.ndarray:
     """g_vector of one reference draw per generator of rngs, as rows:
-    all draws of a canonical model scored by one ustat._subset_sums,
-    the others one by one."""
-    if not p.orientation.is_canonical:
-        return np.array([g_vector(sample_poisson(p, rng)) for rng in rngs])
+    all draws scored by one ustat._subset_sums.  The model's orientation
+    law must be canonical (as ModelParams.special's is)."""
     *arrays, owner = _poisson_arrays(p, rngs)
     return _subset_sums(*arrays, owner, len(rngs), range(1, p.d + 1))
 
