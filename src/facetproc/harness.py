@@ -444,9 +444,7 @@ def experiment_e2_degeneracy(cfg: ExperimentConfig) -> list[tuple]:
     def one(a_idx, stream):
         _, diag = run_chain(*cfg.point(a_idx, stream))
         est, se = diag.g_mean_se(s)
-        masks = diag.trace_occupancy[diag.trace_occupancy >= 0]
-        poor = np.array([bin(int(m)).count("1") <= s - 1
-                         for m in masks], dtype=float)
+        poor = (diag.orientation_counts() <= s - 1).astype(float)
         return est, se, float(poor.mean()), batch_means_se(poor)
 
     rows = []

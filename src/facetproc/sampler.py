@@ -3,13 +3,16 @@
 Move mix is 1/2 birth, 1/2 death.  A birth proposes u ~ lambda/T and accepts
 with min(1, lambda*(u;x) * aT/(n+1)); a death removes a uniformly chosen
 facet xi and accepts with min(1, n/(aT * lambda*(xi; x\\xi))); death from the
-empty pattern is an automatic rejection.  Every step consumes exactly d+4
+empty pattern is an automatic rejection.  Every step draws exactly d+4
 uniforms (move, aux, d center coordinates, size, acceptance) regardless of
 the branch taken.
 
-One loop, _run, takes the steps of run_chain and bdmh_step.  An increment
-rule gives it log lambda* of each proposal, applies the accepted moves and
-reports G at the retained states.  Every chain, and every bdmh_step,
+One loop, _run, takes the steps of run_chain and bdmh_step.  It converts
+only the move, aux and acceptance columns of a block to Python floats and
+writes the block's retained states into the trace when the block ends.  An
+increment rule gives it log lambda* of each proposal, applies the accepted
+moves and reports G at the retained states; it reads a row's center and
+size uniforms only when it needs them.  Every chain, and every bdmh_step,
 moves one mutable state in place, _ChainState: the facets in pattern order
 as (center, half-extent, orientation) triples, the same triples grouped by
 orientation class (keyed by axis index or by normal, as FacetPattern.groups
@@ -25,8 +28,10 @@ keys them) and a running G.  Two rules act on it, in plain Python:
   does not start: it retains no state.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
-  G_1 and G_d.  In d = 3 each pair of facets meets in the overlap of one
-  free coordinate, and G_2 is their running sum.
+  G_1 and G_d.  It reads a birth's center only once the birth is accepted.
+  In d = 3 each pair of facets meets in the overlap of one free
+  coordinate, and G_2 is their running sum.  In d = 2 only kept samples
+  read centers, so a birth keeps its raw uniforms until a pattern is built.
 
 Both give bit-identical trajectories and G from the same seed.  No Facet or
 FacetPattern is built per step, only for kept samples and the result of
@@ -41,6 +46,7 @@ correctly rounded sum of the current terms: the value g_vector returns.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +58,9 @@ from .ustat import FacetPattern, _subset_sums, _subset_terms
 
 _BLOCK = 1 << 15
 _MAX_TRACE = 5_000_000  # retained states per chain
+_LOG_STEPS = 1_000_000  # chains this long log their progress once per block
+
+logger = logging.getLogger(__name__)
 
 
 def make_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -119,7 +128,7 @@ def bdmh_step(x: FacetPattern, p: ModelParams, rng) -> tuple[FacetPattern, bool,
     """One birth-death MH step; consumes d+4 uniforms from rng."""
     rule = _GeneralRule(p, x)
     accepted, move = _run(rule, x.n, [rng.random(p.d + 4)[np.newaxis]],
-                          ChainDiagnostics(p.d, rule.engine, 0, 1), None)
+                          ChainDiagnostics(p.d, rule.engine, 0, 1), None, 1)
     return rule._pattern(), accepted, move
 
 
@@ -183,20 +192,21 @@ class ChainDiagnostics:
 
     def occupancy_histogram(self) -> dict[tuple[int, ...], int]:
         """Counts of which canonical axes are present, per retained state."""
-        out: dict[tuple[int, ...], int] = {}
-        for mask in self.trace_occupancy:
-            if mask < 0:
-                continue
-            key = tuple(i for i in range(self.d) if mask >> i & 1)
-            out[key] = out.get(key, 0) + 1
-        return out
+        masks, counts = np.unique(self.trace_occupancy[self.trace_occupancy >= 0],
+                                  return_counts=True)
+        return {tuple(i for i in range(self.d) if m >> i & 1): c
+                for m, c in zip(masks.tolist(), counts.tolist())}
+
+    def orientation_counts(self) -> np.ndarray:
+        """How many canonical axes each retained state with a mask uses."""
+        masks = self.trace_occupancy[self.trace_occupancy >= 0]
+        return sum((masks >> axis) & 1 for axis in range(self.d))
 
     def occupancy_fraction(self, max_orientations: int) -> float:
         """Fraction of retained states using at most that many orientations."""
-        masks = self.trace_occupancy[self.trace_occupancy >= 0]
-        if not len(masks):
+        pop = self.orientation_counts()
+        if not len(pop):
             return math.nan
-        pop = np.array([bin(int(m)).count("1") for m in masks])
         return float((pop <= max_orientations).mean())
 
     def mean_se(self, series: np.ndarray) -> tuple[float, float]:
@@ -277,7 +287,8 @@ class _ChainState:
     orientation class, keyed by axis index or by normal as
     FacetPattern.groups keys them, and the running G as partials per
     order.  The rules extend it; the d = 2 counts rule, whose closed forms
-    read only the counts, keeps no groups."""
+    read only the counts, keeps no groups, and holds the center of a facet
+    it gave birth to as the list of its raw uniforms."""
 
     def __init__(self, p: ModelParams):
         self.p = p
@@ -309,7 +320,8 @@ class _ChainState:
         return mask
 
     def _pattern(self) -> FacetPattern:
-        return FacetPattern.of([Facet(*f) for f in self.facets], self.d)
+        return FacetPattern.of([Facet(self.center(z) if type(z) is list else z, r, o)
+                                for z, r, o in self.facets], self.d)
 
 
 class _GeneralRule(_ChainState):
@@ -353,16 +365,15 @@ class _GeneralRule(_ChainState):
         for j in self.rest:
             _add_terms(self.g[j - 1], _subset_terms(self.groups, j - 1, f), sign)
 
-    def birth(self, row) -> float:
-        d = self.d
-        f = (self.center(row[2:2 + d]), self.radius(row[2 + d]),
-             self.orientation(row[1]))
+    def birth(self, block, i: int, aux: float) -> float:
+        u = block[i, 2:3 + self.d].tolist()
+        f = (self.center(u[:-1]), self.radius(u[-1]), self.orientation(aux))
         if f in self.groups.get(f[2], ()):
             return -math.inf
         self._f = f
         return self._log_lambda(f)
 
-    def add(self, row) -> None:
+    def add(self, block, i: int) -> None:
         self._update(self._f, 1.0)
         self._push(self._f)
 
@@ -372,9 +383,8 @@ class _GeneralRule(_ChainState):
     def remove(self, i: int) -> None:
         self._update(self._pop(i), -1.0)
 
-    def retained(self, sample: bool) -> tuple:
-        return (tuple(map(math.fsum, self.g)), self._mask(),
-                self._pattern() if sample else None)
+    def retained(self) -> tuple:
+        return tuple(map(math.fsum, self.g)), self._mask()
 
 
 class _CountsRule(_ChainState):
@@ -384,7 +394,8 @@ class _CountsRule(_ChainState):
     counts.  In d = 3 each pair of facets on axes k != m meets in the
     overlap of their free coordinate 3-k-m, the value tuple_content gives
     when every center lies within r of every other, and G_2 is their
-    running sum.  A birth's center is mapped only once it is accepted."""
+    running sum.  A birth's center is read only once it is accepted, and
+    in d = 2 kept as raw uniforms until a pattern is built."""
 
     engine = "counts"
 
@@ -421,8 +432,8 @@ class _CountsRule(_ChainState):
                 if t > 0.0:
                     _add_exact(g2, sign * t)
 
-    def birth(self, row) -> float:
-        axis = int(row[1] * self.d)
+    def birth(self, block, i: int, aux: float) -> float:
+        axis = int(aux * self.d)
         if axis >= self.d:
             axis = self.d - 1
         self._axis = axis
@@ -436,8 +447,9 @@ class _CountsRule(_ChainState):
             self._update_g2(f, 1.0)
             self._push(f)
 
-    def add(self, row) -> None:
-        self._enter((self.center(row[2:2 + self.d]), self.r, self._axis))
+    def add(self, block, i: int) -> None:
+        u = block[i, 2:2 + self.d].tolist()
+        self._enter((u if self.d == 2 else self.center(u), self.r, self._axis))
 
     def death(self, i: int) -> float:
         # x_i's own axis is skipped: the other counts are those of x - x_i
@@ -451,77 +463,95 @@ class _CountsRule(_ChainState):
             self.counts[f[2]] -= 1
             self._update_g2(f, -1.0)
 
-    def retained(self, sample: bool) -> tuple:
+    def retained(self) -> tuple:
         c = self.counts
         g1 = len(self.facets) * self.dg1
         if self.d == 2:
-            g = (g1, float(c[0] * c[1]))
-        else:
-            g = (g1, math.fsum(self.g[1]), float(c[0] * c[1] * c[2]))
-        mask = 0  # self._mask() inline: at thin 1 this runs every step
-        for axis in range(self.d):
-            if c[axis]:
-                mask |= 1 << axis
-        return g, mask, self._pattern() if sample else None
+            return (g1, float(c[0] * c[1])), (c[0] > 0) | (c[1] > 0) << 1
+        return ((g1, math.fsum(self.g[1]), float(c[0] * c[1] * c[2])),
+                (c[0] > 0) | (c[1] > 0) << 1 | (c[2] > 0) << 2)
 
 
-def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples) -> tuple[bool, str]:
-    """Step from a state of n facets, one step per row of each block (an
-    array of rows of d+4 uniforms).  Counts the moves into diag, fills its trace
-    with the states after steps burn_in + thin, burn_in + 2 thin, ... and
-    appends their patterns to samples unless it is None.  Returns the
-    last step's acceptance and move.
+def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
+         n_steps: int) -> tuple[bool, str]:
+    """Step from a state of n facets, one step per row of each block (rows
+    of d+4 uniforms), n_steps in all.  Counts the moves into diag, fills its
+    trace at the steps diag.trace_step lists, appends those states'
+    patterns to samples unless it is None, and logs progress once per block
+    at INFO if n_steps >= _LOG_STEPS.  Returns the last acceptance and move.
 
-    rule.birth(row) is log lambda*(u; x) of the facet u the row proposes,
-    rule.add(row) adds u; rule.death(i) is log lambda*(x_i; x minus x_i),
-    rule.remove(i) removes x_i; rule.retained(sample) is the G vector, the
-    occupancy mask (the canonical axes present; -1 for a non-empty state of
-    the hemisphere law, 0 for the empty state) and, if sample, x."""
+    rule.birth(block, i, aux) is log lambda*(u; x) of the facet u row i
+    proposes and rule.add(block, i) adds u; rule.death(i) is
+    log lambda*(x_i; x minus x_i) and rule.remove(i) removes x_i.
+    rule.retained() gives G and the occupancy mask (the canonical axes
+    present; -1 for a non-empty state of the hemisphere law, 0 for the
+    empty state), asked for only when a move was accepted since the last
+    retained state."""
     p = rule.p
     log = math.log
     log_a_t = log(p.a * p.total_intensity)
-    acc = p.d + 3
-    birth, add, death, remove = rule.birth, rule.add, rule.death, rule.remove
-    keep_at = diag.burn_in + diag.thin if len(diag.trace_step) else 0
-    k = step = b_acc = d_prop = d_acc = 0
+    logs = [log(k) for k in range(1, n + 2)]  # logs[k] = log(k + 1), k <= n
+    birth, add, death, remove, retained = (rule.birth, rule.add, rule.death,
+                                           rule.remove, rule.retained)
+    kept_steps, thin = diag.trace_step, diag.thin
+    k = done = b_prop = b_acc = d_acc = 0
+    seen = -1  # accepted moves at the last retained state
     for block in blocks:
-        for row in block.tolist():
-            step += 1
-            if row[0] < 0.5:
-                accepted = log(row[acc]) < birth(row) + log_a_t - log(n + 1)
+        moves = block[:, 0]
+        # the block's row of the next retained state, if any
+        keep_i = int(kept_steps[k]) - done - 1 if k < len(kept_steps) else -1
+        ns, accs, gs, masks = [], [], [], []
+        for i, move, aux, u in zip(range(len(block)), moves.tolist(),
+                                   block[:, 1].tolist(), block[:, p.d + 3].tolist()):
+            if move < 0.5:
+                accepted = log(u) < birth(block, i, aux) + log_a_t - logs[n]
                 if accepted:
-                    add(row)
+                    add(block, i)
                     b_acc += 1
                     n += 1
+                    if n == len(logs):
+                        logs.append(log(n + 1))
+            elif n:
+                j = int(aux * n)
+                if j >= n:
+                    j = n - 1
+                accepted = log(u) < -(death(j) + log_a_t - logs[n - 1])
+                if accepted:
+                    remove(j)
+                    d_acc += 1
+                    n -= 1
             else:
-                d_prop += 1
                 accepted = False
-                if n:
-                    i = int(row[1] * n)
-                    if i >= n:
-                        i = n - 1
-                    accepted = log(row[acc]) < -(death(i) + log_a_t - log(n))
-                    if accepted:
-                        remove(i)
-                        d_acc += 1
-                        n -= 1
-            if step == keep_at:
-                g, mask, x = rule.retained(samples is not None)
-                diag.trace_step[k] = step
-                diag.trace_n[k] = n
-                diag.trace_g[k] = g
-                diag.trace_accepted[k] = accepted
-                diag.trace_move[k] = "B" if row[0] < 0.5 else "D"
-                diag.trace_occupancy[k] = mask
+            if i == keep_i:
+                if b_acc + d_acc != seen:
+                    seen = b_acc + d_acc
+                    g, mask = retained()
                 if samples is not None:
-                    samples.append(x)
-                k += 1
-                keep_at += diag.thin
-    diag.birth_proposed += step - d_prop
+                    samples.append(rule._pattern())
+                ns.append(n)
+                accs.append(accepted)
+                gs.append(g)
+                masks.append(mask)
+                keep_i += thin
+        if ns:
+            kept = slice(k, k + len(ns))
+            diag.trace_n[kept] = ns
+            diag.trace_accepted[kept] = accs
+            diag.trace_g[kept] = gs
+            diag.trace_occupancy[kept] = masks
+            rows = kept_steps[kept] - done - 1  # their rows in the block
+            diag.trace_move[kept] = np.where(moves[rows] < 0.5, "B", "D")
+            k += len(ns)
+        b_prop += int(np.count_nonzero(moves < 0.5))
+        done += len(block)
+        if n_steps >= _LOG_STEPS:
+            logger.info("step %d of %d, acceptance %.4f", done, n_steps,
+                        (b_acc + d_acc) / done)
+    diag.birth_proposed += b_prop
     diag.birth_accepted += b_acc
-    diag.death_proposed += d_prop
+    diag.death_proposed += done - b_prop
     diag.death_accepted += d_acc
-    return accepted, "B" if row[0] < 0.5 else "D"
+    return accepted, "B" if move < 0.5 else "D"
 
 
 def run_chain(p: ModelParams, cfg: ChainConfig):
@@ -551,7 +581,7 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
     n_keep = (cfg.n_steps - burn) // thin
     diag = ChainDiagnostics(
         d=p.d, engine=rule.engine, burn_in=burn, thin=thin,
-        trace_step=np.empty(n_keep, dtype=np.int64),
+        trace_step=burn + thin * np.arange(1, n_keep + 1, dtype=np.int64),
         trace_n=np.empty(n_keep, dtype=np.int64),
         trace_g=np.empty((n_keep, p.d)),
         trace_accepted=np.empty(n_keep, dtype=bool),
@@ -561,7 +591,7 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
     samples = [] if cfg.keep_samples else None
     blocks = (rng.random((min(_BLOCK, cfg.n_steps - start), p.d + 4))
               for start in range(0, cfg.n_steps, _BLOCK))
-    _run(rule, initial.n, blocks, diag, samples)
+    _run(rule, initial.n, blocks, diag, samples, cfg.n_steps)
     return samples or [], diag
 
 
@@ -574,10 +604,3 @@ def trace_table(diag: ChainDiagnostics) -> tuple[tuple[str, ...], list[tuple]]:
         diag.trace_step.tolist(), diag.trace_n.tolist(), diag.trace_g.tolist(),
         diag.trace_accepted.astype(int).tolist(), diag.trace_move.tolist())]
     return header, rows
-
-
-def export_trace(diag: ChainDiagnostics, path) -> None:
-    """Write the retained-sample trace as CSV."""
-    header, rows = trace_table(diag)
-    with open(path, "w") as fh:
-        fh.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])

@@ -8,7 +8,8 @@ import pytest
 
 from facetproc.cli import main
 from facetproc.model import ModelParams
-from facetproc.sampler import ChainConfig, export_trace, run_chain
+from facetproc.harness import write_table
+from facetproc.sampler import ChainConfig, run_chain, trace_table
 
 
 def write_conf(tmp_path, text):
@@ -37,10 +38,10 @@ def test_simulate_writes_trace_and_manifest(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "retained" in captured.out
     assert "mean count" in captured.out
-    # the library's trace writer gives the same bytes for the same chain
+    # the library's trace table gives the same bytes for the same chain
     p = ModelParams.special(2, (0.0, -1.0), a=2.0)
     _, diag = run_chain(p, ChainConfig(n_steps=20000, seed=1))
-    export_trace(diag, tmp_path / "export.csv")
+    write_table(tmp_path / "export.csv", *trace_table(diag))
     assert (tmp_path / "export.csv").read_bytes() \
         == (out / "trace.csv").read_bytes()
 

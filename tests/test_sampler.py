@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.stats import chi2
 from facetproc.correlation import _count_grid
 from facetproc.geometry import (Facet, Window, canonical_content,
                                 facet_measure, intersection_measure)
+from facetproc.harness import write_table
 from facetproc.model import (
     CenterIntensity,
     ModelParams,
@@ -23,10 +26,10 @@ from facetproc.sampler import (
     bdmh_step,
     birth_log_ratio,
     death_log_ratio,
-    export_trace,
     make_rng,
     run_chain,
     sample_poisson,
+    trace_table,
 )
 from facetproc.ustat import FacetPattern, g_vector
 
@@ -484,6 +487,120 @@ def test_default_burnin_thin():
     assert burn2 == 1000 and thin2 == 10
 
 
+# Short chains through every branch of the chain loop: d = 2 counts at thin
+# 1 over three uniform blocks, d = 3 counts at thin 3 with kept samples, d = 3
+# nu_2 on the general rule at thin 3, the hemisphere law, a table center
+# intensity with a zero cell on both rules, and bdmh_step.
+_PINNED_CHAINS = {
+    "d2-counts-thin1": (ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
+                        dict(n_steps=70_000, seed=5, burn_in=100, thin=1)),
+    "d3-counts-thin3-samples": (
+        ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0),
+        dict(n_steps=3000, seed=5, burn_in=50, thin=3, keep_samples=True)),
+    "d3-nu2-general": (ModelParams.special(3, (0.0, -1.0, 0.0), a=4.0),
+                       dict(n_steps=3000, seed=5, burn_in=0, thin=3)),
+    "hemisphere-samples": (_hemisphere_model((0.3, -1.0), 4.0),
+                           dict(n_steps=2000, seed=5, burn_in=0, thin=2,
+                                keep_samples=True)),
+    "table-hole-counts-samples": (_HOLE, dict(n_steps=3000, seed=5, burn_in=10,
+                                              thin=3, keep_samples=True)),
+    "table-hole-general-samples": (_HOLE, dict(n_steps=2000, seed=5, burn_in=0,
+                                               thin=1, keep_samples=True,
+                                               engine="pattern")),
+}
+
+# sha256 of each chain's trace, counters and kept patterns, recorded on the
+# row-per-step loop that read every uniform of a step and wrote each retained
+# state into the trace arrays one item at a time
+_PINNED_DIGESTS = {
+    "d2-counts-thin1":
+        "b738b2675a58ac71bed747eb3b4b2a699484e71a52f556ced4e76ea4065bac5c",
+    "d3-counts-thin3-samples":
+        "76dba2775eb73b77f98678019a20188a921995ff4afb5f7963975f8a7a426d01",
+    "d3-nu2-general":
+        "87668aacc96733433370e311c0fad09d67306f6c1855583dd37b421cbc61fe4f",
+    "hemisphere-samples":
+        "7e079ed90478a97604eb3dd53624950ade2da34fbed5576136deabd070a72e04",
+    "table-hole-counts-samples":
+        "19ca5f20d201ce7d162374d4ae13a466d0257fd756eb0873ae6904a44dd49713",
+    "table-hole-general-samples":
+        "d4143476546ef3be01a9ceca9b4760758a64036191b4cf758d957734b8370082",
+    "bdmh-step-table":
+        "57cd15cc4cb4c394cad9b7f59b1ddc2dea54319aae3c00bde9d7afa59b9584a4",
+}
+
+
+def _digest(*parts) -> str:
+    """sha256 of the reprs of parts, exact for Python floats."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CHAINS))
+def test_chain_trajectories_are_pinned(name):
+    # the determinism contract: the same seed gives the same moves,
+    # acceptances, counts, G, occupancy and kept samples, to the last bit
+    p, cfg = _PINNED_CHAINS[name]
+    samples, diag = run_chain(p, ChainConfig(**cfg))
+    assert diag.n_retained > 500
+    assert _digest(
+        diag.trace_step.tolist(), diag.trace_n.tolist(), diag.trace_g.tolist(),
+        diag.trace_accepted.tolist(), diag.trace_move.tolist(),
+        diag.trace_occupancy.tolist(),
+        (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
+         diag.death_accepted),
+        [x.facets for x in samples]) == _PINNED_DIGESTS[name]
+
+
+def test_bdmh_steps_are_pinned():
+    p = _CHAIN_CLASSES["table"][0]
+    x, rng, steps = sample_poisson(p, make_rng(6)), make_rng(7), []
+    for _ in range(300):
+        x, accepted, move = bdmh_step(x, p, rng)
+        steps.append((accepted, move, x.facets))
+    assert sum(accepted for accepted, _, _ in steps) > 50
+    assert _digest(steps) == _PINNED_DIGESTS["bdmh-step-table"]
+
+
+def test_orientation_counts_are_the_bit_counts():
+    # the vectorized counts of axes per mask and of masks against the
+    # per-state loops; states without a mask (-1, the hemisphere law's) are
+    # left out
+    p = ModelParams.special(3, (0.1, 0.0, -1.0), a=2.0)
+    _, diag = run_chain(p, ChainConfig(n_steps=5000, seed=2, burn_in=0, thin=1))
+    diag.trace_occupancy[::7] = -1
+    expected = [bin(m).count("1") for m in diag.trace_occupancy.tolist() if m >= 0]
+    assert diag.orientation_counts().tolist() == expected
+    assert set(expected) == {0, 1, 2, 3}
+    assert diag.occupancy_fraction(1) == np.mean(np.array(expected) <= 1)
+    hist: dict = {}
+    for m in diag.trace_occupancy.tolist():
+        if m >= 0:
+            axes = tuple(i for i in range(3) if m >> i & 1)
+            hist[axes] = hist.get(axes, 0) + 1
+    assert diag.occupancy_histogram() == hist
+
+
+def test_long_chains_log_progress(monkeypatch, caplog):
+    # a chain of _LOG_STEPS steps or more reports the steps done and the
+    # acceptance so far once per block, at INFO; a shorter one stays silent
+    p = ModelParams.special(2, (0.0, -1.0), a=2.0)
+    cfg = ChainConfig(n_steps=70_000, seed=1, burn_in=0, thin=10)
+    with caplog.at_level(logging.INFO, logger="facetproc.sampler"):
+        _, quiet = run_chain(p, cfg)
+        assert not caplog.records
+        monkeypatch.setattr("facetproc.sampler._LOG_STEPS", 70_000)
+        _, diag = run_chain(p, cfg)
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m.split(",")[0] for m in messages] == [
+        "step 32768 of 70000", "step 65536 of 70000", "step 70000 of 70000"]
+    moved = diag.birth_accepted + diag.death_accepted
+    assert messages[-1].endswith(f"acceptance {moved / 70_000:.4f}")
+    assert np.array_equal(diag.trace_g, quiet.trace_g)
+
+
 def test_keep_samples_and_export(tmp_path):
     p = ModelParams.special(2, (0.0, -1.0), a=2.0)
     samples, diag = run_chain(p, ChainConfig(n_steps=2000, seed=9, burn_in=200,
@@ -492,7 +609,7 @@ def test_keep_samples_and_export(tmp_path):
     for x, n in zip(samples, diag.trace_n):
         assert x.n == n
     out = tmp_path / "trace.csv"
-    export_trace(diag, out)
+    write_table(out, *trace_table(diag))
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "step,n,G_1,G_2,accepted,move"
     assert len(lines) == diag.n_retained + 1
