@@ -162,7 +162,10 @@ def _truncated(sums, tail_at, dims: int, n: int, n_cap: int | None,
                tol: float):
     """Log numerator and denominator sums, their certified tail and the
     truncation n: n_cap when given, else n grown from its start value
-    until the tail is at most tol times the numerator."""
+    until the tail is at most tol times the numerator.  (n+1)^dims bounds
+    every array sums(n) builds, and past _MAX_CELLS n is refused before
+    any is built.  The bounds pass dims = d for a table of at most
+    (n+1)^(d-1) rows of n+1: they refuse what their old dense grid did."""
     if n_cap is not None:
         n = n_cap
     while True:
@@ -233,14 +236,14 @@ class RhoBoundResult(NamedTuple):
     n_max: int
 
 
-def _distinct_subset_count(values: list[np.ndarray], s: int) -> np.ndarray:
-    """Elementary symmetric polynomial of degree s: the number of
-    s-subsets touching s different orientations, given the counts."""
+def _distinct_subset_count(values: list[np.ndarray], s: int):
+    """Elementary symmetric polynomials of the counts of degrees s-1 and
+    s: the numbers of (s-1)- and s-subsets on distinct orientations."""
     e = [np.ones_like(values[0])] + [np.zeros_like(values[0]) for _ in range(s)]
     for v in values:
-        for j in range(min(s, len(e) - 1), 0, -1):
+        for j in range(s, 0, -1):
             e[j] = e[j] + e[j - 1] * v
-    return e[s]
+    return e[s - 1], e[s]
 
 
 def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
@@ -255,7 +258,12 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
     denominator envelope from below, both functions of orientation
     counts alone.  Dropping the denominator's tail only lowers it, and
     the numerator integrand is at most one, so its tail is a bare
-    Poisson tail.
+    Poisson tail.  The last count is summed in closed form: with y = x + q
+    the counts shifted by the query's (q = 0 for the denominator) and y'
+    all but y_d, e_s(y) = e_s(y') + y_d e_(s-1)(y'), so at a cell x' of
+    the (n+1)^(d-1) grid the x_d-sum of e^(c e_s(y)) is e^(c e_s(y')) T(v),
+    T(v) = sum over x_d = 0..n of pmf(x_d) e^(c (x_d + q_d) v), tabulated
+    in logs once per distinct integer v = e_(s-1)(y').
     """
     s, counts = _query(p, counts, n_cap)
     if s == p.d:
@@ -266,12 +274,17 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
     rate = rho_decay_rate(d, k, b, p.total_intensity, nu)
 
     def sums(n):
-        bare, logw = _count_grid(beta, d, n)
-        shifted = [bare[i] + counts[i] for i in range(d)]
-        num_exp = nu * b ** k * _distinct_subset_count(shifted, s)
-        den_exp = nu * (2 * b) ** k * _distinct_subset_count(bare, s)
-        return (float(logsumexp(logw + num_exp)),
-                float(logsumexp(logw + den_exp)))
+        (edge,), log_pmf = _count_grid(beta, 1, n)  # the last axis alone
+        bare, logw = _count_grid(beta, d - 1, n)
+        out = []
+        for q, c in ((counts, nu * b ** k), ((0,) * d, nu * (2 * b) ** k)):
+            below, top = _distinct_subset_count(
+                [bare[i] + q[i] for i in range(d - 1)], s)
+            v, row = np.unique(below, return_inverse=True)
+            table = logsumexp(log_pmf + c * np.outer(v, edge + q[-1]), axis=1)
+            out.append(float(logsumexp(
+                logw + c * top + table[row.reshape(below.shape)])))
+        return tuple(out)
 
     log_a, log_b, tail, n = _truncated(
         sums, lambda n: d * float(poisson.sf(n, beta)),

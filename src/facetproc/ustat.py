@@ -10,17 +10,17 @@ geometry.tuple_content in plain Python, of the subsets holding a head facet
 and one facet from each of j-1 other classes.  g_increment sums them per
 order, model.log_conditional_intensity weights them by nu, and the chains
 in sampler take theirs on their own groups (private: it runs on every chain
-step, and perfbench's tracer wraps the public functions).  One pattern and
-one new facet, or a pattern with a vector normal, stay on this Python sum.
+step, and perfbench's tracer wraps the public functions).  g_vector of one
+pattern, canonical or not, sums them too (with no head), order by order.
 
 _subset_sums is its array twin for many canonical patterns at once: facet
 arrays tagged with their pattern, every subset row of an order, for all
 patterns together, through geometry.canonical_content in bounded chunks,
-and one fsum per pattern.  g_vector of one canonical pattern is its batch
-of one; the reference draws of e1 (sampler._poisson_g_vectors) and of the
-Monte Carlo expected increment (moments) are scored as whole batches.
-The kernels agree bit for bit, and fsum of the same terms is one
-correctly rounded value, so both paths give the same bits.
+and one fsum per pattern.  The reference draws of e1
+(sampler._poisson_g_vectors) and of the Monte Carlo expected increment
+(moments) are scored as whole batches.  The kernels agree bit for bit, and
+fsum of the same terms is one correctly rounded value, so a pattern scored
+in a batch has the bits of its g_vector.
 
 All reductions go through math.fsum (correctly rounded), so sums are
 order-independent and preserve the termwise ordering needed by the exact
@@ -77,13 +77,9 @@ class FacetPattern:
     def n(self) -> int:
         return len(self.facets)
 
-    @property
-    def is_canonical(self) -> bool:
-        return all(f.is_canonical for f in self.facets)
-
     def orientation_counts(self) -> np.ndarray:
         """Facet count per canonical axis (canonical patterns only)."""
-        if not self.is_canonical:
+        if not all(f.is_canonical for f in self.facets):
             raise ValueError("orientation counts are defined for canonical patterns")
         counts = np.zeros(self.d, dtype=np.intp)
         for key, fs in self.groups.items():
@@ -202,23 +198,13 @@ def _subset_sums(centers: np.ndarray, extents: np.ndarray, axes: np.ndarray,
 
 def g_vector(x: FacetPattern) -> np.ndarray:
     """The vector (G_1, ..., G_d) of interaction U-statistics.  G_1 is
-    the fsum of the facet measures.  A canonical pattern is the batch of
-    one of _subset_sums, every order from one grouping of its arrays; a
-    pattern with a vector normal sums _subset_terms per order."""
+    the fsum of the facet measures, G_j for j >= 2 the fsum of
+    _subset_terms of order j."""
     g = np.zeros(x.d)
     if x.facets:
         g[0] = math.fsum(facet_measure(f) for f in x.facets)
-    top = min(x.d, len(x.groups))
-    if top < 2:
-        return g
-    if not x.is_canonical:
-        for j in range(2, top + 1):
-            g[j - 1] = math.fsum(_subset_terms(x.groups, j))
-        return g
-    triples = [f for _, fs in sorted(x.groups.items()) for f in fs]
-    arrays = [np.array([f[i] for f in triples]) for i in range(3)]
-    g[1:top] = _subset_sums(*arrays, np.zeros(len(triples), dtype=np.intp),
-                            1, range(2, top + 1))[0]
+    for j in range(2, min(x.d, len(x.groups)) + 1):
+        g[j - 1] = math.fsum(_subset_terms(x.groups, j))
     return g
 
 

@@ -1,10 +1,15 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import poisson
 
+from facetproc import correlation
 from facetproc.correlation import (
     rho_bounds,
     rho_decay_rate,
@@ -204,3 +209,55 @@ def test_query_validation():
     p = ModelParams.submodel(3, 2, -1.0, a=2.0)
     with pytest.raises(ValueError, match="distinct orientations"):
         rho_bounds(p, (2, 0, 0))
+
+
+def _dense_rho_bounds(p, counts):
+    """Reference: rho_bounds with every orientation count summed on one
+    dense d-dimensional grid, e_s summed over the s-subsets of axes."""
+    s, d, b = p.coupled_order(), p.d, p.b
+    nu, k, beta = p.nu[s - 1], d - s, correlation._beta(p)
+
+    def e(values):
+        return sum(math.prod(c) for c in itertools.combinations(values, s))
+
+    def sums(n):
+        bare, logw = correlation._count_grid(beta, d, n)
+        shifted = [bare[i] + counts[i] for i in range(d)]
+        return (float(logsumexp(logw + nu * b ** k * e(shifted))),
+                float(logsumexp(logw + nu * (2 * b) ** k * e(bare))))
+
+    log_a, log_b, tail, n = correlation._truncated(
+        sums, lambda n: d * float(poisson.sf(n, beta)),
+        d, math.ceil(beta + 10 * math.sqrt(beta + 1) + 20), None, 1e-8)
+    pref = math.exp(correlation._log_first_order_factor(p, sum(counts)))
+    return pref * (math.exp(log_a) + tail) / math.exp(log_b), tail, n
+
+
+@pytest.mark.parametrize("d,s", [(3, 2), (4, 2), (4, 3)])
+def test_bound_matches_dense_grid(d, s):
+    # queries without and with a facet on the last axis, whose count is
+    # summed through the table
+    queries = [(1,) * (d - 1) + (0,), (0, 1) + (0,) * (d - 3) + (1,),
+               (0,) * (d - 1) + (1,), (1,) * d]
+    for a in (1.0, 4.0, 8.0):
+        p = ModelParams.submodel(d, s, -1.0, a=a)
+        for counts in queries:
+            res = rho_bounds(p, counts)
+            bound, tail, n = _dense_rho_bounds(p, counts)
+            assert res.bound == pytest.approx(bound, rel=1e-13, abs=0)
+            assert (res.tail, res.n_max) == (tail, n)
+            assert res.rate == rho_decay_rate(d, d - s, p.b,
+                                              p.total_intensity, -1.0)
+
+
+def test_bound_memory_is_one_axis_short_of_the_grid():
+    # d=4 at a=8 sums 41^3 cells; the dense 41^4 grid peaked near 197 MiB
+    p = ModelParams.submodel(4, 2, -1.0, a=8.0)
+    rho_bounds(p, (1, 1, 0, 0))
+    tracemalloc.start()
+    try:
+        rho_bounds(p, (1, 1, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
