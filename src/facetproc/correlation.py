@@ -10,9 +10,7 @@ through these counts.  Evaluators, by regime:
 * certified upper bounds when a lower-order interaction is active, where
   the exact value depends on facet centers and only envelopes are
   available,
-* an exponential decay-rate constant for those bounds,
-* Monte Carlo estimation from chain output, valid for every submodel;
-  this one takes the query facets themselves.
+* an exponential decay-rate constant for those bounds.
 
 Closed-form large-activity limits are exposed as exact rationals: the
 fraction of unused orientations, and three standard arrangements of the
@@ -30,9 +28,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
-from .geometry import Facet
-from .model import ModelParams, conditional_intensity
-from .sampler import batch_means_se
+from .model import ModelParams
 
 _MAX_CELLS = 20_000_000
 
@@ -314,16 +310,3 @@ def rho_decay_rate(d: int, k: int, b: float, total_intensity: float,
     if best >= 0:
         raise ValueError("no negative rate within the search cap")
     return total_intensity * best / d
-
-
-def rho_mcmc(facets: Sequence[Facet], samples, p: ModelParams):
-    """Ergodic correlation estimate: the average conditional intensity of
-    the query facets over retained chain states, with batch-means SE.
-    Valid for any submodel and orientation structure."""
-    if not samples:
-        raise ValueError("no samples")
-    facets = list(facets)
-    if len(set(facets)) != len(facets):
-        raise ValueError("query facets must be pairwise distinct")
-    vals = np.array([conditional_intensity(facets, x, p) for x in samples])
-    return float(vals.mean()), batch_means_se(vals)

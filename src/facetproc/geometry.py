@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,17 +113,6 @@ class Window:
 def facet_measure(facet: Facet) -> float:
     """(d-1)-dimensional measure of a single facet: (2r)^(d-1)."""
     return (2.0 * facet.half_extent) ** (facet.d - 1)
-
-
-def general_position(facets: Iterable[Facet]) -> bool:
-    """True iff no two facets are parallel (share an orientation class)."""
-    seen = set()
-    for f in facets:
-        key = f.orientation_key()
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
 
 
 def canonical_content(centers: np.ndarray, extents: np.ndarray,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Facet, Window, facet_measure
-from .ustat import FacetPattern, _subset_terms, g_vector
+from .ustat import FacetPattern, _subset_terms
 
 
 @dataclass(frozen=True)
@@ -333,12 +333,6 @@ def validate_params(p: ModelParams) -> None:
                          "finite")
 
 
-def log_density_unnorm(x: FacetPattern, p: ModelParams) -> float:
-    """nu . G(x): the log density up to the (never computed) constant."""
-    g = g_vector(x)
-    return math.fsum(p.nu[j] * g[j] for j in range(p.d) if p.nu[j] != 0.0)
-
-
 def log_conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelParams) -> float:
     """log of exp(nu . (G(x + ys) - G(x))), via telescoping increments:
     each y takes ustat._subset_terms of every active order on one copy of
@@ -362,11 +356,6 @@ def log_conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelPara
                      for j in orders)
         group.append(f)
     return math.fsum(parts)
-
-
-def conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelParams) -> float:
-    """Papangelou conditional intensity of adding ys to x (m-th order)."""
-    return math.exp(log_conditional_intensity(ys, x, p))
 
 
 def local_stability_bound(p: ModelParams) -> float:

@@ -7,16 +7,16 @@ empty pattern is an automatic rejection.  Every step draws exactly d+4
 uniforms (move, aux, d center coordinates, size, acceptance) regardless of
 the branch taken.
 
-One loop, _run, takes the steps of run_chain and bdmh_step.  It converts
-only the move, aux and acceptance columns of a block to Python floats and
-writes the block's retained states into the trace when the block ends.  An
-increment rule gives it log lambda* of each proposal, applies the accepted
-moves and reports G at the retained states; it reads a row's center and
-size uniforms only when it needs them.  Every chain, and every bdmh_step,
-moves one mutable state in place, _ChainState: the facets in pattern order
-as (center, half-extent, orientation) triples, the same triples grouped by
-orientation class (keyed by axis index or by normal, as FacetPattern.groups
-keys them) and a running G.  Two rules act on it, in plain Python:
+One loop, _run, takes the steps of run_chain.  It converts only the move,
+aux and acceptance columns of a block to Python floats and writes the
+block's retained states into the trace when the block ends.  An increment
+rule gives it log lambda* of each proposal, applies the accepted moves and
+reports G at the retained states; it reads a row's center and size uniforms
+only when it needs them.  Every chain moves one mutable state in place,
+_ChainState: the facets in pattern order as (center, half-extent,
+orientation) triples, the same triples grouped by orientation class (keyed
+by axis index or by normal, as FacetPattern.groups keys them) and a running
+G.  Two rules act on it, in plain Python:
 
 - _GeneralRule serves every model.  Its order-j increment is the fsum of
   ustat._subset_terms on the state's groups, as in g_increment and
@@ -24,8 +24,7 @@ keys them) and a running G.  Two rules act on it, in plain Python:
   of the facet with j-1 facets of other orientation classes.  log lambda*
   is the fsum of nu_j times these.  Under the hemisphere law (d = 2) each
   content is the 0-or-1 crossing of two segments.  The orders with
-  nu_j = 0 are computed only for accepted moves, for G, which bdmh_step
-  does not start: it retains no state.
+  nu_j = 0 are computed only for accepted moves, for G.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
   G_1 and G_d.  It reads a birth's center only once the birth is accepted.
@@ -34,8 +33,7 @@ keys them) and a running G.  Two rules act on it, in plain Python:
   read centers, so a birth keeps its raw uniforms until a pattern is built.
 
 Both give bit-identical trajectories and G from the same seed.  No Facet or
-FacetPattern is built per step, only for kept samples and the result of
-bdmh_step.
+FacetPattern is built per step, only for kept samples.
 
 The running G is exact.  Each term (the content of one subset) is added
 when its subset appears and subtracted, bit for bit the same value, when a
@@ -53,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Facet
-from .model import ModelParams, _facet_list, log_conditional_intensity
+from .model import ModelParams, _facet_list
 from .ustat import FacetPattern, _subset_sums, _subset_terms
 
 _BLOCK = 1 << 15
@@ -112,26 +110,6 @@ def _poisson_g_vectors(p: ModelParams, rngs: list) -> np.ndarray:
     return _subset_sums(*arrays, owner, len(rngs), range(1, p.d + 1))
 
 
-def birth_log_ratio(p: ModelParams, x: FacetPattern, u: Facet) -> float:
-    """log of the birth acceptance ratio lambda*(u;x) * aT/(n+1)."""
-    a_t = p.a * p.total_intensity
-    return log_conditional_intensity([u], x, p) + math.log(a_t) - math.log(x.n + 1)
-
-
-def death_log_ratio(p: ModelParams, x: FacetPattern, i: int) -> float:
-    """log of the death ratio n/(aT * lambda*); exact negation of the
-    matching birth ratio, so birth-then-death cancels to 0 in logs."""
-    return -birth_log_ratio(p, x.without_index(i), x.facets[i])
-
-
-def bdmh_step(x: FacetPattern, p: ModelParams, rng) -> tuple[FacetPattern, bool, str]:
-    """One birth-death MH step; consumes d+4 uniforms from rng."""
-    rule = _GeneralRule(p, x)
-    accepted, move = _run(rule, x.n, [rng.random(p.d + 4)[np.newaxis]],
-                          ChainDiagnostics(p.d, rule.engine, 0, 1), None, 1)
-    return rule._pattern(), accepted, move
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     n_steps: int
@@ -147,6 +125,10 @@ class ChainConfig:
         a_t = p.a * p.total_intensity
         burn = self.burn_in if self.burn_in is not None else int(round(10 * a_t))
         thin = self.thin if self.thin is not None else max(1, int(round(a_t / 10)))
+        for name, value in (("n_steps", self.n_steps), ("burn_in", burn),
+                            ("thin", thin)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.n_steps > burn >= 0:
             raise ValueError(f"need n_steps > burn_in >= 0, got n_steps = "
                              f"{self.n_steps} and burn_in = {burn}")
@@ -328,9 +310,9 @@ class _GeneralRule(_ChainState):
     """Increments of any model: for order j, the fsum of
     ustat._subset_terms of the facet and j-1 other orientation classes of
     the state's groups.  log lambda* is the fsum of nu_j times these, as
-    model.log_conditional_intensity takes it.  The constructor only
-    places the facets of x; seed_g starts the running G at G(x), which
-    only run_chain reads.  birth gives -inf for a facet already present."""
+    model.log_conditional_intensity takes it.  The constructor places the
+    facets of x and starts the running G at G(x).  birth gives -inf for a
+    facet already present."""
 
     engine = "pattern"
 
@@ -347,8 +329,6 @@ class _GeneralRule(_ChainState):
         self._terms: list[list[float]] = []  # its active orders' terms
         for f in x.facets:
             self._push((f.center, f.half_extent, f.orientation))
-
-    def seed_g(self) -> None:
         # every subset term of the placed facets, each once
         for j in range(1, self.d + 1):
             _add_terms(self.g[j - 1], _subset_terms(self.groups, j), 1.0)
@@ -473,12 +453,12 @@ class _CountsRule(_ChainState):
 
 
 def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
-         n_steps: int) -> tuple[bool, str]:
+         n_steps: int) -> None:
     """Step from a state of n facets, one step per row of each block (rows
     of d+4 uniforms), n_steps in all.  Counts the moves into diag, fills its
     trace at the steps diag.trace_step lists, appends those states'
     patterns to samples unless it is None, and logs progress once per block
-    at INFO if n_steps >= _LOG_STEPS.  Returns the last acceptance and move.
+    at INFO if n_steps >= _LOG_STEPS.
 
     rule.birth(block, i, aux) is log lambda*(u; x) of the facet u row i
     proposes and rule.add(block, i) adds u; rule.death(i) is
@@ -551,7 +531,6 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     diag.birth_accepted += b_acc
     diag.death_proposed += done - b_prop
     diag.death_accepted += d_acc
-    return accepted, "B" if move < 0.5 else "D"
 
 
 def run_chain(p: ModelParams, cfg: ChainConfig):
@@ -573,11 +552,7 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
         _check_initial(p, cfg.initial)
     rng = make_rng(cfg.seed, cfg.chain_index)
     initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
-    if counts:
-        rule = _CountsRule(p, initial)
-    else:
-        rule = _GeneralRule(p, initial)
-        rule.seed_g()
+    rule = (_CountsRule if counts else _GeneralRule)(p, initial)
     n_keep = (cfg.n_steps - burn) // thin
     diag = ChainDiagnostics(
         d=p.d, engine=rule.engine, burn_in=burn, thin=thin,

@@ -1,4 +1,4 @@
-"""Interaction U-statistics of facet patterns.
+"""The interaction U-statistics G_j of facet patterns and their increments.
 
 G_j(x) sums the (d-j)-dimensional intersection content over unordered
 j-subsets of x.  Only subsets with pairwise distinct orientation classes can
@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -227,17 +227,3 @@ def g_increment(x: FacetPattern, u: Facet, orders: Sequence[int] | None = None) 
             raise ValueError(f"order {j} outside 1..{d}")
         out[j - 1] = math.fsum(_subset_terms(x.groups, j - 1, head))
     return out
-
-
-def u_statistic(x: FacetPattern, kernel: Callable[..., float], k: int) -> float:
-    """Sum of a symmetric kernel over ordered k-tuples of distinct facets.
-
-    Computed as k! times the unordered-subset sum; k > n gives the empty
-    sum 0.
-    """
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    if k > x.n:
-        return 0.0
-    total = math.fsum(kernel(*s) for s in itertools.combinations(x.facets, k))
-    return math.factorial(k) * total

@@ -12,7 +12,6 @@ from facetproc.geometry import (
     Window,
     canonical_content,
     facet_measure,
-    general_position,
     intersection_measure,
     tuple_content,
 )
@@ -80,8 +79,6 @@ def test_parallel_facets_never_intersect():
     # nested parallel facets count as empty too
     f3 = Facet((0.2, 0.5, 0.9), 0.25, 1)
     assert intersection_measure([f1, f3]) == 0.0
-    assert not general_position([f1, f2])
-    assert general_position([f1, Facet((0.0, 0.0, 0.0), 1.0, 2)])
 
 
 def test_closed_boundary_containment():

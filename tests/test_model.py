@@ -9,10 +9,8 @@ from facetproc.model import (
     ModelParams,
     OrientationLaw,
     SizeLaw,
-    conditional_intensity,
     local_stability_bound,
     log_conditional_intensity,
-    log_density_unnorm,
     validate_params,
 )
 from facetproc.ustat import FacetPattern, g_vector
@@ -48,27 +46,18 @@ def test_submodel_constructor():
         ModelParams.submodel(3, order=3, nu_value=0.5)
 
 
-def test_log_density_unnorm():
-    p0 = ModelParams.special(2, (0.0, 0.0))
-    x = FacetPattern.of([Facet((0.2, 0.7), 1.0, 0), Facet((0.9, 0.1), 1.0, 1)])
-    assert log_density_unnorm(x, p0) == 0.0
-    assert log_density_unnorm(p0.empty_pattern(), p0) == 0.0
-    p = ModelParams.special(2, (0.0, -1.0))
-    assert log_density_unnorm(x, p) == pytest.approx(-1.0)
-    # heredity: finite on every pattern
-    assert math.isfinite(log_density_unnorm(x, ModelParams.special(2, (2.0, -3.0))))
-
-
 def test_conditional_intensity_examples():
     p0 = ModelParams.special(2, (0.0, 0.0))
     x = FacetPattern.of([Facet((0.2, 0.7), 1.0, 0)])
     u = Facet((0.9, 0.1), 1.0, 1)
-    assert conditional_intensity([u], x, p0) == 1.0
+    assert math.exp(log_conditional_intensity([u], x, p0)) == 1.0
 
     p = ModelParams.submodel(2, order=2, nu_value=-0.8)
-    assert conditional_intensity([u], x, p) == pytest.approx(math.exp(-0.8))
+    assert math.exp(log_conditional_intensity([u], x, p)) \
+        == pytest.approx(math.exp(-0.8))
     # two crossing facets added to the empty pattern
-    val = conditional_intensity([x.facets[0], u], p.empty_pattern(), p)
+    val = math.exp(log_conditional_intensity([x.facets[0], u],
+                                             p.empty_pattern(), p))
     assert val == pytest.approx(math.exp(-0.8))
 
 

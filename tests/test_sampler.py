@@ -19,13 +19,12 @@ from facetproc.model import (
     OrientationLaw,
     SizeLaw,
     local_stability_bound,
+    log_conditional_intensity,
 )
 from facetproc.sampler import (
     ChainConfig,
+    _GeneralRule,
     batch_means_se,
-    bdmh_step,
-    birth_log_ratio,
-    death_log_ratio,
     make_rng,
     run_chain,
     sample_poisson,
@@ -83,18 +82,6 @@ def test_sample_poisson_is_the_per_facet_reference(name):
             == repr(_reference_sample_poisson(p, ref).facets)
 
 
-def test_birth_death_log_ratio_cancellation():
-    p = ModelParams.special(2, (0.4, -1.3), a=2.0)
-    rng = make_rng(3)
-    for _ in range(50):
-        x = sample_poisson(p, rng)
-        u = p.sample_facet_from_uniforms(rng.random(), rng.random(2), rng.random())
-        if u in x.facets:
-            continue
-        grown = x.with_facet(u)
-        assert birth_log_ratio(p, x, u) + death_log_ratio(p, grown, grown.n - 1) == 0.0
-
-
 def _hemisphere_model(nu, a):
     window = Window.cube(1.0, 2)
     return ModelParams(2, 1.0, nu, a, CenterIntensity(window, level=1.0),
@@ -129,34 +116,14 @@ def _model_pattern_and_facet(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_model_pattern_and_facet())
 def test_birth_death_log_ratio_cancellation_property(case):
-    # the death of u, wherever it sits in the grown pattern, undoes the
-    # birth of u in the log domain exactly
+    # the chain's death of u, wherever it sits in the grown pattern, takes
+    # the log lambda* of the birth of u exactly, so the two log-ratios
+    # cancel; u is still in the rule's groups when death scores it
     p, x, u, k = case
     if u in x.facets:
         return
     grown = FacetPattern.of(x.facets[:k] + (u,) + x.facets[k:], p.d)
-    assert birth_log_ratio(p, x, u) + death_log_ratio(p, grown, k) == 0.0
-
-
-def test_birth_into_empty_always_accepts():
-    p = ModelParams.special(2, (0.0, 0.0), a=5.0)  # aT = 5
-    empty = p.empty_pattern()
-    u = p.sample_facet_from_uniforms(0.3, (0.5, 0.5), 0.5)
-    assert birth_log_ratio(p, empty, u) == math.log(p.a * p.total_intensity)
-    # ratio > 1: any acceptance uniform passes
-    assert math.log(1.0 - 1e-16) < birth_log_ratio(p, empty, u)
-
-
-class _Replay:
-    """Stands in for a generator: hands out the given rows in turn."""
-
-    def __init__(self, rows):
-        self.rows = iter(rows)
-
-    def random(self, k):
-        row = next(self.rows)
-        assert len(row) == k
-        return row
+    assert _GeneralRule(p, grown).death(k) == log_conditional_intensity([u], x, p)
 
 
 def _full_recompute_step(p, x, row):
@@ -183,18 +150,23 @@ def _full_recompute_step(p, x, row):
     return x, False, "D"
 
 
-def test_bdmh_step_matches_full_recompute_reference():
+def test_chain_matches_full_recompute_reference():
+    # a chain with a given start reads one block of uniforms,
+    # make_rng(seed).random((n_steps, d + 4)); the oracle steps through the
+    # same rows
     for p in (ModelParams.special(2, (0.2, -0.8), a=3.0),
               _hemisphere_model((0.2, -0.8), 3.0)):
+        samples, diag = run_chain(p, ChainConfig(
+            n_steps=1000, seed=11, burn_in=0, thin=1,
+            initial=p.empty_pattern(), keep_samples=True, engine="pattern"))
         rows = make_rng(11).random((1000, 6))
-        fast = p.empty_pattern()
-        slow = p.empty_pattern()
-        replay = _Replay(rows)
+        x = p.empty_pattern()
         for t in range(1000):
-            fast, acc_f, move_f = bdmh_step(fast, p, replay)
-            slow, acc_s, move_s = _full_recompute_step(p, slow, rows[t])
-            assert (acc_f, move_f) == (acc_s, move_s)
-            assert fast.facets == slow.facets
+            x, accepted, move = _full_recompute_step(p, x, rows[t])
+            assert (accepted, move) == (diag.trace_accepted[t],
+                                        diag.trace_move[t])
+            assert x.facets == samples[t].facets
+        assert diag.birth_accepted + diag.death_accepted > 100
 
 
 def test_engines_produce_identical_chains():
@@ -408,14 +380,14 @@ def test_repulsive_chain_thins_counts():
 def test_chain_respects_local_stability():
     p = ModelParams.special(2, (0.7, -0.5), a=2.0)
     alpha = local_stability_bound(p)
-    rng = make_rng(17)
-    x = p.empty_pattern()
-    for _ in range(300):
-        x, _, _ = bdmh_step(x, p, rng)
+    samples, _ = run_chain(p, ChainConfig(n_steps=300, seed=17, burn_in=0,
+                                          thin=1, initial=p.empty_pattern(),
+                                          keep_samples=True))
+    rng = make_rng(18)
+    for x in samples:
         u = p.sample_facet_from_uniforms(rng.random(), rng.random(2), rng.random())
         if u not in x.facets:
-            assert birth_log_ratio(p, x, u) <= math.log(alpha) + math.log(
-                p.a * p.total_intensity)
+            assert log_conditional_intensity([u], x, p) <= math.log(alpha)
 
 
 def test_config_validation():
@@ -424,6 +396,9 @@ def test_config_validation():
         run_chain(p, ChainConfig(n_steps=100, burn_in=100))
     with pytest.raises(ValueError):
         run_chain(p, ChainConfig(n_steps=100, burn_in=0, thin=0))
+    # chain lengths are refused at entry, naming the field
+    with pytest.raises(ValueError, match="thin must be an integer"):
+        run_chain(p, ChainConfig(n_steps=1000, thin=2.5))
     hemi = ModelParams(2, 1.0, (0.0, -1.0), 2.0, p.center, p.size,
                        OrientationLaw(2, "hemisphere"))
     with pytest.raises(ValueError):
@@ -485,12 +460,15 @@ def test_default_burnin_thin():
     p2 = ModelParams.special(2, (0.0, 0.0), a=100.0)
     burn2, thin2 = ChainConfig(n_steps=5000).resolve(p2)
     assert burn2 == 1000 and thin2 == 10
+    # numpy integers are chain lengths too
+    cfg = ChainConfig(n_steps=np.int64(500), burn_in=np.int32(50), thin=np.int64(3))
+    assert cfg.resolve(p) == (50, 3)
 
 
 # Short chains through every branch of the chain loop: d = 2 counts at thin
 # 1 over three uniform blocks, d = 3 counts at thin 3 with kept samples, d = 3
-# nu_2 on the general rule at thin 3, the hemisphere law, a table center
-# intensity with a zero cell on both rules, and bdmh_step.
+# nu_2 on the general rule at thin 3, the hemisphere law, and a table center
+# intensity with a zero cell on both rules.
 _PINNED_CHAINS = {
     "d2-counts-thin1": (ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
                         dict(n_steps=70_000, seed=5, burn_in=100, thin=1)),
@@ -525,8 +503,6 @@ _PINNED_DIGESTS = {
         "19ca5f20d201ce7d162374d4ae13a466d0257fd756eb0873ae6904a44dd49713",
     "table-hole-general-samples":
         "d4143476546ef3be01a9ceca9b4760758a64036191b4cf758d957734b8370082",
-    "bdmh-step-table":
-        "57cd15cc4cb4c394cad9b7f59b1ddc2dea54319aae3c00bde9d7afa59b9584a4",
 }
 
 
@@ -552,16 +528,6 @@ def test_chain_trajectories_are_pinned(name):
         (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
          diag.death_accepted),
         [x.facets for x in samples]) == _PINNED_DIGESTS[name]
-
-
-def test_bdmh_steps_are_pinned():
-    p = _CHAIN_CLASSES["table"][0]
-    x, rng, steps = sample_poisson(p, make_rng(6)), make_rng(7), []
-    for _ in range(300):
-        x, accepted, move = bdmh_step(x, p, rng)
-        steps.append((accepted, move, x.facets))
-    assert sum(accepted for accepted, _, _ in steps) > 50
-    assert _digest(steps) == _PINNED_DIGESTS["bdmh-step-table"]
 
 
 def test_orientation_counts_are_the_bit_counts():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from facetproc.geometry import Facet, facet_measure, intersection_measure
 from facetproc.model import ModelParams, OrientationLaw
 from facetproc.sampler import _poisson_g_vectors, make_rng, sample_poisson
-from facetproc.ustat import (FacetPattern, _subset_sums, g_increment,
-                             g_vector, u_statistic)
+from facetproc.ustat import FacetPattern, _subset_sums, g_increment, g_vector
 from test_sampler import _array_increment, _table_model, _two_atom_model
 
 
@@ -182,20 +181,6 @@ def test_increment_is_the_array_reference(case):
     x, u = case
     expected = [_array_increment(x, u, j).hex() for j in range(1, x.d + 1)]
     assert [v.hex() for v in g_increment(x, u).tolist()] == expected
-
-
-def test_u_statistic():
-    rng = np.random.default_rng(42)
-    x = random_canonical_pattern(rng, 2, 3)
-    assert u_statistic(x, lambda f: 1.0, 1) == 3.0
-    assert u_statistic(x, lambda f, g: 1.0, 2) == 6.0  # ordered pairs
-    assert u_statistic(x, lambda f, g: 1.0, 4) == 0.0  # k > n: empty sum
-    # kernel H^{d-2}(y1, y2)/2 at k=2 reproduces G_2
-    x5 = random_canonical_pattern(rng, 2, 5, half_extent=1.0)
-    val = u_statistic(x5, lambda f, g: intersection_measure([f, g]) / 2.0, 2)
-    assert val == pytest.approx(g_vector(x5)[1], rel=1e-12)
-    with pytest.raises(ValueError):
-        u_statistic(x, lambda f: 1.0, 0)
 
 
 def test_orientation_counts_non_canonical_rejected():

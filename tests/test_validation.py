@@ -1,17 +1,17 @@
 """Non-finite and unrunnable input is rejected where it enters: model
-parameters, the reference laws, and experiment configurations."""
+parameters, the reference laws, chain configurations and experiment
+configurations."""
 
 import math
 
 import pytest
 
-from facetproc.correlation import rho_mcmc
 from facetproc.geometry import Facet, Window
 from facetproc.harness import build_experiment_config, config_model, \
     poisson_mean_interaction
 from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
                              SizeLaw, log_conditional_intensity)
-from facetproc.sampler import birth_log_ratio
+from facetproc.sampler import ChainConfig
 from facetproc.ustat import FacetPattern
 
 NAN, INF = math.nan, math.inf
@@ -71,21 +71,24 @@ BAD_INPUT = {
         _canonical(2, 4.0, 0.25, 1.0), 2),
     "mean-interaction-window": lambda: poisson_mean_interaction(
         _canonical(3, 16.0, 1.0, 0.5), 2),
-    # these gave -3.7, -4.105 and (0.0247, inf) instead of refusing
+    # this gave -3.7 instead of refusing
     "intensity-pattern-dimension": lambda: log_conditional_intensity(
         [CUBE_FACET], CUBE_PATTERN, PAIR),
-    "birth-pattern-dimension": lambda: birth_log_ratio(
-        PAIR, CUBE_PATTERN, CUBE_FACET),
-    "rho-mcmc-pattern-dimension": lambda: rho_mcmc(
-        [CUBE_FACET], [CUBE_PATTERN], PAIR),
     # no active order: this gave 0.0
     "intensity-facet-dimension": lambda: log_conditional_intensity(
         [CUBE_FACET], FacetPattern.of([], 2), _canonical(2, 1.0, 1.0, 1.0)),
-    # these gave 0.0 and -0.405, where g_increment refuses the facet
+    # this gave 0.0, where g_increment refuses the facet
     "intensity-duplicate-inactive": lambda: log_conditional_intensity(
         [PRESENT], HOLDING, INACTIVE),
-    "birth-duplicate-inactive": lambda: birth_log_ratio(
-        INACTIVE, HOLDING, PRESENT),
+    # these ended in a numpy TypeError inside run_chain, or (True) ran one
+    # step
+    "chain-thin-float": lambda: ChainConfig(n_steps=1000, thin=2.5).resolve(
+        PAIR),
+    "chain-burnin-float": lambda: ChainConfig(
+        n_steps=1000, burn_in=10.5).resolve(PAIR),
+    "chain-steps-float": lambda: ChainConfig(n_steps=1000.0).resolve(PAIR),
+    "chain-steps-bool": lambda: ChainConfig(n_steps=True, burn_in=0).resolve(
+        PAIR),
 }
 
 
