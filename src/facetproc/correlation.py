@@ -144,24 +144,23 @@ def _count_grid(beta: float, dims: int, n: int):
     return np.meshgrid(*([edge] * dims), indexing="ij", sparse=True), logw
 
 
-def _series_sums(beta: float, nu: float, d: int, counts, n: int):
-    bare, logw = _count_grid(beta, d - 1, n)
-    shifted = [bare[i] + counts[i] for i in range(d - 1)]
-    prod_q = math.prod(shifted[1:], start=shifted[0])
-    prod_0 = math.prod(bare[1:], start=bare[0])
-    log_num = logw + nu * counts[d - 1] * prod_q + beta * np.exp(nu * prod_q)
-    log_den = logw + beta * np.exp(nu * prod_0)
-    return float(logsumexp(log_num)), float(logsumexp(log_den))
+def _table_sum(beta: float, n: int, logw, v, term) -> float:
+    """logsumexp over a grid of logw + T(v), with T(v) = logsumexp over
+    x = 0..n of log Poisson(beta)(x) + term(v, x), once per distinct v."""
+    (edge,), log_pmf = _count_grid(beta, 1, n)
+    u, row = np.unique(v, return_inverse=True)
+    table = logsumexp(log_pmf + term(u[:, None], edge), axis=1)
+    return float(logsumexp(logw + table[row.reshape(np.shape(v))]))
 
 
 def _truncated(sums, tail_at, dims: int, n: int, n_cap: int | None,
                tol: float):
     """Log numerator and denominator sums, their certified tail and the
     truncation n: n_cap when given, else n grown from its start value
-    until the tail is at most tol times the numerator.  (n+1)^dims bounds
-    every array sums(n) builds, and past _MAX_CELLS n is refused before
-    any is built.  The bounds pass dims = d for a table of at most
-    (n+1)^(d-1) rows of n+1: they refuse what their old dense grid did."""
+    until the tail is at most tol times the numerator.  sums(n) adds up
+    dims counts (the series d-1, its d-th being closed-form; the bounds
+    d), the last through a table of at most (n+1)^(dims-1) rows of n+1,
+    its largest array: past _MAX_CELLS for (n+1)^dims, n is refused."""
     if n_cap is not None:
         n = n_cap
     while True:
@@ -180,20 +179,27 @@ def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
     the given orientation counts (repeats allowed), as a ratio of
     truncated multinomial series.
 
-    All but one orientation coordinate are summed on a grid after the
-    last is eliminated in closed form; both sums run in log space.  The
-    reported tail bounds the truncation error of either normalized sum
-    through the Poisson tail of one coordinate, every discarded term
-    being at most e^beta times its weight.
+    The last count is eliminated in closed form; the others enter through
+    P = v (x_(d-1) + q_(d-1)), v the product of the first d-2 counts (all
+    shifted by the query's), summed through a table per distinct v.  The
+    tail bounds either normalized sum's truncation error by one Poisson
+    tail, every discarded term being at most e^beta times its weight.
     """
     s, counts = _query(p, counts, n_cap)
     if s != p.d:
         raise ValueError("lower-order interaction: use rho_bounds")
     d, nu, beta = p.d, p.nu[p.d - 1], _beta(p)
+
+    def sums(n):  # numerator, then denominator with q = 0
+        bare, logw = _count_grid(beta, d - 2, n)
+        return tuple(_table_sum(
+            beta, n, logw, math.prod(bare[i] + q[i] for i in range(d - 2)),
+            lambda v, x: nu * q[-1] * (v * (x + q[-2]))
+            + beta * np.exp(nu * (v * (x + q[-2])))) for q in (counts, (0,) * d))
+
     log_a, log_b, tail, n = _truncated(
-        lambda n: _series_sums(beta, nu, d, counts, n),
-        lambda n: math.exp(math.log(max(d - 1, 1)) + beta
-                           + float(poisson.logsf(n, beta))),
+        sums, lambda n: math.exp(math.log(max(d - 1, 1)) + beta
+                                 + float(poisson.logsf(n, beta))),
         d - 1, math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20),
         n_cap, tol)
     value = math.exp(_log_first_order_factor(p, sum(counts)) + log_a - log_b)
@@ -270,16 +276,13 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
     rate = rho_decay_rate(d, k, b, p.total_intensity, nu)
 
     def sums(n):
-        (edge,), log_pmf = _count_grid(beta, 1, n)  # the last axis alone
         bare, logw = _count_grid(beta, d - 1, n)
         out = []
         for q, c in ((counts, nu * b ** k), ((0,) * d, nu * (2 * b) ** k)):
             below, top = _distinct_subset_count(
                 [bare[i] + q[i] for i in range(d - 1)], s)
-            v, row = np.unique(below, return_inverse=True)
-            table = logsumexp(log_pmf + c * np.outer(v, edge + q[-1]), axis=1)
-            out.append(float(logsumexp(
-                logw + c * top + table[row.reshape(below.shape)])))
+            out.append(_table_sum(beta, n, logw + c * top, below,
+                                  lambda v, x: c * (v * (x + q[-1]))))
         return tuple(out)
 
     log_a, log_b, tail, n = _truncated(
@@ -300,13 +303,10 @@ def rho_decay_rate(d: int, k: int, b: float, total_intensity: float,
         raise ValueError("coupling must be negative")
     if not 1 <= k <= d - 2:
         raise ValueError("need 1 <= k <= d-2")
-    base = nu * b ** k
-    best = math.inf
-    for p_exp in range(1, cap + 1):
-        for q_exp in range(1, cap + 1):
-            r1 = (k * math.exp(base * p_exp) + (d - k - 1) * math.exp(base)
-                  + math.exp(base * q_exp) - (d - k - 1))
-            best = min(best, r1)
+    base, exps = nu * b ** k, range(1, cap + 1)
+    best = min((k * math.exp(base * p_exp) + (d - k - 1) * math.exp(base)
+                + math.exp(base * q_exp) - (d - k - 1)
+                for p_exp in exps for q_exp in exps), default=math.inf)
     if best >= 0:
         raise ValueError("no negative rate within the search cap")
     return total_intensity * best / d

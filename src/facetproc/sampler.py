@@ -125,15 +125,15 @@ class ChainConfig:
         a_t = p.a * p.total_intensity
         burn = self.burn_in if self.burn_in is not None else int(round(10 * a_t))
         thin = self.thin if self.thin is not None else max(1, int(round(a_t / 10)))
-        for name, value in (("n_steps", self.n_steps), ("burn_in", burn),
-                            ("thin", thin)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not self.n_steps > burn >= 0:
-            raise ValueError(f"need n_steps > burn_in >= 0, got n_steps = "
+        for name, value, least in (("n_steps", self.n_steps, 1), ("burn_in", burn, 0),
+                                   ("thin", thin, 1), ("seed", self.seed, 0),
+                                   ("chain_index", self.chain_index, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not self.n_steps > burn:
+            raise ValueError(f"need n_steps > burn_in, got n_steps = "
                              f"{self.n_steps} and burn_in = {burn}")
-        if thin < 1:
-            raise ValueError("thin must be >= 1")
         if (self.n_steps - burn) // thin > _MAX_TRACE:
             raise ValueError(f"trace too large: n_steps = {self.n_steps}, "
                              f"burn_in = {burn} and thin = {thin} keep more "

@@ -267,3 +267,58 @@ def test_bound_memory_is_one_axis_short_of_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def _dense_rho_series(p, counts):
+    """Reference: rho_series_counts with the first d-1 orientation counts
+    summed on one dense (n+1)^(d-1) grid, the last in closed form."""
+    d, nu, beta = p.d, p.nu[p.d - 1], correlation._beta(p)
+
+    def sums(n):
+        bare, logw = correlation._count_grid(beta, d - 1, n)
+        shifted = [bare[i] + counts[i] for i in range(d - 1)]
+        prod_q = math.prod(shifted[1:], start=shifted[0])
+        prod_0 = math.prod(bare[1:], start=bare[0])
+        log_num = logw + nu * counts[d - 1] * prod_q + beta * np.exp(nu * prod_q)
+        log_den = logw + beta * np.exp(nu * prod_0)
+        return float(logsumexp(log_num)), float(logsumexp(log_den))
+
+    log_a, log_b, tail, n = correlation._truncated(
+        sums, lambda n: math.exp(math.log(max(d - 1, 1)) + beta
+                                 + float(poisson.logsf(n, beta))),
+        d - 1, math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20),
+        None, 1e-8)
+    value = math.exp(correlation._log_first_order_factor(p, sum(counts))
+                     + log_a - log_b)
+    return value, math.exp(log_a), math.exp(log_b), tail, n
+
+
+@pytest.mark.parametrize("a", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_series_matches_dense_grid(d, a):
+    # repeats, and zero and nonzero counts on the last two axes: the one
+    # summed through the table and the one eliminated in closed form
+    queries = {q[-d:] for q in [(1, 2, 2, 1), (2, 2, 2, 0), (0, 0, 0, 3),
+                                (0, 0, 3, 0), (1,) * d]}
+    p = ModelParams.submodel(d, d, -1.0, a=a)
+    for counts in sorted(queries):
+        res = rho_series_counts(p, counts)
+        value, numerator, denominator, tail, n = _dense_rho_series(p, counts)
+        assert res.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert res.numerator == pytest.approx(numerator, rel=1e-13, abs=0)
+        assert res.denominator == pytest.approx(denominator, rel=1e-13, abs=0)
+        assert (res.tail, res.n_max) == (tail, n)
+
+
+def test_series_memory_is_two_axes_short_of_the_grid():
+    # d=5 at a=8 sums 42^3 cells and a table of at most 42^4; the dense
+    # 42^4 grid of each sum peaked near 240 MiB
+    p = ModelParams.submodel(5, 5, -1.0, a=8.0)
+    rho_series_counts(p, (1, 1, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        rho_series_counts(p, (1, 1, 0, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

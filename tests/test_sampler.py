@@ -399,6 +399,11 @@ def test_config_validation():
     # chain lengths are refused at entry, naming the field
     with pytest.raises(ValueError, match="thin must be an integer"):
         run_chain(p, ChainConfig(n_steps=1000, thin=2.5))
+    # and so are the stream keys, before make_rng sees them (True is not 1)
+    for field, value in (("seed", 1.5), ("chain_index", 2.0), ("seed", -1),
+                         ("seed", True)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            run_chain(p, ChainConfig(n_steps=1000, **{field: value}))
     hemi = ModelParams(2, 1.0, (0.0, -1.0), 2.0, p.center, p.size,
                        OrientationLaw(2, "hemisphere"))
     with pytest.raises(ValueError):
