@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
-from .model import ModelParams
+from .model import ModelParams, _check_int
 
 _MAX_CELLS = 20_000_000
 
@@ -49,8 +49,8 @@ def _query(p: ModelParams, counts, n_cap: int | None
     after checking both and the truncation cap."""
     _require_special(p)
     s = p.coupled_order()
-    if n_cap is not None and n_cap < 1:
-        raise ValueError("truncation cap must be >= 1")
+    if n_cap is not None:
+        _check_int("truncation cap n_cap", n_cap, 1)
     counts = tuple(counts)
     whole = tuple(_whole(c) for c in counts)
     if len(counts) != p.d or None in whole or any(c < 0 for c in whole) \
@@ -89,9 +89,6 @@ def rho_limit_from_counts(counts: Sequence[int]) -> Fraction:
     return Fraction(sum(1 for c in counts if c == 0), len(counts))
 
 
-_VARIANT_ALIASES = {"a": "distinct", "b": "two_groups", "c": "overlapping_groups"}
-
-
 def rho_limit(d: int, k: int, variant: str = "distinct",
               l: int | None = None) -> Fraction:
     """Exact large-activity limit of the top-order-coupled correlation,
@@ -106,7 +103,6 @@ def rho_limit(d: int, k: int, variant: str = "distinct",
     The shared-facet arrangement counts l without the shared facet's own
     orientation; its admissible range follows from the group sizes.
     """
-    variant = _VARIANT_ALIASES.get(variant, variant)
     if not 1 <= k <= d - 1:
         raise ValueError("need 1 <= k <= d-1")
     if variant == "distinct":

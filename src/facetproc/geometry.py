@@ -71,10 +71,6 @@ class Facet:
     def is_canonical(self) -> bool:
         return isinstance(self.orientation, int)
 
-    def orientation_key(self):
-        """Hashable key identifying the orientation class (parallel iff equal)."""
-        return self.orientation
-
 
 @dataclass(frozen=True)
 class Window:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .correlation import (rho_bounds, rho_limit, rho_limit_from_counts,
                           rho_series_counts)
-from .model import ModelParams
+from .model import ModelParams, _check_int
 from .moments import _covariance_table, i_k_integrals, \
     scaling_limit_constants
 from .sampler import ChainConfig, _poisson_g_vectors, batch_means_se, \
@@ -138,8 +138,7 @@ class ExperimentConfig:
             raise ValueError("activity grid must be nonempty")
         if any(y <= x for x, y in zip(self.a_grid, self.a_grid[1:])):
             raise ValueError("activity grid must be increasing")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        _check_int("replicates", self.replicates, 1)
         if len(self.chain_steps) != len(self.a_grid):
             raise ValueError("per-grid step list must match the grid")
         # every grid point's model and chain settings, before any task runs

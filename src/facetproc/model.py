@@ -10,7 +10,6 @@ half-extent, and an orientation law.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
@@ -101,34 +100,6 @@ class CenterIntensity:
         return tuple(lo + (i + np.clip(u_c, 0.0, 1.0)) * ((hi - lo) / n_c)
                      for (lo, hi), i, u_c, n_c in zip(b, idx, us, shape))
 
-    def scalar_sampler(self):
-        """sample_from_uniforms for one point's d float uniforms in plain
-        Python: the same cell by bisect_right over the same cumulative
-        masses, unravelled by divmod, and the same arithmetic."""
-        if self.level is not None:
-            return self.sample_from_uniforms
-        cum, shape, _ = self._cells
-        cum = cum.tolist()
-        total, last = cum[-1], len(cum) - 1
-        cells = [(lo, (hi - lo) / n_c) for (lo, hi), n_c
-                 in zip(self.window.bounds, shape)]
-
-        def sample(u):
-            mass = u[0] * total
-            flat = min(bisect_right(cum, mass), last)
-            idx, rest = [], flat
-            for n_c in reversed(shape):
-                rest, i = divmod(rest, n_c)
-                idx.append(i)
-            prev = cum[flat - 1] if flat > 0 else 0.0
-            w = cum[flat] - prev
-            us = ((mass - prev) / w if w > 0 else 0.5, *u[1:])
-            return tuple(lo + (i + min(max(u_c, 0.0), 1.0)) * width
-                         for (lo, width), i, u_c
-                         in zip(cells, reversed(idx), us))
-
-        return sample
-
 
 @dataclass(frozen=True)
 class SizeLaw:
@@ -167,12 +138,6 @@ class SizeLaw:
         """The first atom whose cumulative weight exceeds the uniform u;
         elementwise for an array of uniforms."""
         return self._radii[np.searchsorted(self._cuts, u, side="right")]
-
-    def scalar_sampler(self):
-        """sample_from_uniform for one float uniform in plain Python: the
-        same atom, by bisect_right over the same cumulative weights."""
-        radii, cuts = self._radii.tolist(), self._cuts.tolist()
-        return lambda u: radii[bisect_right(cuts, u)]
 
 
 @dataclass(frozen=True)
@@ -270,17 +235,16 @@ class ModelParams:
 
     def sample_facet_from_uniforms(self, u_aux: float, u_center: Sequence[float],
                                    u_size: float) -> Facet:
-        return Facet(self.center.sample_from_uniforms(u_center),
-                     self.size.sample_from_uniform(u_size),
-                     self.orientation.sample_from_uniform(u_aux))
+        row = np.array([[u_aux, *u_center, u_size]])
+        return _facet_list(*self.sample_facets_from_uniforms(row))[0]
 
     def sample_facets_from_uniforms(self, u: np.ndarray) -> tuple:
-        """sample_facet_from_uniforms on every row of u (..., d + 2), one
-        facet per row of uniforms (aux, d center coordinates, size), by
-        the laws' array samplers: centers (..., d), half-extents (...)
-        and orientations, the axes (...) of the canonical law or, for the
-        hemisphere law and u (n, d + 2), a list of n normals drawn one by
-        one in plain Python (numpy's trig may round otherwise)."""
+        """One facet per row of uniforms (aux, d center coordinates, size)
+        of u (..., d + 2), by the laws' array samplers: centers (..., d),
+        half-extents (...) and orientations, the axes (...) of the
+        canonical law or, for the hemisphere law and u (n, d + 2), a list
+        of n normals drawn one by one in plain Python (numpy's trig may
+        round otherwise)."""
         d = self.d
         centers = np.stack(self.center.sample_from_uniforms(
             np.moveaxis(u[..., 1:1 + d], -1, 0)), axis=-1)
@@ -303,6 +267,13 @@ def _facet_list(centers: np.ndarray, extents: np.ndarray,
     if isinstance(orientations, np.ndarray):
         orientations = orientations.tolist()
     return list(map(Facet, centers.tolist(), extents.tolist(), orientations))
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer >= least; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def validate_params(p: ModelParams) -> None:

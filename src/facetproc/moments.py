@@ -14,8 +14,9 @@ from it, and the constants of the dilation scaling limit.  Under a
 constant center intensity the increments come from one batched midpoint
 quadrature over all query facets of a covariance table, each order
 evaluated once per table however many (i, j) pairs use it; a single
-expected_increment is the batch of one.  Quadrature resolutions must be
-integers >= 1, sample and pattern counts integers >= 2.
+expected_increment is the batch of one.  Quadrature resolutions, orders
+and group sizes must be integers >= 1, sample and pattern counts integers
+>= 2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import Facet, canonical_content, facet_measure
-from .model import ModelParams, _facet_list
+from .model import ModelParams, _check_int, _facet_list
 from .sampler import _poisson_arrays, batch_means_se, make_rng, sample_poisson
 from .ustat import _CHUNK_ELEMENTS, _subset_sums, g_increment
 
@@ -101,9 +102,12 @@ def enumerate_partitions(sizes) -> tuple[GroupedPartition, ...]:
     capped at 12; beyond that the partition lattice is too large for
     exhaustive moment expansion anyway.
     """
-    sizes = tuple(int(k) for k in sizes)
-    if not sizes or any(k < 1 for k in sizes):
-        raise ValueError("group sizes must be positive")
+    sizes = tuple(sizes)
+    if not sizes:
+        raise ValueError("at least one group required")
+    for k in sizes:
+        _check_int("group size", k, 1)
+    sizes = tuple(map(int, sizes))
     total = sum(sizes)
     if total > 12:
         raise ValueError("too many indices; at most 12 supported")
@@ -179,12 +183,10 @@ class MomentSpec:
         if not self.factors:
             raise ValueError("at least one factor required")
         for k, kernel in self.factors:
-            if int(k) < 1:
-                raise ValueError("factor order must be positive")
+            _check_int("factor order", k, 1)
             if not callable(kernel):
                 raise ValueError("factor kernel must be callable")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be at least 2")
+        _check_int("n_samples", self.n_samples, 2)
 
 
 def _weighted_integral(factors, provider, p: ModelParams, rng, count: int,
@@ -258,8 +260,9 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
     """
     if not p.orientation.is_canonical:
         raise ValueError("Monte Carlo moments need axis-aligned orientations")
-    if m < 1:
-        raise ValueError("moment order must be positive")
+    for name, value, least in (("k", k, 1), ("m", m, 1),
+                               ("n_samples", n_samples, 2)):
+        _check_int(name, value, least)
     if m == 1:
         return 0.0, 0.0
     if m * k > 12:
@@ -298,9 +301,7 @@ def _check_inputs(method: str, resolution, **counts) -> None:
         raise ValueError("unknown method")
     for name, value, least in (("resolution", resolution, 1),
                                *((k, v, 2) for k, v in counts.items())):
-        if isinstance(value, bool) \
-                or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}")
+        _check_int(name, value, least)
 
 
 def _increment_method(p: ModelParams, method: str) -> str:

@@ -10,27 +10,30 @@ the branch taken.
 One loop, _run, takes the steps of run_chain.  It converts only the move,
 aux and acceptance columns of a block to Python floats and writes the
 block's retained states into the trace when the block ends.  An increment
-rule gives it log lambda* of each proposal, applies the accepted moves and
-reports G at the retained states; it reads a row's center and size uniforms
-only when it needs them.  Every chain moves one mutable state in place,
-_ChainState: the facets in pattern order as (center, half-extent,
-orientation) triples, the same triples grouped by orientation class (keyed
-by axis index or by normal, as FacetPattern.groups keys them) and a running
-G.  Two rules act on it, in plain Python:
+rule takes in each block once before its steps, gives log lambda* of each
+proposal, applies the accepted moves and reports G at the retained states.
+Every chain moves one mutable state in place, _ChainState: the facets in
+pattern order as (center, half-extent, orientation) triples, the same
+triples grouped by orientation class (keyed by axis index or by normal, as
+FacetPattern.groups keys them) and a running G.  Two rules act on it, in
+plain Python:
 
-- _GeneralRule serves every model.  Its order-j increment is the fsum of
-  ustat._subset_terms on the state's groups, as in g_increment and
-  model.log_conditional_intensity: the contents (geometry.tuple_content)
-  of the facet with j-1 facets of other orientation classes.  log lambda*
-  is the fsum of nu_j times these.  Under the hemisphere law (d = 2) each
-  content is the 0-or-1 crossing of two segments.  The orders with
-  nu_j = 0 are computed only for accepted moves, for G.
+- _GeneralRule serves every model.  It maps each block's rows to facets
+  as every reference draw does (ModelParams.sample_facets_from_uniforms).
+  Its order-j increment is the fsum of ustat._subset_terms on the state's
+  groups, as in g_increment and model.log_conditional_intensity: the
+  contents (geometry.tuple_content) of the facet with j-1 facets of other
+  orientation classes.  log lambda* is the fsum of nu_j times these.
+  Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
+  two segments.  The orders with nu_j = 0 are computed only for accepted
+  moves, for G.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
-  G_1 and G_d.  It reads a birth's center only once the birth is accepted.
-  In d = 3 each pair of facets meets in the overlap of one free
-  coordinate, and G_2 is their running sum.  In d = 2 only kept samples
-  read centers, so a birth keeps its raw uniforms until a pattern is built.
+  G_1 and G_d.  Cheaper than a map of the block, it reads a birth's center
+  only once the birth is accepted.  In d = 3 each pair of facets meets in
+  the overlap of one free coordinate, and G_2 is their running sum.  In
+  d = 2 only kept samples read centers, so a birth keeps its raw uniforms
+  until a pattern is built.
 
 Both give bit-identical trajectories and G from the same seed.  No Facet or
 FacetPattern is built per step, only for kept samples.
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Facet
-from .model import ModelParams, _facet_list
+from .model import ModelParams, _check_int, _facet_list
 from .ustat import FacetPattern, _subset_sums, _subset_terms
 
 _BLOCK = 1 << 15
@@ -83,8 +86,6 @@ def sample_poisson(p: ModelParams, rng) -> FacetPattern:
     samplers (ModelParams.sample_facets_from_uniforms).  Batches of draws
     take the same blocks, one per generator, through _poisson_arrays.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = make_rng(int(rng))
     mapped = p.sample_facets_from_uniforms(_uniform_block(p, rng))
     return FacetPattern.of(_facet_list(*mapped), p.d)
 
@@ -128,9 +129,7 @@ class ChainConfig:
         for name, value, least in (("n_steps", self.n_steps, 1), ("burn_in", burn, 0),
                                    ("thin", thin, 1), ("seed", self.seed, 0),
                                    ("chain_index", self.chain_index, 0)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_int(name, value, least)
         if not self.n_steps > burn:
             raise ValueError(f"need n_steps > burn_in, got n_steps = "
                              f"{self.n_steps} and burn_in = {burn}")
@@ -279,7 +278,11 @@ class _ChainState:
         self.facets: list[tuple] = []
         self.groups: dict = {}
         self.g: list[list[float]] = [[] for _ in range(p.d)]
-        self.center = p.center.scalar_sampler()
+        self.center = p.center.sample_from_uniforms
+
+    def load(self, block) -> None:
+        """Take in a block of uniform rows before its steps; a rule that
+        reads each row as it needs it does nothing here."""
 
     def _push(self, f: tuple) -> None:
         self.facets.append(f)
@@ -311,8 +314,8 @@ class _GeneralRule(_ChainState):
     ustat._subset_terms of the facet and j-1 other orientation classes of
     the state's groups.  log lambda* is the fsum of nu_j times these, as
     model.log_conditional_intensity takes it.  The constructor places the
-    facets of x and starts the running G at G(x).  birth gives -inf for a
-    facet already present."""
+    facets of x and starts the running G at G(x).  birth proposes the
+    facet that load mapped its row to, or gives -inf if it is present."""
 
     engine = "pattern"
 
@@ -321,10 +324,7 @@ class _GeneralRule(_ChainState):
         self.orders = p.active_orders
         self.nu = [p.nu[j - 1] for j in self.orders]
         self.rest = [j for j in range(1, p.d + 1) if j not in self.orders]
-        law = p.orientation  # its normal draw is scalar; the axis's is not
-        self.orientation = law.sample_from_uniform if not law.is_canonical \
-            else lambda u, d=p.d: min(int(u * d), d - 1)
-        self.radius = p.size.scalar_sampler()
+        self._z = self._r = self._o = []  # the facets a block's rows give
         self._f = None  # the proposed facet
         self._terms: list[list[float]] = []  # its active orders' terms
         for f in x.facets:
@@ -345,9 +345,13 @@ class _GeneralRule(_ChainState):
         for j in self.rest:
             _add_terms(self.g[j - 1], _subset_terms(self.groups, j - 1, f), sign)
 
+    def load(self, block) -> None:
+        z, r, o = self.p.sample_facets_from_uniforms(block[:, 1:self.d + 3])
+        self._z, self._r = z.tolist(), r.tolist()
+        self._o = o if isinstance(o, list) else o.tolist()
+
     def birth(self, block, i: int, aux: float) -> float:
-        u = block[i, 2:3 + self.d].tolist()
-        f = (self.center(u[:-1]), self.radius(u[-1]), self.orientation(aux))
+        f = (tuple(self._z[i]), self._r[i], self._o[i])
         if f in self.groups.get(f[2], ()):
             return -math.inf
         self._f = f
@@ -460,6 +464,7 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     patterns to samples unless it is None, and logs progress once per block
     at INFO if n_steps >= _LOG_STEPS.
 
+    rule.load(block) takes in each block before its steps.
     rule.birth(block, i, aux) is log lambda*(u; x) of the facet u row i
     proposes and rule.add(block, i) adds u; rule.death(i) is
     log lambda*(x_i; x minus x_i) and rule.remove(i) removes x_i.
@@ -471,12 +476,13 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     log = math.log
     log_a_t = log(p.a * p.total_intensity)
     logs = [log(k) for k in range(1, n + 2)]  # logs[k] = log(k + 1), k <= n
-    birth, add, death, remove, retained = (rule.birth, rule.add, rule.death,
-                                           rule.remove, rule.retained)
+    load, birth, add, death, remove, retained = (
+        rule.load, rule.birth, rule.add, rule.death, rule.remove, rule.retained)
     kept_steps, thin = diag.trace_step, diag.thin
     k = done = b_prop = b_acc = d_acc = 0
     seen = -1  # accepted moves at the last retained state
     for block in blocks:
+        load(block)
         moves = block[:, 0]
         # the block's row of the next retained state, if any
         keep_i = int(kept_steps[k]) - done - 1 if k < len(kept_steps) else -1

@@ -59,7 +59,7 @@ class FacetPattern:
                 raise ValueError("facet dimension does not match pattern dimension")
         groups: dict = {}
         for f in facets:
-            groups.setdefault(f.orientation_key(), []).append(
+            groups.setdefault(f.orientation, []).append(
                 (f.center, f.half_extent, f.orientation))
         object.__setattr__(self, "groups",
                            {k: tuple(v) for k, v in groups.items()})
@@ -76,15 +76,6 @@ class FacetPattern:
     @property
     def n(self) -> int:
         return len(self.facets)
-
-    def orientation_counts(self) -> np.ndarray:
-        """Facet count per canonical axis (canonical patterns only)."""
-        if not all(f.is_canonical for f in self.facets):
-            raise ValueError("orientation counts are defined for canonical patterns")
-        counts = np.zeros(self.d, dtype=np.intp)
-        for key, fs in self.groups.items():
-            counts[key] = len(fs)
-        return counts
 
     def with_facet(self, u: Facet) -> "FacetPattern":
         if u in self.facets:

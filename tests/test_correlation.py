@@ -44,9 +44,6 @@ def test_rho_limit_values():
     assert rho_limit(4, 1, "two_groups", l=2) == Fraction(0, 1)  # l = d-2k
     assert rho_limit(3, 1, "overlapping_groups", l=0) == Fraction(0, 1)
     assert rho_limit(3, 1, "overlapping_groups", l=1) == Fraction(1, 3)
-    # single-letter aliases stay usable
-    assert rho_limit(3, 1, "a") == Fraction(1, 3)
-    assert rho_limit(3, 1, "b", l=2) == rho_limit(3, 1, "two_groups", l=2)
 
 
 def test_rho_limit_matches_counts_rule():
@@ -67,8 +64,9 @@ def test_rho_limit_range_checks():
         rho_limit(4, 1, "two_groups", l=1)  # below d-2k
     with pytest.raises(ValueError):
         rho_limit(3, 1, "overlapping_groups", l=2)
-    with pytest.raises(ValueError):
-        rho_limit(3, 1, "sideways")
+    for variant in ("sideways", "a"):  # arrangements go by their full names
+        with pytest.raises(ValueError):
+            rho_limit(3, 1, variant)
     with pytest.raises(ValueError):
         rho_limit(3, 1, "distinct", l=1)
 

@@ -236,8 +236,8 @@ def _array_increment(x, u, j):
         return facet_measure(u)
     index: dict = {}
     for i, f in enumerate(x.facets):
-        if f.orientation_key() != u.orientation_key():
-            index.setdefault(f.orientation_key(), []).append(i)
+        if f.orientation != u.orientation:
+            index.setdefault(f.orientation, []).append(i)
     facets = x.facets + (u,)
     canonical = all(f.is_canonical for f in facets)
     if canonical:

@@ -2,15 +2,19 @@
 parameters, the reference laws, chain configurations and experiment
 configurations."""
 
+import dataclasses
 import math
 
 import pytest
 
+from facetproc.correlation import rho_bounds, rho_series_counts
 from facetproc.geometry import Facet, Window
 from facetproc.harness import build_experiment_config, config_model, \
     poisson_mean_interaction
 from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
                              SizeLaw, log_conditional_intensity)
+from facetproc.moments import (MomentSpec, centered_moment_leading,
+                               enumerate_partitions, unit_kernel)
 from facetproc.sampler import ChainConfig
 from facetproc.ustat import FacetPattern
 
@@ -89,6 +93,31 @@ BAD_INPUT = {
     "chain-steps-float": lambda: ChainConfig(n_steps=1000.0).resolve(PAIR),
     "chain-steps-bool": lambda: ChainConfig(n_steps=True, burn_in=0).resolve(
         PAIR),
+    # these gave the partitions of (1,), or of (1, 2)
+    "partitions-size-float": lambda: enumerate_partitions([1.7]),
+    "partitions-size-bool": lambda: enumerate_partitions([True, 2]),
+    # these ended in a TypeError when the moment was taken
+    "moment-order-float": lambda: MomentSpec(((2.5, unit_kernel),)),
+    "moment-samples-float": lambda: MomentSpec(((2, unit_kernel),),
+                                               n_samples=2.5),
+    # these gave (nan, nan), (0.0, inf) and (with m = True) (0.0, 0.0)
+    "centered-samples-zero": lambda: centered_moment_leading(
+        unit_kernel, 2, 2, None, PAIR, n_samples=0),
+    "centered-samples-one": lambda: centered_moment_leading(
+        unit_kernel, 2, 2, None, PAIR, n_samples=1),
+    "centered-order-bool": lambda: centered_moment_leading(
+        unit_kernel, 2, True, None, PAIR),
+    # this ended in a TypeError
+    "centered-k-float": lambda: centered_moment_leading(
+        unit_kernel, 1.5, 2, None, PAIR, n_samples=10),
+    # these truncated at n_max = 2.5 and n_max = True
+    "series-cap-float": lambda: rho_series_counts(
+        ModelParams.submodel(3, 3, -1.0, a=2.0), (1, 1, 0), n_cap=2.5),
+    "bounds-cap-bool": lambda: rho_bounds(
+        ModelParams.submodel(3, 2, -1.0, a=2.0), (1, 1, 0), n_cap=True),
+    # this ended in a TypeError when the run started
+    "experiment-replicates-float": lambda: dataclasses.replace(
+        build_experiment_config("e2", {"d": "2"}, "out", 0), replicates=2.5),
 }
 
 
