@@ -40,8 +40,7 @@ class CenterIntensity:
             raise ValueError("give exactly one of a constant level or a table")
         if self.level is not None:
             if not 0 < self.level < math.inf:
-                raise ValueError("constant intensity must be positive and "
-                                 "finite")
+                raise ValueError("constant intensity must be positive and finite")
             object.__setattr__(self, "_cells", ())
             return
         table = np.asarray(self.table, dtype=float)
@@ -61,8 +60,7 @@ class CenterIntensity:
     def total(self) -> float:
         if self.level is not None:
             return self.level * self.window.volume
-        cum, _, _ = self._cells
-        return float(cum[-1])
+        return float(self._cells[0][-1])
 
     def in_support(self, point: Sequence[float]) -> bool:
         """Whether sample_from_uniforms can give the point: it lies in the
@@ -235,16 +233,18 @@ class ModelParams:
 
     def sample_facet_from_uniforms(self, u_aux: float, u_center: Sequence[float],
                                    u_size: float) -> Facet:
-        row = np.array([[u_aux, *u_center, u_size]])
-        return _facet_list(*self.sample_facets_from_uniforms(row))[0]
+        return Facet(self.center.sample_from_uniforms(u_center),
+                     self.size.sample_from_uniform(u_size),
+                     self.orientation.sample_from_uniform(u_aux))
 
     def sample_facets_from_uniforms(self, u: np.ndarray) -> tuple:
-        """One facet per row of uniforms (aux, d center coordinates, size)
-        of u (..., d + 2), by the laws' array samplers: centers (..., d),
-        half-extents (...) and orientations, the axes (...) of the
-        canonical law or, for the hemisphere law and u (n, d + 2), a list
-        of n normals drawn one by one in plain Python (numpy's trig may
-        round otherwise)."""
+        """sample_facet_from_uniforms on every row of u (..., d + 2), one
+        facet per row of uniforms (aux, d center coordinates, size), by
+        the laws' array samplers: centers (..., d), half-extents (...)
+        and orientations, the axes (...) of the canonical law or, for the
+        hemisphere law and u (n, d + 2), an object array of n normals
+        drawn one by one in plain Python (numpy's trig may round
+        otherwise)."""
         d = self.d
         centers = np.stack(self.center.sample_from_uniforms(
             np.moveaxis(u[..., 1:1 + d], -1, 0)), axis=-1)
@@ -252,21 +252,19 @@ class ModelParams:
         if self.orientation.is_canonical:
             orientations = self.orientation.sample_from_uniform(u[..., 0])
         else:
-            orientations = [self.orientation.sample_from_uniform(v)
-                            for v in u[:, 0].tolist()]
+            orientations = np.fromiter(
+                map(self.orientation.sample_from_uniform, u[:, 0].tolist()),
+                dtype=object, count=len(u))
         return centers, extents, orientations
 
     def empty_pattern(self) -> FacetPattern:
         return FacetPattern.of([], d=self.d)
 
 
-def _facet_list(centers: np.ndarray, extents: np.ndarray,
-                orientations) -> list[Facet]:
+def _facet_list(*mapped: np.ndarray) -> list[Facet]:
     """Validated Facets, from Python floats, of the arrays that
     ModelParams.sample_facets_from_uniforms maps one block of rows to."""
-    if isinstance(orientations, np.ndarray):
-        orientations = orientations.tolist()
-    return list(map(Facet, centers.tolist(), extents.tolist(), orientations))
+    return list(map(Facet, *(a.tolist() for a in mapped)))
 
 
 def _check_int(name: str, value, least: int) -> None:
@@ -300,8 +298,7 @@ def validate_params(p: ModelParams) -> None:
     if p.orientation.d != p.d or p.center.window.d != p.d:
         raise ValueError("component dimensions disagree")
     if not 0 < p.total_intensity < math.inf:
-        raise ValueError("total center intensity must be positive and "
-                         "finite")
+        raise ValueError("total center intensity must be positive and finite")
 
 
 def log_conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelParams) -> float:

@@ -29,11 +29,12 @@ plain Python:
   moves, for G.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
-  G_1 and G_d.  Cheaper than a map of the block, it reads a birth's center
-  only once the birth is accepted.  In d = 3 each pair of facets meets in
-  the overlap of one free coordinate, and G_2 is their running sum.  In
-  d = 2 only kept samples read centers, so a birth keeps its raw uniforms
-  until a pattern is built.
+  G_1 and G_d.  In d = 3 it maps each block's center columns through the
+  center law's array sampler (CenterIntensity.sample_from_uniforms), and
+  reads a birth's center once the birth is accepted.  Each pair of facets
+  meets in the overlap of one free coordinate, and G_2 is their running
+  sum.  In d = 2 only kept samples read centers, so the rule maps no
+  block, and a birth keeps its raw uniforms until a pattern is built.
 
 Both give bit-identical trajectories and G from the same seed.  No Facet or
 FacetPattern is built per step, only for kept samples.
@@ -282,7 +283,7 @@ class _ChainState:
 
     def load(self, block) -> None:
         """Take in a block of uniform rows before its steps; a rule that
-        reads each row as it needs it does nothing here."""
+        maps no block (the d = 2 counts rule) does nothing here."""
 
     def _push(self, f: tuple) -> None:
         self.facets.append(f)
@@ -324,7 +325,6 @@ class _GeneralRule(_ChainState):
         self.orders = p.active_orders
         self.nu = [p.nu[j - 1] for j in self.orders]
         self.rest = [j for j in range(1, p.d + 1) if j not in self.orders]
-        self._z = self._r = self._o = []  # the facets a block's rows give
         self._f = None  # the proposed facet
         self._terms: list[list[float]] = []  # its active orders' terms
         for f in x.facets:
@@ -346,9 +346,8 @@ class _GeneralRule(_ChainState):
             _add_terms(self.g[j - 1], _subset_terms(self.groups, j - 1, f), sign)
 
     def load(self, block) -> None:
-        z, r, o = self.p.sample_facets_from_uniforms(block[:, 1:self.d + 3])
-        self._z, self._r = z.tolist(), r.tolist()
-        self._o = o if isinstance(o, list) else o.tolist()
+        mapped = self.p.sample_facets_from_uniforms(block[:, 1:self.d + 3])
+        self._z, self._r, self._o = (a.tolist() for a in mapped)
 
     def birth(self, block, i: int, aux: float) -> float:
         f = (tuple(self._z[i]), self._r[i], self._o[i])
@@ -378,8 +377,9 @@ class _CountsRule(_ChainState):
     counts.  In d = 3 each pair of facets on axes k != m meets in the
     overlap of their free coordinate 3-k-m, the value tuple_content gives
     when every center lies within r of every other, and G_2 is their
-    running sum.  A birth's center is read only once it is accepted, and
-    in d = 2 kept as raw uniforms until a pattern is built."""
+    running sum.  load maps the centers of a block's rows, and add reads
+    the center of an accepted birth; in d = 2 the rule maps none, and
+    keeps a birth's raw center uniforms until a pattern is built."""
 
     engine = "counts"
 
@@ -431,9 +431,13 @@ class _CountsRule(_ChainState):
             self._update_g2(f, 1.0)
             self._push(f)
 
+    def load(self, block) -> None:
+        if self.d == 3:  # the rows' centers, by the law's array sampler
+            self._z = np.stack(self.center(block[:, 2:5].T), axis=-1)
+
     def add(self, block, i: int) -> None:
-        u = block[i, 2:2 + self.d].tolist()
-        self._enter((u if self.d == 2 else self.center(u), self.r, self._axis))
+        z = block[i, 2:4].tolist() if self.d == 2 else tuple(self._z[i].tolist())
+        self._enter((z, self.r, self._axis))
 
     def death(self, i: int) -> float:
         # x_i's own axis is skipped: the other counts are those of x - x_i

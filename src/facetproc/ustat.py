@@ -54,11 +54,10 @@ class FacetPattern:
         object.__setattr__(self, "facets", facets)
         if len(set(facets)) != len(facets):
             raise ValueError("pattern must be simple (duplicate facet)")
+        groups: dict = {}
         for f in facets:
             if f.d != self.d:
                 raise ValueError("facet dimension does not match pattern dimension")
-        groups: dict = {}
-        for f in facets:
             groups.setdefault(f.orientation, []).append(
                 (f.center, f.half_extent, f.orientation))
         object.__setattr__(self, "groups",

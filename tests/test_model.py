@@ -167,11 +167,12 @@ def test_center_intensity_table_statistics():
 
 
 def test_center_row_draw_is_the_batch_draw():
-    # The counts rule maps one row of uniforms at a time; every other draw
-    # maps whole arrays.  The draws agree bit for bit.  A 3x3 table with
-    # zero cells, on two windows: side 3, where the cell masses are the
-    # levels and every cell edge of the selection uniform is a dyadic
-    # fraction of the total, and the unit square; then a constant level.
+    # The d = 2 counts rule maps a kept facet's row of uniforms alone;
+    # every other draw maps whole arrays.  The draws agree bit for bit.
+    # A 3x3 table with zero cells, on two windows: side 3, where the cell
+    # masses are the levels and every cell edge of the selection uniform
+    # is a dyadic fraction of the total, and the unit square; then a
+    # constant level.
     levels = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
     below_one = math.nextafter(1.0, 0.0)
     inner = [c for c in (np.cumsum(levels.reshape(-1))

@@ -65,17 +65,25 @@ def _reference_sample_poisson(p, rng):
 
 
 @pytest.mark.parametrize("name", ["d2", "d3", "d4", "table", "two-atom",
-                                  "hemisphere"])
+                                  "hemisphere", "hemisphere-table-two-atom"])
 def test_sample_poisson_is_the_per_facet_reference(name):
     # sample_poisson maps the whole uniform block through the laws' array
     # samplers; the facets and the draws taken from the stream must be
-    # those of the per-facet mapping, to the last bit.
+    # those of the per-facet mapping, each law called on its own uniforms,
+    # to the last bit.  The last model has no law at its default, so a
+    # column of the block read in place of another shows.
     p = {"d2": ModelParams.special(2, (0.0, 0.0), a=6.0),
          "d3": ModelParams.special(3, (0.0,) * 3, a=6.0),
          "d4": ModelParams.special(4, (0.0,) * 4, a=6.0),
          "table": _table_model(3, (0.0,) * 3, 2.0),
          "two-atom": _two_atom_model(3, (0.0,) * 3, 6.0),
-         "hemisphere": _hemisphere_model((0.0, 0.0), 6.0)}[name]
+         "hemisphere": _hemisphere_model((0.0, 0.0), 6.0),
+         "hemisphere-table-two-atom": ModelParams(
+             2, 1.0, (0.0, 0.0), 3.0,
+             CenterIntensity(Window.cube(1.0, 2),
+                             table=[[1.0, 0.0, 2.0], [0.5, 3.0, 1.0]]),
+             SizeLaw(((0.4, 0.3), (1.0, 0.7))),
+             OrientationLaw(2, "hemisphere"))}[name]
     rng, ref = make_rng(11), make_rng(11)
     for _ in range(40):
         assert repr(sample_poisson(p, rng).facets) \
@@ -490,11 +498,18 @@ _PINNED_CHAINS = {
     "table-hole-general-samples": (_HOLE, dict(n_steps=2000, seed=5, burn_in=0,
                                                thin=1, keep_samples=True,
                                                engine="pattern")),
+    # the d = 3 counts rule maps each block's centers; 40k steps cross a
+    # block boundary
+    "table-d3-counts-samples": (_table_model(3, (0.1, 0.0, -1.0), 4.0),
+                                dict(n_steps=40_000, seed=5, burn_in=0,
+                                     thin=40, keep_samples=True)),
 }
 
 # sha256 of each chain's trace, counters and kept patterns, recorded on the
 # row-per-step loop that read every uniform of a step and wrote each retained
-# state into the trace arrays one item at a time
+# state into the trace arrays one item at a time (table-d3-counts-samples:
+# on the counts rule that mapped each accepted birth's center by a
+# plain-Python copy of the center law)
 _PINNED_DIGESTS = {
     "d2-counts-thin1":
         "b738b2675a58ac71bed747eb3b4b2a699484e71a52f556ced4e76ea4065bac5c",
@@ -508,6 +523,8 @@ _PINNED_DIGESTS = {
         "19ca5f20d201ce7d162374d4ae13a466d0257fd756eb0873ae6904a44dd49713",
     "table-hole-general-samples":
         "d4143476546ef3be01a9ceca9b4760758a64036191b4cf758d957734b8370082",
+    "table-d3-counts-samples":
+        "052a2ce4e6015c3b0d141eeeb6e68551bd70561ff9938f4b66957fcd789c393c",
 }
 
 
