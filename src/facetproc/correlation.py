@@ -15,6 +15,11 @@ through these counts.  Evaluators, by regime:
 Closed-form large-activity limits are exposed as exact rationals: the
 fraction of unused orientations, and three standard arrangements of the
 query facets as an independent check of it.
+
+The truncation tails are Poisson survival functions, scipy.special.pdtrc,
+and the series sum in logs through _logsumexp, so the module needs
+scipy.special alone: importing scipy.stats would add about 0.4 s and
+45 MiB to every process that imports the package.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .model import ModelParams, _check_int
 
@@ -140,13 +144,34 @@ def _count_grid(beta: float, dims: int, n: int):
     return np.meshgrid(*([edge] * dims), indexing="ij", sparse=True), logw
 
 
+def _logsumexp(a, axis=None):
+    """scipy.special.logsumexp(a, axis) of a real array, bit for bit: the
+    arithmetic of scipy 1.17 without its array-API dispatch.  The largest
+    entries are taken out of the shifted sum and counted; a result that
+    is not finite falls back to log(sum(exp(a)))."""
+    a = np.atleast_1d(a)
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axes, keepdims=True)
+        at_top = a == top
+        m = np.sum(at_top, axis=axes, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axes,
+                   keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(
+                np.exp(a), axis=axes, keepdims=True)))
+    return np.squeeze(out, axis=axes)[()]
+
+
 def _table_sum(beta: float, n: int, logw, v, term) -> float:
     """logsumexp over a grid of logw + T(v), with T(v) = logsumexp over
     x = 0..n of log Poisson(beta)(x) + term(v, x), once per distinct v."""
     (edge,), log_pmf = _count_grid(beta, 1, n)
     u, row = np.unique(v, return_inverse=True)
-    table = logsumexp(log_pmf + term(u[:, None], edge), axis=1)
-    return float(logsumexp(logw + table[row.reshape(np.shape(v))]))
+    table = _logsumexp(log_pmf + term(u[:, None], edge), axis=1)
+    return float(_logsumexp(logw + table[row.reshape(np.shape(v))]))
 
 
 def _truncated(sums, tail_at, dims: int, n: int, n_cap: int | None,
@@ -179,7 +204,8 @@ def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
     P = v (x_(d-1) + q_(d-1)), v the product of the first d-2 counts (all
     shifted by the query's), summed through a table per distinct v.  The
     tail bounds either normalized sum's truncation error by one Poisson
-    tail, every discarded term being at most e^beta times its weight.
+    tail, every discarded term being at most e^beta times its weight;
+    the tail P(X > n) is scipy.special.pdtrc(n, beta), taken in logs.
     """
     s, counts = _query(p, counts, n_cap)
     if s != p.d:
@@ -193,11 +219,14 @@ def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
             lambda v, x: nu * q[-1] * (v * (x + q[-2]))
             + beta * np.exp(nu * (v * (x + q[-2])))) for q in (counts, (0,) * d))
 
+    def tail_at(n):  # (d-1) e^beta P(X > n), X ~ Poisson(beta), in logs
+        with np.errstate(divide="ignore"):
+            log_sf = float(np.log(pdtrc(n, beta)))
+        return math.exp(math.log(max(d - 1, 1)) + beta + log_sf)
+
     log_a, log_b, tail, n = _truncated(
-        sums, lambda n: math.exp(math.log(max(d - 1, 1)) + beta
-                                 + float(poisson.logsf(n, beta))),
-        d - 1, math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20),
-        n_cap, tol)
+        sums, tail_at, d - 1,
+        math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20), n_cap, tol)
     value = math.exp(_log_first_order_factor(p, sum(counts)) + log_a - log_b)
     return RhoSeriesResult(value, tail, math.exp(log_a), math.exp(log_b), n)
 
@@ -256,10 +285,11 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
     denominator envelope from below, both functions of orientation
     counts alone.  Dropping the denominator's tail only lowers it, and
     the numerator integrand is at most one, so its tail is a bare
-    Poisson tail.  The last count is summed in closed form: with y = x + q
-    the counts shifted by the query's (q = 0 for the denominator) and y'
-    all but y_d, e_s(y) = e_s(y') + y_d e_(s-1)(y'), so at a cell x' of
-    the (n+1)^(d-1) grid the x_d-sum of e^(c e_s(y)) is e^(c e_s(y')) T(v),
+    Poisson tail, d times scipy.special.pdtrc(n, beta).  The last count
+    is summed in closed form: with y = x + q the counts shifted by the
+    query's (q = 0 for the denominator) and y' all but y_d,
+    e_s(y) = e_s(y') + y_d e_(s-1)(y'), so at a cell x' of the
+    (n+1)^(d-1) grid the x_d-sum of e^(c e_s(y)) is e^(c e_s(y')) T(v),
     T(v) = sum over x_d = 0..n of pmf(x_d) e^(c (x_d + q_d) v), tabulated
     in logs once per distinct integer v = e_(s-1)(y').
     """
@@ -282,7 +312,7 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
         return tuple(out)
 
     log_a, log_b, tail, n = _truncated(
-        sums, lambda n: d * float(poisson.sf(n, beta)),
+        sums, lambda n: d * float(pdtrc(n, beta)),
         d, math.ceil(beta + 10 * math.sqrt(beta + 1) + 20), n_cap, tol)
     pref = math.exp(_log_first_order_factor(p, sum(counts)))
     bound = pref * (math.exp(log_a) + tail) / math.exp(log_b)

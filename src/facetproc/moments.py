@@ -187,6 +187,7 @@ class MomentSpec:
             if not callable(kernel):
                 raise ValueError("factor kernel must be callable")
         _check_int("n_samples", self.n_samples, 2)
+        _check_int("seed", self.seed, 0)
 
 
 def _weighted_integral(factors, provider, p: ModelParams, rng, count: int,
@@ -261,7 +262,7 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
     if not p.orientation.is_canonical:
         raise ValueError("Monte Carlo moments need axis-aligned orientations")
     for name, value, least in (("k", k, 1), ("m", m, 1),
-                               ("n_samples", n_samples, 2)):
+                               ("n_samples", n_samples, 2), ("seed", seed, 0)):
         _check_int(name, value, least)
     if m == 1:
         return 0.0, 0.0
@@ -294,12 +295,14 @@ def centered_moment_leading(kernel: Callable, k: int, m: int,
 # expected increment of one extra facet and asymptotic covariances
 
 
-def _check_inputs(method: str, resolution, **counts) -> None:
+def _check_inputs(method: str, resolution, seed, **counts) -> None:
     """Refuse an unknown method, a resolution that is not an integer
-    >= 1 and sample counts that are not integers >= 2."""
+    >= 1, a seed that is not an integer >= 0 and sample counts that are
+    not integers >= 2."""
     if method not in ("auto", "quadrature", "mc"):
         raise ValueError("unknown method")
     for name, value, least in (("resolution", resolution, 1),
+                               ("seed", seed, 0),
                                *((k, v, 2) for k, v in counts.items())):
         _check_int(name, value, least)
 
@@ -402,7 +405,7 @@ def expected_increment(j: int, y: Facet, p: ModelParams,
     """
     if not 1 <= j <= p.d:
         raise ValueError("order out of range")
-    _check_inputs(method, resolution, n_samples=n_samples)
+    _check_inputs(method, resolution, seed, n_samples=n_samples)
     if y.d != p.d:
         raise ValueError("query facet dimension differs from the model's")
     if j == 1:
@@ -445,7 +448,7 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
     d = p.d
     if not all(1 <= i <= d and 1 <= j <= d for i, j in pairs):
         raise ValueError("order out of range")
-    _check_inputs(method, resolution, n_samples=n_samples,
+    _check_inputs(method, resolution, seed, n_samples=n_samples,
                   mc_patterns=mc_patterns)
     mapped = p.sample_facets_from_uniforms(
         make_rng(seed).random((n_samples, d + 2)))

@@ -320,3 +320,46 @@ def test_series_memory_is_two_axes_short_of_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def _same_bits(x, y) -> bool:
+    return type(x) is type(y) and np.shape(x) == np.shape(y) \
+        and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(5)
+    arrays = [np.array([[0.0, 0.0, -1.0], [2.0, -np.inf, 2.0]]),  # ties
+              np.array([[-np.inf] * 3, [1.0, -np.inf, -700.0]]),  # all -inf
+              np.array([[3.0, 3.0], [-1e300, 1e-300]]), np.array(2.5),
+              np.full((2, 4), -np.inf)]
+    for _ in range(300):
+        a = rng.normal(scale=rng.choice([1.0, 30.0, 800.0]),
+                       size=tuple(rng.integers(1, 7, size=rng.integers(2, 4))))
+        a = np.round(a) if rng.random() < 0.3 else a
+        a[rng.random(a.shape) < rng.choice([0.0, 0.3, 0.9])] = -np.inf
+        arrays.append(a)
+    for a in arrays:
+        for axis in (None, 1) if a.ndim > 1 else (None,):
+            assert _same_bits(correlation._logsumexp(a, axis=axis),
+                              logsumexp(a, axis=axis)), (a, axis)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tails_are_poisson_tails(d):
+    # caps from a tail near one to a tail that underflows to zero; the
+    # bounds need d >= 3, and a cap below 150 to keep their d-dimensional
+    # grid under the cell limit at d = 4
+    for a in (1.0, 4.0, 16.0):
+        p = ModelParams.submodel(d, d, -1.0, a=a)
+        beta = correlation._beta(p)  # nu_1 = 0: the bounds' beta too
+        for n_cap in (None, 1, 5, 150):
+            res = rho_series_counts(p, (1,) * d, n_cap=n_cap)
+            log_sf = float(poisson.logsf(res.n_max, beta))
+            assert res.tail.hex() == math.exp(
+                math.log(max(d - 1, 1)) + beta + log_sf).hex()
+            if d > 2 and n_cap != 150:
+                res = rho_bounds(ModelParams.submodel(d, 2, -1.0, a=a),
+                                 (1, 1) + (0,) * (d - 2), n_cap=n_cap)
+                assert res.tail.hex() == (
+                    d * float(poisson.sf(res.n_max, beta))).hex()

@@ -13,8 +13,9 @@ from facetproc.harness import build_experiment_config, config_model, \
     poisson_mean_interaction
 from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
                              SizeLaw, log_conditional_intensity)
-from facetproc.moments import (MomentSpec, centered_moment_leading,
-                               enumerate_partitions, unit_kernel)
+from facetproc.moments import (MomentSpec, asymptotic_covariance,
+                               centered_moment_leading, enumerate_partitions,
+                               expected_increment, unit_kernel)
 from facetproc.sampler import ChainConfig
 from facetproc.ustat import FacetPattern
 
@@ -110,6 +111,18 @@ BAD_INPUT = {
     # this ended in a TypeError
     "centered-k-float": lambda: centered_moment_leading(
         unit_kernel, 1.5, 2, None, PAIR, n_samples=10),
+    # these ended in numpy's TypeError when the generator was seeded, or
+    # took True as seed 1; the order-1 increment returned before any check
+    "moment-seed-float": lambda: MomentSpec(((2, unit_kernel),), seed=1.5),
+    "moment-seed-bool": lambda: MomentSpec(((2, unit_kernel),), seed=True),
+    "centered-seed-float": lambda: centered_moment_leading(
+        unit_kernel, 2, 2, None, PAIR, n_samples=10, seed=0.5),
+    "increment-seed-float": lambda: expected_increment(
+        2, PRESENT, PAIR, method="mc", n_samples=10, seed=2.5),
+    "increment-seed-bool": lambda: expected_increment(
+        1, PRESENT, PAIR, seed=True),
+    "covariance-seed-float": lambda: asymptotic_covariance(
+        2, 2, PAIR, n_samples=10, seed=1.5),
     # these truncated at n_max = 2.5 and n_max = True
     "series-cap-float": lambda: rho_series_counts(
         ModelParams.submodel(3, 3, -1.0, a=2.0), (1, 1, 0), n_cap=2.5),
