@@ -12,6 +12,11 @@ through these counts.  Evaluators, by regime:
   available,
 * an exponential decay-rate constant for those bounds.
 
+Many queries of one model share its series evaluator: the normalizing
+sum is the same for every query, and the evaluator sums it once per
+truncation n, and each distinct query's numerator once, without a
+cache that outlives it.
+
 Closed-form large-activity limits are exposed as exact rationals: the
 fraction of unused orientations, and three standard arrangements of the
 query facets as an independent check of it.
@@ -24,7 +29,6 @@ scipy.special alone: importing scipy.stats would add about 0.4 s and
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -47,14 +51,15 @@ def _require_special(p: ModelParams) -> None:
             raise ValueError("window sides must not exceed b")
 
 
-def _query(p: ModelParams, counts, n_cap: int | None
+def _query(p: ModelParams, counts, n_cap: int | None, tol: float
            ) -> tuple[int, tuple[int, ...]]:
     """The model's coupled order and the query's orientation counts,
-    after checking both and the truncation cap."""
+    after checking both, the truncation cap and the tolerance."""
     _require_special(p)
     s = p.coupled_order()
     if n_cap is not None:
         _check_int("truncation cap n_cap", n_cap, 1)
+    _check_tol(tol)
     counts = tuple(counts)
     whole = tuple(_whole(c) for c in counts)
     if len(counts) != p.d or None in whole or any(c < 0 for c in whole) \
@@ -64,9 +69,21 @@ def _query(p: ModelParams, counts, n_cap: int | None
     return s, whole
 
 
+def _check_tol(tol) -> None:
+    """Refuse a truncation tolerance that is not a number >= 0: under a
+    NaN or negative tol the truncation would grow n to the cell limit."""
+    if isinstance(tol, (bool, np.bool_)) or not isinstance(
+            tol, (int, float, np.integer, np.floating)) or not tol >= 0:
+        raise ValueError(f"truncation tolerance tol must be a number >= 0, "
+                         f"got {tol!r}")
+
+
 def _whole(c) -> int | None:
     """c as an int if it has an integral value (1 and 1.0 alike), else
-    None: truncating 1.7 to 1 would answer a different query."""
+    None: truncating 1.7 to 1 would answer a different query, and a bool
+    is not a count."""
+    if isinstance(c, (bool, np.bool_)):
+        return None
     try:
         k = int(c)
     except (TypeError, ValueError, OverflowError):
@@ -194,6 +211,51 @@ def _truncated(sums, tail_at, dims: int, n: int, n_cap: int | None,
         n = int(n * 1.5) + 5
 
 
+def _series_evaluator(p: ModelParams):
+    """rho_series_counts of one model as a function of (counts, n_cap,
+    tol).  Each query runs its own truncation loop, so it stops at the
+    same n as a lone call; the count grid of each truncation n and the
+    log sum of each (n, shifted counts) pair, the denominator's (q = 0)
+    among them, are summed once and kept while the evaluator lives."""
+    d, nu = p.d, p.nu[p.d - 1]
+    grids, log_sums = {}, {}
+
+    def log_sum(beta: float, n: int, q: tuple[int, ...]) -> float:
+        if (n, q) not in log_sums:
+            if n not in grids:
+                grids[n] = _count_grid(beta, d - 2, n)
+            bare, logw = grids[n]
+            log_sums[n, q] = _table_sum(
+                beta, n, logw, math.prod(bare[i] + q[i] for i in range(d - 2)),
+                lambda v, x: nu * q[-1] * (v * (x + q[-2]))
+                + beta * np.exp(nu * (v * (x + q[-2]))))
+        return log_sums[n, q]
+
+    def evaluate(counts, n_cap: int | None = None,
+                 tol: float = 1e-8) -> RhoSeriesResult:
+        s, counts = _query(p, counts, n_cap, tol)
+        if s != d:
+            raise ValueError("lower-order interaction: use rho_bounds")
+        beta = _beta(p)
+
+        def tail_at(n):  # (d-1) e^beta P(X > n), X ~ Poisson(beta), in logs
+            with np.errstate(divide="ignore"):
+                log_sf = float(np.log(pdtrc(n, beta)))
+            return math.exp(math.log(max(d - 1, 1)) + beta + log_sf)
+
+        log_a, log_b, tail, n = _truncated(
+            lambda n: (log_sum(beta, n, counts), log_sum(beta, n, (0,) * d)),
+            tail_at, d - 1,
+            math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20), n_cap,
+            tol)
+        value = math.exp(_log_first_order_factor(p, sum(counts))
+                         + log_a - log_b)
+        return RhoSeriesResult(value, tail, math.exp(log_a), math.exp(log_b),
+                               n)
+
+    return evaluate
+
+
 def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
                       tol: float = 1e-8) -> RhoSeriesResult:
     """Exact correlation under the top-order interaction of a query with
@@ -206,29 +268,12 @@ def rho_series_counts(p: ModelParams, counts, n_cap: int | None = None,
     tail bounds either normalized sum's truncation error by one Poisson
     tail, every discarded term being at most e^beta times its weight;
     the tail P(X > n) is scipy.special.pdtrc(n, beta), taken in logs.
+    n grows until the tail is at most tol (a number >= 0) times the
+    numerator, or is n_cap when given.  This is a one-query call of the
+    model's series evaluator; callers with many queries of one model
+    share one evaluator, which sums the denominator once per n.
     """
-    s, counts = _query(p, counts, n_cap)
-    if s != p.d:
-        raise ValueError("lower-order interaction: use rho_bounds")
-    d, nu, beta = p.d, p.nu[p.d - 1], _beta(p)
-
-    def sums(n):  # numerator, then denominator with q = 0
-        bare, logw = _count_grid(beta, d - 2, n)
-        return tuple(_table_sum(
-            beta, n, logw, math.prod(bare[i] + q[i] for i in range(d - 2)),
-            lambda v, x: nu * q[-1] * (v * (x + q[-2]))
-            + beta * np.exp(nu * (v * (x + q[-2])))) for q in (counts, (0,) * d))
-
-    def tail_at(n):  # (d-1) e^beta P(X > n), X ~ Poisson(beta), in logs
-        with np.errstate(divide="ignore"):
-            log_sf = float(np.log(pdtrc(n, beta)))
-        return math.exp(math.log(max(d - 1, 1)) + beta + log_sf)
-
-    log_a, log_b, tail, n = _truncated(
-        sums, tail_at, d - 1,
-        math.ceil(math.e * beta + 10 * math.sqrt(beta + 1) + 20), n_cap, tol)
-    value = math.exp(_log_first_order_factor(p, sum(counts)) + log_a - log_b)
-    return RhoSeriesResult(value, tail, math.exp(log_a), math.exp(log_b), n)
+    return _series_evaluator(p)(counts, n_cap, tol)
 
 
 def correlation_provider(p: ModelParams, tol: float = 1e-8):
@@ -236,22 +281,22 @@ def correlation_provider(p: ModelParams, tol: float = 1e-8):
 
     Returns rho(axes) for the top-order-coupled model: axes (K, m) holds
     the orientations of K facet m-tuples, the result their K
-    correlations.  Each distinct orientation count vector is evaluated
-    once by rho_series_counts and cached.
+    correlations.  Each call evaluates every distinct orientation count
+    vector once, through one series evaluator for the provider's life:
+    its truncation loop reruns per query, but every log sum it needs is
+    summed once, the denominator's shared by all queries.
     """
     _require_special(p)
     if p.coupled_order() != p.d:
         raise ValueError("provider needs the top-order interaction only")
-
-    @functools.lru_cache(maxsize=None)
-    def rho_of_counts(counts: tuple[int, ...]) -> float:
-        return rho_series_counts(p, counts, tol=tol).value
+    _check_tol(tol)
+    series = _series_evaluator(p)
 
     def rho(axes) -> np.ndarray:
         counts = (np.asarray(axes)[..., None] == np.arange(p.d)).sum(axis=1)
         keys, inverse = np.unique(counts, axis=0, return_inverse=True)
-        return np.array([rho_of_counts(tuple(key)) for key in keys.tolist()]
-                        )[inverse.reshape(-1)]
+        return np.array([series(tuple(key), tol=tol).value
+                         for key in keys.tolist()])[inverse.reshape(-1)]
 
     return rho
 
@@ -293,7 +338,7 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
     T(v) = sum over x_d = 0..n of pmf(x_d) e^(c (x_d + q_d) v), tabulated
     in logs once per distinct integer v = e_(s-1)(y').
     """
-    s, counts = _query(p, counts, n_cap)
+    s, counts = _query(p, counts, n_cap, tol)
     if s == p.d:
         raise ValueError("full-order interaction: use rho_series_counts")
     if any(c > 1 for c in counts):

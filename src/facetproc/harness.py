@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import (rho_bounds, rho_limit, rho_limit_from_counts,
-                          rho_series_counts)
+from .correlation import (_series_evaluator, rho_bounds, rho_limit,
+                          rho_limit_from_counts, rho_series_counts)
 from .model import ModelParams, _check_int
 from .moments import _covariance_table, i_k_integrals, \
     scaling_limit_constants
@@ -196,8 +196,10 @@ class RunManifest:
     outputs: dict[str, str]
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True,
-                          indent=2) + "\n"
+        # the fields as they are: asdict would deep-copy every task
+        return json.dumps({f.name: getattr(self, f.name)
+                           for f in dataclasses.fields(self)},
+                          sort_keys=True, indent=2) + "\n"
 
 
 def _package_version() -> str:
@@ -267,10 +269,12 @@ def _rho_bound(pa: ModelParams, s: int):
     return rho_bounds(pa, (1,) * s + (0,) * (pa.d - s))
 
 
-def _series_row(pa: ModelParams, k: int, variant: str, l, counts) -> tuple:
+def _series_row(pa: ModelParams, series, k: int, variant: str, l,
+                counts) -> tuple:
     """(a, k, variant, l, series, tail, limit, abs_error, denominator,
-    n_max) for one orientation count vector."""
-    res = rho_series_counts(pa, counts)
+    n_max) for one orientation count vector, from pa's series
+    evaluator."""
+    res = series(counts)
     lim = float(rho_limit(pa.d, k, variant, l))
     return (pa.a, k, variant, l, res.value, res.tail, lim,
             abs(res.value - lim), res.denominator, res.n_max)
@@ -346,9 +350,10 @@ def _rho(cfg: ExperimentConfig):
             res = _rho_bound(pa, s)
             rows.append((pa.a, s, res.bound, res.rate, res.tail, res.n_max))
             continue
+        series = _series_evaluator(pa)
         for k, variant, l, counts in _arrangements(d):
             if variant == "distinct":
-                row = _series_row(pa, k, variant, l, counts)
+                row = _series_row(pa, series, k, variant, l, counts)
                 rows.append(row[:2] + row[4:])
     return (RHO_SERIES_HEADER if s == d else RHO_BOUNDS_HEADER), rows, None
 
@@ -502,8 +507,12 @@ def experiment_e3_rho_limits(cfg: ExperimentConfig) -> list[tuple]:
         if rho_limit(p.d, k, variant, l) != rho_limit_from_counts(counts):
             raise RuntimeError("arrangement construction is inconsistent "
                                "with the limit formulas")
-    return [_series_row(cfg.point(ai)[0], *arr)
-            for ai in range(len(cfg.a_grid)) for arr in arrangements]
+    rows = []
+    for ai in range(len(cfg.a_grid)):
+        pa, _ = cfg.point(ai)
+        series = _series_evaluator(pa)  # one denominator for every query
+        rows += [_series_row(pa, series, *arr) for arr in arrangements]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from scipy.stats import poisson
 
 from facetproc import correlation
 from facetproc.correlation import (
+    correlation_provider,
     rho_bounds,
     rho_decay_rate,
     rho_limit,
@@ -18,6 +21,8 @@ from facetproc.correlation import (
     rho_series_counts,
 )
 from facetproc.geometry import Facet
+from facetproc.harness import (_arrangements, build_experiment_config,
+                               experiment_e3_rho_limits)
 from facetproc.model import ModelParams, SizeLaw, log_conditional_intensity
 from facetproc.sampler import ChainConfig, batch_means_se, run_chain
 
@@ -363,3 +368,87 @@ def test_tails_are_poisson_tails(d):
                                  (1, 1) + (0,) * (d - 2), n_cap=n_cap)
                 assert res.tail.hex() == (
                     d * float(poisson.sf(res.n_max, beta))).hex()
+
+
+def _result_bits(res) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v for v in res)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_shared_evaluator_gives_the_lone_call_bits(d):
+    # every e3 arrangement twice, at three caps, in shuffled order: the
+    # shared evaluator reuses log sums across queries and truncations
+    # (d=3 has queries (1, 2, 0) and (1, 2, 1), equal but for q[-1])
+    p = ModelParams.special(d, (0.2,) + (0.0,) * (d - 2) + (-1.0,), a=4.0)
+    calls = [(counts, cap) for *_, counts in _arrangements(d) * 2
+             for cap in (None, 1, 5)]
+    random.Random(d).shuffle(calls)
+    series = correlation._series_evaluator(p)
+    for counts, cap in calls:
+        assert _result_bits(series(counts, n_cap=cap)) == _result_bits(
+            rho_series_counts(p, counts, n_cap=cap)), (counts, cap)
+
+
+def _count_tables(monkeypatch) -> collections.Counter:
+    """Counter of (beta, n) over every table summed from now on."""
+    seen = collections.Counter()
+    table_sum = correlation._table_sum
+
+    def counting(beta, n, *rest):
+        seen[beta, n] += 1
+        return table_sum(beta, n, *rest)
+
+    monkeypatch.setattr(correlation, "_table_sum", counting)
+    return seen
+
+
+def test_e3_sums_each_table_once_per_grid_point(monkeypatch, tmp_path):
+    # 15 arrangements, 12 distinct count vectors, one shared denominator;
+    # every query of a grid point stops at the same n here
+    cfg = build_experiment_config(
+        "e3", {"d": "4", "nu.4": "-1", "a.grid": "2,8,16"}, tmp_path, 0)
+    distinct = {counts for *_, counts in _arrangements(4)}
+    seen = _count_tables(monkeypatch)
+    rows = experiment_e3_rho_limits(cfg)
+    assert len(distinct) == 12
+    assert sorted(n for _, n in seen) == sorted({row[-1] for row in rows})
+    assert set(seen.values()) == {len(distinct) + 1}
+
+
+def test_provider_sums_each_table_once(monkeypatch):
+    p = ModelParams.submodel(3, 3, -1.0, a=4.0)
+    seen = _count_tables(monkeypatch)
+    rho = correlation_provider(p)
+    axes = np.array([[0, 1, 2], [0, 0, 1], [2, 1, 0], [1, 1, 1]])
+    first = rho(axes)
+    assert sum(seen.values()) == 3 + 1  # (1,1,1), (2,1,0), (0,3,0); q = 0
+    assert _result_bits(rho(axes[::-1])) == _result_bits(first[::-1])
+    assert sum(seen.values()) == 4
+    assert first.tolist() == [rho_series_counts(p, (1, 1, 1)).value,
+                              rho_series_counts(p, (2, 1, 0)).value,
+                              rho_series_counts(p, (1, 1, 1)).value,
+                              rho_series_counts(p, (0, 3, 0)).value]
+
+
+def test_tolerance_is_refused_where_it_enters():
+    # a NaN or negative tol once grew n to the cell limit (2.6 s and
+    # 468 MiB here) before the refusal
+    full, lower = (ModelParams.submodel(3, s, -1.0, a=4.0) for s in (3, 2))
+    for tol in (math.nan, -1e-8, -math.inf, None, "1e-8", True):
+        with pytest.raises(ValueError, match="tolerance tol"):
+            rho_series_counts(full, (1, 0, 0), tol=tol)
+        with pytest.raises(ValueError, match="tolerance tol"):
+            rho_bounds(lower, (1, 0, 0), tol=tol)
+        with pytest.raises(ValueError, match="tolerance tol"):
+            correlation_provider(full, tol=tol)
+    # tol = 0 runs until the tail underflows
+    res = rho_series_counts(full, (1, 0, 0), tol=0)
+    assert (res.tail, res.n_max) == (0.0, 234)
+
+
+def test_bool_counts_are_not_counts():
+    p = ModelParams.submodel(3, 3, -1.0, a=2.0)
+    for counts in ((True, 0, 0), (np.True_, 0, 0), (1, False, 0)):
+        with pytest.raises(ValueError, match="counts"):
+            rho_series_counts(p, counts)
+    assert correlation._whole(1.0) == 1

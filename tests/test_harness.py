@@ -1,6 +1,7 @@
 """Experiment drivers: configuration, closed forms, small runs,
 reproducibility of the persisted outputs."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from facetproc.harness import (CHAIN_GRID, POISSON_GRID, E1_HEADER,
                                E2_HEADER, E3_HEADER, E4_HEADER,
-                               ExperimentConfig, _arrangements,
+                               ExperimentConfig, RunManifest,
+                               _arrangements,
                                build_experiment_config, config_model,
                                experiment_e1_poisson_clt,
                                experiment_e3_rho_limits, parse_config,
@@ -415,6 +417,21 @@ def test_run_experiment_json_format(tmp_path):
     assert set(payload[0]) == set(E3_HEADER)
     with pytest.raises(ValueError, match="csv or json"):
         run_experiment(cfg, fmt="xml")
+
+
+def test_manifest_json_is_the_asdict_form():
+    # e1's manifest at d=3: a nested config and 600 replicate tasks
+    tasks = tuple({"a": a, "replicate": r, "chain_index": 200 * ai + r}
+                  for ai, a in enumerate((1.0, 4.0, 16.0)) for r in range(200))
+    config = {"model": {"d": 3, "b": 1.0, "nu": [0.0, -1.0, 0.0],
+                        "chi.const": 1.0, "orientation": "canonical"},
+              "a_grid": [1.0, 4.0, 16.0], "replicates": 200,
+              "chain_steps": [], "chain_burnin": None, "chain_thin": 1}
+    manifest = RunManifest(experiment="e1", config=config, seed=7,
+                           tasks=tasks, version="0.1.0", wall_seconds=0.05,
+                           outputs={"results.csv": "0" * 64})
+    assert manifest.to_json() == json.dumps(
+        dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n"
 
 
 def test_manifest_tasks_enumerate_chains(tmp_path):

@@ -5,9 +5,11 @@ configurations."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from facetproc.correlation import rho_bounds, rho_series_counts
+from facetproc.correlation import (correlation_provider, rho_bounds,
+                                  rho_series_counts)
 from facetproc.geometry import Facet, Window
 from facetproc.harness import build_experiment_config, config_model, \
     poisson_mean_interaction
@@ -128,6 +130,21 @@ BAD_INPUT = {
         ModelParams.submodel(3, 3, -1.0, a=2.0), (1, 1, 0), n_cap=2.5),
     "bounds-cap-bool": lambda: rho_bounds(
         ModelParams.submodel(3, 2, -1.0, a=2.0), (1, 1, 0), n_cap=True),
+    # the series and bounds grew the truncation to the cell limit before
+    # the refusal; the provider took any tol until its first query
+    "series-tol-nan": lambda: rho_series_counts(
+        ModelParams.submodel(3, 3, -1.0, a=2.0), (1, 0, 0), tol=NAN),
+    "series-tol-negative": lambda: rho_series_counts(
+        ModelParams.submodel(3, 3, -1.0, a=2.0), (1, 0, 0), tol=-1e-8),
+    "bounds-tol-nan": lambda: rho_bounds(
+        ModelParams.submodel(3, 2, -1.0, a=2.0), (1, 1, 0), tol=NAN),
+    "provider-tol-negative": lambda: correlation_provider(
+        ModelParams.submodel(3, 3, -1.0, a=2.0), tol=-1.0),
+    # these answered the (1, 0, 0) and (1, 1, 0) queries
+    "series-count-bool": lambda: rho_series_counts(
+        ModelParams.submodel(3, 3, -1.0, a=2.0), (True, 0, 0)),
+    "bounds-count-numpy-bool": lambda: rho_bounds(
+        ModelParams.submodel(3, 2, -1.0, a=2.0), (1, np.True_, 0)),
     # this ended in a TypeError when the run started
     "experiment-replicates-float": lambda: dataclasses.replace(
         build_experiment_config("e2", {"d": "2"}, "out", 0), replicates=2.5),
