@@ -3,8 +3,7 @@
 from .correlation import (RhoBoundResult, RhoSeriesResult,
                           correlation_provider, rho_bounds, rho_decay_rate,
                           rho_limit, rho_limit_from_counts, rho_series_counts)
-from .geometry import (Facet, Window, canonical_content, facet_measure,
-                       intersection_measure)
+from .geometry import Facet, Window, canonical_content, facet_measure
 from .harness import (ExperimentConfig, RunManifest, build_experiment_config,
                       config_model, parse_config, poisson_mean_interaction,
                       run_experiment)
@@ -51,7 +50,6 @@ __all__ = [
     "g_vector",
     "i_k_integrals",
     "interaction_kernel",
-    "intersection_measure",
     "local_stability_bound",
     "log_conditional_intensity",
     "make_rng",

@@ -124,6 +124,8 @@ def rho_limit(d: int, k: int, variant: str = "distinct",
     The shared-facet arrangement counts l without the shared facet's own
     orientation; its admissible range follows from the group sizes.
     """
+    _check_int("dimension d", d, 2)
+    _check_int("codimension k", k, 1)
     if not 1 <= k <= d - 1:
         raise ValueError("need 1 <= k <= d-1")
     if variant == "distinct":
@@ -132,6 +134,7 @@ def rho_limit(d: int, k: int, variant: str = "distinct",
         return Fraction(k, d)
     if l is None:
         raise ValueError("this arrangement needs the shared-orientation count l")
+    _check_int("shared-orientation count l", l, 0)
     if variant == "two_groups":
         if not max(d - 2 * k, 0) <= l <= d - k:
             raise ValueError("shared count out of range")
@@ -370,6 +373,9 @@ def rho_decay_rate(d: int, k: int, b: float, total_intensity: float,
     negative order-(d-k) coupling.  Minimizes over capped integer
     envelope exponents; feasible for every negative coupling because the
     leading exponentials vanish."""
+    _check_int("dimension d", d, 2)
+    _check_int("codimension k", k, 1)
+    _check_int("search cap", cap, 1)
     if nu >= 0:
         raise ValueError("coupling must be negative")
     if not 1 <= k <= d - 2:

@@ -10,8 +10,7 @@ The intersection content of canonical facets has one formula in two forms:
 canonical_content over whole batches of facet tuples held as arrays, and
 tuple_content over one tuple in plain Python, bit for bit the same value.
 tuple_content is the one scalar kernel for every facet tuple: it also gives
-the 0-or-1 crossing of two d = 2 segments with a vector normal, and
-intersection_measure is tuple_content on validated Facets.
+the 0-or-1 crossing of two d = 2 segments with a vector normal.
 """
 
 from __future__ import annotations
@@ -39,25 +38,27 @@ class Facet:
     orientation: int | tuple[float, float]
 
     def __post_init__(self):
-        center = tuple(float(c) for c in self.center)
+        center = tuple(map(float, self.center))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_extent", float(self.half_extent))
         d = len(center)
         if d < 2:
             raise ValueError("facets need ambient dimension d >= 2")
-        if not self.half_extent > 0:
-            raise ValueError("half_extent must be positive")
+        if not all(map(math.isfinite, center)):
+            raise ValueError(f"facet center {center} is not finite")
+        if not 0 < self.half_extent < math.inf:
+            raise ValueError("half_extent must be positive and finite")
         if isinstance(self.orientation, (int, np.integer)) \
                 and not isinstance(self.orientation, bool):
             object.__setattr__(self, "orientation", int(self.orientation))
             if not 0 <= self.orientation < d:
                 raise ValueError(f"canonical axis {self.orientation} outside [0, {d})")
         else:
-            normal = tuple(float(v) for v in self.orientation)
+            normal = tuple(map(float, self.orientation))
             if d != 2 or len(normal) != 2:
                 raise ValueError("vector orientations are supported in d = 2 only")
             norm = math.hypot(*normal)
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:  # a NaN normal is not one
                 raise ValueError("orientation normal must be a unit vector")
             if normal[0] < 0 or (normal[0] == 0 and normal[1] < 0):
                 raise ValueError("normal must have its first nonzero coordinate positive")
@@ -206,20 +207,3 @@ def _segments_cross(f1: tuple, f2: tuple) -> bool:
     t = (qp_x * s_y - qp_y * s_x) / denom
     u = (qp_x * r_y - qp_y * r_x) / denom
     return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
-
-
-def intersection_measure(facets: Sequence[Facet]) -> float:
-    """H^(d-j) measure of the intersection of j distinct facets, by
-    tuple_content.
-
-    Parallel facets (equal orientation class) yield 0, including coincident
-    ones.  For j = d the value is the 0-or-1 point count.
-    """
-    facets = list(facets)
-    if not facets:
-        raise ValueError("need at least one facet")
-    d = facets[0].d
-    if any(f.d != d for f in facets):
-        raise ValueError("facets live in different ambient dimensions")
-    return tuple_content([(f.center, f.half_extent, f.orientation)
-                          for f in facets])

@@ -170,14 +170,12 @@ class MomentSpec:
     (K, k) and axes (K, k) and returns K floats, 0 for parallel tuples.
     provider evaluates the correlation function of the merged variables
     from their axes alone, (K, m) to K floats; None means the reference
-    process, rho identically one.  max_draws caps the total Monte Carlo
-    facet draws across all partitions."""
+    process, rho identically one."""
 
     factors: tuple
     provider: Callable | None = None
     n_samples: int = 10000
     seed: int = 0
-    max_draws: int | None = None
 
     def __post_init__(self):
         if not self.factors:
@@ -221,17 +219,9 @@ def mixed_moment(spec: MomentSpec, p: ModelParams) -> tuple[float, float]:
         raise ValueError("Monte Carlo moments need axis-aligned orientations")
     parts = enumerate_partitions([k for k, _ in spec.factors])
     rng = make_rng(spec.seed)
-    drawn = 0
     terms: list[float] = []
     errs: list[float] = []
     for part in parts:
-        need = part.n_blocks * spec.n_samples
-        if spec.max_draws is not None and drawn + need > spec.max_draws:
-            raise ValueError(
-                "draw budget exhausted after %d of %d partitions; "
-                "partial sum %r" % (len(terms), len(parts),
-                                    math.fsum(terms)))
-        drawn += need
         # each factor's slots: the blocks its global indices fall in
         block_of = {i: bi for bi, blk in enumerate(part.blocks) for i in blk}
         starts = itertools.accumulate((k for k, _ in spec.factors), initial=0)
@@ -526,6 +516,8 @@ def i_k_integrals(d: int, k: int, b: float = 1.0,
     facets; the second is its square-type analogue over two such
     families sharing one facet, which drives the limiting variance.
     """
+    _check_int("dimension d", d, 2)
+    _check_int("codimension k", k, 1)
     if not 1 <= k <= d - 1:
         raise ValueError("codimension out of range")
     m = d - k
@@ -558,6 +550,8 @@ def scaling_limit_constants(d: int, k: int, i_k: float,
     (d-k)!^2, and both are reported so empirical runs can discriminate.
     They agree precisely when d - k <= 2.
     """
+    _check_int("dimension d", d, 2)
+    _check_int("codimension k", k, 1)
     if not 1 <= k <= d - 1:
         raise ValueError("codimension out of range")
     mean = i_k * math.comb(d - 1, d - k) / d ** (d - k)

@@ -10,19 +10,20 @@ the branch taken.
 One loop, _run, takes the steps of run_chain.  It converts only the move,
 aux and acceptance columns of a block to Python floats and writes the
 block's retained states into the trace when the block ends.  An increment
-rule takes in each block once before its steps, gives log lambda* of each
-proposal, applies the accepted moves and reports G at the retained states.
-Every chain moves one mutable state in place, _ChainState: the facets in
-pattern order as (center, half-extent, orientation) triples, the same
-triples grouped by orientation class (keyed by axis index or by normal, as
-FacetPattern.groups keys them) and a running G.  Two rules act on it, in
-plain Python:
+rule takes each block once, in load, before its steps; it then gives log
+lambda* of each proposal by row index, applies the accepted moves and
+reports G at the retained states.  Every chain moves one mutable state in
+place, _ChainState: the facets in pattern order as (center, half-extent,
+orientation) triples and a running G.  Two rules extend it, in plain
+Python, each with only the state it reads:
 
 - _GeneralRule serves every model.  It maps each block's rows to facets
   as every reference draw does (ModelParams.sample_facets_from_uniforms).
-  Its order-j increment is the fsum of ustat._subset_terms on the state's
-  groups, as in g_increment and model.log_conditional_intensity: the
-  contents (geometry.tuple_content) of the facet with j-1 facets of other
+  It also keeps the facets grouped by orientation class (keyed by axis
+  index or by normal, as FacetPattern.groups keys them).  Its order-j
+  increment is the fsum of ustat._subset_terms on these groups, as in
+  g_increment and model.log_conditional_intensity: the contents
+  (geometry.tuple_content) of the facet with j-1 facets of other
   orientation classes.  log lambda* is the fsum of nu_j times these.
   Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
   two segments.  The orders with nu_j = 0 are computed only for accepted
@@ -33,8 +34,9 @@ plain Python:
   center law's array sampler (CenterIntensity.sample_from_uniforms), and
   reads a birth's center once the birth is accepted.  Each pair of facets
   meets in the overlap of one free coordinate, and G_2 is their running
-  sum.  In d = 2 only kept samples read centers, so the rule maps no
-  block, and a birth keeps its raw uniforms until a pattern is built.
+  sum over the flat facet list.  In d = 2 only kept samples read centers,
+  so the rule maps no block: it keeps the block's center columns, and a
+  birth keeps its raw uniforms until a pattern is built.
 
 Both give bit-identical trajectories and G from the same seed.  No Facet or
 FacetPattern is built per step, only for kept samples.
@@ -265,25 +267,49 @@ def _add_terms(partials: list, terms, sign: float) -> None:
 
 class _ChainState:
     """A pattern moved in place: the facets in pattern order as (center,
-    half_extent, orientation) triples, the same triples grouped by
-    orientation class, keyed by axis index or by normal as
-    FacetPattern.groups keys them, and the running G as partials per
-    order.  The rules extend it; the d = 2 counts rule, whose closed forms
-    read only the counts, keeps no groups, and holds the center of a facet
-    it gave birth to as the list of its raw uniforms."""
+    half_extent, orientation) triples and the running G as partials per
+    order.  The rules extend it with what they read; the d = 2 counts
+    rule holds the center of a facet it gave birth to as the list of its
+    raw uniforms."""
 
     def __init__(self, p: ModelParams):
         self.p = p
         self.d = p.d
-        self.canonical = p.orientation.is_canonical
         self.facets: list[tuple] = []
-        self.groups: dict = {}
         self.g: list[list[float]] = [[] for _ in range(p.d)]
         self.center = p.center.sample_from_uniforms
 
-    def load(self, block) -> None:
-        """Take in a block of uniform rows before its steps; a rule that
-        maps no block (the d = 2 counts rule) does nothing here."""
+    def _pattern(self) -> FacetPattern:
+        return FacetPattern.of([Facet(self.center(z) if type(z) is list else z, r, o)
+                                for z, r, o in self.facets], self.d)
+
+
+class _GeneralRule(_ChainState):
+    """Increments of any model.  The rule also keeps its facets grouped by
+    orientation class in groups, keyed by axis index or by normal as
+    FacetPattern.groups keys them.  For order j the increment is the fsum
+    of ustat._subset_terms of the facet and j-1 other classes of groups;
+    log lambda* is the fsum of nu_j times these, as
+    model.log_conditional_intensity takes it.  The constructor places the
+    facets of x and starts the running G at G(x).  birth proposes the
+    facet that load mapped its row to, or gives -inf if it is present."""
+
+    engine = "pattern"
+
+    def __init__(self, p: ModelParams, x: FacetPattern):
+        super().__init__(p)
+        self.canonical = p.orientation.is_canonical
+        self.groups: dict = {}
+        self.orders = p.active_orders
+        self.nu = [p.nu[j - 1] for j in self.orders]
+        self.rest = [j for j in range(1, p.d + 1) if j not in self.orders]
+        self._f = None  # the proposed facet
+        self._terms: list[list[float]] = []  # its active orders' terms
+        for f in x.facets:
+            self._push((f.center, f.half_extent, f.orientation))
+        # every subset term of the placed facets, each once
+        for j in range(1, self.d + 1):
+            _add_terms(self.g[j - 1], _subset_terms(self.groups, j), 1.0)
 
     def _push(self, f: tuple) -> None:
         self.facets.append(f)
@@ -305,34 +331,6 @@ class _ChainState:
             mask |= 1 << axis
         return mask
 
-    def _pattern(self) -> FacetPattern:
-        return FacetPattern.of([Facet(self.center(z) if type(z) is list else z, r, o)
-                                for z, r, o in self.facets], self.d)
-
-
-class _GeneralRule(_ChainState):
-    """Increments of any model: for order j, the fsum of
-    ustat._subset_terms of the facet and j-1 other orientation classes of
-    the state's groups.  log lambda* is the fsum of nu_j times these, as
-    model.log_conditional_intensity takes it.  The constructor places the
-    facets of x and starts the running G at G(x).  birth proposes the
-    facet that load mapped its row to, or gives -inf if it is present."""
-
-    engine = "pattern"
-
-    def __init__(self, p: ModelParams, x: FacetPattern):
-        super().__init__(p)
-        self.orders = p.active_orders
-        self.nu = [p.nu[j - 1] for j in self.orders]
-        self.rest = [j for j in range(1, p.d + 1) if j not in self.orders]
-        self._f = None  # the proposed facet
-        self._terms: list[list[float]] = []  # its active orders' terms
-        for f in x.facets:
-            self._push((f.center, f.half_extent, f.orientation))
-        # every subset term of the placed facets, each once
-        for j in range(1, self.d + 1):
-            _add_terms(self.g[j - 1], _subset_terms(self.groups, j), 1.0)
-
     def _log_lambda(self, f: tuple) -> float:
         self._terms = [_subset_terms(self.groups, j - 1, f) for j in self.orders]
         return math.fsum([nu * math.fsum(t)
@@ -349,14 +347,14 @@ class _GeneralRule(_ChainState):
         mapped = self.p.sample_facets_from_uniforms(block[:, 1:self.d + 3])
         self._z, self._r, self._o = (a.tolist() for a in mapped)
 
-    def birth(self, block, i: int, aux: float) -> float:
+    def birth(self, i: int, aux: float) -> float:
         f = (tuple(self._z[i]), self._r[i], self._o[i])
         if f in self.groups.get(f[2], ()):
             return -math.inf
         self._f = f
         return self._log_lambda(f)
 
-    def add(self, block, i: int) -> None:
+    def add(self, i: int) -> None:
         self._update(self._f, 1.0)
         self._push(self._f)
 
@@ -377,9 +375,10 @@ class _CountsRule(_ChainState):
     counts.  In d = 3 each pair of facets on axes k != m meets in the
     overlap of their free coordinate 3-k-m, the value tuple_content gives
     when every center lies within r of every other, and G_2 is their
-    running sum.  load maps the centers of a block's rows, and add reads
-    the center of an accepted birth; in d = 2 the rule maps none, and
-    keeps a birth's raw center uniforms until a pattern is built."""
+    running sum, each new facet met against the facets of the flat list on
+    other axes.  load maps the centers of a block's rows, and add reads
+    the center of an accepted birth; in d = 2 load keeps the raw center
+    columns, and a birth keeps its uniforms until a pattern is built."""
 
     engine = "counts"
 
@@ -405,18 +404,15 @@ class _CountsRule(_ChainState):
     def _update_g2(self, f: tuple, sign: float) -> None:
         z, r, k = f
         g2 = self.g[1]
-        for m in range(3):
-            if m == k:
-                continue
-            free = 3 - k - m
-            zf = z[free]
-            for w, _, _ in self.groups.get(m, ()):
-                wf = w[free]
+        for w, _, m in self.facets:
+            if m != k:
+                free = 3 - k - m
+                zf, wf = z[free], w[free]
                 t = min(zf + r, wf + r) - max(zf - r, wf - r)
                 if t > 0.0:
                     _add_exact(g2, sign * t)
 
-    def birth(self, block, i: int, aux: float) -> float:
+    def birth(self, i: int, aux: float) -> float:
         axis = int(aux * self.d)
         if axis >= self.d:
             axis = self.d - 1
@@ -425,30 +421,28 @@ class _CountsRule(_ChainState):
 
     def _enter(self, f: tuple) -> None:
         self.counts[f[2]] += 1
-        if self.d == 2:  # the closed forms read only the counts
-            self.facets.append(f)
-        else:
+        if self.d == 3:
             self._update_g2(f, 1.0)
-            self._push(f)
+        self.facets.append(f)
 
     def load(self, block) -> None:
-        if self.d == 3:  # the rows' centers, by the law's array sampler
+        if self.d == 2:  # the rows' raw center uniforms
+            self._z = block[:, 2:4]
+        else:  # the rows' centers, by the law's array sampler
             self._z = np.stack(self.center(block[:, 2:5].T), axis=-1)
 
-    def add(self, block, i: int) -> None:
-        z = block[i, 2:4].tolist() if self.d == 2 else tuple(self._z[i].tolist())
-        self._enter((z, self.r, self._axis))
+    def add(self, i: int) -> None:
+        z = self._z[i].tolist()
+        self._enter((z if self.d == 2 else tuple(z), self.r, self._axis))
 
     def death(self, i: int) -> float:
         # x_i's own axis is skipped: the other counts are those of x - x_i
         return self._log_lambda(self.facets[i][2])
 
     def remove(self, i: int) -> None:
-        if self.d == 2:
-            self.counts[self.facets.pop(i)[2]] -= 1
-        else:
-            f = self._pop(i)
-            self.counts[f[2]] -= 1
+        f = self.facets.pop(i)
+        self.counts[f[2]] -= 1
+        if self.d == 3:
             self._update_g2(f, -1.0)
 
     def retained(self) -> tuple:
@@ -468,9 +462,9 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     patterns to samples unless it is None, and logs progress once per block
     at INFO if n_steps >= _LOG_STEPS.
 
-    rule.load(block) takes in each block before its steps.
-    rule.birth(block, i, aux) is log lambda*(u; x) of the facet u row i
-    proposes and rule.add(block, i) adds u; rule.death(i) is
+    rule.load(block) takes in each block before its steps; no other call
+    sees the block.  rule.birth(i, aux) is log lambda*(u; x) of the facet
+    u row i proposes and rule.add(i) adds u; rule.death(i) is
     log lambda*(x_i; x minus x_i) and rule.remove(i) removes x_i.
     rule.retained() gives G and the occupancy mask (the canonical axes
     present; -1 for a non-empty state of the hemisphere law, 0 for the
@@ -494,9 +488,9 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
         for i, move, aux, u in zip(range(len(block)), moves.tolist(),
                                    block[:, 1].tolist(), block[:, p.d + 3].tolist()):
             if move < 0.5:
-                accepted = log(u) < birth(block, i, aux) + log_a_t - logs[n]
+                accepted = log(u) < birth(i, aux) + log_a_t - logs[n]
                 if accepted:
-                    add(block, i)
+                    add(i)
                     b_acc += 1
                     n += 1
                     if n == len(logs):

@@ -12,10 +12,16 @@ from facetproc.geometry import (
     Window,
     canonical_content,
     facet_measure,
-    intersection_measure,
     tuple_content,
 )
 from facetproc.model import OrientationLaw
+from facetproc.ustat import FacetPattern
+
+
+def _content(facets):
+    """tuple_content of validated Facets."""
+    return tuple_content([(f.center, f.half_extent, f.orientation)
+                          for f in facets])
 
 
 def interval_oracle(facets):
@@ -44,7 +50,7 @@ def interval_oracle(facets):
 def test_single_facet_measure():
     f = Facet((0.1, 0.2, 0.3), 0.75, 2)
     assert facet_measure(f) == pytest.approx(2.25)
-    assert intersection_measure([f]) == pytest.approx(2.25)
+    assert _content([f]) == pytest.approx(2.25)
     g = Facet((0.0, 0.0), 0.5, 1)
     assert facet_measure(g) == pytest.approx(1.0)
 
@@ -54,8 +60,8 @@ def test_pair_overlap_frozen_value():
     # contributes 2r - |dz3| = 1.5, the two fixed coordinates pass containment
     f1 = Facet((0.5, 0.3, 0.2), 1.0, 0)
     f2 = Facet((0.9, 0.8, 0.7), 1.0, 1)
-    assert intersection_measure([f1, f2]) == pytest.approx(1.5)
-    assert intersection_measure([f2, f1]) == pytest.approx(1.5)
+    assert _content([f1, f2]) == pytest.approx(1.5)
+    assert _content([f2, f1]) == pytest.approx(1.5)
 
 
 def test_full_order_intersection_is_indicator():
@@ -64,48 +70,48 @@ def test_full_order_intersection_is_indicator():
         Facet((0.7, 0.1, 0.3), 1.0, 1),
         Facet((0.4, 0.6, 0.8), 1.0, 2),
     ]
-    assert intersection_measure(facets) == 1.0
+    assert _content(facets) == 1.0
     far = [
         Facet((0.2, 0.5, 0.9), 0.3, 0),
         Facet((3.7, 0.1, 0.3), 0.3, 1),
     ]
-    assert intersection_measure(far) == 0.0
+    assert _content(far) == 0.0
 
 
 def test_parallel_facets_never_intersect():
     f1 = Facet((0.2, 0.5, 0.9), 1.0, 1)
     f2 = Facet((0.2, 0.1, 0.9), 1.0, 1)
-    assert intersection_measure([f1, f2]) == 0.0
+    assert _content([f1, f2]) == 0.0
     # nested parallel facets count as empty too
     f3 = Facet((0.2, 0.5, 0.9), 0.25, 1)
-    assert intersection_measure([f1, f3]) == 0.0
+    assert _content([f1, f3]) == 0.0
 
 
 def test_closed_boundary_containment():
     f1 = Facet((1.5, 0.0, 0.0), 1.0, 0)
     f2 = Facet((0.5, 0.5, 0.5), 1.0, 1)
     # fixed coordinate sits exactly on the other facet's edge: still counted
-    assert intersection_measure([f1, f2]) == pytest.approx(1.5)
+    assert _content([f1, f2]) == pytest.approx(1.5)
     f1b = Facet((1.5 + 1e-9, 0.0, 0.0), 1.0, 0)
-    assert intersection_measure([f1b, f2]) == 0.0
+    assert _content([f1b, f2]) == 0.0
 
 
 def test_more_facets_than_dimensions():
     facets = [Facet((0.5, 0.5), 1.0, 0), Facet((0.5, 0.5), 1.0, 1)]
-    assert intersection_measure(facets + [Facet((0.4, 0.4), 1.0, (1.0, 0.0))]) == 0.0
+    assert _content(facets + [Facet((0.4, 0.4), 1.0, (1.0, 0.0))]) == 0.0
 
 
 def test_d2_rotated_segments():
     vertical = Facet((0.5, 0.5), 1.0, 0)
     diag = Facet((0.5, 0.5), 0.01, (math.sqrt(0.5), math.sqrt(0.5)))
-    assert intersection_measure([vertical, diag]) == 1.0
+    assert _content([vertical, diag]) == 1.0
     far = Facet((3.0, 3.0), 0.01, (math.sqrt(0.5), math.sqrt(0.5)))
-    assert intersection_measure([vertical, far]) == 0.0
+    assert _content([vertical, far]) == 0.0
     # endpoint touching counts (closed segments)
     horiz = Facet((0.0, 0.0), 1.0, 1)
     touch = Facet((1.0 + math.sqrt(0.5) / 2, math.sqrt(0.5) / 2), 0.5,
                   (math.sqrt(0.5), -math.sqrt(0.5)))
-    assert intersection_measure([horiz, touch]) == 1.0
+    assert _content([horiz, touch]) == 1.0
 
 
 def test_orientation_validation():
@@ -119,10 +125,12 @@ def test_orientation_validation():
         Facet((0.0, 0.0), 1.0, (-1.0, 0.0))  # wrong hemisphere
     with pytest.raises(ValueError):
         Facet((0.0, 0.0, 0.0), 1.0, (1.0, 0.0))  # vector normals only in d=2
+    # facets enter the interaction statistics through a pattern, which
+    # needs a dimension and refuses facets of another
     with pytest.raises(ValueError):
-        intersection_measure([])
+        FacetPattern.of([])
     with pytest.raises(ValueError):
-        intersection_measure([Facet((0.0, 0.0), 1.0, 0), Facet((0.0, 0.0, 0.0), 1.0, 1)])
+        FacetPattern.of([Facet((0.0, 0.0), 1.0, 0), Facet((0.0, 0.0, 0.0), 1.0, 1)])
 
 
 def test_d3_rotated_rejected():
@@ -144,11 +152,11 @@ def test_against_interval_oracle_sweep():
                 for ax in axes
             ]
             expected = interval_oracle(facets)
-            got = intersection_measure(facets)
+            got = _content(facets)
             assert got == pytest.approx(expected, abs=1e-12)
             # order invariance
             for perm in itertools.islice(itertools.permutations(facets), 3):
-                assert intersection_measure(list(perm)) == pytest.approx(expected, abs=1e-12)
+                assert _content(list(perm)) == pytest.approx(expected, abs=1e-12)
 
 
 @st.composite
@@ -216,7 +224,7 @@ def test_tuple_content_is_the_batch_kernel(facets):
     value = tuple_content(facets)
     assert type(value) is float
     assert value == batch and math.copysign(1.0, value) == math.copysign(1.0, batch)
-    assert intersection_measure([Facet(*f) for f in facets]) == (
+    assert _content([Facet(*f) for f in facets]) == (
         value if len({f[2] for f in facets}) == len(facets) else 0.0)
 
 
@@ -280,7 +288,7 @@ def test_crossing_matches_exact_rational_test():
         expected = _exact_crossing(f, g)
         assert tuple_content((f, g)) == expected, (f, g)
         assert tuple_content((g, f)) == expected, (g, f)
-        assert intersection_measure([Facet(*f), Facet(*g)]) == expected
+        assert _content([Facet(*f), Facet(*g)]) == expected
         hits += expected
     assert 2_000 < hits < 8_000
     v = ((0.5, 0.5), 0.25, (1.0, 0.0))

@@ -11,7 +11,7 @@ from scipy.stats import chi2
 
 from facetproc.correlation import _count_grid
 from facetproc.geometry import (Facet, Window, canonical_content,
-                                facet_measure, intersection_measure)
+                                facet_measure, tuple_content)
 from facetproc.harness import write_table
 from facetproc.model import (
     CenterIntensity,
@@ -239,7 +239,7 @@ def _array_increment(x, u, j):
     ustat._subset_terms: the subsets of x's facet indices, one index from
     each of j-1 orientation classes other than u's, with u's index last.
     Canonical tuples go as rows of index arrays through
-    canonical_content, the others through intersection_measure."""
+    canonical_content, the others through tuple_content."""
     if j == 1:
         return facet_measure(u)
     index: dict = {}
@@ -259,8 +259,8 @@ def _array_increment(x, u, j):
             rows = np.stack(mesh, axis=-1).reshape(-1, j)
             terms.extend(canonical_content(*(a[rows] for a in arrays)).tolist())
         else:
-            terms.extend(intersection_measure([x.facets[i] for i in members]
-                                              + [u])
+            triples = [(f.center, f.half_extent, f.orientation) for f in facets]
+            terms.extend(tuple_content([triples[i] for i in (*members, x.n)])
                          for members in itertools.product(*combo))
     return math.fsum(terms)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from facetproc.geometry import Facet, facet_measure, intersection_measure
+from facetproc.geometry import Facet, facet_measure, tuple_content
 from facetproc.model import ModelParams, OrientationLaw
 from facetproc.sampler import _poisson_g_vectors, make_rng, sample_poisson
 from facetproc.ustat import FacetPattern, _subset_sums, g_increment, g_vector
@@ -19,7 +19,7 @@ def brute_g_vector(pattern):
     g = np.zeros(pattern.d)
     for j in range(1, pattern.d + 1):
         g[j - 1] = math.fsum(
-            intersection_measure(list(s))
+            tuple_content([(f.center, f.half_extent, f.orientation) for f in s])
             for s in itertools.combinations(pattern.facets, j)
         )
     return g
@@ -177,7 +177,7 @@ def test_increment_rejects_duplicate():
 def test_increment_is_the_array_reference(case):
     # g_increment sums ustat._subset_terms in plain Python; the reference
     # takes canonical tuples as index rows through canonical_content and
-    # the others through intersection_measure.  Same terms, same fsum.
+    # the others through tuple_content.  Same terms, same fsum.
     x, u = case
     expected = [_array_increment(x, u, j).hex() for j in range(1, x.d + 1)]
     assert [v.hex() for v in g_increment(x, u).tolist()] == expected

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from facetproc.correlation import (correlation_provider, rho_bounds,
+                                  rho_decay_rate, rho_limit,
                                   rho_series_counts)
 from facetproc.geometry import Facet, Window
 from facetproc.harness import build_experiment_config, config_model, \
@@ -17,7 +18,8 @@ from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
                              SizeLaw, log_conditional_intensity)
 from facetproc.moments import (MomentSpec, asymptotic_covariance,
                                centered_moment_leading, enumerate_partitions,
-                               expected_increment, unit_kernel)
+                               expected_increment, i_k_integrals,
+                               scaling_limit_constants, unit_kernel)
 from facetproc.sampler import ChainConfig
 from facetproc.ustat import FacetPattern
 
@@ -145,6 +147,25 @@ BAD_INPUT = {
         ModelParams.submodel(3, 3, -1.0, a=2.0), (True, 0, 0)),
     "bounds-count-numpy-bool": lambda: rho_bounds(
         ModelParams.submodel(3, 2, -1.0, a=2.0), (1, np.True_, 0)),
+    # with Facet((0.5, 0.5), 1.0, 0), g_vector counted the NaN facet as a
+    # crossing; the infinite half-extent had an infinite facet_measure;
+    # the NaN normal passed the unit-norm check; the increment was 0.0
+    "facet-center-nan": lambda: Facet((NAN, 0.5), 1.0, 1),
+    "facet-center-inf": lambda: Facet((0.5, INF, 0.5), 1.0, 0),
+    "facet-extent-inf": lambda: Facet((0.5, 0.5), INF, 0),
+    "facet-normal-nan": lambda: Facet((0.0, 0.0), 1.0, (NAN, 0.0)),
+    "increment-facet-nan": lambda: expected_increment(
+        2, Facet((NAN, 0.5, 0.5), 1.0, 0), ModelParams.special(3, (0.0, -1.0, 0.0))),
+    # these gave 1/4 and -0.237, or ran the search with cap = True; the
+    # float ones ended in a TypeError
+    "rho-limit-k-bool": lambda: rho_limit(4, True),
+    "rho-limit-d-float": lambda: rho_limit(4.0, 1),
+    "rho-limit-l-bool": lambda: rho_limit(4, 2, "two_groups", True),
+    "decay-k-float": lambda: rho_decay_rate(4, 1.5, 1.0, 1.0, -1.0),
+    "decay-cap-bool": lambda: rho_decay_rate(4, 1, 1.0, 1.0, -1.0, cap=True),
+    "decay-cap-float": lambda: rho_decay_rate(4, 1, 1.0, 1.0, -1.0, cap=2.5),
+    "ik-d-float": lambda: i_k_integrals(3.5, 1),
+    "scaling-k-float": lambda: scaling_limit_constants(3, 1.5, 1.0, 1.0),
     # this ended in a TypeError when the run started
     "experiment-replicates-float": lambda: dataclasses.replace(
         build_experiment_config("e2", {"d": "2"}, "out", 0), replicates=2.5),
