@@ -4,9 +4,8 @@ from .correlation import (RhoBoundResult, RhoSeriesResult,
                           correlation_provider, rho_bounds, rho_decay_rate,
                           rho_limit, rho_limit_from_counts, rho_series_counts)
 from .geometry import Facet, Window, canonical_content, facet_measure
-from .harness import (ExperimentConfig, RunManifest, build_experiment_config,
-                      config_model, parse_config, poisson_mean_interaction,
-                      run_experiment)
+from .harness import (ExperimentConfig, build_experiment_config, config_model,
+                      parse_config, poisson_mean_interaction, run_experiment)
 from .model import (CenterIntensity, ModelParams, OrientationLaw, SizeLaw,
                     local_stability_bound, log_conditional_intensity,
                     validate_params)
@@ -32,7 +31,6 @@ __all__ = [
     "OrientationLaw",
     "RhoBoundResult",
     "RhoSeriesResult",
-    "RunManifest",
     "ScalingLimits",
     "SizeLaw",
     "Window",

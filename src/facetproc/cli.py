@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import build_experiment_config, parse_config, run_experiment
+from .harness import _COMMANDS, build_experiment_config, parse_config, \
+    run_experiment
 
 
 def _summary(command: str, res: dict) -> None:
@@ -41,7 +42,8 @@ def main(argv=None) -> int:
     for name in ("simulate", "rho", "moments", "experiment"):
         sub = subs.add_parser(name)
         if name == "experiment":
-            sub.add_argument("id", choices=("e1", "e2", "e3", "e4"))
+            sub.add_argument("id", choices=[
+                cmd for cmd in _COMMANDS if cmd.startswith("e")])
         sub.add_argument("--config", required=True,
                          help="key-value config file")
         sub.add_argument("--seed", type=int, default=0, help="master seed")

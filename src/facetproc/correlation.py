@@ -105,9 +105,12 @@ def _log_first_order_factor(p: ModelParams, n_query: int) -> float:
 def rho_limit_from_counts(counts: Sequence[int]) -> Fraction:
     """Large-activity correlation limit for a query with the given
     orientation multiplicities: the fraction of orientations unused."""
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be nonnegative")
-    return Fraction(sum(1 for c in counts if c == 0), len(counts))
+    counts = tuple(counts)
+    whole = tuple(_whole(c) for c in counts)
+    if not whole or None in whole or any(c < 0 for c in whole):
+        raise ValueError(f"counts must be one or more nonnegative "
+                         f"integers, got {counts!r}")
+    return Fraction(whole.count(0), len(whole))
 
 
 def rho_limit(d: int, k: int, variant: str = "distinct",

@@ -6,10 +6,12 @@ moments (reference and limit constants), and four numbered experiments
 that probe the model's limit behavior: Poisson central-limit
 diagnostics (e1), degeneracy of coupled interaction counts (e2),
 correlation limits across orientation arrangements (e3), and the
-scaling constants of dilated counts (e4).  Every run is a pure function
-of its configuration and master seed: tasks own disjoint RNG streams
-indexed before dispatch, rows are assembled in grid order, and floats
-are written with repr so a re-run reproduces the result file byte for
+scaling constants of dilated counts (e4).  The table _COMMANDS
+describes each command once, and a config setting that the command
+would not read is refused.  Every run is a pure function of its
+configuration and master seed: tasks own disjoint RNG streams indexed
+before dispatch, rows are assembled in grid order, and floats are
+written with repr so a re-run reproduces the result file byte for
 byte.  A JSON manifest records the resolved configuration and output
 checksums.
 """
@@ -23,6 +25,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,11 +42,6 @@ CHAIN_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 _SCALAR_KEYS = ("d", "b", "chi.const", "a.grid", "chain.steps",
                 "chain.burnin", "chain.thin", "replicates")
-# commands that run Markov chains, that draw one RNG stream per replicate
-# task, and that run at the first grid value only
-_CHAIN_COMMANDS = ("simulate", "e2", "e4")
-_STREAM_COMMANDS = ("simulate", "e1", "e2", "e4")
-_FIRST_POINT_COMMANDS = ("simulate", "moments")
 
 
 # ---------------------------------------------------------------------------
@@ -125,81 +123,72 @@ class ExperimentConfig:
     params: ModelParams
     a_grid: tuple[float, ...]
     replicates: int
-    chain: ChainConfig
     chain_steps: tuple[int, ...]
     out_dir: str
     seed: int
+    burn_in: int | None = None  # None: the chain's default at each point
+    thin: int | None = None
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
-            raise ValueError("experiment must be one of "
-                             + ", ".join(_EXPERIMENTS))
+        cmd = _command(self.experiment)
         if not self.a_grid:
             raise ValueError("activity grid must be nonempty")
         if any(y <= x for x, y in zip(self.a_grid, self.a_grid[1:])):
             raise ValueError("activity grid must be increasing")
-        _check_int("replicates", self.replicates, 1)
+        # e1 pools across replicates; a lone chain falls back on its own SE
+        _check_int("replicates", self.replicates,
+                   2 if cmd.streams and not cmd.chains else 1)
+        if cmd.first_point and (len(self.a_grid) > 1 or self.replicates > 1):
+            raise ValueError(f"{self.experiment} runs one task at one grid "
+                             f"point, got a.grid = {self.a_grid} and "
+                             f"replicates = {self.replicates}")
         if len(self.chain_steps) != len(self.a_grid):
-            raise ValueError("per-grid step list must match the grid")
+            raise ValueError(f"per-grid step list must match the grid: "
+                             f"chain.steps has {len(self.chain_steps)} "
+                             f"values, a.grid {len(self.a_grid)}")
         # every grid point's model and chain settings, before any task runs
         for ai, a in enumerate(self.a_grid):
             try:
-                p, chain = self.point(ai)
-                if self.experiment in _CHAIN_COMMANDS:
-                    chain.resolve(p)
+                p = self.model(ai)
+                if cmd.chains:
+                    self.chain(ai).resolve(p)
             except ValueError as exc:
                 raise ValueError(f"grid point a = {a}: {exc}") from None
 
-    def point(self, a_idx: int, stream: int = 0
-              ) -> tuple[ModelParams, ChainConfig]:
-        """The model and the chain settings at one grid point, the chain
-        drawing from the given RNG stream."""
-        return (dataclasses.replace(self.params, a=self.a_grid[a_idx]),
-                dataclasses.replace(self.chain,
-                                    n_steps=self.chain_steps[a_idx],
-                                    seed=self.seed, chain_index=stream))
+    def model(self, a_idx: int) -> ModelParams:
+        """The model at one grid point."""
+        return dataclasses.replace(self.params, a=self.a_grid[a_idx])
+
+    def chain(self, a_idx: int, stream: int = 0) -> ChainConfig:
+        """The chain settings at one grid point, drawing from the given
+        RNG stream."""
+        return ChainConfig(n_steps=self.chain_steps[a_idx], seed=self.seed,
+                           burn_in=self.burn_in, thin=self.thin,
+                           chain_index=stream)
 
 
 def build_experiment_config(experiment: str, conf: dict[str, str],
                             out_dir, seed: int) -> ExperimentConfig:
+    cmd = _command(experiment)
     params = config_model(conf)
-    grid = _numbers(conf, "a.grid",
-                    POISSON_GRID if experiment == "e1" else CHAIN_GRID)
-    replicates = _scalar(conf, "replicates",
-                         400 if experiment == "e1" else 1, int)
+    unread = [key for key in conf
+              if key.startswith("chain.") and not cmd.chains
+              or key == "replicates" and not cmd.streams]
+    if unread:
+        raise ValueError(f"{experiment} does not read {', '.join(unread)}")
+    grid = _numbers(conf, "a.grid", cmd.grid)
     steps = _numbers(conf, "chain.steps", (200000,), int)
     if len(steps) == 1:
         steps = steps * len(grid)
-    if experiment in _FIRST_POINT_COMMANDS:
-        grid, steps, replicates = grid[:1], steps[:1], 1
-    burn = _scalar(conf, "chain.burnin", None, int)
-    thin = _scalar(conf, "chain.thin", None, int)
-    chain = ChainConfig(n_steps=steps[0], seed=seed, burn_in=burn, thin=thin)
-    return ExperimentConfig(experiment, params, grid, replicates, chain,
-                            steps, str(out_dir), seed)
+    return ExperimentConfig(
+        experiment, params, grid,
+        _scalar(conf, "replicates", cmd.replicates, int), steps,
+        str(out_dir), seed, burn_in=_scalar(conf, "chain.burnin", None, int),
+        thin=_scalar(conf, "chain.thin", None, int))
 
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a result file bit-exactly."""
-
-    experiment: str
-    config: dict
-    seed: int
-    tasks: tuple[dict, ...]
-    version: str
-    wall_seconds: float
-    outputs: dict[str, str]
-
-    def to_json(self) -> str:
-        # the fields as they are: asdict would deep-copy every task
-        return json.dumps({f.name: getattr(self, f.name)
-                           for f in dataclasses.fields(self)},
-                          sort_keys=True, indent=2) + "\n"
 
 
 def _package_version() -> str:
@@ -328,8 +317,7 @@ def _pool(values, own_se):
 
 def _simulate(cfg: ExperimentConfig):
     """One chain at the first grid point and its retained-state trace."""
-    p, chain = cfg.point(0)
-    _, diag = run_chain(p, chain)
+    _, diag = run_chain(cfg.model(0), cfg.chain(0))
     return (*trace_table(diag), diag)
 
 
@@ -345,7 +333,7 @@ def _rho(cfg: ExperimentConfig):
     s = cfg.params.coupled_order()
     rows = []
     for ai in range(len(cfg.a_grid)):
-        pa, _ = cfg.point(ai)
+        pa = cfg.model(ai)
         if s < d:
             res = _rho_bound(pa, s)
             rows.append((pa.a, s, res.bound, res.rate, res.tail, res.n_max))
@@ -364,7 +352,7 @@ MOMENTS_HEADER = ("quantity", "i", "j", "value", "se")
 def _moments(cfg: ExperimentConfig):
     """Reference means, asymptotic covariances and scaling-limit
     constants at the first grid point."""
-    p, _ = cfg.point(0)
+    p = cfg.model(0)
     rows = [("count_mean", None, None, p.a * p.total_intensity, 0.0)]
     rows += [("interaction_mean", j, None, poisson_mean_interaction(p, j),
               0.0) for j in range(1, p.d + 1)]
@@ -400,7 +388,7 @@ def experiment_e1_poisson_clt(cfg: ExperimentConfig) -> list[tuple]:
     reps = cfg.replicates
     means = {a: [poisson_mean_interaction(dataclasses.replace(p, a=a), j)
                  for j in range(1, d + 1)] for a in cfg.a_grid}
-    blocks = [_poisson_g_vectors(cfg.point(ai)[0], rngs)
+    blocks = [_poisson_g_vectors(cfg.model(ai), rngs)
               for ai, rngs in enumerate(_replicated(
                   lambda ai, stream: make_rng(cfg.seed, stream), cfg))]
     theory = _covariances(p, cfg.seed)
@@ -446,7 +434,7 @@ def experiment_e2_degeneracy(cfg: ExperimentConfig) -> list[tuple]:
     k = p.d - s
 
     def one(a_idx, stream):
-        _, diag = run_chain(*cfg.point(a_idx, stream))
+        _, diag = run_chain(cfg.model(a_idx), cfg.chain(a_idx, stream))
         est, se = diag.g_mean_se(s)
         poor = (diag.orientation_counts() <= s - 1).astype(float)
         return est, se, float(poor.mean()), batch_means_se(poor)
@@ -455,7 +443,7 @@ def experiment_e2_degeneracy(cfg: ExperimentConfig) -> list[tuple]:
     for ai, part in enumerate(_replicated(one, cfg)):
         est, se = _pool([r[0] for r in part], part[0][1])
         occ, occ_se = _pool([r[2] for r in part], part[0][3])
-        pa, _ = cfg.point(ai)
+        pa = cfg.model(ai)
         reference = poisson_mean_interaction(pa, s)
         if nu_s < 0.0 and k == 0:
             envelope = reference * rho_series_counts(pa, (1,) * p.d).value
@@ -509,7 +497,7 @@ def experiment_e3_rho_limits(cfg: ExperimentConfig) -> list[tuple]:
                                "with the limit formulas")
     rows = []
     for ai in range(len(cfg.a_grid)):
-        pa, _ = cfg.point(ai)
+        pa = cfg.model(ai)
         series = _series_evaluator(pa)  # one denominator for every query
         rows += [_series_row(pa, series, *arr) for arr in arrangements]
     return rows
@@ -537,7 +525,7 @@ def experiment_e4_scaling(cfg: ExperimentConfig) -> list[tuple]:
     d = p.d
 
     def one(a_idx, stream):
-        _, diag = run_chain(*cfg.point(a_idx, stream))
+        _, diag = run_chain(cfg.model(a_idx), cfg.chain(a_idx, stream))
         stats = []
         for k in range(1, d):
             g = diag.trace_g[:, d - k - 1]
@@ -580,20 +568,43 @@ def experiment_e4_scaling(cfg: ExperimentConfig) -> list[tuple]:
 # dispatch and persistence
 
 
-def _fixed_header(driver, header):
-    return lambda cfg: (header, driver(cfg), None)
+@dataclass(frozen=True)
+class _Command:
+    """What a command is.  Its driver returns (header, rows, chain
+    diagnostics or None); grid and replicates are its defaults.  chains:
+    it runs Markov chains; streams: it draws one RNG stream per
+    replicate task; first_point: it runs at one grid point; stem: the
+    name of its table file."""
+
+    driver: Callable[[ExperimentConfig], tuple]
+    grid: tuple[float, ...] = CHAIN_GRID
+    replicates: int = 1
+    chains: bool = False
+    streams: bool = False
+    first_point: bool = False
+    stem: str = "results"
 
 
-# command -> driver(cfg) returning (header, rows, chain diagnostics or None)
-_EXPERIMENTS = {
-    "simulate": _simulate,
-    "rho": _rho,
-    "moments": _moments,
-    "e1": _fixed_header(experiment_e1_poisson_clt, E1_HEADER),
-    "e2": _fixed_header(experiment_e2_degeneracy, E2_HEADER),
-    "e3": _fixed_header(experiment_e3_rho_limits, E3_HEADER),
-    "e4": _fixed_header(experiment_e4_scaling, E4_HEADER),
+_COMMANDS = {
+    "simulate": _Command(_simulate, CHAIN_GRID[:1], chains=True,
+                         streams=True, first_point=True, stem="trace"),
+    "rho": _Command(_rho),
+    "moments": _Command(_moments, CHAIN_GRID[:1], first_point=True),
+    "e1": _Command(lambda cfg: (E1_HEADER, experiment_e1_poisson_clt(cfg),
+                                None), POISSON_GRID, 400, streams=True),
+    "e2": _Command(lambda cfg: (E2_HEADER, experiment_e2_degeneracy(cfg),
+                                None), chains=True, streams=True),
+    "e3": _Command(lambda cfg: (E3_HEADER, experiment_e3_rho_limits(cfg),
+                                None)),
+    "e4": _Command(lambda cfg: (E4_HEADER, experiment_e4_scaling(cfg), None),
+                   chains=True, streams=True),
 }
+
+
+def _command(experiment: str) -> _Command:
+    if experiment not in _COMMANDS:
+        raise ValueError("experiment must be one of " + ", ".join(_COMMANDS))
+    return _COMMANDS[experiment]
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1,
@@ -606,28 +617,26 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
         raise ValueError(f"threads must be 1, got {threads!r}")
     if fmt not in ("csv", "json"):
         raise ValueError("format must be csv or json")
+    cmd = _COMMANDS[cfg.experiment]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    header, rows, chain = _EXPERIMENTS[cfg.experiment](cfg)
+    header, rows, chain = cmd.driver(cfg)
     wall = time.perf_counter() - start
-    name = "trace" if cfg.experiment == "simulate" else "results"
-    path = out / f"{name}.{fmt}"
+    path = out / f"{cmd.stem}.{fmt}"
     write_table(path, header, rows)
-    tasks = ()
-    if cfg.experiment in _STREAM_COMMANDS:
-        tasks = tuple({"a": cfg.a_grid[ai], "replicate": r,
-                       "chain_index": stream}
-                      for ai, r, stream in _streams(cfg))
-    config = {"model": _model_dict(cfg.params), "a_grid": list(cfg.a_grid),
-              "replicates": cfg.replicates,
-              "chain_steps": list(cfg.chain_steps),
-              "chain_burnin": cfg.chain.burn_in, "chain_thin": cfg.chain.thin}
-    manifest = RunManifest(
-        experiment=cfg.experiment, config=config, seed=cfg.seed, tasks=tasks,
-        version=_package_version(), wall_seconds=round(wall, 3),
-        outputs={path.name: _sha256(path)})
+    tasks = [{"a": cfg.a_grid[ai], "replicate": r, "chain_index": stream}
+             for ai, r, stream in _streams(cfg)] if cmd.streams else []
+    manifest = {
+        "experiment": cfg.experiment, "seed": cfg.seed, "tasks": tasks,
+        "config": {"model": _model_dict(cfg.params),
+                   "a_grid": list(cfg.a_grid), "replicates": cfg.replicates,
+                   "chain_steps": list(cfg.chain_steps),
+                   "chain_burnin": cfg.burn_in, "chain_thin": cfg.thin},
+        "version": _package_version(), "wall_seconds": round(wall, 3),
+        "outputs": {path.name: _sha256(path)}}
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(manifest.to_json())
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2)
+                             + "\n")
     return {"results": str(path), "manifest": str(manifest_path),
             "header": header, "rows": rows, "chain": chain}

@@ -8,7 +8,7 @@ import pytest
 
 from facetproc.cli import main
 from facetproc.model import ModelParams
-from facetproc.harness import write_table
+from facetproc.harness import _COMMANDS, write_table
 from facetproc.sampler import ChainConfig, run_chain, trace_table
 
 
@@ -173,3 +173,14 @@ def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert all(word in err for word in named)
     assert not out.exists()
+
+
+def test_experiment_choices_are_the_table_e_commands(capsys):
+    ids = [name for name in _COMMANDS if name.startswith("e")]
+    assert ids == ["e1", "e2", "e3", "e4"]
+    with pytest.raises(SystemExit):
+        run(["experiment", "--help"])
+    assert "{" + ",".join(ids) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        run(["experiment", "e5", "--config", "unused.conf"])
+    assert "invalid choice" in capsys.readouterr().err

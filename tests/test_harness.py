@@ -1,9 +1,10 @@
 """Experiment drivers: configuration, closed forms, small runs,
 reproducibility of the persisted outputs."""
 
-import dataclasses
+import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -12,15 +13,13 @@ from hypothesis import strategies as st
 
 from facetproc.harness import (CHAIN_GRID, POISSON_GRID, E1_HEADER,
                                E2_HEADER, E3_HEADER, E4_HEADER,
-                               ExperimentConfig, RunManifest,
-                               _arrangements,
+                               ExperimentConfig, _arrangements,
                                build_experiment_config, config_model,
                                experiment_e1_poisson_clt,
                                experiment_e3_rho_limits, parse_config,
                                poisson_mean_interaction, run_experiment)
 from facetproc.correlation import rho_limit, rho_limit_from_counts
 from facetproc.model import ModelParams
-from facetproc.sampler import ChainConfig
 
 
 def conf_file(tmp_path, text, name="run.conf"):
@@ -164,14 +163,13 @@ def test_build_experiment_config_per_grid_steps(tmp_path):
     assert cfg.a_grid == (1.0, 4.0, 16.0)
     assert cfg.chain_steps == (1000, 2000, 4000)
     assert cfg.replicates == 3
-    assert cfg.chain.burn_in == 50 and cfg.chain.thin == 2
+    assert cfg.burn_in == 50 and cfg.thin == 2
     assert cfg.seed == 7
 
 
 def test_experiment_config_validation(tmp_path):
     p = ModelParams.special(2, (0.0, -1.0))
-    chain = ChainConfig(n_steps=100)
-    good = dict(params=p, a_grid=(1.0, 2.0), replicates=1, chain=chain,
+    good = dict(params=p, a_grid=(1.0, 2.0), replicates=1,
                 chain_steps=(100, 100), out_dir=str(tmp_path), seed=0)
     ExperimentConfig(experiment="e2", **good)
     with pytest.raises(ValueError, match="one of"):
@@ -383,7 +381,6 @@ def test_run_experiment_writes_csv_and_manifest(tmp_path):
     assert manifest["seed"] == 4
     assert manifest["config"]["model"]["d"] == 2
     assert manifest["config"]["a_grid"] == [1.0, 4.0]
-    import hashlib
     digest = hashlib.sha256(results.read_bytes()).hexdigest()
     assert manifest["outputs"]["results.csv"] == digest
 
@@ -419,19 +416,74 @@ def test_run_experiment_json_format(tmp_path):
         run_experiment(cfg, fmt="xml")
 
 
-def test_manifest_json_is_the_asdict_form():
-    # e1's manifest at d=3: a nested config and 600 replicate tasks
-    tasks = tuple({"a": a, "replicate": r, "chain_index": 200 * ai + r}
-                  for ai, a in enumerate((1.0, 4.0, 16.0)) for r in range(200))
-    config = {"model": {"d": 3, "b": 1.0, "nu": [0.0, -1.0, 0.0],
-                        "chi.const": 1.0, "orientation": "canonical"},
-              "a_grid": [1.0, 4.0, 16.0], "replicates": 200,
-              "chain_steps": [], "chain_burnin": None, "chain_thin": 1}
-    manifest = RunManifest(experiment="e1", config=config, seed=7,
-                           tasks=tasks, version="0.1.0", wall_seconds=0.05,
-                           outputs={"results.csv": "0" * 64})
-    assert manifest.to_json() == json.dumps(
-        dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n"
+# the manifest of a small e2 run, version and wall time masked and the
+# results digest standing for the file's own
+E2_MANIFEST = """{
+  "config": {
+    "a_grid": [
+      1.0,
+      2.0
+    ],
+    "chain_burnin": null,
+    "chain_steps": [
+      5000,
+      5000
+    ],
+    "chain_thin": 3,
+    "model": {
+      "b": 1.0,
+      "chi.const": 1.0,
+      "d": 2,
+      "nu": [
+        0.0,
+        -1.0
+      ],
+      "orientation": "canonical"
+    },
+    "replicates": 2
+  },
+  "experiment": "e2",
+  "outputs": {
+    "results.csv": "DIGEST"
+  },
+  "seed": 1,
+  "tasks": [
+    {
+      "a": 1.0,
+      "chain_index": 0,
+      "replicate": 0
+    },
+    {
+      "a": 1.0,
+      "chain_index": 1,
+      "replicate": 1
+    },
+    {
+      "a": 2.0,
+      "chain_index": 2,
+      "replicate": 0
+    },
+    {
+      "a": 2.0,
+      "chain_index": 3,
+      "replicate": 1
+    }
+  ],
+  "version": MASKED,
+  "wall_seconds": MASKED
+}
+"""
+
+
+def test_manifest_text_is_pinned(tmp_path):
+    conf = {"d": "2", "nu.2": "-1", "a.grid": "1,2", "chain.steps": "5000",
+            "replicates": "2", "chain.thin": "3"}
+    res = run_experiment(make_cfg("e2", conf, tmp_path, seed=1))
+    text = Path(res["manifest"]).read_text()
+    text = re.sub(r'("(?:version|wall_seconds)": )[^,\n]*', r"\1MASKED",
+                  text)
+    digest = hashlib.sha256(Path(res["results"]).read_bytes()).hexdigest()
+    assert text == E2_MANIFEST.replace("DIGEST", digest)
 
 
 def test_manifest_tasks_enumerate_chains(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from facetproc.correlation import (correlation_provider, rho_bounds,
                                   rho_decay_rate, rho_limit,
-                                  rho_series_counts)
+                                  rho_limit_from_counts, rho_series_counts)
 from facetproc.geometry import Facet, Window
 from facetproc.harness import build_experiment_config, config_model, \
     poisson_mean_interaction
@@ -169,6 +169,40 @@ BAD_INPUT = {
     # this ended in a TypeError when the run started
     "experiment-replicates-float": lambda: dataclasses.replace(
         build_experiment_config("e2", {"d": "2"}, "out", 0), replicates=2.5),
+    # one replicate gave c_emp 0.0 and c_emp_se nan, with numpy's
+    # "Degrees of freedom <= 0" warning
+    "e1-replicates-one": lambda: build_experiment_config(
+        "e1", {"d": "2", "a.grid": "1,4", "replicates": "1"}, "out", 0),
+    # these ran one chain at a = 4: the grid was cut to its first value
+    # before the check for an increasing grid, the replicates set to 1
+    "simulate-grid-two": lambda: build_experiment_config(
+        "simulate", {"d": "2", "a.grid": "4,8"}, "out", 0),
+    "simulate-grid-decreasing": lambda: build_experiment_config(
+        "simulate", {"d": "2", "a.grid": "4,2", "replicates": "5",
+                     "chain.steps": "1000,2000"}, "out", 0),
+    "simulate-replicates-five": lambda: build_experiment_config(
+        "simulate", {"d": "2", "a.grid": "4", "replicates": "5"}, "out", 0),
+    "simulate-steps-two": lambda: build_experiment_config(
+        "simulate", {"d": "2", "a.grid": "4", "chain.steps": "1000,2000"},
+        "out", 0),
+    "moments-grid-two": lambda: build_experiment_config(
+        "moments", {"d": "2", "a.grid": "1,2"}, "out", 0),
+    # settings a command does not read; rho's manifest recorded
+    # chain_thin 0
+    "rho-chain-thin": lambda: build_experiment_config(
+        "rho", {"d": "2", "chain.thin": "0"}, "out", 0),
+    "e1-chain-steps": lambda: build_experiment_config(
+        "e1", {"d": "2", "chain.steps": "1000"}, "out", 0),
+    "moments-chain-burnin": lambda: build_experiment_config(
+        "moments", {"d": "2", "chain.burnin": "10"}, "out", 0),
+    "e3-replicates": lambda: build_experiment_config(
+        "e3", {"d": "2", "nu.2": "-1", "replicates": "3"}, "out", 0),
+    "rho-replicates-one": lambda: build_experiment_config(
+        "rho", {"d": "2", "replicates": "1"}, "out", 0),
+    # these gave 2/3, 2/3 and a ZeroDivisionError
+    "limit-counts-bool": lambda: rho_limit_from_counts([True, 0, 0]),
+    "limit-counts-float": lambda: rho_limit_from_counts([1.5, 0, 0]),
+    "limit-counts-empty": lambda: rho_limit_from_counts([]),
 }
 
 
