@@ -138,6 +138,13 @@ class ExperimentConfig:
         # e1 pools across replicates; a lone chain falls back on its own SE
         _check_int("replicates", self.replicates,
                    2 if cmd.streams and not cmd.chains else 1)
+        if not cmd.streams and self.replicates != 1:
+            raise ValueError(f"{self.experiment} draws no replicate streams, "
+                             f"got replicates = {self.replicates}")
+        if not cmd.chains and (self.burn_in is not None
+                               or self.thin is not None):
+            raise ValueError(f"{self.experiment} runs no chain, got burn_in "
+                             f"= {self.burn_in} and thin = {self.thin}")
         if cmd.first_point and (len(self.a_grid) > 1 or self.replicates > 1):
             raise ValueError(f"{self.experiment} runs one task at one grid "
                              f"point, got a.grid = {self.a_grid} and "

@@ -30,12 +30,13 @@ Python, each with only the state it reads:
   moves, for G.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
-  G_1 and G_d.  In d = 3 it maps each block's center columns through the
-  center law's array sampler (CenterIntensity.sample_from_uniforms), and
-  reads a birth's center once the birth is accepted.  Each pair of facets
-  meets in the overlap of one free coordinate, and G_2 is their running
-  sum over the flat facet list.  In d = 2 only kept samples read centers,
-  so the rule maps no block: it keeps the block's center columns, and a
+  G_1 and G_d.  It takes the birth axes of a block's rows at once.  In
+  d = 3 it maps each block's center columns through the center law's
+  array sampler (CenterIntensity.sample_from_uniforms), and reads a
+  birth's center once the birth is accepted.  Each pair of facets meets
+  in the overlap of one free coordinate, and G_2 is their running sum
+  over the flat facet list.  In d = 2 only kept samples read centers, so
+  the rule maps no centers: it keeps the block's center columns, and a
   birth keeps its raw uniforms until a pattern is built.
 
 Both give bit-identical trajectories and G from the same seed.  No Facet or
@@ -43,9 +44,16 @@ FacetPattern is built per step, only for kept samples.
 
 The running G is exact.  Each term (the content of one subset) is added
 when its subset appears and subtracted, bit for bit the same value, when a
-member leaves, into Shewchuk's non-overlapping partials (Shewchuk 1997,
-the algorithm behind math.fsum).  fsum of the partials is therefore the
-correctly rounded sum of the current terms: the value g_vector returns.
+member leaves.  G is held as Shewchuk's non-overlapping partials
+(Shewchuk 1997, the algorithm behind math.fsum), and a move adds the
+terms of one order as the fsum expansion of their exact sum: s_1 =
+fsum(terms), s_2 = fsum(terms + [-s_1]) and so on until a part is 0,
+each part one exact addition into the partials, usually one or two
+parts where there are several terms.  fsum is correctly rounded, so each
+remainder is at most half an ulp of the part before it; the sum lies on
+the grid of 2^-1074, so the expansion ends, and its parts add up to the
+sum exactly.  fsum of the partials is therefore the correctly rounded sum
+of the current terms: the value g_vector returns.
 """
 
 from __future__ import annotations
@@ -258,11 +266,16 @@ def _add_exact(partials: list, x: float) -> None:
     partials[i:] = [x]
 
 
-def _add_terms(partials: list, terms, sign: float) -> None:
-    """Add sign * t to partials for each nonzero term t."""
-    for t in terms:
-        if t:
-            _add_exact(partials, sign * t)
+def _add_terms(partials: list, terms: list, sign: float) -> None:
+    """Add sign times the exact sum of terms to partials, one part of its
+    fsum expansion at a time: each part is the fsum of terms less the parts
+    before it, and the expansion ends at the first part that is 0."""
+    s = math.fsum(terms)
+    parts = []
+    while s:
+        _add_exact(partials, sign * s)
+        parts.append(-s)
+        s = math.fsum(terms + parts)
 
 
 class _ChainState:
@@ -347,7 +360,7 @@ class _GeneralRule(_ChainState):
         mapped = self.p.sample_facets_from_uniforms(block[:, 1:self.d + 3])
         self._z, self._r, self._o = (a.tolist() for a in mapped)
 
-    def birth(self, i: int, aux: float) -> float:
+    def birth(self, i: int) -> float:
         f = (tuple(self._z[i]), self._r[i], self._o[i])
         if f in self.groups.get(f[2], ()):
             return -math.inf
@@ -376,9 +389,10 @@ class _CountsRule(_ChainState):
     overlap of their free coordinate 3-k-m, the value tuple_content gives
     when every center lies within r of every other, and G_2 is their
     running sum, each new facet met against the facets of the flat list on
-    other axes.  load maps the centers of a block's rows, and add reads
-    the center of an accepted birth; in d = 2 load keeps the raw center
-    columns, and a birth keeps its uniforms until a pattern is built."""
+    other axes.  load takes the birth axis of each of a block's rows,
+    min(int(aux * d), d - 1), and maps their centers; add reads the center
+    of an accepted birth.  In d = 2 load keeps the raw center columns, and
+    a birth keeps its uniforms until a pattern is built."""
 
     engine = "counts"
 
@@ -391,33 +405,30 @@ class _CountsRule(_ChainState):
         # two floats is correctly rounded, an inactive order adds +-0.0
         self.nu1_term = p.nu[0] * self.dg1
         self.nud = p.nu[p.d - 1]
-        self._axis = 0  # axis of the proposed birth
         for f in x.facets:
             self._enter((f.center, f.half_extent, f.orientation))
 
-    def _log_lambda(self, axis: int) -> float:
-        # c[axis - 1] (and c[axis - 2] in d = 3) are the other axes' counts
-        c = self.counts
-        prod = c[axis - 1] if self.d == 2 else c[axis - 1] * c[axis - 2]
-        return self.nu1_term + self.nud * prod
-
     def _update_g2(self, f: tuple, sign: float) -> None:
         z, r, k = f
-        g2 = self.g[1]
+        terms = []
         for w, _, m in self.facets:
             if m != k:
                 free = 3 - k - m
-                zf, wf = z[free], w[free]
-                t = min(zf + r, wf + r) - max(zf - r, wf - r)
+                wf, zf = w[free], z[free]
+                # min(zf + r, wf + r) - max(zf - r, wf - r): rounding is
+                # monotone, so if wf < zf the min is wf + r and the max
+                # zf - r, else zf + r and wf - r (or floats equal to them)
+                t = (wf + r) - (zf - r) if wf < zf else (zf + r) - (wf - r)
                 if t > 0.0:
-                    _add_exact(g2, sign * t)
+                    terms.append(t)
+        _add_terms(self.g[1], terms, sign)
 
-    def birth(self, i: int, aux: float) -> float:
-        axis = int(aux * self.d)
-        if axis >= self.d:
-            axis = self.d - 1
-        self._axis = axis
-        return self._log_lambda(axis)
+    def birth(self, i: int) -> float:
+        # c[axis - 1] (and c[axis - 2] in d = 3) are the other axes' counts
+        axis, c = self._axes[i], self.counts
+        if self.d == 2:
+            return self.nu1_term + self.nud * c[axis - 1]
+        return self.nu1_term + self.nud * (c[axis - 1] * c[axis - 2])
 
     def _enter(self, f: tuple) -> None:
         self.counts[f[2]] += 1
@@ -426,18 +437,25 @@ class _CountsRule(_ChainState):
         self.facets.append(f)
 
     def load(self, block) -> None:
-        if self.d == 2:  # the rows' raw center uniforms
+        # astype truncates toward 0, as int does, the same product aux * d
+        d = self.d
+        self._axes = np.minimum((block[:, 1] * d).astype(np.int64),
+                                d - 1).tolist()
+        if d == 2:  # the rows' raw center uniforms
             self._z = block[:, 2:4]
         else:  # the rows' centers, by the law's array sampler
             self._z = np.stack(self.center(block[:, 2:5].T), axis=-1)
 
     def add(self, i: int) -> None:
         z = self._z[i].tolist()
-        self._enter((z if self.d == 2 else tuple(z), self.r, self._axis))
+        self._enter((z if self.d == 2 else tuple(z), self.r, self._axes[i]))
 
     def death(self, i: int) -> float:
         # x_i's own axis is skipped: the other counts are those of x - x_i
-        return self._log_lambda(self.facets[i][2])
+        axis, c = self.facets[i][2], self.counts
+        if self.d == 2:
+            return self.nu1_term + self.nud * c[axis - 1]
+        return self.nu1_term + self.nud * (c[axis - 1] * c[axis - 2])
 
     def remove(self, i: int) -> None:
         f = self.facets.pop(i)
@@ -463,7 +481,7 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     at INFO if n_steps >= _LOG_STEPS.
 
     rule.load(block) takes in each block before its steps; no other call
-    sees the block.  rule.birth(i, aux) is log lambda*(u; x) of the facet
+    sees the block.  rule.birth(i) is log lambda*(u; x) of the facet
     u row i proposes and rule.add(i) adds u; rule.death(i) is
     log lambda*(x_i; x minus x_i) and rule.remove(i) removes x_i.
     rule.retained() gives G and the occupancy mask (the canonical axes
@@ -488,7 +506,7 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
         for i, move, aux, u in zip(range(len(block)), moves.tolist(),
                                    block[:, 1].tolist(), block[:, p.d + 3].tolist()):
             if move < 0.5:
-                accepted = log(u) < birth(i, aux) + log_a_t - logs[n]
+                accepted = log(u) < birth(i) + log_a_t - logs[n]
                 if accepted:
                     add(i)
                     b_acc += 1
@@ -514,14 +532,14 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
                     samples.append(rule._pattern())
                 ns.append(n)
                 accs.append(accepted)
-                gs.append(g)
+                gs += g
                 masks.append(mask)
                 keep_i += thin
         if ns:
             kept = slice(k, k + len(ns))
             diag.trace_n[kept] = ns
             diag.trace_accepted[kept] = accs
-            diag.trace_g[kept] = gs
+            diag.trace_g[kept] = np.reshape(gs, (-1, p.d))
             diag.trace_occupancy[kept] = masks
             rows = kept_steps[kept] - done - 1  # their rows in the block
             diag.trace_move[kept] = np.where(moves[rows] < 0.5, "B", "D")

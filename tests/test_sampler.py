@@ -23,6 +23,8 @@ from facetproc.model import (
 )
 from facetproc.sampler import (
     ChainConfig,
+    _add_terms,
+    _CountsRule,
     _GeneralRule,
     batch_means_se,
     make_rng,
@@ -503,13 +505,18 @@ _PINNED_CHAINS = {
     "table-d3-counts-samples": (_table_model(3, (0.1, 0.0, -1.0), 4.0),
                                 dict(n_steps=40_000, seed=5, burn_in=0,
                                      thin=40, keep_samples=True)),
+    # at a = 16 a move meets about five facets, and the fsum expansion of
+    # its G_2 terms mostly takes two parts; G is read at every step
+    "d3-counts-a16-thin1": (ModelParams.special(3, (0.0, 0.0, -1.0), a=16.0),
+                            dict(n_steps=40_000, seed=5, burn_in=0, thin=1)),
 }
 
 # sha256 of each chain's trace, counters and kept patterns, recorded on the
 # row-per-step loop that read every uniform of a step and wrote each retained
 # state into the trace arrays one item at a time (table-d3-counts-samples:
 # on the counts rule that mapped each accepted birth's center by a
-# plain-Python copy of the center law)
+# plain-Python copy of the center law; d3-counts-a16-thin1: on the counts
+# rule that added each G_2 term on its own)
 _PINNED_DIGESTS = {
     "d2-counts-thin1":
         "b738b2675a58ac71bed747eb3b4b2a699484e71a52f556ced4e76ea4065bac5c",
@@ -525,6 +532,8 @@ _PINNED_DIGESTS = {
         "d4143476546ef3be01a9ceca9b4760758a64036191b4cf758d957734b8370082",
     "table-d3-counts-samples":
         "052a2ce4e6015c3b0d141eeeb6e68551bd70561ff9938f4b66957fcd789c393c",
+    "d3-counts-a16-thin1":
+        "fb49635bab531287f1245665b384159061fc06976ea7ce5a8f7a821196ea19e8",
 }
 
 
@@ -550,6 +559,66 @@ def test_chain_trajectories_are_pinned(name):
         (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
          diag.death_accepted),
         [x.facets for x in samples]) == _PINNED_DIGESTS[name]
+
+
+# terms from 2^-60 to 8, each move's drawn with repeats from a small pool,
+# some negated and some beside the negation of their float neighbour
+_TERM = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                  st.integers(-60, 2))
+
+
+@st.composite
+def _term_moves(draw):
+    pool = draw(st.lists(_TERM, min_size=1, max_size=6))
+    moves = []
+    for _ in range(draw(st.integers(1, 8))):
+        terms = []
+        for t in draw(st.lists(st.sampled_from(pool), max_size=8)):
+            kind = draw(st.sampled_from(("plain", "negated", "cancelling")))
+            terms.append(-t if kind == "negated" else t)
+            if kind == "cancelling":
+                terms.append(-math.nextafter(t, draw(st.sampled_from(
+                    (0.0, math.inf)))))
+        moves.append(terms)
+    return moves
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_term_moves(), st.randoms(use_true_random=False))
+def test_add_terms_keeps_the_exact_sum(moves, rnd):
+    # after every addition and every removal, fsum of the partials is the
+    # correctly rounded sum of the terms present, bit for bit; the terms
+    # leave in shuffled order and in other groups than they came in
+    partials, present = [], []
+    for terms in moves:
+        _add_terms(partials, terms, 1.0)
+        present += terms
+        assert math.fsum(partials).hex() == math.fsum(present).hex()
+    leaving = present[:]
+    rnd.shuffle(leaving)
+    while leaving:
+        k = rnd.randint(1, len(leaving))
+        group, leaving = leaving[:k], leaving[k:]
+        _add_terms(partials, group, -1.0)
+        for t in group:
+            present.remove(t)
+        assert math.fsum(partials).hex() == math.fsum(present).hex()
+    assert math.fsum(partials).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_counts_rule_birth_axes_are_the_truncated_product(d):
+    # load takes each row's birth axis as min(int(aux * d), d - 1), with
+    # aux on both sides of 1/3 and just below 1
+    aux = [0.0, 0.5, math.nextafter(1 / 3, 0.0), 1 / 3,
+           math.nextafter(1 / 3, 1.0), 1.0 - 2.0 ** -53]
+    p = ModelParams.special(d, (0.0,) * (d - 1) + (-1.0,), a=2.0)
+    rule = _CountsRule(p, p.empty_pattern())
+    block = np.full((len(aux), d + 4), 0.5)
+    block[:, 1] = aux
+    rule.load(block)
+    assert rule._axes == [min(int(u * d), d - 1) for u in aux]
+    assert all(type(axis) is int for axis in rule._axes)
 
 
 def test_orientation_counts_are_the_bit_counts():

@@ -12,8 +12,8 @@ from facetproc.correlation import (correlation_provider, rho_bounds,
                                   rho_decay_rate, rho_limit,
                                   rho_limit_from_counts, rho_series_counts)
 from facetproc.geometry import Facet, Window
-from facetproc.harness import build_experiment_config, config_model, \
-    poisson_mean_interaction
+from facetproc.harness import ExperimentConfig, build_experiment_config, \
+    config_model, poisson_mean_interaction
 from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
                              SizeLaw, log_conditional_intensity)
 from facetproc.moments import (MomentSpec, asymptotic_covariance,
@@ -203,6 +203,16 @@ BAD_INPUT = {
     "limit-counts-bool": lambda: rho_limit_from_counts([True, 0, 0]),
     "limit-counts-float": lambda: rho_limit_from_counts([1.5, 0, 0]),
     "limit-counts-empty": lambda: rho_limit_from_counts([]),
+    # built directly, these ran; rho's manifest recorded replicates 7 and
+    # chain_thin 0
+    "direct-rho-thin": lambda: ExperimentConfig(
+        "rho", PAIR, (1.0,), 1, (100,), "out", 0, thin=0),
+    "direct-rho-replicates": lambda: ExperimentConfig(
+        "rho", PAIR, (1.0,), 7, (100,), "out", 0),
+    "direct-e1-burnin": lambda: ExperimentConfig(
+        "e1", PAIR, (1.0,), 50, (100,), "out", 0, burn_in=10),
+    "direct-e3-replicates": lambda: ExperimentConfig(
+        "e3", PAIR, (1.0,), 2, (100,), "out", 0),
 }
 
 
