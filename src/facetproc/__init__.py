@@ -9,11 +9,11 @@ from .harness import (ExperimentConfig, build_experiment_config, config_model,
 from .model import (CenterIntensity, ModelParams, OrientationLaw, SizeLaw,
                     local_stability_bound, log_conditional_intensity,
                     validate_params)
-from .moments import (GroupedPartition, MomentSpec, ScalingLimits,
-                      asymptotic_covariance, centered_moment_leading,
-                      enumerate_partitions, expected_increment, i_k_integrals,
-                      interaction_kernel, measure_kernel, mixed_moment,
-                      scaling_limit_constants, unit_kernel)
+from .moments import (MomentSpec, ScalingLimits, asymptotic_covariance,
+                      centered_moment_leading, enumerate_partitions,
+                      expected_increment, i_k_integrals, interaction_kernel,
+                      measure_kernel, mixed_moment, scaling_limit_constants,
+                      unit_kernel)
 from .sampler import (ChainConfig, ChainDiagnostics, batch_means_se,
                       make_rng, run_chain, sample_poisson, trace_table)
 from .ustat import FacetPattern, g_increment, g_vector
@@ -25,7 +25,6 @@ __all__ = [
     "ExperimentConfig",
     "Facet",
     "FacetPattern",
-    "GroupedPartition",
     "ModelParams",
     "MomentSpec",
     "OrientationLaw",

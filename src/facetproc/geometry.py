@@ -207,3 +207,10 @@ def _segments_cross(f1: tuple, f2: tuple) -> bool:
     t = (qp_x * s_y - qp_y * s_x) / denom
     u = (qp_x * r_y - qp_y * r_x) / denom
     return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer >= least; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

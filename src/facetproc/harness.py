@@ -131,6 +131,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         cmd = _command(self.experiment)
+        p, chi = self.params, self.params.center.level
+        if chi is None or p != ModelParams.special(p.d, p.nu, p.a, p.b, chi):
+            raise ValueError("commands run ModelParams.special models only; "
+                             "run other models through run_chain")
         if not self.a_grid:
             raise ValueError("activity grid must be nonempty")
         if any(y <= x for x, y in zip(self.a_grid, self.a_grid[1:])):
@@ -141,15 +145,16 @@ class ExperimentConfig:
         if not cmd.streams and self.replicates != 1:
             raise ValueError(f"{self.experiment} draws no replicate streams, "
                              f"got replicates = {self.replicates}")
-        if not cmd.chains and (self.burn_in is not None
+        if not cmd.chains and (self.chain_steps or self.burn_in is not None
                                or self.thin is not None):
-            raise ValueError(f"{self.experiment} runs no chain, got burn_in "
-                             f"= {self.burn_in} and thin = {self.thin}")
+            raise ValueError(f"{self.experiment} runs no chain, got "
+                             f"chain_steps = {self.chain_steps}, burn_in = "
+                             f"{self.burn_in} and thin = {self.thin}")
         if cmd.first_point and (len(self.a_grid) > 1 or self.replicates > 1):
             raise ValueError(f"{self.experiment} runs one task at one grid "
                              f"point, got a.grid = {self.a_grid} and "
                              f"replicates = {self.replicates}")
-        if len(self.chain_steps) != len(self.a_grid):
+        if cmd.chains and len(self.chain_steps) != len(self.a_grid):
             raise ValueError(f"per-grid step list must match the grid: "
                              f"chain.steps has {len(self.chain_steps)} "
                              f"values, a.grid {len(self.a_grid)}")
@@ -184,7 +189,8 @@ def build_experiment_config(experiment: str, conf: dict[str, str],
     if unread:
         raise ValueError(f"{experiment} does not read {', '.join(unread)}")
     grid = _numbers(conf, "a.grid", cmd.grid)
-    steps = _numbers(conf, "chain.steps", (200000,), int)
+    steps = _numbers(conf, "chain.steps", (200000,), int) if cmd.chains \
+        else ()
     if len(steps) == 1:
         steps = steps * len(grid)
     return ExperimentConfig(

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Facet, Window, facet_measure
+from .geometry import Facet, Window, _check_int, facet_measure
 from .ustat import FacetPattern, _subset_terms
 
 
@@ -204,7 +204,8 @@ class ModelParams:
     def submodel(cls, d: int, order: int, nu_value: float, a: float = 1.0,
                  b: float = 1.0, chi: float = 1.0) -> "ModelParams":
         """Only nu_<order> active; the rest of nu is zero."""
-        if not 1 <= order <= d:
+        _check_int("submodel order", order, 1)
+        if order > d:
             raise ValueError("submodel order outside 1..d")
         nu = [0.0] * d
         nu[order - 1] = float(nu_value)
@@ -265,13 +266,6 @@ def _facet_list(*mapped: np.ndarray) -> list[Facet]:
     """Validated Facets, from Python floats, of the arrays that
     ModelParams.sample_facets_from_uniforms maps one block of rows to."""
     return list(map(Facet, *(a.tolist() for a in mapped)))
-
-
-def _check_int(name: str, value, least: int) -> None:
-    """Refuse a count that is not an integer >= least; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def validate_params(p: ModelParams) -> None:

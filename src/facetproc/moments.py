@@ -35,7 +35,6 @@ from .sampler import _poisson_arrays, batch_means_se, make_rng, sample_poisson
 from .ustat import _CHUNK_ELEMENTS, _subset_sums, g_increment
 
 __all__ = [
-    "GroupedPartition",
     "enumerate_partitions",
     "MomentSpec",
     "mixed_moment",
@@ -55,70 +54,32 @@ __all__ = [
 # partitions with at most one index per group in any block
 
 
-@dataclass(frozen=True)
-class GroupedPartition:
-    """Partition of m groups of indices, no block meeting a group twice.
-
-    Indices are numbered globally: group i contributes the consecutive
-    labels sum(sizes[:i]) .. sum(sizes[:i+1])-1.
-    """
-
-    group_sizes: tuple[int, ...]
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        total = sum(self.group_sizes)
-        seen: set[int] = set()
-        for blk in self.blocks:
-            if not blk:
-                raise ValueError("empty block")
-            if blk & seen:
-                raise ValueError("blocks must be disjoint")
-            seen |= blk
-            groups = [self.group_of(i) for i in blk]
-            if len(set(groups)) != len(groups):
-                raise ValueError("block meets a group more than once")
-        if seen != set(range(total)):
-            raise ValueError("blocks must cover every index")
-
-    def group_of(self, index: int) -> int:
-        upto = 0
-        for g, k in enumerate(self.group_sizes):
-            upto += k
-            if index < upto:
-                return g
-        raise IndexError(index)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-
-def enumerate_partitions(sizes) -> tuple[GroupedPartition, ...]:
+def enumerate_partitions(sizes) -> tuple[tuple[frozenset[int], ...], ...]:
     """All partitions of the given index groups in which every block
-    contains at most one index from each group.
+    contains at most one index from each group, each a tuple of
+    frozenset blocks.
 
-    sizes lists the group cardinalities.  The total index count is
-    capped at 12; beyond that the partition lattice is too large for
-    exhaustive moment expansion anyway.
+    sizes lists the group cardinalities.  Indices are numbered globally:
+    group i holds the consecutive indices sum(sizes[:i]) to
+    sum(sizes[:i+1]) - 1.  The total index count is capped at 12; beyond
+    that the partition lattice is too large for exhaustive moment
+    expansion anyway.
     """
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("at least one group required")
     for k in sizes:
         _check_int("group size", k, 1)
-    sizes = tuple(map(int, sizes))
     total = sum(sizes)
     if total > 12:
         raise ValueError("too many indices; at most 12 supported")
     label = [g for g, k in enumerate(sizes) for _ in range(k)]
-    out: list[GroupedPartition] = []
+    out: list[tuple[frozenset[int], ...]] = []
     blocks: list[list[int]] = []
 
     def extend(i: int):
         if i == total:
-            out.append(GroupedPartition(
-                sizes, tuple(frozenset(b) for b in blocks)))
+            out.append(tuple(frozenset(b) for b in blocks))
             return
         for blk in blocks:
             if all(label[j] != label[i] for j in blk):
@@ -149,6 +110,7 @@ def interaction_kernel(j: int) -> Callable:
     """Ordered-tuple driver of the order-j interaction count: the
     intersection content divided by j!, so that the sum over ordered
     distinct j-tuples reproduces the unordered statistic."""
+    _check_int("order j", j, 1)
     norm = float(math.factorial(j))
 
     def kernel(centers, extents, axes) -> np.ndarray:
@@ -223,13 +185,13 @@ def mixed_moment(spec: MomentSpec, p: ModelParams) -> tuple[float, float]:
     errs: list[float] = []
     for part in parts:
         # each factor's slots: the blocks its global indices fall in
-        block_of = {i: bi for bi, blk in enumerate(part.blocks) for i in blk}
+        block_of = {i: bi for bi, blk in enumerate(part) for i in blk}
         starts = itertools.accumulate((k for k, _ in spec.factors), initial=0)
         factors = [(kernel, [block_of[s + off] for off in range(k)])
                    for (k, kernel), s in zip(spec.factors, starts)]
         v, e = _weighted_integral(factors, spec.provider, p, rng,
-                                  part.n_blocks, spec.n_samples,
-                                  (p.a * p.total_intensity) ** part.n_blocks)
+                                  len(part), spec.n_samples,
+                                  (p.a * p.total_intensity) ** len(part))
         terms.append(v)
         errs.append(e)
     return math.fsum(terms), math.sqrt(math.fsum(e * e for e in errs))
@@ -393,7 +355,8 @@ def expected_increment(j: int, y: Facet, p: ModelParams,
     g_increment.  A pattern holding y is refused.  resolution must be an
     integer >= 1 and n_samples an integer >= 2.
     """
-    if not 1 <= j <= p.d:
+    _check_int("order j", j, 1)
+    if j > p.d:
         raise ValueError("order out of range")
     _check_inputs(method, resolution, seed, n_samples=n_samples)
     if y.d != p.d:
@@ -436,8 +399,10 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
     (order j).
     """
     d = p.d
-    if not all(1 <= i <= d and 1 <= j <= d for i, j in pairs):
-        raise ValueError("order out of range")
+    for k in itertools.chain(*pairs):
+        _check_int("order", k, 1)
+        if k > d:
+            raise ValueError("order out of range")
     _check_inputs(method, resolution, seed, n_samples=n_samples,
                   mc_patterns=mc_patterns)
     mapped = p.sample_facets_from_uniforms(

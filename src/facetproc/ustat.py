@@ -36,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Facet, canonical_content, facet_measure, tuple_content
+from .geometry import (Facet, _check_int, canonical_content, facet_measure,
+                       tuple_content)
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,13 @@ def g_increment(x: FacetPattern, u: Facet, orders: Sequence[int] | None = None) 
     if u.d != x.d:
         raise ValueError("facet dimension does not match pattern dimension")
     d = x.d
+    for j in () if orders is None else orders:
+        _check_int("order", j, 1)
+        if j > d:
+            raise ValueError(f"order {j} outside 1..{d}")
     wanted = range(1, d + 1) if orders is None else sorted(set(orders))
     out = np.full(d, np.nan)
     head = (u.center, u.half_extent, u.orientation)
     for j in wanted:
-        if not 1 <= j <= d:
-            raise ValueError(f"order {j} outside 1..{d}")
         out[j - 1] = math.fsum(_subset_terms(x.groups, j - 1, head))
     return out

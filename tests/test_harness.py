@@ -148,11 +148,12 @@ def test_build_experiment_config_defaults(tmp_path):
     cfg = make_cfg("e1", {"d": "2"}, tmp_path)
     assert cfg.a_grid == POISSON_GRID
     assert cfg.replicates == 400
-    assert cfg.chain_steps == (200000,) * len(POISSON_GRID)
+    assert cfg.chain_steps == ()  # e1 runs no chain
 
     cfg = make_cfg("e2", {"d": "2", "nu.2": "-1"}, tmp_path)
     assert cfg.a_grid == CHAIN_GRID
     assert cfg.replicates == 1
+    assert cfg.chain_steps == (200000,) * len(CHAIN_GRID)
 
 
 def test_build_experiment_config_per_grid_steps(tmp_path):

@@ -186,11 +186,16 @@ def test_engines_produce_identical_chains():
         ModelParams.special(3, (0.0, 0.0, -1.0), a=3.0),
         ModelParams.special(2, (0.5, -1.0), a=2.0),
         ModelParams.special(3, (0.0, 0.0, -1.0), a=8.0),
+        _HOLE,
     ]
     for p in cases:
-        cfg = dict(n_steps=3000, seed=42, burn_in=0, thin=1)
-        _, d_pat = run_chain(p, ChainConfig(engine="pattern", **cfg))
-        _, d_cnt = run_chain(p, ChainConfig(engine="counts", **cfg))
+        # kept samples: the counts rules map their raw center uniforms
+        # only for these
+        cfg = dict(n_steps=3000, seed=42, burn_in=0, thin=1,
+                   keep_samples=True)
+        s_pat, d_pat = run_chain(p, ChainConfig(engine="pattern", **cfg))
+        s_cnt, d_cnt = run_chain(p, ChainConfig(engine="counts", **cfg))
+        assert [x.facets for x in s_pat] == [x.facets for x in s_cnt]
         assert np.array_equal(d_pat.trace_n, d_cnt.trace_n)
         assert np.array_equal(d_pat.trace_occupancy, d_cnt.trace_occupancy)
         assert np.array_equal(d_pat.trace_move, d_cnt.trace_move)

@@ -19,9 +19,10 @@ from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
 from facetproc.moments import (MomentSpec, asymptotic_covariance,
                                centered_moment_leading, enumerate_partitions,
                                expected_increment, i_k_integrals,
-                               scaling_limit_constants, unit_kernel)
+                               interaction_kernel, scaling_limit_constants,
+                               unit_kernel)
 from facetproc.sampler import ChainConfig
-from facetproc.ustat import FacetPattern
+from facetproc.ustat import FacetPattern, g_increment
 
 NAN, INF = math.nan, math.inf
 WINDOW = Window.cube(1.0, 2)
@@ -34,6 +35,12 @@ CUBE_FACET = Facet((0.3, 0.3, 0.3), 1.0, 2)
 INACTIVE = ModelParams.special(2, (0.0, 0.0), a=2.0)
 PRESENT = Facet((0.2, 0.7), 1.0, 0)
 HOLDING = FacetPattern.of([PRESENT, Facet((0.9, 0.1), 1.0, 1)])
+# models no command serves: hemisphere axes, and a table center in d = 3
+HEMISPHERE = dataclasses.replace(PAIR, orientation=OrientationLaw(
+    2, "hemisphere"))
+TABLE = dataclasses.replace(
+    ModelParams.special(3, (0.0, 0.0, -1.0)), center=CenterIntensity(
+        Window.cube(1.0, 3), table=np.ones((2, 2, 2))))
 
 
 def _canonical(d: int, a: float, half_extent: float, side: float
@@ -206,13 +213,32 @@ BAD_INPUT = {
     # built directly, these ran; rho's manifest recorded replicates 7 and
     # chain_thin 0
     "direct-rho-thin": lambda: ExperimentConfig(
-        "rho", PAIR, (1.0,), 1, (100,), "out", 0, thin=0),
+        "rho", PAIR, (1.0,), 1, (), "out", 0, thin=0),
     "direct-rho-replicates": lambda: ExperimentConfig(
-        "rho", PAIR, (1.0,), 7, (100,), "out", 0),
+        "rho", PAIR, (1.0,), 7, (), "out", 0),
     "direct-e1-burnin": lambda: ExperimentConfig(
-        "e1", PAIR, (1.0,), 50, (100,), "out", 0, burn_in=10),
+        "e1", PAIR, (1.0,), 50, (), "out", 0, burn_in=10),
     "direct-e3-replicates": lambda: ExperimentConfig(
-        "e3", PAIR, (1.0,), 2, (100,), "out", 0),
+        "e3", PAIR, (1.0,), 2, (), "out", 0),
+    # rho's manifest recorded chain_steps [-5]
+    "direct-rho-chain-steps": lambda: ExperimentConfig(
+        "rho", PAIR, (1.0,), 1, (-5,), "out", 0),
+    # e2 ran every chain before its ValueError; e4 ended in a TypeError
+    # from i_k_integrals(chi=None)
+    "direct-e2-hemisphere": lambda: ExperimentConfig(
+        "e2", HEMISPHERE, (1.0,), 1, (100,), "out", 0),
+    "direct-e4-table": lambda: ExperimentConfig(
+        "e4", TABLE, (1.0,), 1, (100,), "out", 0),
+    # True was taken as order 1; the floats ended in a TypeError
+    "increment-order-bool": lambda: expected_increment(True, PRESENT, PAIR),
+    "increment-order-float": lambda: expected_increment(2.0, PRESENT, PAIR),
+    "covariance-order-bool": lambda: asymptotic_covariance(
+        True, 2, PAIR, n_samples=10),
+    "g-increment-order-bool": lambda: g_increment(
+        HOLDING, Facet((0.3, 0.3), 1.0, 1), orders=(True,)),
+    "submodel-order-bool": lambda: ModelParams.submodel(3, True, -1.0),
+    "submodel-order-float": lambda: ModelParams.submodel(3, 2.0, -1.0),
+    "kernel-order-bool": lambda: interaction_kernel(True),
 }
 
 
