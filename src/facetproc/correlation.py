@@ -371,22 +371,21 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
 
 
 def rho_decay_rate(d: int, k: int, b: float, total_intensity: float,
-                   nu: float, cap: int = 10) -> float:
+                   nu: float) -> float:
     """Negative constant R with correlation <= const * e^(R a) under a
-    negative order-(d-k) coupling.  Minimizes over capped integer
-    envelope exponents; feasible for every negative coupling because the
+    negative order-(d-k) coupling.  Minimizes over the integer envelope
+    exponents 1..10; feasible for every negative coupling because the
     leading exponentials vanish."""
     _check_int("dimension d", d, 2)
     _check_int("codimension k", k, 1)
-    _check_int("search cap", cap, 1)
     if nu >= 0:
         raise ValueError("coupling must be negative")
     if not 1 <= k <= d - 2:
         raise ValueError("need 1 <= k <= d-2")
-    base, exps = nu * b ** k, range(1, cap + 1)
+    base, exps = nu * b ** k, range(1, 11)
     best = min((k * math.exp(base * p_exp) + (d - k - 1) * math.exp(base)
                 + math.exp(base * q_exp) - (d - k - 1)
                 for p_exp in exps for q_exp in exps), default=math.inf)
     if best >= 0:
-        raise ValueError("no negative rate within the search cap")
+        raise ValueError("no negative rate within the exponents 1..10")
     return total_intensity * best / d

@@ -25,14 +25,16 @@ class CenterIntensity:
     """Center intensity chi: constant, or piecewise constant on a grid.
 
     The table is an array of nonnegative levels over a regular partition of
-    the window; total mass T = integral of chi is cached.  Sampling inverts
-    the cell table then places the point uniformly in the cell, so T and the
-    sampled law are exact.
+    the window, held as a read-only copy and compared and hashed by its
+    shape and levels; total mass T = integral of chi is cached.  Sampling
+    inverts the cell table then places the point uniformly in the cell, so
+    T and the sampled law are exact.
     """
 
     window: Window
     level: float | None = None
-    table: np.ndarray | None = None
+    table: np.ndarray | None = field(default=None, compare=False)
+    _levels: tuple = field(init=False, repr=False)
     _cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -41,16 +43,19 @@ class CenterIntensity:
         if self.level is not None:
             if not 0 < self.level < math.inf:
                 raise ValueError("constant intensity must be positive and finite")
+            object.__setattr__(self, "_levels", ())
             object.__setattr__(self, "_cells", ())
             return
-        table = np.asarray(self.table, dtype=float)
+        table = np.array(self.table, dtype=float)
         if table.ndim != self.window.d:
             raise ValueError("table rank must equal the window dimension")
         if (table < 0).any() or not (table > 0).any() \
                 or not np.isfinite(table).all():
             raise ValueError("table levels must be finite and nonnegative "
                              "with positive total")
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_levels", (table.shape, tuple(table.flat)))
         cell_vol = self.window.volume / table.size
         weights = (table.reshape(-1) * cell_vol)
         cum = np.cumsum(weights)

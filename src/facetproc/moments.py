@@ -396,7 +396,8 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
     it is one batched _quad_increments call, so every order is evaluated
     once however many pairs use it.  Monte Carlo evaluates each pair per
     facet, facet t with seeds seed + 7t (order i) and seed + 7t + 3
-    (order j).
+    (order j), also when i == j: the square of one estimate would add its
+    variance to the product.
     """
     d = p.d
     for k in itertools.chain(*pairs):
@@ -425,12 +426,9 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
                 vi, _ = expected_increment(i, y, p, method="mc",
                                            n_samples=mc_patterns,
                                            seed=seed + 7 * t)
-                if j == i:
-                    vj = vi
-                else:
-                    vj, _ = expected_increment(j, y, p, method="mc",
-                                               n_samples=mc_patterns,
-                                               seed=seed + 7 * t + 3)
+                vj, _ = expected_increment(j, y, p, method="mc",
+                                           n_samples=mc_patterns,
+                                           seed=seed + 7 * t + 3)
                 prods[t] = vi * vj
         out[(i, j)] = (t_mass * float(prods.mean()),
                        t_mass * batch_means_se(prods))
@@ -449,9 +447,10 @@ def asymptotic_covariance(i: int, j: int, p: ModelParams,
     uniform block.  Each increment is expected_increment with the given
     method: under quadrature each order is one batched evaluation over
     all the facets, done once when i == j; Monte Carlo runs mc_patterns
-    reference patterns per facet.  n_samples and mc_patterns must be
-    integers >= 2 and resolution an integer >= 1.  Returns value and the
-    standard error of the outer average.
+    reference patterns per facet for each factor, independent ones for
+    the two.  n_samples and mc_patterns must be integers >= 2 and
+    resolution an integer >= 1.  Returns value and the standard error of
+    the outer average.
     """
     return _covariance_table(((i, j),), p, n_samples, seed, method,
                              resolution, mc_patterns)[(i, j)]

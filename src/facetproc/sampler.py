@@ -30,16 +30,17 @@ Python, each with only the state it reads:
   moves, for G.
 - _CountsRule serves the finite-orientation special model with orders
   2..d-1 inactive, where lambda* has a closed form in the counts; so do
-  G_1 and G_d.  It takes the birth axes of a block's rows at once.  In
-  d = 3 it maps each block's center columns through the center law's
-  array sampler (CenterIntensity.sample_from_uniforms), and reads a
-  birth's center once the birth is accepted.  Each pair of facets meets
-  in the overlap of one free coordinate, and G_2 is their running sum
-  over the flat facet list.  In d = 2 only kept samples read centers, so
-  the rule maps no centers: it keeps the block's center columns, and a
-  birth keeps its raw uniforms until a pattern is built.
+  G_1 and G_d.  It maps the birth axes of a block's rows at once, by the
+  orientation law's array sampler.  In d = 3 it maps each block's rows as
+  _GeneralRule does, and reads a birth's center once the birth is
+  accepted.  Each pair of facets meets in the overlap of one free
+  coordinate, and G_2 is their running sum over the flat facet list.  In
+  d = 2 only kept samples read centers, so the rule maps no centers: it
+  keeps the block's center columns, and a birth keeps its raw uniforms
+  until a pattern is built.
 
-Both give bit-identical trajectories and G from the same seed.  No Facet or
+run_chain takes _CountsRule whenever _counts_eligible holds.  Both give
+bit-identical trajectories and G from the same seed.  No Facet or
 FacetPattern is built per step, only for kept samples.
 
 The running G is exact.  Each term (the content of one subset) is added
@@ -130,7 +131,6 @@ class ChainConfig:
     thin: int | None = None     # default max(1, aT/10)
     initial: FacetPattern | None = None  # default: Poisson draw
     keep_samples: bool = False
-    engine: str = "auto"        # auto | pattern | counts
     chain_index: int = 0
 
     def resolve(self, p: ModelParams) -> tuple[int, int]:
@@ -211,13 +211,14 @@ class ChainDiagnostics:
         return self.mean_se(self.trace_g[:, order - 1])
 
 
-def batch_means_se(values: np.ndarray, n_batches: int = 64) -> float:
-    """Batch-means standard error of the mean of a correlated series."""
+def batch_means_se(values: np.ndarray) -> float:
+    """Batch-means standard error of the mean of a correlated series, over
+    64 batches (fewer for series shorter than 128)."""
     values = np.asarray(values, dtype=float)
     m = len(values)
     if m < 4:
         return math.inf
-    nb = min(n_batches, m // 2)
+    nb = min(64, m // 2)
     length = m // nb
     means = values[: nb * length].reshape(nb, length).mean(axis=1)
     return float(np.std(means, ddof=1) / math.sqrt(nb))
@@ -389,10 +390,12 @@ class _CountsRule(_ChainState):
     overlap of their free coordinate 3-k-m, the value tuple_content gives
     when every center lies within r of every other, and G_2 is their
     running sum, each new facet met against the facets of the flat list on
-    other axes.  load takes the birth axis of each of a block's rows,
-    min(int(aux * d), d - 1), and maps their centers; add reads the center
-    of an accepted birth.  In d = 2 load keeps the raw center columns, and
-    a birth keeps its uniforms until a pattern is built."""
+    other axes.  load maps the birth axis of each of a block's rows
+    through the orientation law's array sampler; in d = 3 it maps the rows
+    as _GeneralRule.load does (ModelParams.sample_facets_from_uniforms),
+    and add reads the center of an accepted birth.  In d = 2 load keeps
+    the raw center columns, and a birth keeps its uniforms until a pattern
+    is built."""
 
     engine = "counts"
 
@@ -437,14 +440,13 @@ class _CountsRule(_ChainState):
         self.facets.append(f)
 
     def load(self, block) -> None:
-        # astype truncates toward 0, as int does, the same product aux * d
-        d = self.d
-        self._axes = np.minimum((block[:, 1] * d).astype(np.int64),
-                                d - 1).tolist()
-        if d == 2:  # the rows' raw center uniforms
+        if self.d == 2:  # the rows' axes and raw center uniforms
+            self._axes = self.p.orientation.sample_from_uniform(
+                block[:, 1]).tolist()
             self._z = block[:, 2:4]
-        else:  # the rows' centers, by the law's array sampler
-            self._z = np.stack(self.center(block[:, 2:5].T), axis=-1)
+        else:  # the rows' centers and axes, as every reference draw maps them
+            self._z, _, axes = self.p.sample_facets_from_uniforms(block[:, 1:6])
+            self._axes = axes.tolist()
 
     def add(self, i: int) -> None:
         z = self._z[i].tolist()
@@ -559,22 +561,17 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
     """Run BDMH; returns (samples, ChainDiagnostics).
 
     samples is empty unless cfg.keep_samples; the diagnostics trace always
-    records (step, n, G vector, move, occupancy) per retained state.
-    cfg.engine forces an increment rule; "auto" takes the counts rule when
-    the model allows it.  Initial patterns the model cannot draw are refused.
+    records (step, n, G vector, move, occupancy) per retained state.  The
+    counts rule runs whenever the model allows it (_counts_eligible), the
+    general rule otherwise; diag.engine names the one that ran.  Initial
+    patterns the model cannot draw are refused.
     """
-    if cfg.engine not in ("auto", "counts", "pattern"):
-        raise ValueError("engine must be one of auto, counts and pattern, "
-                         f"got {cfg.engine!r}")
-    counts = cfg.engine != "pattern" and _counts_eligible(p)
-    if cfg.engine == "counts" and not counts:
-        raise ValueError("model not eligible for the counts engine")
     burn, thin = cfg.resolve(p)
     if cfg.initial is not None:
         _check_initial(p, cfg.initial)
     rng = make_rng(cfg.seed, cfg.chain_index)
     initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
-    rule = (_CountsRule if counts else _GeneralRule)(p, initial)
+    rule = (_CountsRule if _counts_eligible(p) else _GeneralRule)(p, initial)
     n_keep = (cfg.n_steps - burn) // thin
     diag = ChainDiagnostics(
         d=p.d, engine=rule.engine, burn_in=burn, thin=thin,

@@ -36,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (Facet, _check_int, canonical_content, facet_measure,
-                       tuple_content)
+from .geometry import Facet, _check_int, canonical_content, tuple_content
 
 
 @dataclass(frozen=True)
@@ -188,15 +187,10 @@ def _subset_sums(centers: np.ndarray, extents: np.ndarray, axes: np.ndarray,
 
 
 def g_vector(x: FacetPattern) -> np.ndarray:
-    """The vector (G_1, ..., G_d) of interaction U-statistics.  G_1 is
-    the fsum of the facet measures, G_j for j >= 2 the fsum of
-    _subset_terms of order j."""
-    g = np.zeros(x.d)
-    if x.facets:
-        g[0] = math.fsum(facet_measure(f) for f in x.facets)
-    for j in range(2, min(x.d, len(x.groups)) + 1):
-        g[j - 1] = math.fsum(_subset_terms(x.groups, j))
-    return g
+    """The vector (G_1, ..., G_d) of interaction U-statistics: G_j is the
+    fsum of _subset_terms of order j (for G_1, the facet measures)."""
+    return np.array([math.fsum(_subset_terms(x.groups, j))
+                     for j in range(1, x.d + 1)])
 
 
 def g_increment(x: FacetPattern, u: Facet, orders: Sequence[int] | None = None) -> np.ndarray:

@@ -154,6 +154,40 @@ def test_center_intensity_table():
         CenterIntensity(w, table=np.zeros((2, 2)))
 
 
+def test_center_intensity_table_compares_by_value():
+    # two tables of the same levels, from separate arrays (one a list),
+    # give equal and equally hashed laws and models; other levels or
+    # another shape differ
+    w = Window.cube(1.0, 2)
+    chi = CenterIntensity(w, table=np.array([[1.0, 0.0], [1.0, 2.0]]))
+    same = CenterIntensity(w, table=[[1, 0], [1, 2]])
+    assert chi == same and hash(chi) == hash(same)
+    assert chi != CenterIntensity(w, table=[[1.0, 0.0], [1.0, 3.0]])
+    assert chi != CenterIntensity(w, table=[[1.0, 0.0, 1.0, 2.0]])
+    assert chi != CenterIntensity(w, level=1.0)
+    models = [ModelParams(2, 1.0, (0.0, -1.0), 2.0, c, SizeLaw.fixed(1.0),
+                          OrientationLaw(2)) for c in (chi, same)]
+    assert models[0] == models[1] and hash(models[0]) == hash(models[1])
+    assert len({chi, same, CenterIntensity(w, level=1.0)}) == 2
+
+
+def test_center_intensity_table_is_a_read_only_copy():
+    # the law keeps its own levels: writing to the caller's array changes
+    # neither its support nor its draws nor its total, and its table
+    # cannot be written
+    w = Window.cube(1.0, 2)
+    levels = np.ones((2, 2))
+    chi = CenterIntensity(w, table=levels)
+    draw = chi.sample_from_uniforms((0.02, 0.1))
+    levels[0, 0] = 0.0
+    assert chi.in_support((0.1, 0.1))
+    assert chi.sample_from_uniforms((0.02, 0.1)) == draw
+    assert chi.total == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        chi.table[0, 0] = 0.0
+    assert chi == CenterIntensity(w, table=np.ones((2, 2)))
+
+
 def test_center_intensity_table_statistics():
     w = Window.cube(2.0, 2)
     chi = CenterIntensity(w, table=np.array([[1.0, 0.0], [1.0, 2.0]]))

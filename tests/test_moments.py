@@ -189,7 +189,8 @@ def test_centered_moment_matches_chain_count_variance():
                                          n_samples=40000, seed=11)
     var_pred = mean_term + p.a ** 2 * lead
     samples, diag = run_chain(p, ChainConfig(
-        n_steps=1_500_000, seed=202, thin=1, engine="counts"))
+        n_steps=1_500_000, seed=202, thin=1))
+    assert diag.engine == "counts"
     counts = diag.trace_n.astype(float)
     emp_mean = float(counts.mean())
     emp_var = float(counts.var())
@@ -206,7 +207,8 @@ def test_second_moment_matches_chain():
         ((2, interaction_kernel(2)), (2, interaction_kernel(2))),
         provider=provider, n_samples=6000, seed=9), p)
     samples, diag = run_chain(p, ChainConfig(
-        n_steps=800_000, seed=77, thin=2, engine="counts"))
+        n_steps=800_000, seed=77, thin=2))
+    assert diag.engine == "counts"
     sq = diag.trace_g[:, 1] ** 2
     emp = float(sq.mean())
     emp_se = diag.mean_se(sq)[1]
@@ -486,11 +488,22 @@ def test_covariance_table_shares_one_draw():
             expected_increment(i, y, p, method="mc", n_samples=20,
                                seed=5 + 7 * t)[0]
             * expected_increment(j, y, p, method="mc", n_samples=20,
-                                 seed=5 + 7 * t + 3 * (j != i))[0]
+                                 seed=5 + 7 * t + 3)[0]
             for t, y in enumerate(facets)])
         assert val == p.total_intensity * float(prods.mean())
         assert val == asymptotic_covariance(i, j, p, n_samples=3, seed=5,
                                             method="mc", mc_patterns=20)[0]
+
+
+def test_monte_carlo_covariance_diagonal_is_unbiased():
+    # (i, i) multiplies two independent estimates of the increment: the
+    # square of one would add its variance, mc_patterns times smaller than
+    # that of one reference pattern, and read 0.357 +- 0.010 here.  The
+    # quadrature gives 0.25 exactly.
+    p = ModelParams.special(2, (0.0, 0.0))
+    val, se = asymptotic_covariance(2, 2, p, n_samples=2000, seed=1,
+                                    method="mc", mc_patterns=5)
+    assert abs(val - 0.25) < 4 * se
 
 
 def test_asymptotic_covariance_planar_exact():

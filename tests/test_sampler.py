@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,13 +27,23 @@ from facetproc.sampler import (
     _add_terms,
     _CountsRule,
     _GeneralRule,
+    _poisson_arrays,
     batch_means_se,
     make_rng,
     run_chain,
     sample_poisson,
     trace_table,
 )
-from facetproc.ustat import FacetPattern, g_vector
+from facetproc.ustat import FacetPattern, _subset_sums, g_vector
+
+
+def _run_general(p, cfg):
+    """run_chain on the general rule, the tests' reference path, also for a
+    model that run_chain would give the counts rule."""
+    with mock.patch("facetproc.sampler._counts_eligible", return_value=False):
+        samples, diag = run_chain(p, cfg)
+    assert diag.engine == "pattern"
+    return samples, diag
 
 
 def test_sample_poisson_moments():
@@ -166,9 +177,9 @@ def test_chain_matches_full_recompute_reference():
     # same rows
     for p in (ModelParams.special(2, (0.2, -0.8), a=3.0),
               _hemisphere_model((0.2, -0.8), 3.0)):
-        samples, diag = run_chain(p, ChainConfig(
+        samples, diag = _run_general(p, ChainConfig(
             n_steps=1000, seed=11, burn_in=0, thin=1,
-            initial=p.empty_pattern(), keep_samples=True, engine="pattern"))
+            initial=p.empty_pattern(), keep_samples=True))
         rows = make_rng(11).random((1000, 6))
         x = p.empty_pattern()
         for t in range(1000):
@@ -193,8 +204,9 @@ def test_engines_produce_identical_chains():
         # only for these
         cfg = dict(n_steps=3000, seed=42, burn_in=0, thin=1,
                    keep_samples=True)
-        s_pat, d_pat = run_chain(p, ChainConfig(engine="pattern", **cfg))
-        s_cnt, d_cnt = run_chain(p, ChainConfig(engine="counts", **cfg))
+        s_pat, d_pat = _run_general(p, ChainConfig(**cfg))
+        s_cnt, d_cnt = run_chain(p, ChainConfig(**cfg))
+        assert d_cnt.engine == "counts"
         assert [x.facets for x in s_pat] == [x.facets for x in s_cnt]
         assert np.array_equal(d_pat.trace_n, d_cnt.trace_n)
         assert np.array_equal(d_pat.trace_occupancy, d_cnt.trace_occupancy)
@@ -358,8 +370,8 @@ def test_toy_detailed_balance_flux():
     # lumped states (n, G_2) for n <= 2; the count process is Markov in the
     # special model, so empirical transition flux must be symmetric
     p = ModelParams.special(2, (0.0, -0.9), a=1.2)
-    _, diag = run_chain(p, ChainConfig(n_steps=300_000, seed=13, burn_in=0, thin=1,
-                                       engine="counts"))
+    _, diag = run_chain(p, ChainConfig(n_steps=300_000, seed=13, burn_in=0, thin=1))
+    assert diag.engine == "counts"
     states = list(zip(diag.trace_n.tolist(),
                       diag.trace_g[:, 1].astype(int).tolist()))
     flux: dict = {}
@@ -421,9 +433,7 @@ def test_config_validation():
             run_chain(p, ChainConfig(n_steps=1000, **{field: value}))
     hemi = ModelParams(2, 1.0, (0.0, -1.0), 2.0, p.center, p.size,
                        OrientationLaw(2, "hemisphere"))
-    with pytest.raises(ValueError):
-        run_chain(hemi, ChainConfig(n_steps=100, burn_in=0, engine="counts"))
-    # auto falls back to the pattern engine for continuous orientations
+    # continuous orientations run on the general rule
     _, diag = run_chain(hemi, ChainConfig(n_steps=300, seed=2, burn_in=0, thin=1))
     assert diag.engine == "pattern"
     # occupancy is undefined off the canonical family except for empty states
@@ -441,25 +451,23 @@ _HOLE = ModelParams(2, 1.0, _PAIR.nu, 2.0,
                     _PAIR.size, _PAIR.orientation)
 
 
-@pytest.mark.parametrize("model,engine,facets,match", [
-    (_PAIR, "Counts", [Facet((0.5, 0.5), 1.0, 0)], "engine must be one of"),
-    (_PAIR, "auto", [Facet((0.2, 0.5), 0.25, 0), Facet((0.5, 0.5), 0.25, 1)],
+@pytest.mark.parametrize("model,facets,match", [
+    (_PAIR, [Facet((0.2, 0.5), 0.25, 0), Facet((0.5, 0.5), 0.25, 1)],
      "half-extent"),
-    (_PAIR, "auto", [Facet((0.5, 0.5), 1.0, (0.6, 0.8))], "orientation"),
-    (_HEMISPHERE, "auto", [Facet((0.5, 0.5), 1.0, 0)], "orientation"),
-    (_PAIR, "pattern", [Facet((0.2, 0.5), 1.0, 0), Facet((5.0, 0.5), 1.0, 1)],
+    (_PAIR, [Facet((0.5, 0.5), 1.0, (0.6, 0.8))], "orientation"),
+    (_HEMISPHERE, [Facet((0.5, 0.5), 1.0, 0)], "orientation"),
+    (_PAIR, [Facet((0.2, 0.5), 1.0, 0), Facet((5.0, 0.5), 1.0, 1)],
      "window"),
-    (_HOLE, "auto", [Facet((0.5, 0.75), 1.0, 0), Facet((0.25, 0.75), 1.0, 1)],
+    (_HOLE, [Facet((0.5, 0.75), 1.0, 0), Facet((0.25, 0.75), 1.0, 1)],
      "level 0"),
-], ids=["engine-name", "extent", "normal-in-canonical-model",
-        "axis-in-hemisphere-model", "center-outside", "center-in-zero-cell"])
-def test_run_chain_rejects_bad_input(model, engine, facets, match):
+], ids=["extent", "normal-in-canonical-model", "axis-in-hemisphere-model",
+        "center-outside", "center-in-zero-cell"])
+def test_run_chain_rejects_bad_input(model, facets, match):
     # a pattern the model cannot produce is refused: the two rules would
     # disagree on some (the counts rule takes G_1 from the model's extent)
     initial = FacetPattern.of(facets, 2)
     with pytest.raises(ValueError, match=match):
-        run_chain(model, ChainConfig(n_steps=100, burn_in=0, engine=engine,
-                                     initial=initial))
+        run_chain(model, ChainConfig(n_steps=100, burn_in=0, initial=initial))
 
 
 def test_run_chain_accepts_centers_on_positive_cells():
@@ -488,7 +496,8 @@ def test_default_burnin_thin():
 # Short chains through every branch of the chain loop: d = 2 counts at thin
 # 1 over three uniform blocks, d = 3 counts at thin 3 with kept samples, d = 3
 # nu_2 on the general rule at thin 3, the hemisphere law, and a table center
-# intensity with a zero cell on both rules.
+# intensity with a zero cell on both rules (the general one through
+# _run_general).
 _PINNED_CHAINS = {
     "d2-counts-thin1": (ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
                         dict(n_steps=70_000, seed=5, burn_in=100, thin=1)),
@@ -503,8 +512,7 @@ _PINNED_CHAINS = {
     "table-hole-counts-samples": (_HOLE, dict(n_steps=3000, seed=5, burn_in=10,
                                               thin=3, keep_samples=True)),
     "table-hole-general-samples": (_HOLE, dict(n_steps=2000, seed=5, burn_in=0,
-                                               thin=1, keep_samples=True,
-                                               engine="pattern")),
+                                               thin=1, keep_samples=True)),
     # the d = 3 counts rule maps each block's centers; 40k steps cross a
     # block boundary
     "table-d3-counts-samples": (_table_model(3, (0.1, 0.0, -1.0), 4.0),
@@ -555,7 +563,8 @@ def test_chain_trajectories_are_pinned(name):
     # the determinism contract: the same seed gives the same moves,
     # acceptances, counts, G, occupancy and kept samples, to the last bit
     p, cfg = _PINNED_CHAINS[name]
-    samples, diag = run_chain(p, ChainConfig(**cfg))
+    run = _run_general if name == "table-hole-general-samples" else run_chain
+    samples, diag = run(p, ChainConfig(**cfg))
     assert diag.n_retained > 500
     assert _digest(
         diag.trace_step.tolist(), diag.trace_n.tolist(), diag.trace_g.tolist(),
@@ -742,8 +751,9 @@ def test_count_histogram_matches_exact_law(engine, steps):
     # in the general rule alone breaks test_engines_produce_identical_chains.
     nu, a = -1.0, 1.5
     p = ModelParams.submodel(2, 2, nu, a=a)
-    _, diag = run_chain(p, ChainConfig(n_steps=steps, seed=2015, thin=10,
-                                       engine=engine))
+    run = run_chain if engine == "counts" else _run_general
+    _, diag = run(p, ChainConfig(n_steps=steps, seed=2015, thin=10))
+    assert diag.engine == engine
     grids, log_w = _count_grid(a / 2, 2, 60)
     w = np.exp(log_w + nu * grids[0] * grids[1])
     w /= w.sum()
@@ -758,3 +768,59 @@ def test_count_histogram_matches_exact_law(engine, steps):
     exp = np.append(expected[big], expected[~big].sum())
     stat = float(((obs - exp) ** 2 / exp).sum())
     assert chi2.sf(stat, len(obs) - 1) > 1e-4
+
+
+def _reweighted_reference(p, n_draws, seed):
+    """E_pi of (n, G_1, ..., G_d) by self-normalized importance sampling:
+    the model has density exp(nu . G) against the reference Poisson
+    process at its activity, so n_draws reference draws weighted by
+    exp(nu . G) estimate it.  Canonical draws are scored all at once
+    (_poisson_arrays, then _subset_sums), the hemisphere law's one by
+    one (sample_poisson, then g_vector).  Returns the estimates, their
+    delta-method standard errors and the Kish effective sample size of
+    the weights."""
+    rng = make_rng(seed)
+    if p.orientation.is_canonical:
+        *arrays, owner = _poisson_arrays(p, [rng] * n_draws)
+        g = _subset_sums(*arrays, owner, n_draws, range(1, p.d + 1))
+        n = np.bincount(owner, minlength=n_draws)
+    else:
+        draws = [sample_poisson(p, rng) for _ in range(n_draws)]
+        g = np.array([g_vector(x) for x in draws])
+        n = np.array([x.n for x in draws])
+    log_w = g @ np.array(p.nu)
+    w = np.exp(log_w - log_w.max())
+    f = np.column_stack([n, g])
+    means = w @ f / w.sum()
+    ses = np.sqrt(w ** 2 @ (f - means) ** 2) / w.sum()
+    return means, ses, w.sum() ** 2 / (w ** 2).sum()
+
+
+# Weak couplings at a = 4 (a = 1 for the table, whose T is 4.5): the
+# weights keep a Kish ESS of about half the draws, and births are often
+# rejected, so a biased birth log-ratio shows.  The hemisphere law's
+# draws, scored one by one, are fewer.
+_ORACLE_MODELS = {
+    "d3-nu2": (ModelParams.special(3, (0.0, -0.2, 0.0), a=4.0), 30_000),
+    "two-atom": (_two_atom_model(3, (0.0, -0.2, -0.2), 4.0), 30_000),
+    "table": (_table_model(3, (0.0, -0.2, 0.0), 1.0), 30_000),
+    "hemisphere": (_hemisphere_model((0.0, -0.2), 4.0), 20_000),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_MODELS))
+def test_general_rule_matches_reweighted_reference_draws(name):
+    # An oracle that takes no chain step and no acceptance ratio:
+    # reweighted reference draws.  The general rule's mean count and mean
+    # G_j must match it within 4 combined standard errors; the largest |z|
+    # here is 1.6.  With +0.05 on the log-ratio of _GeneralRule.birth
+    # every case fails: the mean count reads 3.7 to 4.7 SE high, the mean
+    # G_2 4.8 to 5.4.
+    p, n_draws = _ORACLE_MODELS[name]
+    means, ses, ess = _reweighted_reference(p, n_draws, seed=1)
+    assert ess > 0.4 * n_draws
+    _, diag = run_chain(p, ChainConfig(n_steps=200_000, seed=1))
+    assert diag.engine == "pattern"
+    for j in range(p.d + 1):
+        mean, se = diag.n_mean_se() if j == 0 else diag.g_mean_se(j)
+        assert abs(mean - means[j]) < 4 * math.hypot(se, ses[j]), j

@@ -169,8 +169,6 @@ BAD_INPUT = {
     "rho-limit-d-float": lambda: rho_limit(4.0, 1),
     "rho-limit-l-bool": lambda: rho_limit(4, 2, "two_groups", True),
     "decay-k-float": lambda: rho_decay_rate(4, 1.5, 1.0, 1.0, -1.0),
-    "decay-cap-bool": lambda: rho_decay_rate(4, 1, 1.0, 1.0, -1.0, cap=True),
-    "decay-cap-float": lambda: rho_decay_rate(4, 1, 1.0, 1.0, -1.0, cap=2.5),
     "ik-d-float": lambda: i_k_integrals(3.5, 1),
     "scaling-k-float": lambda: scaling_limit_constants(3, 1.5, 1.0, 1.0),
     # this ended in a TypeError when the run started
