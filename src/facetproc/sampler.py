@@ -15,7 +15,7 @@ lambda* of each proposal by row index, applies the accepted moves and
 reports G at the retained states.  Every chain moves one mutable state in
 place, _ChainState: the facets in pattern order as (center, half-extent,
 orientation) triples and a running G.  Two rules extend it, in plain
-Python, each with only the state it reads:
+Python, each with only the state it reads (the second with a subclass):
 
 - _GeneralRule serves every model.  It maps each block's rows to facets
   as every reference draw does (ModelParams.sample_facets_from_uniforms).
@@ -28,20 +28,26 @@ Python, each with only the state it reads:
   Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
   two segments.  The orders with nu_j = 0 are computed only for accepted
   moves, for G.
-- _CountsRule serves the finite-orientation special model with orders
-  2..d-1 inactive, where lambda* has a closed form in the counts; so do
-  G_1 and G_d.  It maps the birth axes of a block's rows at once, by the
-  orientation law's array sampler.  In d = 3 it maps each block's rows as
-  _GeneralRule does, and reads a birth's center once the birth is
-  accepted.  Each pair of facets meets in the overlap of one free
-  coordinate, and G_2 is their running sum over the flat facet list.  In
-  d = 2 only kept samples read centers, so the rule maps no centers: it
-  keeps the block's center columns, and a birth keeps its raw uniforms
-  until a pattern is built.
+- _CountsRule serves the finite-orientation special model in d <= 3:
+  canonical axes, one facet size r and a window no wider than r.  G_1
+  and G_d are closed forms in the orientation counts, and so is the
+  order-1 and order-d part of lambda*.  It maps the birth axes of a
+  block's rows at once, by the orientation law's array sampler.  In
+  d = 3 it maps each block's rows as _GeneralRule does, and reads a
+  birth's center once the birth is accepted.  Each pair of facets meets
+  in the overlap of one free coordinate, and G_2 is their running sum
+  over the flat facet list.  In d = 2 only kept samples read centers, so
+  the rule maps no centers: it keeps the block's center columns, and a
+  birth keeps its raw uniforms until a pattern is built.
+- _PairCountsRule, a _CountsRule for d = 3 with nu_2 != 0, also reads
+  order 2 in lambda*: birth and death gather the proposed facet's pair
+  terms over the flat list, and an accepted move adds those same terms
+  to G_2.
 
-run_chain takes _CountsRule whenever _counts_eligible holds.  Both give
-bit-identical trajectories and G from the same seed.  No Facet or
-FacetPattern is built per step, only for kept samples.
+run_chain takes a counts rule whenever _counts_eligible holds, the pair
+rule when nu_2 != 0 in d = 3.  All three rules give bit-identical
+trajectories and G from the same seed.  No Facet or FacetPattern is
+built per step, only for kept samples.
 
 The running G is exact.  Each term (the content of one subset) is added
 when its subset appears and subtracted, bit for bit the same value, when a
@@ -228,11 +234,10 @@ def _counts_eligible(p: ModelParams) -> bool:
     if not p.orientation.is_canonical or not p.size.is_fixed or p.d > 3:
         return False
     r = p.size.max_extent
-    if any(hi - lo > r for lo, hi in p.window.bounds):
-        return False
-    # increments of intermediate orders are center-dependent; the counts
-    # rule only tracks counts, so orders 2..d-1 must be inactive
-    return all(p.nu[j - 1] == 0.0 for j in range(2, p.d))
+    # every center lies within r of every other, so each content is a
+    # product of free-coordinate overlaps: orders 1 and d are closed forms
+    # in the counts, and the d = 3 order 2 is the flat pair loop
+    return all(hi - lo <= r for lo, hi in p.window.bounds)
 
 
 def _check_initial(p: ModelParams, x: FacetPattern) -> None:
@@ -383,19 +388,22 @@ class _GeneralRule(_ChainState):
 
 
 class _CountsRule(_ChainState):
-    """Closed-form increments of a counts-eligible model: a facet on axis
-    k has log lambda* = nu_1 (2r)^(d-1) + nu_d prod_{i != k} n_i, where n_i
-    counts the facets on axis i.  G_1 and G_d are closed forms in the
-    counts.  In d = 3 each pair of facets on axes k != m meets in the
-    overlap of their free coordinate 3-k-m, the value tuple_content gives
-    when every center lies within r of every other, and G_2 is their
-    running sum, each new facet met against the facets of the flat list on
-    other axes.  load maps the birth axis of each of a block's rows
-    through the orientation law's array sampler; in d = 3 it maps the rows
-    as _GeneralRule.load does (ModelParams.sample_facets_from_uniforms),
-    and add reads the center of an accepted birth.  In d = 2 load keeps
-    the raw center columns, and a birth keeps its uniforms until a pattern
-    is built."""
+    """Increments of a counts-eligible model: a facet on axis k has log
+    lambda* = nu_1 (2r)^(d-1) + nu_2 Delta G_2 + nu_d prod_{i != k} n_i,
+    where n_i counts the facets on axis i and Delta G_2 (d = 3 only) is
+    the sum of the facet's pair terms.  This class serves nu_2 = 0, where
+    log lambda* is a sum of two floats and the pair terms are gathered
+    only for accepted moves; _PairCountsRule serves nu_2 != 0.  G_1 and
+    G_d are closed forms in the counts.  In d = 3 each pair of facets on
+    axes k != m meets in the overlap of their free coordinate 3-k-m, the
+    value tuple_content gives when every center lies within r of every
+    other, and G_2 is their running sum, each new facet met against the
+    facets of the flat list on other axes (_pair_terms).  load maps the
+    birth axis of each of a block's rows through the orientation law's
+    array sampler; in d = 3 it maps the rows as _GeneralRule.load does
+    (ModelParams.sample_facets_from_uniforms), and add reads the center
+    of an accepted birth.  In d = 2 load keeps the raw center columns,
+    and a birth keeps its uniforms until a pattern is built."""
 
     engine = "counts"
 
@@ -411,7 +419,9 @@ class _CountsRule(_ChainState):
         for f in x.facets:
             self._enter((f.center, f.half_extent, f.orientation))
 
-    def _update_g2(self, f: tuple, sign: float) -> None:
+    def _pair_terms(self, f: tuple) -> list:
+        """The G_2 terms of d = 3 facet f: its overlaps with the facets of
+        the flat list on other axes."""
         z, r, k = f
         terms = []
         for w, _, m in self.facets:
@@ -424,7 +434,7 @@ class _CountsRule(_ChainState):
                 t = (wf + r) - (zf - r) if wf < zf else (zf + r) - (wf - r)
                 if t > 0.0:
                     terms.append(t)
-        _add_terms(self.g[1], terms, sign)
+        return terms
 
     def birth(self, i: int) -> float:
         # c[axis - 1] (and c[axis - 2] in d = 3) are the other axes' counts
@@ -436,7 +446,7 @@ class _CountsRule(_ChainState):
     def _enter(self, f: tuple) -> None:
         self.counts[f[2]] += 1
         if self.d == 3:
-            self._update_g2(f, 1.0)
+            _add_terms(self.g[1], self._pair_terms(f), 1.0)
         self.facets.append(f)
 
     def load(self, block) -> None:
@@ -463,7 +473,7 @@ class _CountsRule(_ChainState):
         f = self.facets.pop(i)
         self.counts[f[2]] -= 1
         if self.d == 3:
-            self._update_g2(f, -1.0)
+            _add_terms(self.g[1], self._pair_terms(f), -1.0)
 
     def retained(self) -> tuple:
         c = self.counts
@@ -472,6 +482,45 @@ class _CountsRule(_ChainState):
             return (g1, float(c[0] * c[1])), (c[0] > 0) | (c[1] > 0) << 1
         return ((g1, math.fsum(self.g[1]), float(c[0] * c[1] * c[2])),
                 (c[0] > 0) | (c[1] > 0) << 1 | (c[2] > 0) << 2)
+
+
+class _PairCountsRule(_CountsRule):
+    """The counts rule of a d = 3 model with nu_2 != 0: log lambda* is the
+    fsum of nu_1 (2r)^2, nu_2 times the fsum of the facet's pair terms
+    (_pair_terms, its Delta G_2) and nu_3 times the product of the other
+    axes' counts: the fsum over orders that _GeneralRule takes, where an
+    inactive order adds +-0.0.  birth and death gather the terms, and add
+    and remove add them to G_2 as they are."""
+
+    def __init__(self, p: ModelParams, x: FacetPattern):
+        super().__init__(p, x)
+        self.nu2 = p.nu[1]
+        self._f = None  # the proposed facet
+        self._terms: list[float] = []  # its pair terms
+
+    def _log_lambda(self, f: tuple) -> float:
+        self._terms = terms = self._pair_terms(f)
+        axis, c = f[2], self.counts
+        return math.fsum([self.nu1_term, self.nu2 * math.fsum(terms),
+                          self.nud * float(c[axis - 1] * c[axis - 2])])
+
+    def birth(self, i: int) -> float:
+        self._f = (tuple(self._z[i].tolist()), self.r, self._axes[i])
+        return self._log_lambda(self._f)
+
+    def add(self, i: int) -> None:
+        f = self._f
+        self.counts[f[2]] += 1
+        _add_terms(self.g[1], self._terms, 1.0)
+        self.facets.append(f)
+
+    def death(self, i: int) -> float:
+        return self._log_lambda(self.facets[i])
+
+    def remove(self, i: int) -> None:
+        f = self.facets.pop(i)
+        self.counts[f[2]] -= 1
+        _add_terms(self.g[1], self._terms, -1.0)
 
 
 def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
@@ -571,7 +620,12 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
         _check_initial(p, cfg.initial)
     rng = make_rng(cfg.seed, cfg.chain_index)
     initial = cfg.initial if cfg.initial is not None else sample_poisson(p, rng)
-    rule = (_CountsRule if _counts_eligible(p) else _GeneralRule)(p, initial)
+    if not _counts_eligible(p):
+        rule = _GeneralRule(p, initial)
+    elif p.d == 3 and p.nu[1]:
+        rule = _PairCountsRule(p, initial)
+    else:
+        rule = _CountsRule(p, initial)
     n_keep = (cfg.n_steps - burn) // thin
     diag = ChainDiagnostics(
         d=p.d, engine=rule.engine, burn_in=burn, thin=thin,

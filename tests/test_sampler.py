@@ -198,6 +198,11 @@ def test_engines_produce_identical_chains():
         ModelParams.special(2, (0.5, -1.0), a=2.0),
         ModelParams.special(3, (0.0, 0.0, -1.0), a=8.0),
         _HOLE,
+        # nu_2 != 0 in d = 3: the pair terms enter log lambda*
+        ModelParams.special(3, (0.0, -1.0, 0.0), a=4.0),
+        ModelParams.special(3, (0.0, -1.0, 0.0), a=16.0),
+        ModelParams.special(3, (0.3, -1.0, -0.5), a=8.0),
+        _table_model(3, (0.2, -1.0, 0.0), 4.0),
     ]
     for p in cases:
         # kept samples: the counts rules map their raw center uniforms
@@ -231,9 +236,9 @@ def _table_model(d, nu, a):
 
 
 _CHAIN_CLASSES = {
-    "d3-nu2": (ModelParams.special(3, (0.0, -1.0, 0.0), a=4.0), "pattern"),
+    "d3-nu2": (ModelParams.special(3, (0.0, -1.0, 0.0), a=4.0), "counts"),
     "two-atom": (_two_atom_model(3, (0.3, -1.0, -0.5), 4.0), "pattern"),
-    "table": (_table_model(3, (0.2, -1.0, 0.0), 4.0), "pattern"),
+    "table": (_table_model(3, (0.2, -1.0, 0.0), 4.0), "counts"),
     "d3-counts": (ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0), "counts"),
     "hemisphere": (_hemisphere_model((0.3, -1.0), 4.0), "pattern"),
 }
@@ -495,9 +500,9 @@ def test_default_burnin_thin():
 
 # Short chains through every branch of the chain loop: d = 2 counts at thin
 # 1 over three uniform blocks, d = 3 counts at thin 3 with kept samples, d = 3
-# nu_2 on the general rule at thin 3, the hemisphere law, and a table center
-# intensity with a zero cell on both rules (the general one through
-# _run_general).
+# nu_2 at thin 3, all three orders of d = 3 on both rules, the hemisphere
+# law, and a table center intensity with a zero cell on both rules (the
+# general one through _run_general).
 _PINNED_CHAINS = {
     "d2-counts-thin1": (ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
                         dict(n_steps=70_000, seed=5, burn_in=100, thin=1)),
@@ -506,6 +511,9 @@ _PINNED_CHAINS = {
         dict(n_steps=3000, seed=5, burn_in=50, thin=3, keep_samples=True)),
     "d3-nu2-general": (ModelParams.special(3, (0.0, -1.0, 0.0), a=4.0),
                        dict(n_steps=3000, seed=5, burn_in=0, thin=3)),
+    "d3-all-orders-both": (ModelParams.special(3, (0.3, -1.0, -0.5), a=8.0),
+                           dict(n_steps=6000, seed=5, burn_in=0, thin=3,
+                                keep_samples=True)),
     "hemisphere-samples": (_hemisphere_model((0.3, -1.0), 4.0),
                            dict(n_steps=2000, seed=5, burn_in=0, thin=2,
                                 keep_samples=True)),
@@ -529,7 +537,9 @@ _PINNED_CHAINS = {
 # state into the trace arrays one item at a time (table-d3-counts-samples:
 # on the counts rule that mapped each accepted birth's center by a
 # plain-Python copy of the center law; d3-counts-a16-thin1: on the counts
-# rule that added each G_2 term on its own)
+# rule that added each G_2 term on its own; d3-nu2-general and
+# d3-all-orders-both: on the general rule, before the counts rule served
+# nu_2 != 0)
 _PINNED_DIGESTS = {
     "d2-counts-thin1":
         "b738b2675a58ac71bed747eb3b4b2a699484e71a52f556ced4e76ea4065bac5c",
@@ -537,6 +547,8 @@ _PINNED_DIGESTS = {
         "76dba2775eb73b77f98678019a20188a921995ff4afb5f7963975f8a7a426d01",
     "d3-nu2-general":
         "87668aacc96733433370e311c0fad09d67306f6c1855583dd37b421cbc61fe4f",
+    "d3-all-orders-both":
+        "fdd169f0f7b1f698d5f50d53d63dbc730e793224682f902786743416050ac6c3",
     "hemisphere-samples":
         "7e079ed90478a97604eb3dd53624950ade2da34fbed5576136deabd070a72e04",
     "table-hole-counts-samples":
@@ -563,16 +575,18 @@ def test_chain_trajectories_are_pinned(name):
     # the determinism contract: the same seed gives the same moves,
     # acceptances, counts, G, occupancy and kept samples, to the last bit
     p, cfg = _PINNED_CHAINS[name]
-    run = _run_general if name == "table-hole-general-samples" else run_chain
-    samples, diag = run(p, ChainConfig(**cfg))
-    assert diag.n_retained > 500
-    assert _digest(
-        diag.trace_step.tolist(), diag.trace_n.tolist(), diag.trace_g.tolist(),
-        diag.trace_accepted.tolist(), diag.trace_move.tolist(),
-        diag.trace_occupancy.tolist(),
-        (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
-         diag.death_accepted),
-        [x.facets for x in samples]) == _PINNED_DIGESTS[name]
+    runs = {"table-hole-general-samples": [_run_general],
+            "d3-all-orders-both": [run_chain, _run_general]}.get(name, [run_chain])
+    for run in runs:
+        samples, diag = run(p, ChainConfig(**cfg))
+        assert diag.n_retained > 500
+        assert _digest(
+            diag.trace_step.tolist(), diag.trace_n.tolist(),
+            diag.trace_g.tolist(), diag.trace_accepted.tolist(),
+            diag.trace_move.tolist(), diag.trace_occupancy.tolist(),
+            (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
+             diag.death_accepted),
+            [x.facets for x in samples]) == _PINNED_DIGESTS[name]
 
 
 # terms from 2^-60 to 8, each move's drawn with repeats from a small pool,
@@ -799,28 +813,35 @@ def _reweighted_reference(p, n_draws, seed):
 # Weak couplings at a = 4 (a = 1 for the table, whose T is 4.5): the
 # weights keep a Kish ESS of about half the draws, and births are often
 # rejected, so a biased birth log-ratio shows.  The hemisphere law's
-# draws, scored one by one, are fewer.
+# draws, scored one by one, are fewer.  Each model names the rule
+# run_chain takes.
 _ORACLE_MODELS = {
-    "d3-nu2": (ModelParams.special(3, (0.0, -0.2, 0.0), a=4.0), 30_000),
-    "two-atom": (_two_atom_model(3, (0.0, -0.2, -0.2), 4.0), 30_000),
-    "table": (_table_model(3, (0.0, -0.2, 0.0), 1.0), 30_000),
-    "hemisphere": (_hemisphere_model((0.0, -0.2), 4.0), 20_000),
+    "d3-nu2": (ModelParams.special(3, (0.0, -0.2, 0.0), a=4.0), 30_000, "counts"),
+    "two-atom": (_two_atom_model(3, (0.0, -0.2, -0.2), 4.0), 30_000, "pattern"),
+    "table": (_table_model(3, (0.0, -0.2, 0.0), 1.0), 30_000, "counts"),
+    "hemisphere": (_hemisphere_model((0.0, -0.2), 4.0), 20_000, "pattern"),
 }
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_MODELS))
 def test_general_rule_matches_reweighted_reference_draws(name):
     # An oracle that takes no chain step and no acceptance ratio:
-    # reweighted reference draws.  The general rule's mean count and mean
-    # G_j must match it within 4 combined standard errors; the largest |z|
-    # here is 1.6.  With +0.05 on the log-ratio of _GeneralRule.birth
-    # every case fails: the mean count reads 3.7 to 4.7 SE high, the mean
-    # G_2 4.8 to 5.4.
-    p, n_draws = _ORACLE_MODELS[name]
+    # reweighted reference draws.  The chain's mean count and mean G_j
+    # must match it within 4 combined standard errors; the largest |z|
+    # here is 1.6.  The counts rule's models also run the general rule,
+    # through _run_general.  With +0.05 on the log-ratio of
+    # _GeneralRule.birth every case fails: the mean count reads 3.7 to
+    # 4.7 SE high, the mean G_2 4.8 to 5.4.  With +0.05 on that of
+    # _PairCountsRule.birth both counts cases fail: the mean count reads
+    # 4.1 to 4.7 SE high, the mean G_2 4.8 to 5.4.
+    p, n_draws, engine = _ORACLE_MODELS[name]
     means, ses, ess = _reweighted_reference(p, n_draws, seed=1)
     assert ess > 0.4 * n_draws
-    _, diag = run_chain(p, ChainConfig(n_steps=200_000, seed=1))
-    assert diag.engine == "pattern"
-    for j in range(p.d + 1):
-        mean, se = diag.n_mean_se() if j == 0 else diag.g_mean_se(j)
-        assert abs(mean - means[j]) < 4 * math.hypot(se, ses[j]), j
+    cfg = ChainConfig(n_steps=200_000, seed=1)
+    _, diag = run_chain(p, cfg)
+    assert diag.engine == engine
+    diags = [diag] + ([_run_general(p, cfg)[1]] if engine == "counts" else [])
+    for diag in diags:
+        for j in range(p.d + 1):
+            mean, se = diag.n_mean_se() if j == 0 else diag.g_mean_se(j)
+            assert abs(mean - means[j]) < 4 * math.hypot(se, ses[j]), j
