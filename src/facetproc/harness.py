@@ -8,7 +8,8 @@ diagnostics (e1), degeneracy of coupled interaction counts (e2),
 correlation limits across orientation arrangements (e3), and the
 scaling constants of dilated counts (e4).  The table _COMMANDS
 describes each command once, and a config setting that the command
-would not read is refused.  Every run is a pure function of its
+would not read, or a model its driver cannot serve, is refused when the
+config is built.  Every run is a pure function of its
 configuration and master seed: tasks own disjoint RNG streams indexed
 before dispatch, rows are assembled in grid order, and floats are
 written with repr so a re-run reproduces the result file byte for
@@ -82,16 +83,19 @@ def _check_keys(conf: dict[str, str], d: int):
 
 def _numbers(conf: dict[str, str], key: str, default: tuple, kind=float):
     """The comma-separated values of a key, or default when it is absent;
-    values that do not parse or are not finite are rejected by key."""
+    empty items and values that do not parse or are not finite are
+    rejected by key."""
     if key not in conf:
         return default
+    tokens = conf[key].split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"{key} = {conf[key]}: empty item in the list")
     try:
-        values = tuple(kind(tok) for tok in conf[key].split(",")
-                       if tok.strip())
+        values = tuple(kind(tok) for tok in tokens)
     except ValueError:
         raise ValueError(f"{key} = {conf[key]}: expected "
                          f"{kind.__name__} values") from None
-    if not values or not all(math.isfinite(v) for v in values):
+    if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{key} = {conf[key]}: expected finite values")
     return values
 
@@ -135,6 +139,7 @@ class ExperimentConfig:
         if chi is None or p != ModelParams.special(p.d, p.nu, p.a, p.b, chi):
             raise ValueError("commands run ModelParams.special models only; "
                              "run other models through run_chain")
+        cmd.requires(p)
         if not self.a_grid:
             raise ValueError("activity grid must be nonempty")
         if any(y <= x for x, y in zip(self.a_grid, self.a_grid[1:])):
@@ -395,8 +400,6 @@ def experiment_e1_poisson_clt(cfg: ExperimentConfig) -> list[tuple]:
     G vectors of a grid point's replicates are scored as one batch
     (sampler._poisson_g_vectors)."""
     p = cfg.params
-    if any(v != 0.0 for v in p.nu):
-        raise ValueError("Poisson diagnostics need all couplings zero")
     d = p.d
     reps = cfg.replicates
     means = {a: [poisson_mean_interaction(dataclasses.replace(p, a=a), j)
@@ -500,8 +503,6 @@ def experiment_e3_rho_limits(cfg: ExperimentConfig) -> list[tuple]:
     limits, one row per admissible orientation arrangement, with
     truncation tails and the normalized denominator."""
     p = cfg.params
-    if p.coupled_order() != p.d:
-        raise ValueError("limit sweep needs the top-order interaction")
     arrangements = _arrangements(p.d)
     for k, variant, l, counts in arrangements:
         # the arrangement limits all reduce to the unused-axis rule
@@ -531,10 +532,6 @@ def experiment_e4_scaling(cfg: ExperimentConfig) -> list[tuple]:
     statement, against both variance normalizations in circulation.
     Skewness of the standardized count is exploratory output."""
     p = cfg.params
-    if p.d < 3:
-        raise ValueError("scaling discrimination needs d at least 3")
-    if p.coupled_order() != p.d or p.nu[p.d - 1] >= 0.0:
-        raise ValueError("needs a negative top-order coupling")
     d = p.d
 
     def one(a_idx, stream):
@@ -581,13 +578,31 @@ def experiment_e4_scaling(cfg: ExperimentConfig) -> list[tuple]:
 # dispatch and persistence
 
 
+def _uncoupled(p: ModelParams) -> None:
+    if any(v != 0.0 for v in p.nu):
+        raise ValueError("Poisson diagnostics need all couplings zero")
+
+
+def _top_order(p: ModelParams) -> None:
+    if p.coupled_order() != p.d:
+        raise ValueError("limit sweep needs the top-order interaction")
+
+
+def _negative_top_order(p: ModelParams) -> None:
+    if p.d < 3:
+        raise ValueError("scaling discrimination needs d at least 3")
+    if p.coupled_order() != p.d or p.nu[p.d - 1] >= 0.0:
+        raise ValueError("needs a negative top-order coupling")
+
+
 @dataclass(frozen=True)
 class _Command:
     """What a command is.  Its driver returns (header, rows, chain
     diagnostics or None); grid and replicates are its defaults.  chains:
     it runs Markov chains; streams: it draws one RNG stream per
     replicate task; first_point: it runs at one grid point; stem: the
-    name of its table file."""
+    name of its table file; requires raises ValueError on a model
+    template the driver cannot serve, when the config is built."""
 
     driver: Callable[[ExperimentConfig], tuple]
     grid: tuple[float, ...] = CHAIN_GRID
@@ -596,21 +611,24 @@ class _Command:
     streams: bool = False
     first_point: bool = False
     stem: str = "results"
+    requires: Callable[[ModelParams], object] = lambda p: None
 
 
 _COMMANDS = {
     "simulate": _Command(_simulate, CHAIN_GRID[:1], chains=True,
                          streams=True, first_point=True, stem="trace"),
-    "rho": _Command(_rho),
+    "rho": _Command(_rho, requires=ModelParams.coupled_order),
     "moments": _Command(_moments, CHAIN_GRID[:1], first_point=True),
     "e1": _Command(lambda cfg: (E1_HEADER, experiment_e1_poisson_clt(cfg),
-                                None), POISSON_GRID, 400, streams=True),
+                                None), POISSON_GRID, 400, streams=True,
+                   requires=_uncoupled),
     "e2": _Command(lambda cfg: (E2_HEADER, experiment_e2_degeneracy(cfg),
-                                None), chains=True, streams=True),
+                                None), chains=True, streams=True,
+                   requires=ModelParams.coupled_order),
     "e3": _Command(lambda cfg: (E3_HEADER, experiment_e3_rho_limits(cfg),
-                                None)),
+                                None), requires=_top_order),
     "e4": _Command(lambda cfg: (E4_HEADER, experiment_e4_scaling(cfg), None),
-                   chains=True, streams=True),
+                   chains=True, streams=True, requires=_negative_top_order),
 }
 
 

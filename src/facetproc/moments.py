@@ -10,13 +10,12 @@ values through geometry.canonical_content, and a correlation provider
 maps the axes of K merged tuples to K correlations, so these integrals
 need canonical models.  The module also carries the expected-increment
 functional of a single extra facet, the asymptotic covariances built
-from it, and the constants of the dilation scaling limit.  Under a
-constant center intensity the increments come from one batched midpoint
-quadrature over all query facets of a covariance table, each order
-evaluated once per table however many (i, j) pairs use it; a single
-expected_increment is the batch of one.  Quadrature resolutions, orders
-and group sizes must be integers >= 1, sample and pattern counts integers
->= 2.
+from it, and the constants of the dilation scaling limit.  A covariance
+table evaluates each order once per stream however many (i, j) pairs
+use it: by Monte Carlo per facet, or under a constant center intensity
+by one batched midpoint quadrature over its query facets, of which one
+expected_increment is the batch of one.  Resolutions, orders and group
+sizes must be integers >= 1, sample and pattern counts integers >= 2.
 """
 
 from __future__ import annotations
@@ -392,12 +391,13 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
     query facets: the rows of one (n_samples, d + 2) uniform block,
     mapped through the model's laws as in sample_poisson.
 
-    Order 1 is the facet content, and under quadrature each order above
-    it is one batched _quad_increments call, so every order is evaluated
-    once however many pairs use it.  Monte Carlo evaluates each pair per
-    facet, facet t with seeds seed + 7t (order i) and seed + 7t + 3
-    (order j), also when i == j: the square of one estimate would add its
-    variance to the product.
+    Each pair multiplies two entries of one table of per-facet
+    increments, order i from stream 0 and order j from stream 3, so each
+    order is evaluated once per stream however many pairs use it.  Order
+    1 is the facet content.  Quadrature is one batched _quad_increments
+    call per order that both streams share; Monte Carlo gives facet t of
+    stream s the seed seed + 7t + s, so (i, i) multiplies two independent
+    estimates: the square of one would add its variance to the product.
     """
     d = p.d
     for k in itertools.chain(*pairs):
@@ -408,28 +408,27 @@ def _covariance_table(pairs, p: ModelParams, n_samples: int, seed: int,
                   mc_patterns=mc_patterns)
     mapped = p.sample_facets_from_uniforms(
         make_rng(seed).random((n_samples, d + 2)))
-    centers, extents, orientations = mapped
-    inc = {1: np.array([(2.0 * r) ** (d - 1) for r in extents.tolist()])}
-    orders = sorted({k for pair in pairs for k in pair if k > 1})
-    if orders and _increment_method(p, method) == "quadrature":
-        for k in orders:
-            inc[k] = _quad_increments(k, p, centers, orientations,
-                                      resolution)
+    centers, extents, axes = mapped
+    wanted = {(k, s) for pair in pairs for k, s in zip(pair, (0, 3))}
+    quad = any(k > 1 for k, _ in wanted) \
+        and _increment_method(p, method) == "quadrature"
+
+    def key(k: int, s: int) -> tuple[int, int]:
+        return (k, 0 if k == 1 or quad else s)
+
+    inc = {(1, 0): np.array([(2.0 * r) ** (d - 1) for r in extents.tolist()])}
+    for k, s in sorted({key(*ks) for ks in wanted} - inc.keys()):
+        if quad:
+            inc[k, s] = _quad_increments(k, p, centers, axes, resolution)
+        else:
+            inc[k, s] = np.array([expected_increment(
+                k, y, p, method="mc", n_samples=mc_patterns,
+                seed=seed + 7 * t + s)[0]
+                for t, y in enumerate(_facet_list(*mapped))])
     t_mass = p.total_intensity
     out = {}
     for i, j in pairs:
-        if i in inc and j in inc:
-            prods = inc[i] * inc[j]
-        else:
-            prods = np.empty(n_samples)
-            for t, y in enumerate(_facet_list(*mapped)):
-                vi, _ = expected_increment(i, y, p, method="mc",
-                                           n_samples=mc_patterns,
-                                           seed=seed + 7 * t)
-                vj, _ = expected_increment(j, y, p, method="mc",
-                                           n_samples=mc_patterns,
-                                           seed=seed + 7 * t + 3)
-                prods[t] = vi * vj
+        prods = inc[key(i, 0)] * inc[key(j, 3)]
         out[(i, j)] = (t_mass * float(prods.mean()),
                        t_mass * batch_means_se(prods))
     return out
@@ -445,12 +444,12 @@ def asymptotic_covariance(i: int, j: int, p: ModelParams,
 
     Monte Carlo over n_samples query facets, drawn as arrays from one
     uniform block.  Each increment is expected_increment with the given
-    method: under quadrature each order is one batched evaluation over
-    all the facets, done once when i == j; Monte Carlo runs mc_patterns
-    reference patterns per facet for each factor, independent ones for
-    the two.  n_samples and mc_patterns must be integers >= 2 and
-    resolution an integer >= 1.  Returns value and the standard error of
-    the outer average.
+    method: under quadrature one batched evaluation per order over all
+    the facets, which the two factors share; under Monte Carlo
+    mc_patterns reference patterns per facet and factor, independent
+    ones for the two.  n_samples and mc_patterns must be integers >= 2
+    and resolution an integer >= 1.  Returns value and the standard
+    error of the outer average.
     """
     return _covariance_table(((i, j),), p, n_samples, seed, method,
                              resolution, mc_patterns)[(i, j)]

@@ -164,7 +164,17 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     (["experiment", "e2"], "d = 2\nnu.2 = -1\na.grid = 1,16\n"
                            "chain.steps = 100000,6000000\nchain.thin = 1\n",
      ("a = 16.0", "trace too large")),
-], ids=["e2-steps-short", "simulate-nu2-nan", "e2-trace-too-large"])
+    # each command's model requirement: these made the output directory
+    # and were refused only when the driver ran
+    (["experiment", "e4"], "d = 2\nnu.2 = -1\n", ("at least 3",)),
+    (["experiment", "e1"], "d = 2\nnu.2 = -1\n", ("couplings zero",)),
+    (["experiment", "e3"], "d = 3\nnu.2 = -1\n", ("top-order",)),
+    (["experiment", "e2"], "d = 3\nnu.2 = -1\nnu.3 = -1\n",
+     ("more than one interaction order",)),
+    (["rho"], "d = 3\nnu.2 = -1\nnu.3 = -1\n",
+     ("more than one interaction order",)),
+], ids=["e2-steps-short", "simulate-nu2-nan", "e2-trace-too-large",
+        "e4-d2", "e1-coupled", "e3-nu2", "e2-two-orders", "rho-two-orders"])
 def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
                                                text, named):
     out = tmp_path / "out"

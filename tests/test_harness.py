@@ -226,9 +226,8 @@ def test_arrangements_cover_admissible_cases():
 
 
 def test_e1_rejects_coupled_models(tmp_path):
-    cfg = make_cfg("e1", {"d": "2", "nu.2": "-1"}, tmp_path)
     with pytest.raises(ValueError, match="zero"):
-        experiment_e1_poisson_clt(cfg)
+        make_cfg("e1", {"d": "2", "nu.2": "-1"}, tmp_path)
 
 
 def test_e1_matches_asymptotic_constants(tmp_path):
@@ -303,10 +302,8 @@ def test_e2_submodel_envelope_certifies(tmp_path):
 
 
 def test_e3_requires_top_order(tmp_path):
-    cfg = make_cfg("e3", {"d": "3", "nu.2": "-1", "a.grid": "1,2"},
-                   tmp_path)
     with pytest.raises(ValueError, match="top-order"):
-        experiment_e3_rho_limits(cfg)
+        make_cfg("e3", {"d": "3", "nu.2": "-1", "a.grid": "1,2"}, tmp_path)
 
 
 def test_e3_converges_to_limits(tmp_path):
@@ -336,12 +333,10 @@ def test_e3_control_collapses_to_one(tmp_path):
 
 
 def test_e4_guards(tmp_path):
-    cfg = make_cfg("e4", {"d": "2", "nu.2": "-1"}, tmp_path)
     with pytest.raises(ValueError, match="at least 3"):
-        run_experiment(cfg)
-    cfg = make_cfg("e4", {"d": "3"}, tmp_path)
+        make_cfg("e4", {"d": "2", "nu.2": "-1"}, tmp_path)
     with pytest.raises(ValueError, match="negative top-order"):
-        run_experiment(cfg)
+        make_cfg("e4", {"d": "3"}, tmp_path)
 
 
 def test_e4_reports_both_normalizations(tmp_path):

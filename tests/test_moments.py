@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from facetproc import moments
 from facetproc.correlation import correlation_provider, rho_series_counts
 from facetproc.geometry import Facet, facet_measure, tuple_content
 from facetproc.model import ModelParams, OrientationLaw
@@ -493,6 +494,93 @@ def test_covariance_table_shares_one_draw():
         assert val == p.total_intensity * float(prods.mean())
         assert val == asymptotic_covariance(i, j, p, n_samples=3, seed=5,
                                             method="mc", mc_patterns=20)[0]
+
+
+# _covariance_table over every ordered pair, n_samples=8, seed=4,
+# resolution=20 and mc_patterns=30: float-hex value and standard error,
+# recorded when each pair still ran its own per-facet Monte Carlo loop
+_PINNED_TABLES = {
+    "hemisphere": {
+        (1, 1): ('0x1.0000000000000p+2', '0x0.0p+0'),
+        (1, 2): ('0x1.8222222222222p+0', '0x1.01b375bea0831p-4'),
+        (2, 1): ('0x1.6888888888888p+0', '0x1.102d23b83ff74p-3'),
+        (2, 2): ('0x1.156789abcdf01p-1', '0x1.ed233532e42fep-5'),
+    },
+    "table": {
+        (1, 1): ('0x1.2000000000000p+6', '0x0.0p+0'),
+        (1, 2): ('0x1.58d497d7fb5c6p+6', '0x1.fc2766a489dd5p-1'),
+        (1, 3): ('0x1.2000000000000p+5', '0x1.d43506b5f9372p+0'),
+        (2, 1): ('0x1.6614e0aef4595p+6', '0x1.e207445cabad3p+1'),
+        (2, 2): ('0x1.aca8cc6ac5f29p+6', '0x1.47d0ed7017814p+2'),
+        (2, 3): ('0x1.64f16899a3dc1p+5', '0x1.379657a504cf0p+1'),
+        (3, 1): ('0x1.2733333333333p+5', '0x1.caa965866a8b4p+0'),
+        (3, 2): ('0x1.5e3dfbfab520ap+5', '0x1.349a9fd728c80p+1'),
+        (3, 3): ('0x1.2751eb851eb85p+4', '0x1.6d5aa9b809b02p+0'),
+    },
+    "two-atom": {
+        (1, 1): ('0x1.8346dc5d63886p+3', '0x1.2009303e2862ep+1'),
+        (1, 2): ('0x1.4120521497601p+1', '0x1.6d3312dc339ddp-2'),
+        (1, 3): ('0x1.cc1e098ead65cp-3', '0x1.c0480c872f3b2p-4'),
+        (2, 1): ('0x1.5cf5c4aaf17bcp+1', '0x1.5598edf1a26fap-1'),
+        (2, 2): ('0x1.1dc4a7f078818p-1', '0x1.ab656edf88b98p-4'),
+        (2, 3): ('0x1.a2bcb3ad52383p-5', '0x1.54db0b7ce85c7p-6'),
+        (3, 1): ('0x1.4e81b4e81b4e9p-3', '0x1.6e9c98a22a9bdp-4'),
+        (3, 2): ('0x1.1de667f15ce8ap-5', '0x1.190f2255c41e9p-6'),
+        (3, 3): ('0x1.23456789abce0p-8', '0x1.154826751c9a4p-9'),
+    },
+    "quadrature": {
+        (1, 1): ('0x1.0000000000000p+4', '0x0.0p+0'),
+        (1, 2): ('0x1.1aefb148a5b68p+2', '0x1.d7d60a077853ep-6'),
+        (1, 3): ('0x1.c71c71c71c71cp-2', '0x0.0p+0'),
+        (2, 1): ('0x1.1aefb148a5b68p+2', '0x1.d7d60a077853ep-6'),
+        (2, 2): ('0x1.38c4623b7d9f6p+0', '0x1.066bfde021d1ep-6'),
+        (2, 3): ('0x1.f6ff740f5f7d6p-4', '0x1.a368ec786af51p-11'),
+        (3, 1): ('0x1.c71c71c71c71cp-2', '0x0.0p+0'),
+        (3, 2): ('0x1.f6ff740f5f7d6p-4', '0x1.a368ec786af51p-11'),
+        (3, 3): ('0x1.948b0fcd6e9e0p-7', '0x0.0p+0'),
+    },
+}
+_TABLE_MODELS = {
+    "hemisphere": (_hemisphere_model((0.0, 0.0), 1.0), "mc"),
+    "table": (_table_model(3, (0.0,) * 3, 1.0), "mc"),
+    "two-atom": (_two_atom_model(3, (0.0,) * 3, 1.0), "mc"),
+    "quadrature": (ModelParams.special(3, (0.0,) * 3), "quadrature"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_TABLES))
+def test_covariance_table_bits_are_pinned(name):
+    p, method = _TABLE_MODELS[name]
+    pairs = list(itertools.product(range(1, p.d + 1), repeat=2))
+    table = _covariance_table(pairs, p, n_samples=8, seed=4, method=method,
+                              resolution=20, mc_patterns=30)
+    got = {k: (v.hex(), se.hex()) for k, (v, se) in table.items()}
+    assert got == _PINNED_TABLES[name]
+    for i, j in pairs:
+        assert table[(i, j)] == asymptotic_covariance(
+            i, j, p, n_samples=8, seed=4, method=method, resolution=20,
+            mc_patterns=30)
+
+
+@pytest.mark.parametrize("d,per_facet", [(2, 2), (3, 4)])
+def test_monte_carlo_table_evaluates_each_order_once_per_stream(
+        monkeypatch, d, per_facet):
+    # The pairs i <= j need orders 2..d from stream 0 and from stream 3;
+    # order 1 is the facet content.  Evaluating each pair on its own
+    # took 4 and 10 calls per facet.
+    calls = []
+
+    def counted(j, *args, **kwargs):
+        calls.append(j)
+        return expected_increment(j, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "expected_increment", counted)
+    p = _table_model(d, (0.0,) * d, 1.0)
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+    _covariance_table(pairs, p, n_samples=5, seed=0, method="mc",
+                      resolution=1, mc_patterns=10)
+    assert len(calls) == per_facet * 5
+    assert sorted(set(calls)) == list(range(2, d + 1))
 
 
 def test_monte_carlo_covariance_diagonal_is_unbiased():

@@ -215,7 +215,7 @@ BAD_INPUT = {
     "direct-rho-replicates": lambda: ExperimentConfig(
         "rho", PAIR, (1.0,), 7, (), "out", 0),
     "direct-e1-burnin": lambda: ExperimentConfig(
-        "e1", PAIR, (1.0,), 50, (), "out", 0, burn_in=10),
+        "e1", INACTIVE, (1.0,), 50, (), "out", 0, burn_in=10),
     "direct-e3-replicates": lambda: ExperimentConfig(
         "e3", PAIR, (1.0,), 2, (), "out", 0),
     # rho's manifest recorded chain_steps [-5]
@@ -227,6 +227,33 @@ BAD_INPUT = {
         "e2", HEMISPHERE, (1.0,), 1, (100,), "out", 0),
     "direct-e4-table": lambda: ExperimentConfig(
         "e4", TABLE, (1.0,), 1, (100,), "out", 0),
+    # each command's model requirement; these were refused only when the
+    # driver ran, after the output directory was made
+    "direct-e4-d2": lambda: ExperimentConfig(
+        "e4", PAIR, (1.0,), 1, (1000,), "out", 0),
+    "direct-e4-uncoupled": lambda: ExperimentConfig(
+        "e4", ModelParams.special(3, (0.0,) * 3), (1.0,), 1, (1000,), "out",
+        0),
+    "direct-e1-coupled": lambda: ExperimentConfig(
+        "e1", PAIR, (1.0,), 50, (), "out", 0),
+    "direct-e3-nu2": lambda: ExperimentConfig(
+        "e3", ModelParams.special(3, (0.0, -1.0, 0.0)), (1.0,), 1, (), "out",
+        0),
+    "direct-e2-two-orders": lambda: ExperimentConfig(
+        "e2", ModelParams.special(3, (0.0, -1.0, -1.0)), (1.0,), 1, (1000,),
+        "out", 0),
+    "direct-rho-two-orders": lambda: ExperimentConfig(
+        "rho", ModelParams.special(3, (0.0, -1.0, -1.0)), (1.0,), 1, (),
+        "out", 0),
+    # empty list items: these read as nu.2 = -1, a.grid = (1, 4) and one
+    # step count broadcast over the grid
+    "conf-nu2-trailing-comma": lambda: config_model(
+        {"d": "2", "nu.2": "-1,"}),
+    "conf-grid-empty-item": lambda: build_experiment_config(
+        "e2", {"d": "2", "nu.2": "-1", "a.grid": "1,,4"}, "out", 0),
+    "conf-steps-trailing-comma": lambda: build_experiment_config(
+        "e2", {"d": "2", "nu.2": "-1", "a.grid": "1,4",
+               "chain.steps": "1000,"}, "out", 0),
     # True was taken as order 1; the floats ended in a TypeError
     "increment-order-bool": lambda: expected_increment(True, PRESENT, PAIR),
     "increment-order-float": lambda: expected_increment(2.0, PRESENT, PAIR),
