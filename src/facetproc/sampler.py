@@ -8,12 +8,17 @@ uniforms (move, aux, d center coordinates, size, acceptance) regardless of
 the branch taken.
 
 One loop, _run, takes the steps of run_chain.  It converts only the move,
-aux and acceptance columns of a block to Python floats and writes the
-block's retained states into the trace when the block ends.  An increment
-rule takes each block once, in load, before its steps; it then gives log
-lambda* of each proposal by row index, applies the accepted moves and
-reports G at the retained states.  Every chain moves one mutable state in
-place, _ChainState: the facets in pattern order as (center, half-extent,
+aux and acceptance columns of a block to Python floats, and a step only
+marks its row when its move is accepted.  When the block ends, numpy
+fills the block's kept states into the trace: the number of accepted
+moves at or before each kept row gives n (the block's starting n plus a
+running +-1, a birth's +1 and a death's -1) and the entry of the rule's
+log to read.  An increment rule takes each block once, in load, before
+its steps, and starts the block's log there; it then gives log lambda* of
+each proposal by row index, applies the accepted moves, logs what G and
+the occupancy mask need, and gives G and the mask of all the block's kept
+states at once (kept).  Every chain moves one mutable state in place,
+_ChainState: the facets in pattern order as (center, half-extent,
 orientation) triples and a running G.  Two rules extend it, in plain
 Python, each with only the state it reads (the second with a subclass):
 
@@ -27,7 +32,8 @@ Python, each with only the state it reads (the second with a subclass):
   orientation classes.  log lambda* is the fsum of nu_j times these.
   Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
   two segments.  The orders with nu_j = 0 are computed only for accepted
-  moves, for G.
+  moves, for G.  Its log holds G (the fsum of each order) and the mask
+  after each accepted move.
 - _CountsRule serves the finite-orientation special model in d <= 3:
   canonical axes, one facet size r and a window no wider than r.  G_1
   and G_d are closed forms in the orientation counts, and so is the
@@ -38,7 +44,11 @@ Python, each with only the state it reads (the second with a subclass):
   in the overlap of one free coordinate, and G_2 is their running sum
   over the flat facet list.  In d = 2 only kept samples read centers, so
   the rule maps no centers: it keeps the block's center columns, and a
-  birth keeps its raw uniforms until a pattern is built.
+  birth keeps its raw uniforms until a pattern is built.  Its log holds
+  the axis of each accepted death (a birth's axis is its row's) and, in
+  d = 3, the fsum of G_2 after each accepted move; kept rebuilds the
+  counts at the kept states in numpy, where G_1, G_d and the mask are
+  closed forms in them.
 - _PairCountsRule, a _CountsRule for d = 3 with nu_2 != 0, also reads
   order 2 in lambda*: birth and death gather the proposed facet's pair
   terms over the flat list, and an accepted move adds those same terms
@@ -150,6 +160,11 @@ class ChainConfig:
         if not self.n_steps > burn:
             raise ValueError(f"need n_steps > burn_in, got n_steps = "
                              f"{self.n_steps} and burn_in = {burn}")
+        if (self.n_steps - burn) // thin == 0:
+            raise ValueError(f"the chain keeps no state: n_steps = "
+                             f"{self.n_steps}, burn_in = {burn} and thin = "
+                             f"{thin} leave fewer than thin steps after "
+                             f"burn-in")
         if (self.n_steps - burn) // thin > _MAX_TRACE:
             raise ValueError(f"trace too large: n_steps = {self.n_steps}, "
                              f"burn_in = {burn} and thin = {thin} keep more "
@@ -214,6 +229,9 @@ class ChainDiagnostics:
         return self.mean_se(self.trace_n.astype(float))
 
     def g_mean_se(self, order: int) -> tuple[float, float]:
+        _check_int("order", order, 1)
+        if order > self.d:
+            raise ValueError(f"order must be at most d = {self.d}, got {order}")
         return self.mean_se(self.trace_g[:, order - 1])
 
 
@@ -311,7 +329,9 @@ class _GeneralRule(_ChainState):
     log lambda* is the fsum of nu_j times these, as
     model.log_conditional_intensity takes it.  The constructor places the
     facets of x and starts the running G at G(x).  birth proposes the
-    facet that load mapped its row to, or gives -inf if it is present."""
+    facet that load mapped its row to, or gives -inf if it is present.
+    The block's log holds G and the mask as the block starts and after
+    each accepted move (_snapshot)."""
 
     engine = "pattern"
 
@@ -362,9 +382,15 @@ class _GeneralRule(_ChainState):
         for j in self.rest:
             _add_terms(self.g[j - 1], _subset_terms(self.groups, j - 1, f), sign)
 
+    def _snapshot(self) -> None:
+        self._gs.extend(map(math.fsum, self.g))
+        self._masks.append(self._mask())
+
     def load(self, block) -> None:
         mapped = self.p.sample_facets_from_uniforms(block[:, 1:self.d + 3])
         self._z, self._r, self._o = (a.tolist() for a in mapped)
+        self._gs, self._masks = [], []  # G and mask, as the block starts
+        self._snapshot()                # and after each accepted move
 
     def birth(self, i: int) -> float:
         f = (tuple(self._z[i]), self._r[i], self._o[i])
@@ -376,15 +402,17 @@ class _GeneralRule(_ChainState):
     def add(self, i: int) -> None:
         self._update(self._f, 1.0)
         self._push(self._f)
+        self._snapshot()
 
     def death(self, i: int) -> float:
         return self._log_lambda(self.facets[i])
 
     def remove(self, i: int) -> None:
         self._update(self._pop(i), -1.0)
+        self._snapshot()
 
-    def retained(self) -> tuple:
-        return tuple(map(math.fsum, self.g)), self._mask()
+    def kept(self, at: np.ndarray, rows: np.ndarray, born: np.ndarray) -> tuple:
+        return np.reshape(self._gs, (-1, self.d))[at], np.array(self._masks)[at]
 
 
 class _CountsRule(_ChainState):
@@ -403,7 +431,11 @@ class _CountsRule(_ChainState):
     array sampler; in d = 3 it maps the rows as _GeneralRule.load does
     (ModelParams.sample_facets_from_uniforms), and add reads the center
     of an accepted birth.  In d = 2 load keeps the raw center columns,
-    and a birth keeps its uniforms until a pattern is built."""
+    and a birth keeps its uniforms until a pattern is built.  load also
+    starts the block's log: the counts as the block starts, the axis of
+    each accepted death and, in d = 3, the fsum of G_2 as the block
+    starts and after each accepted move; kept turns it into G and the
+    mask of the kept states."""
 
     engine = "counts"
 
@@ -416,6 +448,7 @@ class _CountsRule(_ChainState):
         # two floats is correctly rounded, an inactive order adds +-0.0
         self.nu1_term = p.nu[0] * self.dg1
         self.nud = p.nu[p.d - 1]
+        self._g2: list[float] = []  # load restarts this log
         for f in x.facets:
             self._enter((f.center, f.half_extent, f.orientation))
 
@@ -447,16 +480,20 @@ class _CountsRule(_ChainState):
         self.counts[f[2]] += 1
         if self.d == 3:
             _add_terms(self.g[1], self._pair_terms(f), 1.0)
+            self._g2.append(math.fsum(self.g[1]))
         self.facets.append(f)
 
     def load(self, block) -> None:
         if self.d == 2:  # the rows' axes and raw center uniforms
-            self._axes = self.p.orientation.sample_from_uniform(
-                block[:, 1]).tolist()
+            axes = self.p.orientation.sample_from_uniform(block[:, 1])
             self._z = block[:, 2:4]
         else:  # the rows' centers and axes, as every reference draw maps them
             self._z, _, axes = self.p.sample_facets_from_uniforms(block[:, 1:6])
-            self._axes = axes.tolist()
+        self._birth_axes, self._axes = axes, axes.tolist()
+        self._start = self.counts[:]  # the counts as the block starts
+        self._died = bytearray()  # the axis of each accepted death
+        if self.d == 3:  # G_2 as the block starts and after each accepted move
+            self._g2 = [math.fsum(self.g[1])]
 
     def add(self, i: int) -> None:
         z = self._z[i].tolist()
@@ -472,16 +509,27 @@ class _CountsRule(_ChainState):
     def remove(self, i: int) -> None:
         f = self.facets.pop(i)
         self.counts[f[2]] -= 1
+        self._died.append(f[2])
         if self.d == 3:
             _add_terms(self.g[1], self._pair_terms(f), -1.0)
+            self._g2.append(math.fsum(self.g[1]))
 
-    def retained(self) -> tuple:
-        c = self.counts
-        g1 = len(self.facets) * self.dg1
-        if self.d == 2:
-            return (g1, float(c[0] * c[1])), (c[0] > 0) | (c[1] > 0) << 1
-        return ((g1, math.fsum(self.g[1]), float(c[0] * c[1] * c[2])),
-                (c[0] > 0) | (c[1] > 0) << 1 | (c[2] > 0) << 2)
+    def kept(self, at: np.ndarray, rows: np.ndarray, born: np.ndarray) -> tuple:
+        # each axis's count as the block starts and after each accepted
+        # move, at the kept states; int64 sums and products of counts
+        # below 2^53 are exact, and G_1 = n (2r)^(d-1) rounds as the
+        # Python int * float does
+        axes = self._birth_axes[rows]
+        axes[~born] = np.frombuffer(self._died, dtype=np.uint8)
+        sign = np.where(born, 1, -1)
+        c = [np.cumsum(np.concatenate(([start], np.where(axes == k, sign, 0))))
+             [at] for k, start in enumerate(self._start)]
+        g = np.empty((len(at), self.d))
+        g[:, 0] = sum(c) * self.dg1
+        g[:, -1] = math.prod(c)
+        if self.d == 3:
+            g[:, 1] = np.array(self._g2)[at]
+        return g, sum((c_k > 0) << k for k, c_k in enumerate(c))
 
 
 class _PairCountsRule(_CountsRule):
@@ -513,6 +561,7 @@ class _PairCountsRule(_CountsRule):
         self.counts[f[2]] += 1
         _add_terms(self.g[1], self._terms, 1.0)
         self.facets.append(f)
+        self._g2.append(math.fsum(self.g[1]))
 
     def death(self, i: int) -> float:
         return self._log_lambda(self.facets[i])
@@ -521,6 +570,8 @@ class _PairCountsRule(_CountsRule):
         f = self.facets.pop(i)
         self.counts[f[2]] -= 1
         _add_terms(self.g[1], self._terms, -1.0)
+        self._died.append(f[2])
+        self._g2.append(math.fsum(self.g[1]))
 
 
 def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
@@ -531,36 +582,41 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     patterns to samples unless it is None, and logs progress once per block
     at INFO if n_steps >= _LOG_STEPS.
 
-    rule.load(block) takes in each block before its steps; no other call
-    sees the block.  rule.birth(i) is log lambda*(u; x) of the facet
-    u row i proposes and rule.add(i) adds u; rule.death(i) is
-    log lambda*(x_i; x minus x_i) and rule.remove(i) removes x_i.
-    rule.retained() gives G and the occupancy mask (the canonical axes
-    present; -1 for a non-empty state of the hemisphere law, 0 for the
-    empty state), asked for only when a move was accepted since the last
-    retained state."""
+    rule.load(block) takes in each block before its steps and starts the
+    block's log; no other call sees the block.  rule.birth(i) is
+    log lambda*(u; x) of the facet u row i proposes and rule.add(i) adds
+    u; rule.death(i) is log lambda*(x_i; x minus x_i) and rule.remove(i)
+    removes x_i.  The steps only mark the rows of accepted moves (and
+    visit the kept rows only for samples).  After the block, numpy maps
+    each kept row to the last accepted move at or before it: at[t]
+    accepted moves of the block lie at or before kept row t, so n there is
+    the block's starting n plus the +-1 of those moves.
+    rule.kept(at, rows, born) gives G and the occupancy mask (the canonical
+    axes present; -1 for a non-empty state of the hemisphere law, 0 for
+    the empty state) of the kept states, given the rows of the block's
+    accepted moves and which of them were births."""
     p = rule.p
     log = math.log
     log_a_t = log(p.a * p.total_intensity)
     logs = [log(k) for k in range(1, n + 2)]  # logs[k] = log(k + 1), k <= n
-    load, birth, add, death, remove, retained = (
-        rule.load, rule.birth, rule.add, rule.death, rule.remove, rule.retained)
+    load, birth, add, death, remove = (
+        rule.load, rule.birth, rule.add, rule.death, rule.remove)
     kept_steps, thin = diag.trace_step, diag.thin
     k = done = b_prop = b_acc = d_acc = 0
-    seen = -1  # accepted moves at the last retained state
     for block in blocks:
         load(block)
         moves = block[:, 0]
-        # the block's row of the next retained state, if any
-        keep_i = int(kept_steps[k]) - done - 1 if k < len(kept_steps) else -1
-        ns, accs, gs, masks = [], [], [], []
+        start = n
+        accepted = bytearray(len(block))  # 1 at the rows of accepted moves
+        # the block's row of the next kept state, if samples are kept
+        keep_i = int(kept_steps[k]) - done - 1 \
+            if samples is not None and k < len(kept_steps) else -1
         for i, move, aux, u in zip(range(len(block)), moves.tolist(),
                                    block[:, 1].tolist(), block[:, p.d + 3].tolist()):
             if move < 0.5:
-                accepted = log(u) < birth(i) + log_a_t - logs[n]
-                if accepted:
+                if log(u) < birth(i) + log_a_t - logs[n]:
                     add(i)
-                    b_acc += 1
+                    accepted[i] = 1
                     n += 1
                     if n == len(logs):
                         logs.append(log(n + 1))
@@ -568,33 +624,32 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
                 j = int(aux * n)
                 if j >= n:
                     j = n - 1
-                accepted = log(u) < -(death(j) + log_a_t - logs[n - 1])
-                if accepted:
+                if log(u) < -(death(j) + log_a_t - logs[n - 1]):
                     remove(j)
-                    d_acc += 1
+                    accepted[i] = 1
                     n -= 1
-            else:
-                accepted = False
             if i == keep_i:
-                if b_acc + d_acc != seen:
-                    seen = b_acc + d_acc
-                    g, mask = retained()
-                if samples is not None:
-                    samples.append(rule._pattern())
-                ns.append(n)
-                accs.append(accepted)
-                gs += g
-                masks.append(mask)
+                samples.append(rule._pattern())
                 keep_i += thin
-        if ns:
-            kept = slice(k, k + len(ns))
-            diag.trace_n[kept] = ns
-            diag.trace_accepted[kept] = accs
-            diag.trace_g[kept] = np.reshape(gs, (-1, p.d))
-            diag.trace_occupancy[kept] = masks
-            rows = kept_steps[kept] - done - 1  # their rows in the block
-            diag.trace_move[kept] = np.where(moves[rows] < 0.5, "B", "D")
-            k += len(ns)
+        accepted = np.frombuffer(accepted, dtype=np.bool_)
+        rows = np.flatnonzero(accepted)
+        born = moves[rows] < 0.5
+        births = int(np.count_nonzero(born))
+        b_acc += births
+        d_acc += len(rows) - births
+        end = int(np.searchsorted(kept_steps, done + len(block), side="right"))
+        if end > k:
+            kept = slice(k, end)
+            kept_rows = kept_steps[kept] - done - 1  # their rows in the block
+            at = np.cumsum(accepted)[kept_rows]
+            # n as the block starts and after each accepted move
+            ns = np.cumsum(np.concatenate(([start], np.where(born, 1, -1))))
+            diag.trace_n[kept] = ns[at]
+            diag.trace_accepted[kept] = accepted[kept_rows]
+            diag.trace_g[kept], diag.trace_occupancy[kept] = rule.kept(
+                at, rows, born)
+            diag.trace_move[kept] = np.where(moves[kept_rows] < 0.5, "B", "D")
+            k = end
         b_prop += int(np.count_nonzero(moves < 0.5))
         done += len(block)
         if n_steps >= _LOG_STEPS:

@@ -173,8 +173,13 @@ def test_cli_reports_missing_file(tmp_path, capsys):
      ("more than one interaction order",)),
     (["rho"], "d = 3\nnu.2 = -1\nnu.3 = -1\n",
      ("more than one interaction order",)),
+    # this exited 0 with rows of nan and inf: the chains kept no state
+    (["experiment", "e2"], "d = 2\nnu.2 = -1\nchain.steps = 1000\n"
+                           "chain.thin = 5000\n",
+     ("keeps no state", "thin = 5000")),
 ], ids=["e2-steps-short", "simulate-nu2-nan", "e2-trace-too-large",
-        "e4-d2", "e1-coupled", "e3-nu2", "e2-two-orders", "rho-two-orders"])
+        "e4-d2", "e1-coupled", "e3-nu2", "e2-two-orders", "rho-two-orders",
+        "e2-keeps-nothing"])
 def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
                                                text, named):
     out = tmp_path / "out"

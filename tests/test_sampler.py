@@ -22,6 +22,7 @@ from facetproc.model import (
     local_stability_bound,
     log_conditional_intensity,
 )
+from facetproc import sampler
 from facetproc.sampler import (
     ChainConfig,
     _add_terms,
@@ -580,13 +581,85 @@ def test_chain_trajectories_are_pinned(name):
     for run in runs:
         samples, diag = run(p, ChainConfig(**cfg))
         assert diag.n_retained > 500
-        assert _digest(
-            diag.trace_step.tolist(), diag.trace_n.tolist(),
-            diag.trace_g.tolist(), diag.trace_accepted.tolist(),
-            diag.trace_move.tolist(), diag.trace_occupancy.tolist(),
-            (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
-             diag.death_accepted),
-            [x.facets for x in samples]) == _PINNED_DIGESTS[name]
+        assert _chain_digest(samples, diag) == _PINNED_DIGESTS[name]
+
+
+def _chain_digest(samples, diag) -> str:
+    """_digest of a chain's trace, counters and kept patterns."""
+    return _digest(
+        diag.trace_step.tolist(), diag.trace_n.tolist(),
+        diag.trace_g.tolist(), diag.trace_accepted.tolist(),
+        diag.trace_move.tolist(), diag.trace_occupancy.tolist(),
+        (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
+         diag.death_accepted),
+        [x.facets for x in samples])
+
+
+# One short chain per rule and model class: the d = 2 counts rule, the
+# d = 3 counts rule with kept samples, the d = 3 nu_2 pair rule, the
+# general rule on a canonical model, the hemisphere law and a table center
+# intensity (on the pair rule)
+_RULE_CHAINS = {
+    "d2-counts": (ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
+                  run_chain, dict(n_steps=3000, seed=3, burn_in=10, thin=3)),
+    "d3-counts-samples": (ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0),
+                          run_chain, dict(n_steps=2000, seed=3, burn_in=5,
+                                          thin=2, keep_samples=True)),
+    "d3-nu2": (ModelParams.special(3, (0.3, -1.0, -0.5), a=8.0), run_chain,
+               dict(n_steps=2000, seed=3, burn_in=0, thin=3)),
+    "general": (ModelParams.special(3, (0.1, -0.5, -1.0), a=4.0),
+                _run_general, dict(n_steps=1500, seed=3, burn_in=0, thin=2)),
+    "hemisphere": (_hemisphere_model((0.3, -1.0), 4.0), run_chain,
+                   dict(n_steps=1500, seed=3, burn_in=0, thin=2,
+                        keep_samples=True)),
+    "table": (_table_model(3, (0.2, -1.0, 0.0), 4.0), run_chain,
+              dict(n_steps=2000, seed=3, burn_in=0, thin=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_CHAINS))
+def test_trace_does_not_depend_on_the_block_size(name, monkeypatch):
+    # the kept states are filled once per block of uniforms: blocks of one
+    # row (many hold no accepted move, and at thin > 1 many no kept row)
+    # and of 7 rows (cutting the kept rows of every thin unevenly) give
+    # the chain of the default block, bit for bit
+    p, run, cfg = _RULE_CHAINS[name]
+    expected = _chain_digest(*run(p, ChainConfig(**cfg)))
+    for rows in (1, 7):
+        monkeypatch.setattr(sampler, "_BLOCK", rows)
+        assert _chain_digest(*run(p, ChainConfig(**cfg))) == expected
+
+
+@pytest.mark.parametrize("name", list(_RULE_CHAINS))
+def test_trace_n_and_acceptance_follow_the_moves(name):
+    # read off the trace alone, at burn-in 0 and thin 1: n changes exactly
+    # at the accepted steps, by +1 on a birth and -1 on a death, from the
+    # initial pattern's n, and the counters are the trace's births and
+    # deaths, proposed and accepted
+    p, run, cfg = _RULE_CHAINS[name]
+    initial = sample_poisson(p, make_rng(7))
+    assert initial.n > 0
+    _, diag = run(p, ChainConfig(**{**cfg, "burn_in": 0, "thin": 1,
+                                    "keep_samples": False,
+                                    "initial": initial}))
+    change = np.diff(np.concatenate(([initial.n], diag.trace_n)))
+    birth, accepted = diag.trace_move == "B", diag.trace_accepted
+    assert np.array_equal(accepted, change != 0)
+    assert np.array_equal(change[accepted], np.where(birth, 1, -1)[accepted])
+    assert diag.birth_accepted == np.count_nonzero(accepted & birth) > 50
+    assert diag.death_accepted == np.count_nonzero(accepted & ~birth) > 50
+    assert diag.birth_proposed == np.count_nonzero(birth)
+    assert diag.death_proposed == np.count_nonzero(~birth)
+
+
+def test_g_mean_se_refuses_orders_outside_one_to_d():
+    _, diag = run_chain(_PAIR, ChainConfig(n_steps=200, seed=1, burn_in=0,
+                                           thin=1))
+    assert diag.g_mean_se(2) == diag.mean_se(diag.trace_g[:, 1])
+    # 0 and -1 gave the G_2 and G_1 means, 2.0 ended in numpy's IndexError
+    for order in (0, -1, 3, 2.0, True):
+        with pytest.raises(ValueError, match="order"):
+            diag.g_mean_se(order)
 
 
 # terms from 2^-60 to 8, each move's drawn with repeats from a small pool,

@@ -21,7 +21,7 @@ from facetproc.moments import (MomentSpec, asymptotic_covariance,
                                expected_increment, i_k_integrals,
                                interaction_kernel, scaling_limit_constants,
                                unit_kernel)
-from facetproc.sampler import ChainConfig
+from facetproc.sampler import ChainConfig, run_chain
 from facetproc.ustat import FacetPattern, g_increment
 
 NAN, INF = math.nan, math.inf
@@ -96,6 +96,13 @@ BAD_INPUT = {
     # this gave 0.0, where g_increment refuses the facet
     "intensity-duplicate-inactive": lambda: log_conditional_intensity(
         [PRESENT], HOLDING, INACTIVE),
+    # these kept no state: run_chain returned an empty trace, and e2 wrote
+    # rows of nan and inf after numpy's "Mean of empty slice"
+    "chain-keeps-nothing": lambda: run_chain(PAIR, ChainConfig(
+        n_steps=100, burn_in=0, thin=200)),
+    "conf-e2-keeps-nothing": lambda: build_experiment_config(
+        "e2", {"d": "2", "nu.2": "-1", "chain.steps": "1000",
+               "chain.thin": "5000"}, "out", 0),
     # these ended in a numpy TypeError inside run_chain, or (True) ran one
     # step
     "chain-thin-float": lambda: ChainConfig(n_steps=1000, thin=2.5).resolve(
