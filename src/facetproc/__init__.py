@@ -1,5 +1,8 @@
 """Exponential-family facet processes: simulation and numerical checks."""
 
+# set before the submodules load: harness writes it into every manifest
+__version__ = "0.1.0"
+
 from .correlation import (RhoBoundResult, RhoSeriesResult,
                           correlation_provider, rho_bounds, rho_decay_rate,
                           rho_limit, rho_limit_from_counts, rho_series_counts)
@@ -67,5 +70,3 @@ __all__ = [
     "unit_kernel",
     "validate_params",
 ]
-
-__version__ = "0.1.0"

@@ -373,19 +373,20 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
 def rho_decay_rate(d: int, k: int, b: float, total_intensity: float,
                    nu: float) -> float:
     """Negative constant R with correlation <= const * e^(R a) under a
-    negative order-(d-k) coupling.  Minimizes over the integer envelope
-    exponents 1..10; feasible for every negative coupling because the
-    leading exponentials vanish."""
+    negative order-(d-k) coupling: T/d times the envelope
+    k e^(p nu b^k) + (d-k-1) e^(nu b^k) + e^(q nu b^k) - (d-k-1) at its
+    smallest over the integer exponents p, q in 1..10.  As nu b^k < 0 the
+    envelope falls in both, so the cap p = q = 10 sets the value.  Refused
+    when it is not negative."""
     _check_int("dimension d", d, 2)
     _check_int("codimension k", k, 1)
     if nu >= 0:
         raise ValueError("coupling must be negative")
     if not 1 <= k <= d - 2:
         raise ValueError("need 1 <= k <= d-2")
-    base, exps = nu * b ** k, range(1, 11)
-    best = min((k * math.exp(base * p_exp) + (d - k - 1) * math.exp(base)
-                + math.exp(base * q_exp) - (d - k - 1)
-                for p_exp in exps for q_exp in exps), default=math.inf)
+    base = nu * b ** k
+    best = (k * math.exp(base * 10) + (d - k - 1) * math.exp(base)
+            + math.exp(base * 10) - (d - k - 1))
     if best >= 0:
         raise ValueError("no negative rate within the exponents 1..10")
     return total_intensity * best / d

@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .correlation import (_series_evaluator, rho_bounds, rho_limit,
                           rho_limit_from_counts, rho_series_counts)
 from .model import ModelParams, _check_int
@@ -207,14 +208,6 @@ def build_experiment_config(experiment: str, conf: dict[str, str],
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("facetproc")
-    except Exception:
-        return "unknown"
 
 
 def _fmt(v) -> str:
@@ -664,7 +657,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    "a_grid": list(cfg.a_grid), "replicates": cfg.replicates,
                    "chain_steps": list(cfg.chain_steps),
                    "chain_burnin": cfg.burn_in, "chain_thin": cfg.thin},
-        "version": _package_version(), "wall_seconds": round(wall, 3),
+        "version": __version__, "wall_seconds": round(wall, 3),
         "outputs": {path.name: _sha256(path)}}
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2)

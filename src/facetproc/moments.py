@@ -24,6 +24,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -459,42 +460,38 @@ def asymptotic_covariance(i: int, j: int, p: ModelParams,
 # scaling-limit constants
 
 
-def _gauss(poly: Callable, lo: float, hi: float, nodes: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(np.dot(w, poly(mid + half * x)))
-
-
 def i_k_integrals(d: int, k: int, b: float = 1.0,
                   chi: float = 1.0) -> tuple[float, float]:
     """Geometric constants of the codimension-k intersection statistic
-    under constant center intensity on the cube of side b.
+    under constant center intensity chi on the cube of side b (both
+    positive and finite), with m = d - k.
 
-    Both integrals factorize over coordinates; the free-coordinate
-    factor reduces to one-dimensional integrals of powers of the
-    overlap profile w(t) = |[0,b] ∩ [t-b, t+b]|, evaluated by Gauss
-    quadrature that is exact on each polynomial piece.  The first value
-    integrates the intersection content of d-k distinct-orientation
-    facets; the second is its square-type analogue over two such
-    families sharing one facet, which drives the limiting variance.
+    The first value, chi^m b^(m^2) J_m^k, integrates the intersection
+    content of d-k distinct-orientation facets: J_m = ∫ w(t)^m dt =
+    b^(m+1) (m+3)/(m+1) over the overlap profile w(t) = |[0,b] ∩ [t-b, t+b]|.
+    The second, chi^(2m-1) b^((2m-1)m) K_m^k, is its square-type analogue
+    over two such families sharing one facet, which drives the limiting
+    variance: K_m = ∫_0^b s(t)^2 dt with s(t) = b^m A - (t^m + (b-t)^m)/m
+    and A = (m+2)/m is b^(2m+1) [A^2 - 4A/(m(m+1)) + (2/(2m+1)
+    + 2 m!^2/(2m+1)!)/m^2] by the Beta integral ∫_0^1 u^m (1-u)^m du =
+    m!^2/(2m+1)!.  Both are exact rationals of b and chi, each rounded
+    once to the nearest double.
     """
     _check_int("dimension d", d, 2)
     _check_int("codimension k", k, 1)
     if not 1 <= k <= d - 1:
         raise ValueError("codimension out of range")
+    if not (0 < b < math.inf and 0 < chi < math.inf):
+        raise ValueError("b and chi must be positive and finite")
     m = d - k
-    j_m = (_gauss(lambda t: (t + b) ** m, -b, 0.0, m // 2 + 2)
-           + b ** m * b
-           + _gauss(lambda t: (2 * b - t) ** m, b, 2 * b, m // 2 + 2))
-    i_k = chi ** m * b ** (m * (d - k)) * j_m ** k
-
-    def shared(t):
-        return b ** m * (1 + 2 / m) - (t ** m + (b - t) ** m) / m
-
-    k_m = _gauss(lambda t: shared(t) ** 2, 0.0, b, m + 1)
-    i_prime = chi ** (2 * m - 1) * b ** ((2 * m - 1) * (d - k)) * k_m ** k
-    return i_k, i_prime
+    b, chi, a = Fraction(b), Fraction(chi), Fraction(m + 2, m)
+    j_m = b ** (m + 1) * Fraction(m + 3, m + 1)
+    beta = Fraction(math.factorial(m) ** 2, math.factorial(2 * m + 1))
+    k_m = b ** (2 * m + 1) * (a * a - 4 * a / (m * (m + 1))
+                              + (Fraction(2, 2 * m + 1) + 2 * beta) / m ** 2)
+    i_k = chi ** m * b ** (m * m) * j_m ** k
+    i_prime = chi ** (2 * m - 1) * b ** ((2 * m - 1) * m) * k_m ** k
+    return float(i_k), float(i_prime)
 
 
 class ScalingLimits(NamedTuple):

@@ -188,7 +188,7 @@ class ChainDiagnostics:
     trace_n: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     trace_g: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     trace_accepted: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    trace_move: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="U1"))
+    trace_birth: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     trace_occupancy: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
@@ -237,14 +237,17 @@ class ChainDiagnostics:
 
 def batch_means_se(values: np.ndarray) -> float:
     """Batch-means standard error of the mean of a correlated series, over
-    64 batches (fewer for series shorter than 128)."""
+    64 batches (fewer for series shorter than 128); 0.0 if it is constant."""
     values = np.asarray(values, dtype=float)
     m = len(values)
     if m < 4:
         return math.inf
     nb = min(64, m // 2)
     length = m // nb
-    means = values[: nb * length].reshape(nb, length).mean(axis=1)
+    used = values[: nb * length]
+    if used.min() == used.max():
+        return 0.0
+    means = used.reshape(nb, length).mean(axis=1)
     return float(np.std(means, ddof=1) / math.sqrt(nb))
 
 
@@ -648,7 +651,7 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
             diag.trace_accepted[kept] = accepted[kept_rows]
             diag.trace_g[kept], diag.trace_occupancy[kept] = rule.kept(
                 at, rows, born)
-            diag.trace_move[kept] = np.where(moves[kept_rows] < 0.5, "B", "D")
+            diag.trace_birth[kept] = moves[kept_rows] < 0.5
             k = end
         b_prop += int(np.count_nonzero(moves < 0.5))
         done += len(block)
@@ -665,7 +668,7 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
     """Run BDMH; returns (samples, ChainDiagnostics).
 
     samples is empty unless cfg.keep_samples; the diagnostics trace always
-    records (step, n, G vector, move, occupancy) per retained state.  The
+    records (step, n, G vector, accepted, birth, occupancy) per state.  The
     counts rule runs whenever the model allows it (_counts_eligible), the
     general rule otherwise; diag.engine names the one that ran.  Initial
     patterns the model cannot draw are refused.
@@ -688,7 +691,7 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
         trace_n=np.empty(n_keep, dtype=np.int64),
         trace_g=np.empty((n_keep, p.d)),
         trace_accepted=np.empty(n_keep, dtype=bool),
-        trace_move=np.empty(n_keep, dtype="U1"),
+        trace_birth=np.empty(n_keep, dtype=bool),
         trace_occupancy=np.empty(n_keep, dtype=np.int64),
     )
     samples = [] if cfg.keep_samples else None
@@ -700,10 +703,10 @@ def run_chain(p: ModelParams, cfg: ChainConfig):
 
 def trace_table(diag: ChainDiagnostics) -> tuple[tuple[str, ...], list[tuple]]:
     """Header and rows of the retained-sample trace: step, n, G_1..G_d,
-    accepted (0 or 1) and move, as Python ints, floats and strings."""
+    accepted (0 or 1) and move (B or D), as Python ints, floats and strings."""
     header = ("step", "n") + tuple(f"G_{j}" for j in range(1, diag.d + 1)) \
         + ("accepted", "move")
-    rows = [(step, n, *g, acc, move) for step, n, g, acc, move in zip(
+    rows = [(step, n, *g, acc, "DB"[birth]) for step, n, g, acc, birth in zip(
         diag.trace_step.tolist(), diag.trace_n.tolist(), diag.trace_g.tolist(),
-        diag.trace_accepted.astype(int).tolist(), diag.trace_move.tolist())]
+        diag.trace_accepted.astype(int).tolist(), diag.trace_birth.tolist())]
     return header, rows

@@ -1,6 +1,7 @@
 """Command-line entry point: subcommand smoke runs, output files,
 error reporting."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -119,6 +120,43 @@ RERUN_CASES = {
     "e4": (["experiment", "e4"], "d = 3\nnu.3 = -1\na.grid = 2\n"
                                  "chain.steps = 5000\nreplicates = 2\n"),
 }
+
+
+# sha256 of the results of commands whose floats come from IEEE-exact
+# arithmetic and the correctly rounded math module alone, so that any CPU
+# gives these bytes: chains on the d = 2 counts rule, the d = 3 nu_2 pair
+# rule and the general rule (nu_2 in d = 4), and the moment constants in
+# d = 3 and d = 4 (quadrature and exact I_k).  Commands that pass through
+# numpy's vectorized exp, log or power (rho, e1-e4) are left out.
+PINNED_RESULTS = {
+    "simulate-d2": (
+        ["simulate"], "d = 2\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n",
+        "cf062f535b92bb5bb34746a5b4e0906845d659357cd598ee40d4f7385389f1c7"),
+    "simulate-pair": (
+        ["simulate"], "d = 3\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n",
+        "961ec137f009837de5ef30171c2926f75aa2c63bac5e0e2bdd4f4bfb744623de"),
+    "simulate-general": (
+        ["simulate"], "d = 4\nnu.2 = -1\na.grid = 4\nchain.steps = 5000\n",
+        "e67eb2e69d27db883821b6d95f4c7fc06268950a12003b804b7ec5b457d0eb8e"),
+    "moments-d3": (
+        ["moments"], "d = 3\n",
+        "4b527c7f19debebb569e3622f040acaf4d1329d39f763aaf58973caf663082cc"),
+    "moments-d4": (
+        ["moments"], "d = 4\n",
+        "a1a6cdf0900ea85049b7feb14172f7b0ba4835d24dc0e2b80ee0878e91b87b61"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_RESULTS))
+def test_results_bytes_are_pinned(tmp_path, capsys, case):
+    command, text, digest = PINNED_RESULTS[case]
+    simulate = command == ["simulate"]
+    out = tmp_path / "out"
+    assert run(command + ["--config", write_conf(tmp_path, text), "--seed",
+                          "3" if simulate else "0", "--out", str(out)]) == 0
+    name = "trace.csv" if simulate else "results.csv"
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

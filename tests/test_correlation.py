@@ -176,7 +176,7 @@ def test_bound_rejects_full_order():
 
 
 def test_decay_rate():
-    # capped search lands on both envelope exponents at the cap
+    # the envelope at its exponent cap p = q = 10
     expect = 2 * math.exp(-10) + math.exp(-1) - 1
     assert rho_decay_rate(3, 1, 1.0, 3.0, -1.0) == pytest.approx(expect, rel=1e-12)
     assert rho_decay_rate(3, 1, 1.0, 3.0, -1e9) == pytest.approx(-1.0)
@@ -185,6 +185,26 @@ def test_decay_rate():
         rho_decay_rate(3, 1, 1.0, 3.0, 0.0)
     with pytest.raises(ValueError):
         rho_decay_rate(3, 2, 1.0, 3.0, -1.0)
+
+
+def test_decay_rate_is_the_minimum_over_the_envelope_exponents():
+    # the envelope searched over every exponent pair 1..10 that the rate
+    # allows, against the value at the cap
+    rng = random.Random(26)
+    for _ in range(400):
+        d = rng.randrange(3, 9)
+        k = rng.randrange(1, d - 1)
+        b, t_mass = rng.uniform(0.05, 3.0), rng.uniform(0.01, 100.0)
+        nu = -math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        base = nu * b ** k
+        best = min(k * math.exp(base * p_exp) + (d - k - 1) * math.exp(base)
+                   + math.exp(base * q_exp) - (d - k - 1)
+                   for p_exp in range(1, 11) for q_exp in range(1, 11))
+        if best < 0:
+            assert rho_decay_rate(d, k, b, t_mass, nu) == t_mass * best / d
+        else:
+            with pytest.raises(ValueError, match="no negative rate"):
+                rho_decay_rate(d, k, b, t_mass, nu)
 
 
 def test_rho_mcmc_poisson_is_one():

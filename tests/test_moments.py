@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -642,6 +643,48 @@ def test_i_k_integral_bounds():
         i_k_integrals(3, 0)
     with pytest.raises(ValueError):
         i_k_integrals(3, 3)
+
+
+def _expand(shift, sign, m):
+    """Coefficients of (shift + sign t)^m in powers of t, by the binomial
+    theorem."""
+    return [math.comb(m, i) * shift ** (m - i) * sign ** i
+            for i in range(m + 1)]
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _integral(poly, lo, hi):
+    return sum(c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+               for i, c in enumerate(poly))
+
+
+@pytest.mark.parametrize("b, chi", [(1.0, 1.0), (0.8, 1.3), (1.5, 0.7)])
+def test_i_k_integrals_are_the_nearest_doubles(b, chi):
+    # the overlap profile's pieces and the shared-facet profile s(t)
+    # expanded in powers of t and integrated term by term in exact
+    # rationals, then rounded once
+    b, chi = Fraction(b), Fraction(chi)
+    for d in range(2, 7):
+        for k in range(1, d):
+            m = d - k
+            j_m = (_integral(_expand(b, 1, m), -b, 0) + b ** m * b
+                   + _integral(_expand(2 * b, -1, m), b, 2 * b))
+            s = [-c / m for c in _expand(b, -1, m)]
+            s[0] += b ** m * Fraction(m + 2, m)
+            s[m] -= Fraction(1, m)
+            k_m = _integral(_times(s, s), 0, b)
+            i_k = chi ** m * b ** (m * (d - k)) * j_m ** k
+            i_prime = chi ** (2 * m - 1) * b ** ((2 * m - 1) * (d - k)) \
+                * k_m ** k
+            assert i_k_integrals(d, k, b=float(b), chi=float(chi)) \
+                == (float(i_k), float(i_prime))
 
 
 def test_i_k_orientation_assignment_invariance():

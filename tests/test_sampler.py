@@ -185,8 +185,8 @@ def test_chain_matches_full_recompute_reference():
         x = p.empty_pattern()
         for t in range(1000):
             x, accepted, move = _full_recompute_step(p, x, rows[t])
-            assert (accepted, move) == (diag.trace_accepted[t],
-                                        diag.trace_move[t])
+            assert (accepted, move == "B") == (diag.trace_accepted[t],
+                                               diag.trace_birth[t])
             assert x.facets == samples[t].facets
         assert diag.birth_accepted + diag.death_accepted > 100
 
@@ -216,7 +216,7 @@ def test_engines_produce_identical_chains():
         assert [x.facets for x in s_pat] == [x.facets for x in s_cnt]
         assert np.array_equal(d_pat.trace_n, d_cnt.trace_n)
         assert np.array_equal(d_pat.trace_occupancy, d_cnt.trace_occupancy)
-        assert np.array_equal(d_pat.trace_move, d_cnt.trace_move)
+        assert np.array_equal(d_pat.trace_birth, d_cnt.trace_birth)
         assert np.array_equal(d_pat.trace_accepted, d_cnt.trace_accepted)
         assert np.array_equal(d_pat.trace_g, d_cnt.trace_g)
         assert (d_pat.birth_proposed, d_pat.birth_accepted) == \
@@ -331,7 +331,8 @@ def test_canonical_state_matches_pattern_steps(name):
     x = initial
     for t in range(steps):
         x, accepted, move = _pattern_step(p, x, rows[t].tolist())
-        assert (accepted, move) == (diag.trace_accepted[t], diag.trace_move[t])
+        assert (accepted, move == "B") == (diag.trace_accepted[t],
+                                           diag.trace_birth[t])
         assert x.facets == samples[t].facets
     assert diag.birth_accepted + diag.death_accepted > 200
 
@@ -589,7 +590,8 @@ def _chain_digest(samples, diag) -> str:
     return _digest(
         diag.trace_step.tolist(), diag.trace_n.tolist(),
         diag.trace_g.tolist(), diag.trace_accepted.tolist(),
-        diag.trace_move.tolist(), diag.trace_occupancy.tolist(),
+        ["B" if b else "D" for b in diag.trace_birth.tolist()],
+        diag.trace_occupancy.tolist(),
         (diag.birth_proposed, diag.birth_accepted, diag.death_proposed,
          diag.death_accepted),
         [x.facets for x in samples])
@@ -643,7 +645,7 @@ def test_trace_n_and_acceptance_follow_the_moves(name):
                                     "keep_samples": False,
                                     "initial": initial}))
     change = np.diff(np.concatenate(([initial.n], diag.trace_n)))
-    birth, accepted = diag.trace_move == "B", diag.trace_accepted
+    birth, accepted = diag.trace_birth, diag.trace_accepted
     assert np.array_equal(accepted, change != 0)
     assert np.array_equal(change[accepted], np.where(birth, 1, -1)[accepted])
     assert diag.birth_accepted == np.count_nonzero(accepted & birth) > 50
@@ -780,6 +782,21 @@ def test_batch_means_se():
     se = batch_means_se(iid)
     assert se == pytest.approx(1 / math.sqrt(6400), rel=0.35)
     assert batch_means_se(np.ones(3)) == math.inf
+
+
+def test_batch_means_se_of_a_constant_series_is_zero():
+    # the 64 batch means of 4/9 do not all round alike, and their SE read
+    # 6.99e-18
+    assert batch_means_se(np.full(400, 4 / 9)) == 0.0
+    assert batch_means_se(np.full(7, -2.5)) == 0.0
+    # values the batches drop do not count; a NaN keeps the NaN SE
+    assert batch_means_se(np.append(np.full(128, 0.1), 5.0)) == 0.0
+    assert math.isnan(batch_means_se(np.append(np.full(9, 0.1), math.nan)))
+    # any spread keeps the batch-means value
+    spread = np.full(400, 4 / 9)
+    spread[0] = 0.5
+    means = spread[:384].reshape(64, 6).mean(axis=1)
+    assert batch_means_se(spread) == float(np.std(means, ddof=1) / 8.0) > 0
 
 
 def _exact_top_order_moments(d, nu, a):

@@ -177,6 +177,10 @@ BAD_INPUT = {
     "rho-limit-l-bool": lambda: rho_limit(4, 2, "two_groups", True),
     "decay-k-float": lambda: rho_decay_rate(4, 1.5, 1.0, 1.0, -1.0),
     "ik-d-float": lambda: i_k_integrals(3.5, 1),
+    # these gave nan, inf and 0.0
+    "ik-b-nan": lambda: i_k_integrals(3, 1, b=NAN),
+    "ik-chi-inf": lambda: i_k_integrals(3, 1, chi=INF),
+    "ik-b-zero": lambda: i_k_integrals(3, 1, b=0.0),
     "scaling-k-float": lambda: scaling_limit_constants(3, 1.5, 1.0, 1.0),
     # this ended in a TypeError when the run started
     "experiment-replicates-float": lambda: dataclasses.replace(
