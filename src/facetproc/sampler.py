@@ -19,8 +19,9 @@ each proposal by row index, applies the accepted moves, logs what G and
 the occupancy mask need, and gives G and the mask of all the block's kept
 states at once (kept).  Every chain moves one mutable state in place,
 _ChainState: the facets in pattern order as (center, half-extent,
-orientation) triples and a running G.  Two rules extend it, in plain
-Python, each with only the state it reads (the second with a subclass):
+orientation) triples.  Two rules extend it, in plain Python, each with
+only the state it reads, the running G among it (the second with a
+subclass):
 
 - _GeneralRule serves every model.  It maps each block's rows to facets
   as every reference draw does (ModelParams.sample_facets_from_uniforms).
@@ -32,8 +33,8 @@ Python, each with only the state it reads (the second with a subclass):
   orientation classes.  log lambda* is the fsum of nu_j times these.
   Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
   two segments.  The orders with nu_j = 0 are computed only for accepted
-  moves, for G.  Its log holds G (the fsum of each order) and the mask
-  after each accepted move.
+  moves, for G.  It holds G as Shewchuk partials per order, and its log
+  holds G (the fsum of each order) and the mask after each accepted move.
 - _CountsRule serves the finite-orientation special model in d <= 3:
   canonical axes, one facet size r and a window no wider than r.  G_1
   and G_d are closed forms in the orientation counts, and so is the
@@ -42,17 +43,18 @@ Python, each with only the state it reads (the second with a subclass):
   d = 3 it maps each block's rows as _GeneralRule does, and reads a
   birth's center once the birth is accepted.  Each pair of facets meets
   in the overlap of one free coordinate, and G_2 is their running sum
-  over the flat facet list.  In d = 2 only kept samples read centers, so
-  the rule maps no centers: it keeps the block's center columns, and a
-  birth keeps its raw uniforms until a pattern is built.  Its log holds
-  the axis of each accepted death (a birth's axis is its row's) and, in
-  d = 3, the fsum of G_2 after each accepted move; kept rebuilds the
-  counts at the kept states in numpy, where G_1, G_d and the mask are
-  closed forms in them.
+  over the flat facet list, held as an exact integer multiple of a power
+  of two q fixed by the facet size.  In d = 2 only kept samples read
+  centers, so the rule maps no centers: it keeps the block's center
+  columns, and a birth keeps its raw uniforms until a pattern is built.
+  Its log holds the axis of each accepted death (a birth's axis is its
+  row's) and, in d = 3, G_2 / q after each accepted move; kept rebuilds
+  the counts at the kept states in numpy, where G_1, G_d and the mask
+  are closed forms in them, and converts G_2 once per block.
 - _PairCountsRule, a _CountsRule for d = 3 with nu_2 != 0, also reads
-  order 2 in lambda*: birth and death gather the proposed facet's pair
-  terms over the flat list, and an accepted move adds those same terms
-  to G_2.
+  order 2 in lambda*: birth and death sum the proposed facet's pair
+  terms over the flat list, and an accepted move adds that same sum to
+  G_2.
 
 run_chain takes a counts rule whenever _counts_eligible holds, the pair
 rule when nu_2 != 0 in d = 3.  All three rules give bit-identical
@@ -61,16 +63,21 @@ built per step, only for kept samples.
 
 The running G is exact.  Each term (the content of one subset) is added
 when its subset appears and subtracted, bit for bit the same value, when a
-member leaves.  G is held as Shewchuk's non-overlapping partials
-(Shewchuk 1997, the algorithm behind math.fsum), and a move adds the
-terms of one order as the fsum expansion of their exact sum: s_1 =
-fsum(terms), s_2 = fsum(terms + [-s_1]) and so on until a part is 0,
-each part one exact addition into the partials, usually one or two
-parts where there are several terms.  fsum is correctly rounded, so each
-remainder is at most half an ulp of the part before it; the sum lies on
-the grid of 2^-1074, so the expansion ends, and its parts add up to the
-sum exactly.  fsum of the partials is therefore the correctly rounded sum
-of the current terms: the value g_vector returns.
+member leaves.  The counts rules hold G_2 as a Python int S in units of
+q: every pair term is an integer multiple of q (the proof is in
+_CountsRule), so a move adds one integer per term, and float(S) * q is
+the correctly rounded sum of the current terms (a fixed-point, or long,
+accumulator; Kulisch 2008).  The general rule holds each order as
+Shewchuk's non-overlapping partials (Shewchuk 1997, the algorithm behind
+math.fsum), and a move adds the terms of one order as the fsum expansion
+of their exact sum (_add_terms): s_1 = fsum(terms), s_2 = fsum(terms +
+[-s_1]) and so on until a part is 0, each part one exact addition into
+the partials, usually one or two parts where there are several terms.
+fsum is correctly rounded, so each remainder is at most half an ulp of
+the part before it; the sum lies on the grid of 2^-1074, so the
+expansion ends, and its parts add up to the sum exactly.  fsum of the
+partials is therefore the correctly rounded sum of the current terms.
+Either way G is the value g_vector returns.
 """
 
 from __future__ import annotations
@@ -279,7 +286,8 @@ def _check_initial(p: ModelParams, x: FacetPattern) -> None:
 
 def _add_exact(partials: list, x: float) -> None:
     """Add x to an exact sum held as non-overlapping partials of increasing
-    magnitude (Shewchuk 1997, the algorithm behind math.fsum)."""
+    magnitude (Shewchuk 1997, the algorithm behind math.fsum): the general
+    rule's running G."""
     i = 0
     for y in partials:
         if abs(x) < abs(y):
@@ -296,7 +304,8 @@ def _add_exact(partials: list, x: float) -> None:
 def _add_terms(partials: list, terms: list, sign: float) -> None:
     """Add sign times the exact sum of terms to partials, one part of its
     fsum expansion at a time: each part is the fsum of terms less the parts
-    before it, and the expansion ends at the first part that is 0."""
+    before it, and the expansion ends at the first part that is 0.  The
+    general rule adds each move's terms of an order so."""
     s = math.fsum(terms)
     parts = []
     while s:
@@ -307,16 +316,14 @@ def _add_terms(partials: list, terms: list, sign: float) -> None:
 
 class _ChainState:
     """A pattern moved in place: the facets in pattern order as (center,
-    half_extent, orientation) triples and the running G as partials per
-    order.  The rules extend it with what they read; the d = 2 counts
-    rule holds the center of a facet it gave birth to as the list of its
-    raw uniforms."""
+    half_extent, orientation) triples.  The rules extend it with what they
+    read, the running G among it; the d = 2 counts rule holds the center
+    of a facet it gave birth to as the list of its raw uniforms."""
 
     def __init__(self, p: ModelParams):
         self.p = p
         self.d = p.d
         self.facets: list[tuple] = []
-        self.g: list[list[float]] = [[] for _ in range(p.d)]
         self.center = p.center.sample_from_uniforms
 
     def _pattern(self) -> FacetPattern:
@@ -331,15 +338,17 @@ class _GeneralRule(_ChainState):
     of ustat._subset_terms of the facet and j-1 other classes of groups;
     log lambda* is the fsum of nu_j times these, as
     model.log_conditional_intensity takes it.  The constructor places the
-    facets of x and starts the running G at G(x).  birth proposes the
-    facet that load mapped its row to, or gives -inf if it is present.
-    The block's log holds G and the mask as the block starts and after
-    each accepted move (_snapshot)."""
+    facets of x and starts the running G at G(x), held per order as
+    Shewchuk partials (g; _add_terms).  birth proposes the facet that load
+    mapped its row to, or gives -inf if it is present.  The block's log
+    holds G and the mask as the block starts and after each accepted move
+    (_snapshot)."""
 
     engine = "pattern"
 
     def __init__(self, p: ModelParams, x: FacetPattern):
         super().__init__(p)
+        self.g: list[list[float]] = [[] for _ in range(p.d)]
         self.canonical = p.orientation.is_canonical
         self.groups: dict = {}
         self.orders = p.active_orders
@@ -423,22 +432,42 @@ class _CountsRule(_ChainState):
     lambda* = nu_1 (2r)^(d-1) + nu_2 Delta G_2 + nu_d prod_{i != k} n_i,
     where n_i counts the facets on axis i and Delta G_2 (d = 3 only) is
     the sum of the facet's pair terms.  This class serves nu_2 = 0, where
-    log lambda* is a sum of two floats and the pair terms are gathered
-    only for accepted moves; _PairCountsRule serves nu_2 != 0.  G_1 and
-    G_d are closed forms in the counts.  In d = 3 each pair of facets on
-    axes k != m meets in the overlap of their free coordinate 3-k-m, the
-    value tuple_content gives when every center lies within r of every
-    other, and G_2 is their running sum, each new facet met against the
-    facets of the flat list on other axes (_pair_terms).  load maps the
-    birth axis of each of a block's rows through the orientation law's
-    array sampler; in d = 3 it maps the rows as _GeneralRule.load does
-    (ModelParams.sample_facets_from_uniforms), and add reads the center
-    of an accepted birth.  In d = 2 load keeps the raw center columns,
-    and a birth keeps its uniforms until a pattern is built.  load also
-    starts the block's log: the counts as the block starts, the axis of
-    each accepted death and, in d = 3, the fsum of G_2 as the block
-    starts and after each accepted move; kept turns it into G and the
-    mask of the kept states."""
+    log lambda* is a sum of two floats and the pair terms are summed only
+    for accepted moves; _PairCountsRule serves nu_2 != 0.  G_1 and G_d are
+    closed forms in the counts.  In d = 3 each pair of facets on axes
+    k != m meets in the overlap of their free coordinate 3-k-m, the value
+    tuple_content gives when every center lies within r of every other,
+    and G_2 is their running sum, each new facet met against the facets
+    of the flat list on other axes (_pair_sum).
+
+    G_2 is held exactly, as the int g2 in units of q = 2^(e-53), where
+    2^e <= r < 2^(e+1); every pair term is a multiple of q.  A term is
+    t = fl(A - B) with A = fl(w + r) and B = fl(z - r), where w <= z are
+    the two centers' free coordinates (swapped otherwise) and z - w is at
+    most r, to within the rounding of the window's width, so t >= 0
+    (rounding is monotone).  Every float of magnitude at least 2^(e-1) is
+    a multiple of q.  If A and B both are that large, A - B is a multiple
+    of q, and so is t: it is A - B itself where |A - B| < 2^53 q = 2^e,
+    and a float of at least 2^e elsewhere.  Otherwise w + r and z - r both
+    lie below 2^(e+3) in magnitude and each rounds by at most 2^(e-51), so
+    A - B > r - 2^(e-49) and t >= 2^(e-1).  t * (1/q) is thus an
+    integer-valued float, scaled exactly, and int() takes it exactly.  A
+    valid model has r > 2^-700 (its total intensity, at most
+    max chi * r^3, is positive), so q and 1/q are normal floats:
+    float(g2) * q, a correctly rounded int-to-float conversion scaled
+    exactly, is the correctly rounded sum of the current terms, the value
+    g_vector returns.  No window coordinate needs a bound, so no model
+    leaves this rule for it.
+
+    load maps the birth axis of each of a block's rows through the
+    orientation law's array sampler; in d = 3 it maps the rows as
+    _GeneralRule.load does (ModelParams.sample_facets_from_uniforms), and
+    add reads the center of an accepted birth.  In d = 2 load keeps the
+    raw center columns, and a birth keeps its uniforms until a pattern is
+    built.  load also starts the block's log: the counts as the block
+    starts, the axis of each accepted death and, in d = 3, g2 as the
+    block starts and after each accepted move; kept turns it into G and
+    the mask of the kept states."""
 
     engine = "counts"
 
@@ -451,15 +480,19 @@ class _CountsRule(_ChainState):
         # two floats is correctly rounded, an inactive order adds +-0.0
         self.nu1_term = p.nu[0] * self.dg1
         self.nud = p.nu[p.d - 1]
-        self._g2: list[float] = []  # load restarts this log
+        e = math.frexp(self.r)[1] - 1  # 2^e <= r < 2^(e+1)
+        self.q, self.per_q = math.ldexp(1.0, e - 53), math.ldexp(1.0, 53 - e)
+        self.g2 = 0  # G_2 / q, in d = 3
+        self._g2: list[int] = []  # load restarts this log
         for f in x.facets:
             self._enter((f.center, f.half_extent, f.orientation))
 
-    def _pair_terms(self, f: tuple) -> list:
-        """The G_2 terms of d = 3 facet f: its overlaps with the facets of
-        the flat list on other axes."""
+    def _pair_sum(self, f: tuple) -> int:
+        """The sum of the G_2 terms of d = 3 facet f, its overlaps with the
+        facets of the flat list on other axes, in units of q."""
         z, r, k = f
-        terms = []
+        per_q = self.per_q
+        s = 0
         for w, _, m in self.facets:
             if m != k:
                 free = 3 - k - m
@@ -467,10 +500,9 @@ class _CountsRule(_ChainState):
                 # min(zf + r, wf + r) - max(zf - r, wf - r): rounding is
                 # monotone, so if wf < zf the min is wf + r and the max
                 # zf - r, else zf + r and wf - r (or floats equal to them)
-                t = (wf + r) - (zf - r) if wf < zf else (zf + r) - (wf - r)
-                if t > 0.0:
-                    terms.append(t)
-        return terms
+                s += int(((wf + r) - (zf - r) if wf < zf
+                          else (zf + r) - (wf - r)) * per_q)
+        return s
 
     def birth(self, i: int) -> float:
         # c[axis - 1] (and c[axis - 2] in d = 3) are the other axes' counts
@@ -482,8 +514,8 @@ class _CountsRule(_ChainState):
     def _enter(self, f: tuple) -> None:
         self.counts[f[2]] += 1
         if self.d == 3:
-            _add_terms(self.g[1], self._pair_terms(f), 1.0)
-            self._g2.append(math.fsum(self.g[1]))
+            self.g2 += self._pair_sum(f)
+            self._g2.append(self.g2)
         self.facets.append(f)
 
     def load(self, block) -> None:
@@ -495,8 +527,8 @@ class _CountsRule(_ChainState):
         self._birth_axes, self._axes = axes, axes.tolist()
         self._start = self.counts[:]  # the counts as the block starts
         self._died = bytearray()  # the axis of each accepted death
-        if self.d == 3:  # G_2 as the block starts and after each accepted move
-            self._g2 = [math.fsum(self.g[1])]
+        if self.d == 3:  # g2 as the block starts and after each accepted move
+            self._g2 = [self.g2]
 
     def add(self, i: int) -> None:
         z = self._z[i].tolist()
@@ -514,8 +546,8 @@ class _CountsRule(_ChainState):
         self.counts[f[2]] -= 1
         self._died.append(f[2])
         if self.d == 3:
-            _add_terms(self.g[1], self._pair_terms(f), -1.0)
-            self._g2.append(math.fsum(self.g[1]))
+            self.g2 -= self._pair_sum(f)
+            self._g2.append(self.g2)
 
     def kept(self, at: np.ndarray, rows: np.ndarray, born: np.ndarray) -> tuple:
         # each axis's count as the block starts and after each accepted
@@ -530,29 +562,29 @@ class _CountsRule(_ChainState):
         g = np.empty((len(at), self.d))
         g[:, 0] = sum(c) * self.dg1
         g[:, -1] = math.prod(c)
-        if self.d == 3:
-            g[:, 1] = np.array(self._g2)[at]
+        if self.d == 3:  # numpy converts Python ints as float() does
+            g[:, 1] = np.array(self._g2, dtype=float)[at] * self.q
         return g, sum((c_k > 0) << k for k, c_k in enumerate(c))
 
 
 class _PairCountsRule(_CountsRule):
     """The counts rule of a d = 3 model with nu_2 != 0: log lambda* is the
-    fsum of nu_1 (2r)^2, nu_2 times the fsum of the facet's pair terms
-    (_pair_terms, its Delta G_2) and nu_3 times the product of the other
-    axes' counts: the fsum over orders that _GeneralRule takes, where an
-    inactive order adds +-0.0.  birth and death gather the terms, and add
-    and remove add them to G_2 as they are."""
+    fsum of nu_1 (2r)^2, nu_2 times the facet's Delta G_2 (its pair sum,
+    _pair_sum, times q: the fsum of its pair terms) and nu_3 times the
+    product of the other axes' counts: the fsum over orders that
+    _GeneralRule takes, where an inactive order adds +-0.0.  birth and
+    death take the pair sum, and add and remove add it to g2 as it is."""
 
     def __init__(self, p: ModelParams, x: FacetPattern):
         super().__init__(p, x)
         self.nu2 = p.nu[1]
         self._f = None  # the proposed facet
-        self._terms: list[float] = []  # its pair terms
+        self._s = 0  # its pair sum
 
     def _log_lambda(self, f: tuple) -> float:
-        self._terms = terms = self._pair_terms(f)
+        self._s = s = self._pair_sum(f)
         axis, c = f[2], self.counts
-        return math.fsum([self.nu1_term, self.nu2 * math.fsum(terms),
+        return math.fsum([self.nu1_term, self.nu2 * (float(s) * self.q),
                           self.nud * float(c[axis - 1] * c[axis - 2])])
 
     def birth(self, i: int) -> float:
@@ -562,9 +594,9 @@ class _PairCountsRule(_CountsRule):
     def add(self, i: int) -> None:
         f = self._f
         self.counts[f[2]] += 1
-        _add_terms(self.g[1], self._terms, 1.0)
+        self.g2 += self._s
         self.facets.append(f)
-        self._g2.append(math.fsum(self.g[1]))
+        self._g2.append(self.g2)
 
     def death(self, i: int) -> float:
         return self._log_lambda(self.facets[i])
@@ -572,9 +604,9 @@ class _PairCountsRule(_CountsRule):
     def remove(self, i: int) -> None:
         f = self.facets.pop(i)
         self.counts[f[2]] -= 1
-        _add_terms(self.g[1], self._terms, -1.0)
+        self.g2 -= self._s
         self._died.append(f[2])
-        self._g2.append(math.fsum(self.g[1]))
+        self._g2.append(self.g2)
 
 
 def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,

@@ -124,14 +124,20 @@ RERUN_CASES = {
 
 # sha256 of the results of commands whose floats come from IEEE-exact
 # arithmetic and the correctly rounded math module alone, so that any CPU
-# gives these bytes: chains on the d = 2 counts rule, the d = 3 nu_2 pair
-# rule and the general rule (nu_2 in d = 4), and the moment constants in
-# d = 3 and d = 4 (quadrature and exact I_k).  Commands that pass through
-# numpy's vectorized exp, log or power (rho, e1-e4) are left out.
+# gives these bytes: chains on the d = 2 counts rule, the d = 3 counts rule
+# at nu_2 = 0 (with b = 0.7, so r is no power of two; recorded on the rule
+# that summed G_2 as Shewchuk partials), the d = 3 nu_2 pair rule and the
+# general rule (nu_2 in d = 4), and the moment constants in d = 3 and d = 4
+# (quadrature and exact I_k).  Commands that pass through numpy's
+# vectorized exp, log or power (rho, e1-e4) are left out.
 PINNED_RESULTS = {
     "simulate-d2": (
         ["simulate"], "d = 2\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n",
         "cf062f535b92bb5bb34746a5b4e0906845d659357cd598ee40d4f7385389f1c7"),
+    "simulate-d3-counts": (
+        ["simulate"], "d = 3\nnu.3 = -1\nb = 0.7\na.grid = 8\n"
+        "chain.steps = 20000\n",
+        "40c43bcc2beded956dbc9f58ba29380aca2a7e862b9c4fd982ecbc21ad71746d"),
     "simulate-pair": (
         ["simulate"], "d = 3\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n",
         "961ec137f009837de5ef30171c2926f75aa2c63bac5e0e2bdd4f4bfb744623de"),

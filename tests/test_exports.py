@@ -1,10 +1,12 @@
-"""The package's public names all resolve, and importing it loads no
-more of scipy than it uses."""
+"""The package's public names all resolve, importing it loads no more of
+scipy than it uses, and its version is written once."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import facetproc
 
@@ -26,3 +28,17 @@ def test_import_leaves_scipy_stats_out():
          "m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_version_is_read_from_the_package():
+    # the manifests record facetproc.__version__; the build reads the same
+    # attribute, so a release bumps one line
+    import tomllib
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        conf = tomllib.load(fh)
+    assert "version" not in conf["project"]
+    assert conf["project"]["dynamic"] == ["version"]
+    assert conf["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "facetproc.__version__"}

@@ -204,6 +204,13 @@ def test_engines_produce_identical_chains():
         ModelParams.special(3, (0.0, -1.0, 0.0), a=16.0),
         ModelParams.special(3, (0.3, -1.0, -0.5), a=8.0),
         _table_model(3, (0.2, -1.0, 0.0), 4.0),
+        # a facet size that is no power of two, so that r / q = 0.7 * 2^54
+        # is none either and r's low bits enter every pair term G_2 counts
+        # in units of q, with nu_2 = 0 and != 0, and a window far from the
+        # origin
+        ModelParams.special(3, (0.0, 0.0, -1.0), a=16.0, b=0.7),
+        ModelParams.special(3, (0.1, -1.0, 0.0), a=16.0, b=0.7),
+        _OFF_ORIGIN,
     ]
     for p in cases:
         # kept samples: the counts rules map their raw center uniforms
@@ -223,6 +230,14 @@ def test_engines_produce_identical_chains():
                (d_cnt.birth_proposed, d_cnt.birth_accepted)
         assert (d_pat.death_proposed, d_pat.death_accepted) == \
                (d_cnt.death_proposed, d_cnt.death_accepted)
+
+
+# 1000.7 - 1000.0 rounds to 0.7000000000000455, a window wider than r =
+# 0.7 and so the general rule's; the float below 1000.7 gives 0.69999...
+_OFF_ORIGIN = ModelParams(
+    3, 0.7, (0.0, -1.0, -0.5), 16.0,
+    CenterIntensity(Window(((1000.0, 1000.6999999999999),) * 3), level=1.0),
+    SizeLaw.fixed(0.7), OrientationLaw(3))
 
 
 def _two_atom_model(d, nu, a):
@@ -257,6 +272,54 @@ def test_running_g_equals_g_vector(name):
     assert diag.trace_n.max() >= 5
     expected = np.array([g_vector(x) for x in samples])
     assert np.array_equal(diag.trace_g, expected)
+
+
+@pytest.mark.parametrize("nu", [(0.0, 0.0, 0.0), (0.0, -1e-3, 0.0)])
+def test_running_g2_past_two_to_the_63(nu):
+    # about 2000 cross-axis pairs of terms near 1.65 r = 2^54.7 q each:
+    # the counts rules' integer G_2 / q passes 2^63 (and 2^64), and numpy's
+    # conversion of the block's log still gives g_vector's bits
+    p = ModelParams.special(3, nu, a=80.0, b=0.99)
+    q = math.ldexp(1.0, math.frexp(0.99)[1] - 54)
+    initial = sample_poisson(p, make_rng(2))
+    pairs = sum(len(f) * len(g) for f, g in itertools.combinations(
+        initial.groups.values(), 2))
+    assert pairs > 300 and g_vector(initial)[1] > 2.0 ** 63 * q
+    samples, diag = run_chain(p, ChainConfig(
+        n_steps=2000, seed=6, burn_in=0, thin=100, initial=initial,
+        keep_samples=True))
+    assert diag.engine == "counts"
+    assert diag.birth_accepted + diag.death_accepted > 500
+    assert diag.trace_g[:, 1].min() > 2.0 ** 63 * q
+    expected = np.array([g_vector(x) for x in samples])
+    assert np.array_equal(diag.trace_g, expected)
+
+
+@pytest.mark.parametrize("lo", [2.0 ** 50 + 0.25, 2.0 ** 52, 2.0 ** 53 - 1.0],
+                         ids=["grid-r/4", "grid-r", "round-to-even"])
+def test_running_g2_is_exact_far_from_the_origin(lo):
+    # Where the centers' free coordinate lies on a float grid of r/4, r
+    # (below 2^53 r = 2^53 for r = 1) and r again with w + r and z - r
+    # rounding to even at 2^53, the pair terms drift by up to r from
+    # 2r - |z - w|, and are still multiples of q: G_2 / q stays the exact
+    # integer as every facet enters and leaves.
+    window = Window(((lo, lo + 1.0), (0.0, 1.0), (0.0, 1.0)))
+    p = ModelParams(3, 1.0, (0.0, 0.0, -1.0), 1.0,
+                    CenterIntensity(window, level=1.0), SizeLaw.fixed(1.0),
+                    OrientationLaw(3))
+    assert sampler._counts_eligible(p)
+    grid = dict.fromkeys(lo + 0.25 * k for k in range(5))  # distinct floats
+    facets = [Facet((x, y, 0.1 + y), 1.0, axis) for axis in range(3)
+              for x in grid for y in (0.0, 1 / 3, 0.7)]
+    x = FacetPattern.of(facets)
+    rule = _CountsRule(p, x)
+    rule.load(np.full((1, 7), 0.5))
+    while x.n:
+        assert float(rule.g2) * rule.q == g_vector(x)[1]
+        i = x.n // 2
+        rule.remove(i)
+        x = x.without_index(i)
+    assert rule.g2 == 0
 
 
 def _array_increment(x, u, j):
