@@ -33,8 +33,9 @@ subclass):
   orientation classes.  log lambda* is the fsum of nu_j times these.
   Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
   two segments.  The orders with nu_j = 0 are computed only for accepted
-  moves, for G.  It holds G as Shewchuk partials per order, and its log
-  holds G (the fsum of each order) and the mask after each accepted move.
+  moves, for G.  It holds G per order as an integer in units of 2^-1074
+  (_units), and its log holds G (each int converted to a float) and the
+  mask after each accepted move.
 - _CountsRule serves the finite-orientation special model in d <= 3:
   canonical axes, one facet size r and a window no wider than r.  G_1
   and G_d are closed forms in the orientation counts, and so is the
@@ -63,21 +64,14 @@ built per step, only for kept samples.
 
 The running G is exact.  Each term (the content of one subset) is added
 when its subset appears and subtracted, bit for bit the same value, when a
-member leaves.  The counts rules hold G_2 as a Python int S in units of
-q: every pair term is an integer multiple of q (the proof is in
-_CountsRule), so a move adds one integer per term, and float(S) * q is
-the correctly rounded sum of the current terms (a fixed-point, or long,
-accumulator; Kulisch 2008).  The general rule holds each order as
-Shewchuk's non-overlapping partials (Shewchuk 1997, the algorithm behind
-math.fsum), and a move adds the terms of one order as the fsum expansion
-of their exact sum (_add_terms): s_1 = fsum(terms), s_2 = fsum(terms +
-[-s_1]) and so on until a part is 0, each part one exact addition into
-the partials, usually one or two parts where there are several terms.
-fsum is correctly rounded, so each remainder is at most half an ulp of
-the part before it; the sum lies on the grid of 2^-1074, so the
-expansion ends, and its parts add up to the sum exactly.  fsum of the
-partials is therefore the correctly rounded sum of the current terms.
-Either way G is the value g_vector returns.
+member leaves.  Both rules hold G as Python ints, a fixed-point (or long)
+accumulator (Kulisch 2008): a move adds one integer per term, and the
+correctly rounded conversion of the int to a float is the correctly
+rounded sum of the current terms, the value g_vector returns.  The
+general rule counts in units of 2^-1074, of which every finite float is
+an integer multiple; the counts rules count G_2 in units of q, a power
+of two fixed by the facet size whose multiples the pair terms are (the
+proof is in _CountsRule), so that their ints stay short.
 """
 
 from __future__ import annotations
@@ -284,41 +278,33 @@ def _check_initial(p: ModelParams, x: FacetPattern) -> None:
             raise ValueError(f"initial {f}: center in a cell of level 0")
 
 
-def _add_exact(partials: list, x: float) -> None:
-    """Add x to an exact sum held as non-overlapping partials of increasing
-    magnitude (Shewchuk 1997, the algorithm behind math.fsum): the general
-    rule's running G."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+def _units(terms) -> int:
+    """The exact sum of terms, as an integer in units of 2^-1074: every
+    finite float t = n/m, with m = 2^k and k <= 1074, is n 2^(1074-k) of
+    them.  The general rule's running G counts in these units."""
+    s = 0
+    for t in terms:
+        if t:
+            n, m = t.as_integer_ratio()
+            s += n << (1075 - m.bit_length())
+    return s
 
 
-def _add_terms(partials: list, terms: list, sign: float) -> None:
-    """Add sign times the exact sum of terms to partials, one part of its
-    fsum expansion at a time: each part is the fsum of terms less the parts
-    before it, and the expansion ends at the first part that is 0.  The
-    general rule adds each move's terms of an order so."""
-    s = math.fsum(terms)
-    parts = []
-    while s:
-        _add_exact(partials, sign * s)
-        parts.append(-s)
-        s = math.fsum(terms + parts)
+_ONE = 1 << 1074  # 1.0 in units of 2^-1074
+
+
+def _value(units: int) -> float:
+    """The float nearest units * 2^-1074: CPython's int division is
+    correctly rounded, subnormals included."""
+    return units / _ONE
 
 
 class _ChainState:
     """A pattern moved in place: the facets in pattern order as (center,
     half_extent, orientation) triples.  The rules extend it with what they
-    read, the running G among it; the d = 2 counts rule holds the center
-    of a facet it gave birth to as the list of its raw uniforms."""
+    read, the running G among it as exact ints; the d = 2 counts rule
+    holds the center of a facet it gave birth to as the list of its raw
+    uniforms."""
 
     def __init__(self, p: ModelParams):
         self.p = p
@@ -338,17 +324,19 @@ class _GeneralRule(_ChainState):
     of ustat._subset_terms of the facet and j-1 other classes of groups;
     log lambda* is the fsum of nu_j times these, as
     model.log_conditional_intensity takes it.  The constructor places the
-    facets of x and starts the running G at G(x), held per order as
-    Shewchuk partials (g; _add_terms).  birth proposes the facet that load
-    mapped its row to, or gives -inf if it is present.  The block's log
-    holds G and the mask as the block starts and after each accepted move
-    (_snapshot)."""
+    facets of x and starts the running G at G(x), held per order as the
+    int g[j - 1] in units of 2^-1074 (_units), to which each accepted
+    move adds or from which it takes the units of its terms.  birth
+    proposes the facet that load mapped its row to, or gives -inf if it
+    is present.  The block's log holds G and the mask as the block starts
+    and after each accepted move (_snapshot), G as the conversion of g
+    (_value): the fsum of the current terms."""
 
     engine = "pattern"
 
     def __init__(self, p: ModelParams, x: FacetPattern):
         super().__init__(p)
-        self.g: list[list[float]] = [[] for _ in range(p.d)]
+        self.g: list[int] = [0] * p.d
         self.canonical = p.orientation.is_canonical
         self.groups: dict = {}
         self.orders = p.active_orders
@@ -360,7 +348,7 @@ class _GeneralRule(_ChainState):
             self._push((f.center, f.half_extent, f.orientation))
         # every subset term of the placed facets, each once
         for j in range(1, self.d + 1):
-            _add_terms(self.g[j - 1], _subset_terms(self.groups, j), 1.0)
+            self.g[j - 1] = _units(_subset_terms(self.groups, j))
 
     def _push(self, f: tuple) -> None:
         self.facets.append(f)
@@ -387,15 +375,16 @@ class _GeneralRule(_ChainState):
         return math.fsum([nu * math.fsum(t)
                           for nu, t in zip(self.nu, self._terms)])
 
-    def _update(self, f: tuple, sign: float) -> None:
+    def _update(self, f: tuple, sign: int) -> None:
         # G += sign * the terms of f, the active orders' from the proposal
+        g = self.g
         for j, t in zip(self.orders, self._terms):
-            _add_terms(self.g[j - 1], t, sign)
+            g[j - 1] += sign * _units(t)
         for j in self.rest:
-            _add_terms(self.g[j - 1], _subset_terms(self.groups, j - 1, f), sign)
+            g[j - 1] += sign * _units(_subset_terms(self.groups, j - 1, f))
 
     def _snapshot(self) -> None:
-        self._gs.extend(map(math.fsum, self.g))
+        self._gs.extend(map(_value, self.g))
         self._masks.append(self._mask())
 
     def load(self, block) -> None:
@@ -412,7 +401,7 @@ class _GeneralRule(_ChainState):
         return self._log_lambda(f)
 
     def add(self, i: int) -> None:
-        self._update(self._f, 1.0)
+        self._update(self._f, 1)
         self._push(self._f)
         self._snapshot()
 
@@ -420,7 +409,7 @@ class _GeneralRule(_ChainState):
         return self._log_lambda(self.facets[i])
 
     def remove(self, i: int) -> None:
-        self._update(self._pop(i), -1.0)
+        self._update(self._pop(i), -1)
         self._snapshot()
 
     def kept(self, at: np.ndarray, rows: np.ndarray, born: np.ndarray) -> tuple:

@@ -25,10 +25,11 @@ from facetproc.model import (
 from facetproc import sampler
 from facetproc.sampler import (
     ChainConfig,
-    _add_terms,
     _CountsRule,
     _GeneralRule,
     _poisson_arrays,
+    _units,
+    _value,
     batch_means_se,
     make_rng,
     run_chain,
@@ -240,9 +241,15 @@ _OFF_ORIGIN = ModelParams(
     SizeLaw.fixed(0.7), OrientationLaw(3))
 
 
-def _two_atom_model(d, nu, a):
-    return ModelParams(d, 1.0, nu, a, CenterIntensity(Window.cube(1.0, d), level=1.0),
-                       SizeLaw(((0.4, 0.3), (1.0, 0.7))), OrientationLaw(d))
+def _two_atom_model(d, nu, a, b=1.0):
+    return ModelParams(d, b, nu, a, CenterIntensity(Window.cube(b, d), level=b ** -d),
+                       SizeLaw(((0.4 * b, 0.3), (b, 0.7))), OrientationLaw(d))
+
+
+def _scaled_two_atom_model(b):
+    # the two-atom model of window and facet scale b, nu scaled so that
+    # each order's part of log lambda* keeps its size
+    return _two_atom_model(3, (0.3 / (2 * b) ** 2, -1 / b, -0.5), 4.0, b)
 
 
 def _table_model(d, nu, a):
@@ -254,6 +261,10 @@ def _table_model(d, nu, a):
 _CHAIN_CLASSES = {
     "d3-nu2": (ModelParams.special(3, (0.0, -1.0, 0.0), a=4.0), "counts"),
     "two-atom": (_two_atom_model(3, (0.3, -1.0, -0.5), 4.0), "pattern"),
+    # scaled by 2^-300 and 2^300: the general rule's G_1 and G_2 terms lie
+    # near 2^-600 and 2^-300, or 2^600 and 2^300, far from unit scale
+    "two-atom-tiny": (_scaled_two_atom_model(2.0 ** -300), "pattern"),
+    "two-atom-huge": (_scaled_two_atom_model(2.0 ** 300), "pattern"),
     "table": (_table_model(3, (0.2, -1.0, 0.0), 4.0), "counts"),
     "d3-counts": (ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0), "counts"),
     "hemisphere": (_hemisphere_model((0.3, -1.0), 4.0), "pattern"),
@@ -591,8 +602,8 @@ _PINNED_CHAINS = {
     "table-d3-counts-samples": (_table_model(3, (0.1, 0.0, -1.0), 4.0),
                                 dict(n_steps=40_000, seed=5, burn_in=0,
                                      thin=40, keep_samples=True)),
-    # at a = 16 a move meets about five facets, and the fsum expansion of
-    # its G_2 terms mostly takes two parts; G is read at every step
+    # at a = 16 a move meets about five facets, each a G_2 term added to
+    # the rule's integer G_2; G is read at every step
     "d3-counts-a16-thin1": (ModelParams.special(3, (0.0, 0.0, -1.0), a=16.0),
                             dict(n_steps=40_000, seed=5, burn_in=0, thin=1)),
 }
@@ -727,10 +738,12 @@ def test_g_mean_se_refuses_orders_outside_one_to_d():
             diag.g_mean_se(order)
 
 
-# terms from 2^-60 to 8, each move's drawn with repeats from a small pool,
-# some negated and some beside the negation of their float neighbour
+# terms from 2^-1074 (subnormal) to 2^1000, each move's drawn with repeats
+# from a small pool, some negated and some beside the negation of their
+# float neighbour; no term is -0.0 (contents are >= 0, and fsum([-0.0]) is
+# -0.0)
 _TERM = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
-                  st.integers(-60, 2))
+                  st.integers(-1074, 1000))
 
 
 @st.composite
@@ -743,33 +756,35 @@ def _term_moves(draw):
             kind = draw(st.sampled_from(("plain", "negated", "cancelling")))
             terms.append(-t if kind == "negated" else t)
             if kind == "cancelling":
-                terms.append(-math.nextafter(t, draw(st.sampled_from(
-                    (0.0, math.inf)))))
+                neighbour = math.nextafter(t, draw(st.sampled_from((0.0, math.inf))))
+                if neighbour:
+                    terms.append(-neighbour)
         moves.append(terms)
     return moves
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_term_moves(), st.randoms(use_true_random=False))
-def test_add_terms_keeps_the_exact_sum(moves, rnd):
-    # after every addition and every removal, fsum of the partials is the
-    # correctly rounded sum of the terms present, bit for bit; the terms
-    # leave in shuffled order and in other groups than they came in
-    partials, present = [], []
+def test_units_keep_the_exact_sum(moves, rnd):
+    # after every addition and every removal, the running sum in units of
+    # 2^-1074 converts to the correctly rounded sum of the terms present,
+    # bit for bit; the terms leave in shuffled order and in other groups
+    # than they came in
+    s, present = 0, []
     for terms in moves:
-        _add_terms(partials, terms, 1.0)
+        s += _units(terms)
         present += terms
-        assert math.fsum(partials).hex() == math.fsum(present).hex()
+        assert _value(s).hex() == math.fsum(present).hex()
     leaving = present[:]
     rnd.shuffle(leaving)
     while leaving:
         k = rnd.randint(1, len(leaving))
         group, leaving = leaving[:k], leaving[k:]
-        _add_terms(partials, group, -1.0)
+        s -= _units(group)
         for t in group:
             present.remove(t)
-        assert math.fsum(partials).hex() == math.fsum(present).hex()
-    assert math.fsum(partials).hex() == (0.0).hex()
+        assert _value(s).hex() == math.fsum(present).hex()
+    assert s == 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
