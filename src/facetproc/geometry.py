@@ -10,7 +10,9 @@ The intersection content of canonical facets has one formula in two forms:
 canonical_content over whole batches of facet tuples held as arrays, and
 tuple_content over one tuple in plain Python, bit for bit the same value.
 tuple_content is the one scalar kernel for every facet tuple: it also gives
-the 0-or-1 crossing of two d = 2 segments with a vector normal.
+the 0-or-1 crossing of two d = 2 segments with a vector normal, through the
+one crossing kernel, _crossings, which tests one segment (_segment: an
+endpoint and the direction to the other) against a list of them.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def tuple_content(facets: Sequence[tuple]) -> float:
     if d == 2:
         f, g = facets
         if type(f[2]) is tuple or type(g[2]) is tuple:
-            return 0.0 if f[2] == g[2] else float(_segments_cross(f, g))
+            return _crossings(_segment(f), (_segment(g),))[0]
     measure = 1.0
     for c in range(d):
         lo, hi, fixed = -math.inf, math.inf, None
@@ -183,7 +185,11 @@ def tuple_content(facets: Sequence[tuple]) -> float:
     return measure
 
 
-def _segment_endpoints(f: tuple):
+def _segment(f: tuple) -> tuple:
+    """The d = 2 segment of a facet triple: its first endpoint (ax, ay),
+    its direction b - a to the second endpoint (rx, ry), and its
+    orientation, as (ax, ay, rx, ry, orientation).  The endpoints are the
+    center -+ r times the normal turned a quarter."""
     (cx, cy), r, orientation = f
     if isinstance(orientation, int):
         nx, ny = (1.0, 0.0) if orientation == 0 else (0.0, 1.0)
@@ -191,22 +197,26 @@ def _segment_endpoints(f: tuple):
         nx, ny = orientation
     # direction along the segment: perpendicular of the normal
     tx, ty = -ny, nx
-    return (cx - r * tx, cy - r * ty), (cx + r * tx, cy + r * ty)
+    ax, ay = cx - r * tx, cy - r * ty
+    return ax, ay, (cx + r * tx) - ax, (cy + r * ty) - ay, orientation
 
 
-def _segments_cross(f1: tuple, f2: tuple) -> bool:
-    """Closed-segment intersection test for two d=2 facet triples."""
-    (ax, ay), (bx, by) = _segment_endpoints(f1)
-    (cx, cy), (dx, dy) = _segment_endpoints(f2)
-    r_x, r_y = bx - ax, by - ay
-    s_x, s_y = dx - cx, dy - cy
-    denom = r_x * s_y - r_y * s_x
-    if denom == 0.0:
-        return False
-    qp_x, qp_y = cx - ax, cy - ay
-    t = (qp_x * s_y - qp_y * s_x) / denom
-    u = (qp_x * r_y - qp_y * r_x) / denom
-    return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
+def _crossings(s: tuple, segments) -> list[float]:
+    """The 0-or-1 closed-segment crossing of segment s (a _segment) with
+    each of segments, in order: 0.0 for a segment of s's orientation
+    (parallel facets, s itself among them) or of a parallel direction."""
+    ax, ay, rx, ry, o = s
+    out = []
+    for cx, cy, sx, sy, other in segments:
+        denom = rx * sy - ry * sx
+        if other == o or denom == 0.0:
+            out.append(0.0)
+            continue
+        qx, qy = cx - ax, cy - ay
+        t = (qx * sy - qy * sx) / denom
+        out.append(1.0 if 0.0 <= t <= 1.0
+                   and 0.0 <= (qx * ry - qy * rx) / denom <= 1.0 else 0.0)
+    return out
 
 
 def _check_int(name: str, value, least: int) -> None:

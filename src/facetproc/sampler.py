@@ -32,10 +32,14 @@ subclass):
   (geometry.tuple_content) of the facet with j-1 facets of other
   orientation classes.  log lambda* is the fsum of nu_j times these.
   Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
-  two segments.  The orders with nu_j = 0 are computed only for accepted
-  moves, for G.  It holds G per order as an integer in units of 2^-1074
-  (_units), and its log holds G (each int converted to a float) and the
-  mask after each accepted move.
+  two segments: the rule keeps each facet's segment (geometry._segment)
+  in a list aligned with its facets, a birth computes its segment once,
+  and a proposal's order-2 terms are one call of the crossing kernel
+  (geometry._crossings) over the kept segments, 0.0 for its own normal.
+  The orders with nu_j = 0 are computed only for accepted moves, for G.
+  It holds G per order as an integer in units of 2^-1074 (_units), and
+  its log holds G (each int converted to a float, again only when it
+  changed) and the mask after each accepted move.
 - _CountsRule serves the finite-orientation special model in d <= 3:
   canonical axes, one facet size r and a window no wider than r.  G_1
   and G_d are closed forms in the orientation counts, and so is the
@@ -82,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Facet
+from .geometry import Facet, _crossings, _segment
 from .model import ModelParams, _check_int, _facet_list
 from .ustat import FacetPattern, _subset_sums, _subset_terms
 
@@ -299,6 +303,12 @@ def _value(units: int) -> float:
     return units / _ONE
 
 
+def _log_or_minus_inf(u: float) -> float:
+    """log u, and -inf for the uniform 0.0 (drawn with probability 2^-53),
+    where math.log raises."""
+    return math.log(u) if u else -math.inf
+
+
 class _ChainState:
     """A pattern moved in place: the facets in pattern order as (center,
     half_extent, orientation) triples.  The rules extend it with what they
@@ -323,14 +333,23 @@ class _GeneralRule(_ChainState):
     FacetPattern.groups keys them.  For order j the increment is the fsum
     of ustat._subset_terms of the facet and j-1 other classes of groups;
     log lambda* is the fsum of nu_j times these, as
-    model.log_conditional_intensity takes it.  The constructor places the
-    facets of x and starts the running G at G(x), held per order as the
-    int g[j - 1] in units of 2^-1074 (_units), to which each accepted
-    move adds or from which it takes the units of its terms.  birth
-    proposes the facet that load mapped its row to, or gives -inf if it
-    is present.  The block's log holds G and the mask as the block starts
-    and after each accepted move (_snapshot), G as the conversion of g
-    (_value): the fsum of the current terms."""
+    model.log_conditional_intensity takes it.  Under the hemisphere law
+    the rule also keeps segments, each facet's geometry._segment at its
+    index in facets: birth computes the proposal's segment, add keeps
+    it, death reads it, and the order-2 terms are geometry._crossings of
+    it over all kept segments.  Those of its own normal (itself, on a
+    death) give 0.0, as no subset holds them, and every term is 0.0 or
+    1.0, so fsum and _units take the same bits in any order.
+
+    The constructor places the facets of x and starts the running G at
+    G(x), held per order as the int g[j - 1] in units of 2^-1074
+    (_units), to which each accepted move adds or from which it takes the
+    units of its terms.  birth proposes the facet that load mapped its
+    row to, or gives -inf if it is present.  The block's log holds G and
+    the mask as the block starts and after each accepted move
+    (_snapshot), G as the conversion of g (_value): the fsum of the
+    current terms.  Each order's conversion is kept in _values and redone
+    only when its int changes."""
 
     engine = "pattern"
 
@@ -341,21 +360,32 @@ class _GeneralRule(_ChainState):
         self.groups: dict = {}
         self.orders = p.active_orders
         self.nu = [p.nu[j - 1] for j in self.orders]
-        self.rest = [j for j in range(1, p.d + 1) if j not in self.orders]
+        self.rest = tuple(j for j in range(1, p.d + 1) if j not in self.orders)
         self._f = None  # the proposed facet
+        self._seg = None  # its segment, under the hemisphere law
         self._terms: list[list[float]] = []  # its active orders' terms
+        # the segment of each facet, under the hemisphere law
+        self.segments: list[tuple] | None = None if self.canonical else []
         for f in x.facets:
-            self._push((f.center, f.half_extent, f.orientation))
+            f = (f.center, f.half_extent, f.orientation)
+            if self.segments is not None:
+                self._seg = _segment(f)
+            self._push(f)
         # every subset term of the placed facets, each once
         for j in range(1, self.d + 1):
             self.g[j - 1] = _units(_subset_terms(self.groups, j))
+        self._values = [_value(s) for s in self.g]  # G, as floats
 
     def _push(self, f: tuple) -> None:
         self.facets.append(f)
         self.groups.setdefault(f[2], []).append(f)
+        if self.segments is not None:
+            self.segments.append(self._seg)
 
     def _pop(self, i: int) -> tuple:
         f = self.facets.pop(i)
+        if self.segments is not None:
+            self.segments.pop(i)
         group = self.groups[f[2]]
         group.remove(f)
         if not group:  # the mask reads the keys; a normal rarely recurs
@@ -370,21 +400,31 @@ class _GeneralRule(_ChainState):
             mask |= 1 << axis
         return mask
 
+    def _order_terms(self, f: tuple, j: int) -> list[float]:
+        # under the hemisphere law, order 2 is one kernel call over the
+        # kept segments: f's own and any of its normal give 0.0
+        if j == 2 and self.segments is not None:
+            return _crossings(self._seg, self.segments)
+        return _subset_terms(self.groups, j - 1, f)
+
     def _log_lambda(self, f: tuple) -> float:
-        self._terms = [_subset_terms(self.groups, j - 1, f) for j in self.orders]
+        self._terms = [self._order_terms(f, j) for j in self.orders]
         return math.fsum([nu * math.fsum(t)
                           for nu, t in zip(self.nu, self._terms)])
 
     def _update(self, f: tuple, sign: int) -> None:
-        # G += sign * the terms of f, the active orders' from the proposal
-        g = self.g
-        for j, t in zip(self.orders, self._terms):
-            g[j - 1] += sign * _units(t)
-        for j in self.rest:
-            g[j - 1] += sign * _units(_subset_terms(self.groups, j - 1, f))
+        # G += sign * the terms of f, the active orders' from the proposal;
+        # an order's float is converted again only if its int changed
+        g, values = self.g, self._values
+        terms = self._terms + [self._order_terms(f, j) for j in self.rest]
+        for j, t in zip(self.orders + self.rest, terms):
+            units = _units(t)
+            if units:
+                g[j - 1] += sign * units
+                values[j - 1] = _value(g[j - 1])
 
     def _snapshot(self) -> None:
-        self._gs.extend(map(_value, self.g))
+        self._gs.extend(self._values)
         self._masks.append(self._mask())
 
     def load(self, block) -> None:
@@ -398,6 +438,8 @@ class _GeneralRule(_ChainState):
         if f in self.groups.get(f[2], ()):
             return -math.inf
         self._f = f
+        if self.segments is not None:
+            self._seg = _segment(f)
         return self._log_lambda(f)
 
     def add(self, i: int) -> None:
@@ -406,6 +448,8 @@ class _GeneralRule(_ChainState):
         self._snapshot()
 
     def death(self, i: int) -> float:
+        if self.segments is not None:
+            self._seg = self.segments[i]
         return self._log_lambda(self.facets[i])
 
     def remove(self, i: int) -> None:
@@ -610,11 +654,15 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     block's log; no other call sees the block.  rule.birth(i) is
     log lambda*(u; x) of the facet u row i proposes and rule.add(i) adds
     u; rule.death(i) is log lambda*(x_i; x minus x_i) and rule.remove(i)
-    removes x_i.  The steps only mark the rows of accepted moves (and
-    visit the kept rows only for samples).  After the block, numpy maps
-    each kept row to the last accepted move at or before it: at[t]
-    accepted moves of the block lie at or before kept row t, so n there is
-    the block's starting n plus the +-1 of those moves.
+    removes x_i.  An acceptance uniform of 0.0, whose math.log raises,
+    reads as log 0 = -inf: its move is accepted unless the rule gave -inf
+    (a birth of a facet present).  Blocks that hold no such uniform, all
+    but one in about 2^38, take math.log itself.  The steps only mark the
+    rows of accepted moves (and visit the kept rows only for samples).
+    After the block, numpy maps each kept row to the last accepted move
+    at or before it: at[t] accepted moves of the block lie at or before
+    kept row t, so n there is the block's starting n plus the +-1 of those
+    moves.
     rule.kept(at, rows, born) gives G and the occupancy mask (the canonical
     axes present; -1 for a non-empty state of the hemisphere law, 0 for
     the empty state) of the kept states, given the rows of the block's
@@ -630,15 +678,18 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
     for block in blocks:
         load(block)
         moves = block[:, 0]
+        accept_u = block[:, p.d + 3]
+        # a block holding an acceptance uniform of 0.0 reads its log as -inf
+        log_u = log if accept_u.all() else _log_or_minus_inf
         start = n
         accepted = bytearray(len(block))  # 1 at the rows of accepted moves
         # the block's row of the next kept state, if samples are kept
         keep_i = int(kept_steps[k]) - done - 1 \
             if samples is not None and k < len(kept_steps) else -1
         for i, move, aux, u in zip(range(len(block)), moves.tolist(),
-                                   block[:, 1].tolist(), block[:, p.d + 3].tolist()):
+                                   block[:, 1].tolist(), accept_u.tolist()):
             if move < 0.5:
-                if log(u) < birth(i) + log_a_t - logs[n]:
+                if log_u(u) < birth(i) + log_a_t - logs[n]:
                     add(i)
                     accepted[i] = 1
                     n += 1
@@ -648,7 +699,7 @@ def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,
                 j = int(aux * n)
                 if j >= n:
                     j = n - 1
-                if log(u) < -(death(j) + log_a_t - logs[n - 1]):
+                if log_u(u) < -(death(j) + log_a_t - logs[n - 1]):
                     remove(j)
                     accepted[i] = 1
                     n -= 1

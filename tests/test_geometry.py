@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from facetproc.geometry import (
     Facet,
     Window,
+    _crossings,
+    _segment,
     canonical_content,
     facet_measure,
     tuple_content,
@@ -281,11 +283,14 @@ def _crossing_cases():
 
 
 def test_crossing_matches_exact_rational_test():
-    # tuple_content's float crossing test equals the exact decision on the
-    # same endpoints, either way round; ties at a segment end count
+    # the crossing kernel, called directly or through tuple_content,
+    # equals the exact decision on the same endpoints, either way round;
+    # ties at a segment end count
     hits = 0
     for f, g in _crossing_cases():
         expected = _exact_crossing(f, g)
+        assert _crossings(_segment(f), [_segment(g)]) == [expected], (f, g)
+        assert _crossings(_segment(g), [_segment(f)]) == [expected], (g, f)
         assert tuple_content((f, g)) == expected, (f, g)
         assert tuple_content((g, f)) == expected, (g, f)
         assert _content([Facet(*f), Facet(*g)]) == expected
@@ -295,6 +300,13 @@ def test_crossing_matches_exact_rational_test():
     assert tuple_content((v, ((0.75, 0.5), 0.25, (0.0, 1.0)))) == 1.0
     assert tuple_content((v, ((0.75 + 2.0 ** -52, 0.5), 0.25, (0.0, 1.0)))) == 0.0
     assert tuple_content((v, v)) == 0.0  # parallel, though they overlap
+    # one segment against a list: one 0.0 or 1.0 each, in order, and 0.0
+    # for a segment of its own normal
+    cases = list(itertools.islice(_crossing_cases(), 200))
+    segments = [_segment(g) for _, g in cases]
+    for f, _ in cases[:20]:
+        assert _crossings(_segment(f), segments) == [
+            0.0 if f[2] == g[2] else _exact_crossing(f, g) for _, g in cases]
 
 
 def test_window():

@@ -268,6 +268,16 @@ _CHAIN_CLASSES = {
     "table": (_table_model(3, (0.2, -1.0, 0.0), 4.0), "counts"),
     "d3-counts": (ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0), "counts"),
     "hemisphere": (_hemisphere_model((0.3, -1.0), 4.0), "pattern"),
+    "hemisphere-collinear": (_hemisphere_model((0.3, -1.0), 4.0), "pattern"),
+}
+# Initial patterns other than a Poisson draw.  Two collinear, overlapping
+# segments of one non-axis normal: the general rule tests each proposal
+# against every kept segment, and their pair must give 0.0 (a kernel
+# without that skip counts it as a crossing, from float rounding of their
+# directions, and G_2 drifts by 1 when either one leaves).
+_CHAIN_INITIAL = {
+    "hemisphere-collinear": FacetPattern.of(
+        [Facet((0.5, 0.5), 1.0, (0.6, 0.8)), Facet((0.3, 0.65), 1.0, (0.6, 0.8))]),
 }
 
 
@@ -278,7 +288,8 @@ def test_running_g_equals_g_vector(name):
     # and removing terms.
     p, engine = _CHAIN_CLASSES[name]
     samples, diag = run_chain(p, ChainConfig(n_steps=20_000, seed=9, burn_in=0,
-                                             thin=10, keep_samples=True))
+                                             thin=10, keep_samples=True,
+                                             initial=_CHAIN_INITIAL.get(name)))
     assert diag.engine == engine
     assert diag.trace_n.max() >= 5
     expected = np.array([g_vector(x) for x in samples])
@@ -392,8 +403,8 @@ def _pattern_step(p, x, row):
 @pytest.mark.parametrize("name", ["d3-nu2", "two-atom", "table", "d3-counts",
                                   "hemisphere"])
 def test_canonical_state_matches_pattern_steps(name):
-    # run_chain moves the chain state in place by ustat._subset_terms; the
-    # reference steps an immutable FacetPattern by _array_increment.  On
+    # run_chain moves the chain state in place by ustat._subset_terms (and,
+    # under the hemisphere law, the crossing kernel); the reference steps an immutable FacetPattern by _array_increment.  On
     # the same uniforms they take the same moves to the same patterns.
     p, _ = _CHAIN_CLASSES[name]
     initial = sample_poisson(p, make_rng(4))
@@ -409,6 +420,50 @@ def test_canonical_state_matches_pattern_steps(name):
                                            diag.trace_birth[t])
         assert x.facets == samples[t].facets
     assert diag.birth_accepted + diag.death_accepted > 200
+
+
+@pytest.mark.parametrize("name", ["d3-counts", "hemisphere"])
+def test_zero_acceptance_uniform_accepts_the_move(name, monkeypatch):
+    # The generator may return exactly 0.0, whose log reads as -inf: a
+    # death and then a birth whose acceptance uniform is zeroed are
+    # accepted, and the chain runs on.
+    p = _CHAIN_CLASSES[name][0]
+    initial = sample_poisson(p, make_rng(3))
+    steps = 2000
+    moves = make_rng(3).random((steps, p.d + 4))[:, 0]
+
+    def run(zeroed):
+        class Zeroing:  # the chain's generator, zeroing acceptance uniforms
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, shape):
+                u = self.rng.random(shape)
+                u[zeroed, p.d + 3] = 0.0
+                return u
+
+        monkeypatch.setattr(sampler, "make_rng",
+                            lambda *key: Zeroing(make_rng(*key)))
+        _, diag = run_chain(p, ChainConfig(n_steps=steps, seed=3, burn_in=0,
+                                           thin=1, initial=initial))
+        assert diag.n_retained == steps
+        return diag
+
+    def first_rejected(diag, birth, after):
+        # the first row past after that proposes a birth, or a death from a
+        # non-empty state, and that diag's chain rejected
+        n_before = np.concatenate(([initial.n], diag.trace_n[:-1]))
+        proposed = moves < 0.5 if birth else (moves >= 0.5) & (n_before > 0)
+        rows = np.flatnonzero(proposed & ~diag.trace_accepted)
+        return int(rows[rows > after][0])
+
+    death = first_rejected(run([]), False, 0)
+    diag = run([death])
+    assert diag.trace_accepted[death] and not diag.trace_birth[death]
+    birth = first_rejected(diag, True, death)
+    diag = run([death, birth])
+    assert diag.trace_accepted[[death, birth]].all()
+    assert diag.trace_birth[birth]
 
 
 def test_canonical_chains_build_no_pattern_per_step(monkeypatch):
