@@ -22,9 +22,12 @@ fraction of unused orientations, and three standard arrangements of the
 query facets as an independent check of it.
 
 The truncation tails are Poisson survival functions, scipy.special.pdtrc,
-and the series sum in logs through _logsumexp, so the module needs
-scipy.special alone: importing scipy.stats would add about 0.4 s and
-45 MiB to every process that imports the package.
+the Poisson weights take scipy.special.gammaln, and the series sum in
+logs through _logsumexp, so the module needs scipy.special alone.  It is
+imported where a series or a tail is first evaluated, not with the
+module: it took about 0.2 s, half of importing the package, and
+simulations, moments and e1 and e4 never sum a series.  Importing
+scipy.stats would add about 0.4 s and 45 MiB more.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .model import ModelParams, _check_int
 
@@ -161,6 +163,7 @@ def _count_grid(beta: float, dims: int, n: int):
     """Orientation counts 0..n on dims axes as open (broadcastable)
     grids, and the dense grid of their summed Poisson(beta) log weights.
     Only the sums and products built from the open grids are dense."""
+    from scipy.special import gammaln
     edge = np.arange(n + 1, dtype=float)
     log_pmf = edge * math.log(beta) - gammaln(edge + 1.0) - beta
     logw = sum(np.meshgrid(*([log_pmf] * dims), indexing="ij", sparse=True))
@@ -245,6 +248,7 @@ def _series_evaluator(p: ModelParams):
         beta = _beta(p)
 
         def tail_at(n):  # (d-1) e^beta P(X > n), X ~ Poisson(beta), in logs
+            from scipy.special import pdtrc
             with np.errstate(divide="ignore"):
                 log_sf = float(np.log(pdtrc(n, beta)))
             return math.exp(math.log(max(d - 1, 1)) + beta + log_sf)
@@ -362,6 +366,7 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
                                   lambda v, x: c * (v * (x + q[-1]))))
         return tuple(out)
 
+    from scipy.special import pdtrc
     log_a, log_b, tail, n = _truncated(
         sums, lambda n: d * float(pdtrc(n, beta)),
         d, math.ceil(beta + 10 * math.sqrt(beta + 1) + 20), n_cap, tol)
