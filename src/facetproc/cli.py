@@ -4,7 +4,7 @@ Subcommands: simulate (one chain, trace output), rho (correlation
 series or bounds along the activity grid), moments (reference and
 limit constants), experiment (the numbered drivers e1..e4).  All take
 a flat key-value config file and run through the harness; outputs land
-in --out as trace or results (.csv or .json) plus a manifest.json with
+in --out as trace.csv or results.csv plus a manifest.json with
 checksums.
 """
 
@@ -49,13 +49,12 @@ def main(argv=None) -> int:
         sub.add_argument("--seed", type=int, default=0, help="master seed")
         sub.add_argument("--out", default="facetproc-out",
                          help="output directory")
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     command = getattr(args, "id", args.command)
     try:
         cfg = build_experiment_config(command, parse_config(args.config),
                                       args.out, args.seed)
-        res = run_experiment(cfg, fmt=args.format)
+        res = run_experiment(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

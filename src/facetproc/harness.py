@@ -145,6 +145,7 @@ class ExperimentConfig:
             raise ValueError("activity grid must be nonempty")
         if any(y <= x for x, y in zip(self.a_grid, self.a_grid[1:])):
             raise ValueError("activity grid must be increasing")
+        _check_int("seed", self.seed, 0)
         # e1 pools across replicates; a lone chain falls back on its own SE
         _check_int("replicates", self.replicates,
                    2 if cmd.streams and not cmd.chains else 1)
@@ -219,15 +220,9 @@ def _fmt(v) -> str:
 
 
 def write_table(path, header, rows):
-    """CSV (floats by repr, None empty) or, for a .json path, a list of
-    row objects."""
-    if Path(path).suffix == ".json":
-        text = json.dumps([dict(zip(header, row)) for row in rows],
-                          sort_keys=True, indent=2) + "\n"
-    else:
-        text = "".join(",".join(map(_fmt, row)) + "\n"
-                       for row in [header, *rows])
-    Path(path).write_bytes(text.encode())
+    """CSV: floats by repr, None empty."""
+    Path(path).write_bytes("".join(",".join(map(_fmt, row)) + "\n"
+                                   for row in [header, *rows]).encode())
 
 
 def _sha256(path) -> str:
@@ -631,23 +626,23 @@ def _command(experiment: str) -> _Command:
     return _COMMANDS[experiment]
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1,
-                   fmt: str = "csv") -> dict:
-    """Run one command, write its table (trace.<fmt> for simulate,
-    results.<fmt> otherwise) and manifest.json; return the paths, the
-    header and rows, and the chain diagnostics of simulate (else None).
-    Tasks run serially; threads is accepted only as 1."""
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
+    """Run one command, then make the output directory and write its
+    table (trace.csv for simulate, results.csv otherwise) and
+    manifest.json; return the paths, the header and rows, and the chain
+    diagnostics of simulate (else None).  Tasks run serially; threads is
+    accepted only as 1."""
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}")
-    if fmt not in ("csv", "json"):
-        raise ValueError("format must be csv or json")
     cmd = _COMMANDS[cfg.experiment]
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"output directory {out} is a file")
     start = time.perf_counter()
     header, rows, chain = cmd.driver(cfg)
     wall = time.perf_counter() - start
-    path = out / f"{cmd.stem}.{fmt}"
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{cmd.stem}.csv"
     write_table(path, header, rows)
     tasks = [{"a": cfg.a_grid[ai], "replicate": r, "chain_index": stream}
              for ai, r, stream in _streams(cfg)] if cmd.streams else []

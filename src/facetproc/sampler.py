@@ -7,75 +7,33 @@ empty pattern is an automatic rejection.  Every step draws exactly d+4
 uniforms (move, aux, d center coordinates, size, acceptance) regardless of
 the branch taken.
 
-One loop, _run, takes the steps of run_chain.  It converts only the move,
-aux and acceptance columns of a block to Python floats, and a step only
-marks its row when its move is accepted.  When the block ends, numpy
-fills the block's kept states into the trace: the number of accepted
-moves at or before each kept row gives n (the block's starting n plus a
-running +-1, a birth's +1 and a death's -1) and the entry of the rule's
-log to read.  An increment rule takes each block once, in load, before
-its steps, and starts the block's log there; it then gives log lambda* of
-each proposal by row index, applies the accepted moves, logs what G and
-the occupancy mask need, and gives G and the mask of all the block's kept
-states at once (kept).  Every chain moves one mutable state in place,
-_ChainState: the facets in pattern order as (center, half-extent,
-orientation) triples.  Two rules extend it, in plain Python, each with
-only the state it reads, the running G among it (the second with a
-subclass):
+Which rule gives the increments (run_chain picks it; there is no option,
+and all three give bit-identical trajectories and G from the same seed):
 
-- _GeneralRule serves every model.  It maps each block's rows to facets
-  as every reference draw does (ModelParams.sample_facets_from_uniforms).
-  It also keeps the facets grouped by orientation class (keyed by axis
-  index or by normal, as FacetPattern.groups keys them).  Its order-j
-  increment is the fsum of ustat._subset_terms on these groups, as in
-  g_increment and model.log_conditional_intensity: the contents
-  (geometry.tuple_content) of the facet with j-1 facets of other
-  orientation classes.  log lambda* is the fsum of nu_j times these.
-  Under the hemisphere law (d = 2) each content is the 0-or-1 crossing of
-  two segments: the rule keeps each facet's segment (geometry._segment)
-  in a list aligned with its facets, a birth computes its segment once,
-  and a proposal's order-2 terms are one call of the crossing kernel
-  (geometry._crossings) over the kept segments, 0.0 for its own normal.
-  The orders with nu_j = 0 are computed only for accepted moves, for G.
-  It holds G per order as an integer in units of 2^-1074 (_units), and
-  its log holds G (each int converted to a float, again only when it
-  changed) and the mask after each accepted move.
-- _CountsRule serves the finite-orientation special model in d <= 3:
-  canonical axes, one facet size r and a window no wider than r.  G_1
-  and G_d are closed forms in the orientation counts, and so is the
-  order-1 and order-d part of lambda*.  It maps the birth axes of a
-  block's rows at once, by the orientation law's array sampler.  In
-  d = 3 it maps each block's rows as _GeneralRule does, and reads a
-  birth's center once the birth is accepted.  Each pair of facets meets
-  in the overlap of one free coordinate, and G_2 is their running sum
-  over the flat facet list, held as an exact integer multiple of a power
-  of two q fixed by the facet size.  In d = 2 only kept samples read
-  centers, so the rule maps no centers: it keeps the block's center
-  columns, and a birth keeps its raw uniforms until a pattern is built.
-  Its log holds the axis of each accepted death (a birth's axis is its
-  row's) and, in d = 3, G_2 / q after each accepted move; kept rebuilds
-  the counts at the kept states in numpy, where G_1, G_d and the mask
-  are closed forms in them, and converts G_2 once per block.
-- _PairCountsRule, a _CountsRule for d = 3 with nu_2 != 0, also reads
-  order 2 in lambda*: birth and death sum the proposed facet's pair
-  terms over the flat list, and an accepted move adds that same sum to
-  G_2.
+- _CountsRule when _counts_eligible holds: the special model in d <= 3
+  (canonical axes, one facet size r, a window no wider than r), where
+  log lambda*, G_1 and G_d are closed forms in the orientation counts and,
+  in d = 3, G_2 is a running sum of pair overlaps;
+- _PairCountsRule, its subclass, in its place in d = 3 with nu_2 != 0;
+- _GeneralRule otherwise: every model, the hemisphere law, multi-atom
+  sizes and d >= 4 included.
 
-run_chain takes a counts rule whenever _counts_eligible holds, the pair
-rule when nu_2 != 0 in d = 3.  All three rules give bit-identical
-trajectories and G from the same seed.  No Facet or FacetPattern is
-built per step, only for kept samples.
+Blocks and trace.  One loop, _run, takes the steps of every chain, a
+block of rows of uniforms at a time.  The rule takes each block once
+(load), gives log lambda* of each proposal by row index, and applies the
+accepted moves in place on one _ChainState, logging what G and the
+occupancy mask need.  A step only marks the row of an accepted move;
+after each block numpy fills the block's kept states into the trace from
+those marks and the rule's log (kept).  No Facet or FacetPattern is built
+per step, only for kept samples.
 
-The running G is exact.  Each term (the content of one subset) is added
-when its subset appears and subtracted, bit for bit the same value, when a
-member leaves.  Both rules hold G as Python ints, a fixed-point (or long)
-accumulator (Kulisch 2008): a move adds one integer per term, and the
-correctly rounded conversion of the int to a float is the correctly
-rounded sum of the current terms, the value g_vector returns.  The
-general rule counts in units of 2^-1074, of which every finite float is
-an integer multiple; the counts rules count G_2 in units of q, a power
-of two fixed by the facet size whose multiples the pair terms are (the
-proof is in _CountsRule), so that their ints stay short.
+Exact G.  Every rule holds each order of the running G as a Python int, a
+fixed-point accumulator (Kulisch 2008): a term is added when its subset
+appears and subtracted, bit for bit the same value, when a member leaves,
+so the correctly rounded conversion of the int is the correctly rounded
+sum of the current terms, the value g_vector returns.  The general rule
+counts in units of 2^-1074 (_units); the counts rules count G_2 in units
+of a power of two fixed by the facet size (the proof is in _CountsRule).
 """
 
 from __future__ import annotations

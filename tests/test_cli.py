@@ -3,10 +3,16 @@ error reporting."""
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+import facetproc
 from facetproc.cli import main
 from facetproc.model import ModelParams
 from facetproc.harness import _COMMANDS, write_table
@@ -97,16 +103,6 @@ def test_experiment_subcommand_runs_e3(tmp_path, capsys):
     assert "e3" in captured.out and "manifest" in captured.out
 
 
-def test_experiment_json_format(tmp_path, capsys):
-    conf = write_conf(tmp_path, "d = 2\nnu.2 = -0.5\na.grid = 1\n")
-    out = tmp_path / "expj"
-    assert run(["experiment", "e3", "--config", conf, "--out", str(out),
-                "--format", "json"]) == 0
-    payload = json.loads((out / "results.json").read_text())
-    assert isinstance(payload, list) and payload
-    capsys.readouterr()
-
-
 RERUN_CASES = {
     "simulate": (["simulate"], "d = 2\nnu.2 = -1\na.grid = 2\n"
                                "chain.steps = 5000\n"),
@@ -165,17 +161,142 @@ def test_results_bytes_are_pinned(tmp_path, capsys, case):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", list(RERUN_CASES))
-def test_cli_reruns_are_byte_identical(tmp_path, capsys, case, fmt):
+# Every command kind's results, pinned per value: the rerun cases at seed 6
+# and CI's d = 4 rho series and e3 rows at seed 0, whose cells pass through
+# numpy's vectorized exp, log and power and so may differ in the last bits
+# between CPUs.  Integer and string cells must match exactly, floats to a
+# relative 1e-12 (a zero only by a zero).  `python tests/test_cli.py`
+# rewrites PINNED_VALUES from the current code.
+VALUE_CASES = {
+    **{case: (command, text, 6) for case, (command, text)
+       in RERUN_CASES.items()},
+    "rho-series-d4": (["rho"], "d = 4\nnu.4 = -1\na.grid = 2,8,16\n", 0),
+    "e3-d4": (["experiment", "e3"], "d = 4\nnu.4 = -1\na.grid = 2,8,16\n",
+              0),
+}
+PINNED_VALUES = Path(__file__).with_name("pinned_values.json")
+
+
+def _runs(cases, tmp_path):
+    """The command line of each case, its config written under tmp_path
+    and its output directory tmp_path / case."""
+    runs = []
+    for case in cases:
+        command, text, seed = VALUE_CASES[case]
+        conf = tmp_path / f"{case}.conf"
+        conf.write_text(text)
+        runs.append(command + ["--config", str(conf), "--seed", str(seed),
+                               "--out", str(tmp_path / case)])
+    return runs
+
+
+def _cell(text):
+    """A results cell as written: None if empty, else int, float or str."""
+    if text == "":
+        return None
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _table(out):
+    """The header and rows of a command's results in its --out directory."""
+    path = next(p for p in (out / "trace.csv", out / "results.csv")
+                if p.exists())
+    return [[_cell(text) for text in line.split(",")]
+            for line in path.read_text().splitlines()]
+
+
+def _run_cases(cases, tmp_path, env=None):
+    """Run each case's command in a fresh interpreter (with env's
+    variables added) and return its table."""
+    runs = _runs(cases, tmp_path)
+    src = str(Path(facetproc.__file__).resolve().parents[1])
+    full = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    disabled = (env or {}).get("NPY_DISABLE_CPU_FEATURES", "").split()
+    # numpy ignores a feature name it does not know: check each took effect
+    script = ("from numpy._core._multiarray_umath import "
+              "__cpu_features__ as f\n"
+              f"assert not any(f[name] for name in {disabled!r})\n"
+              "from facetproc.cli import main\n"
+              + "".join(f"assert main({args!r}) == 0\n" for args in runs))
+    subprocess.run([sys.executable, "-c", script], env=full, check=True,
+                   capture_output=True)
+    return {case: _table(tmp_path / case) for case in cases}
+
+
+def _differences(tables):
+    """(case, row, column, got, pinned) of every cell off its pin."""
+    pinned = json.loads(PINNED_VALUES.read_text())
+    out = []
+    for case, table in tables.items():
+        want = pinned[case]
+        if len(table) != len(want):
+            out.append((case, "rows", None, len(table), len(want)))
+            continue
+        for r, (row, pin) in enumerate(zip(table, want)):
+            if len(row) != len(pin):
+                out.append((case, r, "cells", len(row), len(pin)))
+                continue
+            for c, (got, exp) in enumerate(zip(row, pin)):
+                if type(got) is not type(exp):
+                    same = False
+                elif isinstance(exp, float):
+                    same = math.isclose(got, exp, rel_tol=1e-12) \
+                        or math.isnan(got) and math.isnan(exp)
+                else:
+                    same = got == exp
+                if not same:
+                    out.append((case, r, want[0][c], got, exp))
+    return out
+
+
+def test_results_values_are_pinned(tmp_path, capsys):
+    for args in _runs(VALUE_CASES, tmp_path):
+        assert run(args) == 0
+    capsys.readouterr()
+    assert _differences({case: _table(tmp_path / case)
+                         for case in VALUE_CASES}) == []
+
+
+def _has_x86_v4():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not _has_x86_v4(), reason="numpy dispatches no AVX-512 "
+                    "code on this CPU")
+@pytest.mark.parametrize("disabled", [
+    "X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"],
+    ids=["avx2", "baseline"])
+def test_results_values_hold_on_narrower_simd(tmp_path, disabled):
+    # numpy's AVX2 and baseline exp, log and power move the last bits of
+    # some rho, e3 and e4 cells; the pins hold them to 1e-12
+    cases = ["rho-series", "rho-series-d4", "e3", "e3-d4", "e4"]
+    tables = _run_cases(cases, tmp_path,
+                        {"NPY_DISABLE_CPU_FEATURES": disabled})
+    assert _differences(tables) == []
+
+
+# each case compares the command's CSV table
+@pytest.mark.parametrize("case", list(RERUN_CASES),
+                         ids=[f"{case}-csv" for case in RERUN_CASES])
+def test_cli_reruns_are_byte_identical(tmp_path, capsys, case):
     command, text = RERUN_CASES[case]
     conf = write_conf(tmp_path, text)
-    name = ("trace" if command == ["simulate"] else "results") + "." + fmt
+    name = "trace.csv" if command == ["simulate"] else "results.csv"
     blobs = []
     for run_dir in ("one", "two"):
         out = tmp_path / run_dir
-        assert run(command + ["--config", conf, "--seed", "6", "--format",
-                              fmt, "--out", str(out)]) == 0
+        assert run(command + ["--config", conf, "--seed", "6",
+                              "--out", str(out)]) == 0
         blobs.append((out / name).read_bytes())
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["outputs"]) == [name]
@@ -221,9 +342,15 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     (["experiment", "e2"], "d = 2\nnu.2 = -1\nchain.steps = 1000\n"
                            "chain.thin = 5000\n",
      ("keeps no state", "thin = 5000")),
+    # a negative seed: moments and e1 made the output directory before it
+    # was refused, e1 by numpy's "expected non-negative integer"; rho and
+    # e3 ran and recorded it
+    *[(command + ["--seed", "-1"], text,
+       ("seed must be an integer >= 0, got -1",))
+      for command, text in RERUN_CASES.values()],
 ], ids=["e2-steps-short", "simulate-nu2-nan", "e2-trace-too-large",
         "e4-d2", "e1-coupled", "e3-nu2", "e2-two-orders", "rho-two-orders",
-        "e2-keeps-nothing"])
+        "e2-keeps-nothing", *[f"{case}-seed" for case in RERUN_CASES]])
 def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
                                                text, named):
     out = tmp_path / "out"
@@ -243,3 +370,12 @@ def test_experiment_choices_are_the_table_e_commands(capsys):
     with pytest.raises(SystemExit):
         run(["experiment", "e5", "--config", "unused.conf"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = _run_cases(list(VALUE_CASES), Path(tmp))
+    PINNED_VALUES.write_text("{\n" + ",\n".join(
+        f" {json.dumps(case)}: [\n"
+        + ",\n".join("  " + json.dumps(row) for row in table) + "\n ]"
+        for case, table in tables.items()) + "\n}\n")

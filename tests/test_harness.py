@@ -1,6 +1,7 @@
 """Experiment drivers: configuration, closed forms, small runs,
 reproducibility of the persisted outputs."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from facetproc.harness import (CHAIN_GRID, POISSON_GRID, E1_HEADER,
                                E2_HEADER, E3_HEADER, E4_HEADER,
-                               ExperimentConfig, _arrangements,
+                               ExperimentConfig, _COMMANDS, _arrangements,
                                build_experiment_config, config_model,
                                experiment_e1_poisson_clt,
                                experiment_e3_rho_limits, parse_config,
@@ -401,15 +402,18 @@ def test_run_experiment_refuses_threads(tmp_path):
     assert Path(run_experiment(cfg, threads=1)["results"]).exists()
 
 
-def test_run_experiment_json_format(tmp_path):
-    conf = {"d": "2", "nu.2": "-0.5", "a.grid": "1,2"}
-    cfg = make_cfg("e3", conf, tmp_path, seed=0)
-    res = run_experiment(cfg, fmt="json")
-    payload = json.loads(Path(res["results"]).read_text())
-    assert isinstance(payload, list) and payload
-    assert set(payload[0]) == set(E3_HEADER)
-    with pytest.raises(ValueError, match="csv or json"):
-        run_experiment(cfg, fmt="xml")
+def test_run_experiment_refuses_a_file_as_output_before_running(
+        tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.write_text("")
+    cfg = make_cfg("e3", {"d": "2", "nu.2": "-0.5", "a.grid": "1"}, out,
+                   seed=0)
+    def driver(cfg):
+        raise AssertionError("the driver ran")
+    monkeypatch.setitem(_COMMANDS, "e3", dataclasses.replace(
+        _COMMANDS["e3"], driver=driver))
+    with pytest.raises(ValueError, match="is a file"):
+        run_experiment(cfg)
 
 
 # the manifest of a small e2 run, wall time masked and the

@@ -52,6 +52,18 @@ def _canonical(d: int, a: float, half_extent: float, side: float
                        SizeLaw.fixed(half_extent), OrientationLaw(d))
 
 
+# one config each command kind accepts at seed 0
+COMMAND_CONFS = {
+    "simulate": {"d": "2", "nu.2": "-1", "a.grid": "2"},
+    "rho": {"d": "2", "nu.2": "-1"},
+    "moments": {"d": "2"},
+    "e1": {"d": "2"},
+    "e2": {"d": "2", "nu.2": "-1"},
+    "e3": {"d": "2", "nu.2": "-1"},
+    "e4": {"d": "3", "nu.3": "-1"},
+}
+
+
 BAD_INPUT = {
     "nu2-nan": lambda: ModelParams.special(2, (0.0, NAN)),
     "nu1-inf": lambda: ModelParams.special(2, (INF, 0.0)),
@@ -275,6 +287,13 @@ BAD_INPUT = {
     "submodel-order-bool": lambda: ModelParams.submodel(3, True, -1.0),
     "submodel-order-float": lambda: ModelParams.submodel(3, 2.0, -1.0),
     "kernel-order-bool": lambda: interaction_kernel(True),
+    # a seed of -1 or True: rho and e3 ran and recorded it, moments and e1
+    # refused -1 only after making the output directory
+    **{f"{command}-seed-{kind}": (
+        lambda command=command, seed=seed: build_experiment_config(
+            command, COMMAND_CONFS[command], "out", seed))
+       for command in COMMAND_CONFS
+       for kind, seed in (("negative", -1), ("bool", True))},
 }
 
 
