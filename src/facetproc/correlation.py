@@ -1,9 +1,11 @@
 """Correlation functions of the finite-orientation facet family.
 
 A query is keyed by its orientation counts: how many query facets lie on
-each axis.  In the finite-orientation model the exact series, the
-certified envelope and the large-activity limit depend on the query only
-through these counts.  Evaluators, by regime:
+each axis.  In a count-determined model (model._count_determined:
+canonical axes, one half-extent r, window sides at most r), which the
+evaluators require, the exact series, the certified envelope and the
+large-activity limit depend on the query only through these counts.
+Evaluators, by regime:
 
 * exact truncated series when the top-order interaction is the only one
   active (any counts, repeats included, certified truncation tail),
@@ -38,26 +40,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ModelParams, _check_int
+from .model import ModelParams, _check_int, _count_determined
 
 _MAX_CELLS = 20_000_000
-
-
-def _require_special(p: ModelParams) -> None:
-    if p.orientation.kind != "canonical":
-        raise ValueError("correlation formulas need axis-aligned orientations")
-    if not p.size.is_fixed or abs(p.size.max_extent - p.b) > 1e-9 * p.b:
-        raise ValueError("correlation formulas need fixed half-extent b")
-    for lo, hi in p.window.bounds:
-        if hi - lo > p.b * (1 + 1e-12):
-            raise ValueError("window sides must not exceed b")
 
 
 def _query(p: ModelParams, counts, n_cap: int | None, tol: float
            ) -> tuple[int, tuple[int, ...]]:
     """The model's coupled order and the query's orientation counts,
     after checking both, the truncation cap and the tolerance."""
-    _require_special(p)
+    if not _count_determined(p):
+        raise ValueError("correlation formulas need canonical axes, one "
+                         "half-extent r and window sides at most r")
     s = p.coupled_order()
     if n_cap is not None:
         _check_int("truncation cap n_cap", n_cap, 1)
@@ -96,12 +90,12 @@ def _whole(c) -> int | None:
 def _beta(p: ModelParams) -> float:
     # first-order coupling tilts each orientation's Poisson activity
     return (p.a * p.total_intensity / p.d) * math.exp(
-        p.nu[0] * (2 * p.b) ** (p.d - 1))
+        _log_first_order_factor(p, 1))
 
 
 def _log_first_order_factor(p: ModelParams, n_query: int) -> float:
     # the first-order coupling also scales rho by a factor per query facet
-    return p.nu[0] * n_query * (2 * p.b) ** (p.d - 1)
+    return p.nu[0] * n_query * (2 * p.size.max_extent) ** (p.d - 1)
 
 
 def rho_limit_from_counts(counts: Sequence[int]) -> Fraction:
@@ -296,10 +290,8 @@ def correlation_provider(p: ModelParams, tol: float = 1e-8):
     its truncation loop reruns per query, but every log sum it needs is
     summed once, the denominator's shared by all queries.
     """
-    _require_special(p)
-    if p.coupled_order() != p.d:
+    if _query(p, (1,) * p.d, None, tol)[0] != p.d:  # a query's checks
         raise ValueError("provider needs the top-order interaction only")
-    _check_tol(tol)
     series = _series_evaluator(p)
 
     def rho(axes) -> np.ndarray:
@@ -334,15 +326,15 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
     interaction, where the exact value is center-dependent, for a query
     with at most one facet per orientation.
 
-    Any s facets with distinct orientations intersect in measure between
-    b^(d-s) and (2b)^(d-s); bounding every subset's contribution by the
-    matching extreme gives a numerator envelope from above and a
-    denominator envelope from below, both functions of orientation
-    counts alone.  Dropping the denominator's tail only lowers it, and
-    the numerator integrand is at most one, so its tail is a bare
-    Poisson tail, d times scipy.special.pdtrc(n, beta).  The last count
-    is summed in closed form: with y = x + q the counts shifted by the
-    query's (q = 0 for the denominator) and y' all but y_d,
+    Any s facets of half-extent r with distinct orientations intersect
+    in measure between r^(d-s) and (2r)^(d-s); bounding every subset's
+    contribution by the matching extreme gives a numerator envelope from
+    above and a denominator envelope from below, both functions of
+    orientation counts alone.  Dropping the denominator's tail only
+    lowers it, and the numerator integrand is at most one, so its tail
+    is a bare Poisson tail, d times scipy.special.pdtrc(n, beta).  The
+    last count is summed in closed form: with y = x + q the counts
+    shifted by the query's (q = 0 for the denominator) and y' all but y_d,
     e_s(y) = e_s(y') + y_d e_(s-1)(y'), so at a cell x' of the
     (n+1)^(d-1) grid the x_d-sum of e^(c e_s(y)) is e^(c e_s(y')) T(v),
     T(v) = sum over x_d = 0..n of pmf(x_d) e^(c (x_d + q_d) v), tabulated
@@ -353,13 +345,14 @@ def rho_bounds(p: ModelParams, counts, n_cap: int | None = None,
         raise ValueError("full-order interaction: use rho_series_counts")
     if any(c > 1 for c in counts):
         raise ValueError("query facets must have pairwise distinct orientations")
-    d, b, nu, k, beta = p.d, p.b, p.nu[s - 1], p.d - s, _beta(p)
-    rate = rho_decay_rate(d, k, b, p.total_intensity, nu)
+    d, nu, k, beta = p.d, p.nu[s - 1], p.d - s, _beta(p)
+    r = p.size.max_extent
+    rate = rho_decay_rate(d, k, r, p.total_intensity, nu)
 
     def sums(n):
         bare, logw = _count_grid(beta, d - 1, n)
         out = []
-        for q, c in ((counts, nu * b ** k), ((0,) * d, nu * (2 * b) ** k)):
+        for q, c in ((counts, nu * r ** k), ((0,) * d, nu * (2 * r) ** k)):
             below, top = _distinct_subset_count(
                 [bare[i] + q[i] for i in range(d - 1)], s)
             out.append(_table_sum(beta, n, logw + c * top, below,

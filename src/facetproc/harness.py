@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .correlation import (_series_evaluator, rho_bounds, rho_limit,
                           rho_limit_from_counts, rho_series_counts)
-from .model import ModelParams, _check_int
-from .moments import _covariance_table, i_k_integrals, \
+from .model import ModelParams, _check_int, _count_determined
+from .moments import _covariance_table, _grid_size, i_k_integrals, \
     scaling_limit_constants
 from .sampler import ChainConfig, _poisson_g_vectors, batch_means_se, \
     make_rng, run_chain, trace_table
@@ -242,18 +242,16 @@ def _model_dict(p: ModelParams) -> dict:
 
 
 def poisson_mean_interaction(p: ModelParams, s: int) -> float:
-    """E G_s under the reference process of the special model: s facets
-    must take distinct orientations; each free coordinate contributes
-    the mean overlap of s intervals of half-extent b whose centers are
-    uniform on a window side of length b."""
-    sides = [hi - lo for lo, hi in p.window.bounds]
-    if p.center.table is not None or not p.size.is_fixed \
-            or p.orientation.kind != "canonical" \
-            or any(abs(r - p.b) > 1e-9 * p.b
-                   for r in (p.size.max_extent, *sides)):
+    """E G_s under the reference process of a count-determined model with
+    constant intensity and window sides r, the half-extent: s facets must
+    take distinct orientations; each free coordinate contributes the mean
+    overlap of s intervals of half-extent r, centers uniform on a side."""
+    r = p.size.max_extent
+    if p.center.table is not None or not _count_determined(p) \
+            or any(hi - lo != r for lo, hi in p.window.bounds):
         raise ValueError("closed form needs the constant-intensity canonical "
-                         "model with half-extent and window sides b")
-    free = p.b * (s + 3) / (s + 1)
+                         "model with one half-extent r and window sides r")
+    free = r * (s + 3) / (s + 1)
     return ((p.a * p.total_intensity / p.d) ** s * math.comb(p.d, s)
             * free ** (p.d - s))
 
@@ -275,13 +273,22 @@ def _series_row(pa: ModelParams, series, k: int, variant: str, l,
             abs(res.value - lim), res.denominator, res.n_max)
 
 
+_RESOLUTION = 100  # the quadrature of _covariances
+
+
 def _covariances(p: ModelParams, seed: int) -> dict:
     """Asymptotic covariance constants (value, se) for orders i <= j, as
     asymptotic_covariance gives each, on one draw of query facets with
     each order's increments evaluated once."""
     pairs = [(i, j) for i in range(1, p.d + 1) for j in range(i, p.d + 1)]
     return _covariance_table(pairs, p, n_samples=400, seed=seed,
-                             method="auto", resolution=100, mc_patterns=2000)
+                             method="auto", resolution=_RESOLUTION,
+                             mc_patterns=2000)
+
+
+def _covariance_grid(p: ModelParams) -> None:
+    """moments and e1 run _covariances: its grid must fit (d <= 5)."""
+    _grid_size(p.d - 1, p.d, _RESOLUTION)
 
 
 def _scaling_limits(p: ModelParams) -> dict:
@@ -567,8 +574,10 @@ def experiment_e4_scaling(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _uncoupled(p: ModelParams) -> None:
+    """e1: no coupling, and a covariance grid that fits."""
     if any(v != 0.0 for v in p.nu):
         raise ValueError("Poisson diagnostics need all couplings zero")
+    _covariance_grid(p)
 
 
 def _top_order(p: ModelParams) -> None:
@@ -606,7 +615,8 @@ _COMMANDS = {
     "simulate": _Command(_simulate, CHAIN_GRID[:1], chains=True,
                          streams=True, first_point=True, stem="trace"),
     "rho": _Command(_rho, requires=ModelParams.coupled_order),
-    "moments": _Command(_moments, CHAIN_GRID[:1], first_point=True),
+    "moments": _Command(_moments, CHAIN_GRID[:1], first_point=True,
+                        requires=_covariance_grid),
     "e1": _Command(lambda cfg: (E1_HEADER, experiment_e1_poisson_clt(cfg),
                                 None), POISSON_GRID, 400, streams=True,
                    requires=_uncoupled),

@@ -300,6 +300,16 @@ def validate_params(p: ModelParams) -> None:
         raise ValueError("total center intensity must be positive and finite")
 
 
+def _count_determined(p: ModelParams) -> bool:
+    """Canonical axes, one half-extent r and every window side at most r:
+    each content is then a product of free-coordinate overlaps, and G_1
+    and G_d are functions of the orientation counts.  The counts rules,
+    the correlation evaluators and the Poisson closed form need it."""
+    r = p.size.max_extent
+    return p.orientation.is_canonical and p.size.is_fixed \
+        and all(hi - lo <= r for lo, hi in p.window.bounds)
+
+
 def log_conditional_intensity(ys: Sequence[Facet], x: FacetPattern, p: ModelParams) -> float:
     """log of exp(nu . (G(x + ys) - G(x))), via telescoping increments:
     each y takes ustat._subset_terms of every active order on one copy of

@@ -15,7 +15,8 @@ table evaluates each order once per stream however many (i, j) pairs
 use it: by Monte Carlo per facet, or under a constant center intensity
 by one batched midpoint quadrature over its query facets, of which one
 expected_increment is the batch of one.  Resolutions, orders and group
-sizes must be integers >= 1, sample and pattern counts integers >= 2.
+sizes must be integers >= 1, sample and pattern counts integers >= 2,
+and a quadrature below the top order has at most 2^23 grid points.
 """
 
 from __future__ import annotations
@@ -271,6 +272,17 @@ def _increment_method(p: ModelParams, method: str) -> str:
     return method
 
 
+def _grid_size(j: int, d: int, resolution: int) -> int:
+    """The resolution^(j-1) points of an order-j quadrature grid: at most
+    2^53, where its counts stay exact, and 2^23 below the top order, where
+    its overlap arrays take 8 bytes a point (a 763 MiB chunk at d = 6)."""
+    size, most = resolution ** (j - 1), 23 if j < d else 53
+    if size > 2 ** most:
+        raise ValueError(f"order-{j} quadrature grid in d = {d}: {resolution} "
+                         f"** {j - 1} points exceed 2 ** {most}")
+    return size
+
+
 def _quad_increments(j: int, p: ModelParams, centers: np.ndarray,
                      axes: np.ndarray, resolution: int) -> np.ndarray:
     """Order-j expected increments, j >= 2, of K axis-aligned query
@@ -291,9 +303,7 @@ def _quad_increments(j: int, p: ModelParams, centers: np.ndarray,
     d = p.d
     r = p.size.max_extent
     scale = (p.total_intensity / d) ** (j - 1)
-    size = int(resolution) ** (j - 1)
-    if size > 2 ** 53:  # the counts below stay exact in float64 and int64
-        raise ValueError("resolution ** (j - 1) exceeds 2 ** 53 grid points")
+    size = _grid_size(j, d, int(resolution))
     own, chosen, free = [], [], []
     for c, (lo, hi) in enumerate(p.window.bounds):
         mids = lo + (hi - lo) * (np.arange(resolution) + 0.5) / resolution

@@ -10,10 +10,11 @@ the branch taken.
 Which rule gives the increments (run_chain picks it; there is no option,
 and all three give bit-identical trajectories and G from the same seed):
 
-- _CountsRule when _counts_eligible holds: the special model in d <= 3
-  (canonical axes, one facet size r, a window no wider than r), where
-  log lambda*, G_1 and G_d are closed forms in the orientation counts and,
-  in d = 3, G_2 is a running sum of pair overlaps;
+- _CountsRule when _counts_eligible holds: a count-determined model
+  (model._count_determined: canonical axes, one half-extent r, a window
+  no wider than r) in d <= 3, where log lambda*, G_1 and G_d are closed
+  forms in the orientation counts and, in d = 3, G_2 is a running sum of
+  pair overlaps;
 - _PairCountsRule, its subclass, in its place in d = 3 with nu_2 != 0;
 - _GeneralRule otherwise: every model, the hemisphere law, multi-atom
   sizes and d >= 4 included.
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Facet, _crossings, _segment
-from .model import ModelParams, _check_int, _facet_list
+from .model import ModelParams, _check_int, _count_determined, _facet_list
 from .ustat import FacetPattern, _subset_sums, _subset_terms
 
 _BLOCK = 1 << 15
@@ -215,13 +216,9 @@ def batch_means_se(values: np.ndarray) -> float:
 
 
 def _counts_eligible(p: ModelParams) -> bool:
-    if not p.orientation.is_canonical or not p.size.is_fixed or p.d > 3:
-        return False
-    r = p.size.max_extent
-    # every center lies within r of every other, so each content is a
-    # product of free-coordinate overlaps: orders 1 and d are closed forms
-    # in the counts, and the d = 3 order 2 is the flat pair loop
-    return all(hi - lo <= r for lo, hi in p.window.bounds)
+    # orders 1 and d are closed forms in the counts, and the d = 3 order
+    # 2 is the flat pair loop
+    return _count_determined(p) and p.d <= 3
 
 
 def _check_initial(p: ModelParams, x: FacetPattern) -> None:

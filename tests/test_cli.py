@@ -342,6 +342,12 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     (["experiment", "e2"], "d = 2\nnu.2 = -1\nchain.steps = 1000\n"
                            "chain.thin = 5000\n",
      ("keeps no state", "thin = 5000")),
+    # the order-5 quadrature of the covariances (10^8 points at resolution
+    # 100): under a 1.5 GB address-space limit both exited 1 with numpy's
+    # _ArrayMemoryError, e1 after about 6 s of reference draws
+    (["moments"], "d = 6\n", ("d = 6", "quadrature grid")),
+    (["experiment", "e1"], "d = 6\na.grid = 1,4\nreplicates = 20\n",
+     ("d = 6", "quadrature grid")),
     # a negative seed: moments and e1 made the output directory before it
     # was refused, e1 by numpy's "expected non-negative integer"; rho and
     # e3 ran and recorded it
@@ -350,7 +356,8 @@ def test_cli_reports_missing_file(tmp_path, capsys):
       for command, text in RERUN_CASES.values()],
 ], ids=["e2-steps-short", "simulate-nu2-nan", "e2-trace-too-large",
         "e4-d2", "e1-coupled", "e3-nu2", "e2-two-orders", "rho-two-orders",
-        "e2-keeps-nothing", *[f"{case}-seed" for case in RERUN_CASES]])
+        "e2-keeps-nothing", "moments-d6", "e1-d6",
+        *[f"{case}-seed" for case in RERUN_CASES]])
 def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
                                                text, named):
     out = tmp_path / "out"

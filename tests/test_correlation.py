@@ -11,7 +11,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import poisson
 
-from facetproc import correlation
+from facetproc import correlation, sampler
 from facetproc.correlation import (
     correlation_provider,
     rho_bounds,
@@ -20,10 +20,13 @@ from facetproc.correlation import (
     rho_limit_from_counts,
     rho_series_counts,
 )
-from facetproc.geometry import Facet
+from facetproc.geometry import Facet, Window
 from facetproc.harness import (_arrangements, build_experiment_config,
-                               experiment_e3_rho_limits)
-from facetproc.model import ModelParams, SizeLaw, log_conditional_intensity
+                               experiment_e3_rho_limits,
+                               poisson_mean_interaction)
+from facetproc.model import (CenterIntensity, ModelParams, OrientationLaw,
+                             SizeLaw, _count_determined,
+                             log_conditional_intensity)
 from facetproc.sampler import ChainConfig, batch_means_se, run_chain
 
 
@@ -472,3 +475,63 @@ def test_bool_counts_are_not_counts():
         with pytest.raises(ValueError, match="counts"):
             rho_series_counts(p, counts)
     assert correlation._whole(1.0) == 1
+
+
+def _model(d, size, side, kind="canonical", table=None, nu=None):
+    """A model at scale b = 1 and a = 2, top-order coupled unless nu is
+    given, with the size law size on the window [0, side]^d."""
+    window = Window.cube(side, d)
+    center = (CenterIntensity(window, level=1.0) if table is None
+              else CenterIntensity(window, table=table))
+    return ModelParams(d, 1.0, nu or (0.0,) * (d - 1) + (-1.0,), 2.0,
+                       center, size, OrientationLaw(d, kind))
+
+
+# each model and whether it is count-determined: canonical axes, one
+# half-extent r and every window side at most r
+_DOMAIN_MODELS = {
+    **{f"special-d{d}": (ModelParams.special(
+        d, (0.0,) * (d - 1) + (-1.0,), a=2.0), True) for d in (2, 3, 4)},
+    **{f"r05-d{d}": (_model(d, SizeLaw.fixed(0.5), 0.5), True)
+       for d in (3, 4)},
+    "window-above-r": (_model(3, SizeLaw.fixed(0.5), 1.0), False),
+    "two-atom": (_model(3, SizeLaw(((0.5, 0.3), (1.0, 0.7))), 0.5), False),
+    "hemisphere": (_model(2, SizeLaw.fixed(1.0), 1.0, "hemisphere"), False),
+    "table": (_model(3, SizeLaw.fixed(0.5), 0.5,
+                     table=np.arange(1.0, 9.0).reshape(2, 2, 2)), True),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOMAIN_MODELS))
+def test_counts_rule_and_correlation_read_one_condition(name):
+    # the counts rule's selection and the correlation evaluators' refusal
+    # follow model._count_determined, with no tolerance of their own
+    p, determined = _DOMAIN_MODELS[name]
+    assert _count_determined(p) is determined
+    assert sampler._counts_eligible(p) == (determined and p.d <= 3)
+    if determined:
+        assert rho_series_counts(p, (1,) * p.d).value > 0.0
+    else:
+        with pytest.raises(ValueError, match="half-extent"):
+            rho_series_counts(p, (1,) * p.d)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_evaluators_read_the_half_extent_not_b(d):
+    # b = 1 with half-extent and window side 0.5 differs from
+    # ModelParams.special at b = 0.5 only in b: the series, the bounds
+    # and the Poisson closed form give the same bits
+    top = (0.0,) * (d - 1) + (-1.0,)
+    p = _model(d, SizeLaw.fixed(0.5), 0.5)
+    ref = ModelParams.special(d, top, a=2.0, b=0.5)
+    assert _result_bits(rho_series_counts(p, (1,) * d)) \
+        == _result_bits(rho_series_counts(ref, (1,) * d))
+    for s in range(1, d + 1):
+        assert poisson_mean_interaction(p, s).hex() \
+            == poisson_mean_interaction(ref, s).hex()
+    if d == 3:
+        lower = (0.0, -1.0, 0.0)
+        assert _result_bits(rho_bounds(
+            _model(3, SizeLaw.fixed(0.5), 0.5, nu=lower), (1, 1, 0))) \
+            == _result_bits(rho_bounds(ModelParams.special(
+                3, lower, a=2.0, b=0.5), (1, 1, 0)))

@@ -350,6 +350,11 @@ def test_increment_and_covariance_reject_bad_input():
         expected_increment(8, Facet((0.5,) * 8, 1.0, 0), p8)
     assert expected_increment(8, Facet((0.5,) * 8, 1.0, 0), p8,
                               resolution=2)[0] > 0.0
+    # below the top order the grid's overlap arrays hold a float per
+    # point: 100^4 points at d = 6, j = 5 are refused before they are made
+    p6 = ModelParams.special(6, (0.0,) * 6)
+    with pytest.raises(ValueError, match="2 \\*\\* 23"):
+        asymptotic_covariance(5, 5, p6, n_samples=8, resolution=100)
     # the smallest sizes allowed run
     assert expected_increment(2, y, p, resolution=1)[1] == 0.0
     assert asymptotic_covariance(1, 1, p, n_samples=np.int64(2),

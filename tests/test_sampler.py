@@ -970,6 +970,57 @@ def test_counts_match_exact_stationary_law(d, nu, a, steps, thin):
     assert abs(g_mean - exact_g) < 4.0 * g_se
 
 
+def _exact_g2_moments(a, b, nu):
+    """Mean and variance of G_2 in the d=3 top-order special model, exactly.
+
+    Given the orientation counts n, the centers are i.i.d. uniform on
+    [0, b]^3, and a pair on axes k != m overlaps 2b - |U - V| on its free
+    coordinate, so E[G_2 | n] = 5b/3 sum_{k<m} n_k n_m and, from
+    Var |U - V| = b^2/18 and Var E[|U - V| | U] = b^2/180,
+    Var(G_2 | n) = b^2 sum_{k<m} n_k n_m (1/18 + (n_k + n_m - 2)/180).
+    Both are summed over the count law, Poisson(a b^3/3) weights times
+    exp(nu n_0 n_1 n_2).
+    """
+    (n0, n1, n2), log_w = _count_grid(a * b ** 3 / 3, 3, 60)
+    w = np.exp(log_w + nu * (n0 * n1 * n2))
+    w /= w.sum()
+    pairs = [(n0, n1), (n0, n2), (n1, n2)]
+    mean_n = 5 * b / 3 * sum(k * m for k, m in pairs)
+    var_n = b * b * sum(k * m * (1 / 18 + (k + m - 2) / 180) for k, m in pairs)
+    mean = float((w * mean_n).sum())
+    return mean, float((w * (var_n + mean_n ** 2)).sum()) - mean ** 2
+
+
+def test_exact_g2_moments_known_values():
+    # a = 16, where 80 replicate chains of 100k steps gave a mean G_2 of
+    # 47.391 +- 0.086
+    assert _exact_g2_moments(16.0, 1.0, -1.0) == pytest.approx(
+        (47.4945, 920.215), rel=1e-6)
+
+
+@pytest.mark.parametrize("seed,a,b", [(1, 4.0, 1.0), (2, 4.0, 0.7),
+                                      (3, 8.0, 1.0)],
+                         ids=["a4", "a4-b07", "a8"])
+def test_d3_counts_rule_g2_matches_its_exact_law(seed, a, b):
+    # The d=3 counts rule's running G_2 against its exact mean and
+    # variance, which share no code with the pair loop or the acceptance
+    # ratio.  The exact values are 4.058541 and 20.16259 (a4), 0.5296682
+    # and 1.135949 (a4-b07) and 12.55760 and 120.0311 (a8); the chains
+    # read z = +1.6 and +2.0, +0.5 and +0.3, and +1.0 and +0.7.  b = 0.7
+    # puts r off a power of two, so the units of q in _CountsRule carry
+    # its low bits.  A birth log-ratio biased by +0.05 on the rule's
+    # d = 3 branch reads z = +6.0 and +5.7 (a4), +6.6 and +3.8 (a4-b07)
+    # and +2.9 and +3.1 (a8): the a = 4 cases catch it.
+    p = ModelParams.submodel(3, 3, -1.0, a=a, b=b)
+    mean, var = _exact_g2_moments(a, b, -1.0)
+    _, diag = run_chain(p, ChainConfig(n_steps=300_000, seed=seed, thin=2))
+    assert diag.engine == "counts"
+    g_mean, g_se = diag.g_mean_se(2)
+    dev = (diag.trace_g[:, 1] - diag.trace_g[:, 1].mean()) ** 2
+    assert abs(g_mean - mean) <= 4.0 * g_se
+    assert abs(dev.mean() - var) <= 4.0 * batch_means_se(dev)
+
+
 @pytest.mark.parametrize("engine,steps", [("counts", 600_000),
                                           ("pattern", 60_000)],
                          ids=["counts", "pattern"])
