@@ -292,7 +292,7 @@ def validate_params(p: ModelParams) -> None:
         raise ValueError("activity a must be >= 1")
     if not p.b > 0:
         raise ValueError("size scale b must be positive")
-    if p.size.max_extent > p.b + 1e-12:
+    if p.size.max_extent > p.b * (1 + 1e-12):
         raise ValueError("half-extents above the size scale b break the stability bound")
     if p.orientation.d != p.d or p.center.window.d != p.d:
         raise ValueError("component dimensions disagree")

@@ -13,8 +13,8 @@ and all three give bit-identical trajectories and G from the same seed):
 - _CountsRule when _counts_eligible holds: a count-determined model
   (model._count_determined: canonical axes, one half-extent r, a window
   no wider than r) in d <= 3, where log lambda*, G_1 and G_d are closed
-  forms in the orientation counts and, in d = 3, G_2 is a running sum of
-  pair overlaps;
+  forms in the orientation counts and, in d = 3, G_2 is a sum of pair
+  overlaps;
 - _PairCountsRule, its subclass, in its place in d = 3 with nu_2 != 0;
 - _GeneralRule otherwise: every model, the hemisphere law, multi-atom
   sizes and d >= 4 included.
@@ -28,13 +28,18 @@ after each block numpy fills the block's kept states into the trace from
 those marks and the rule's log (kept).  No Facet or FacetPattern is built
 per step, only for kept samples.
 
-Exact G.  Every rule holds each order of the running G as a Python int, a
-fixed-point accumulator (Kulisch 2008): a term is added when its subset
-appears and subtracted, bit for bit the same value, when a member leaves,
-so the correctly rounded conversion of the int is the correctly rounded
-sum of the current terms, the value g_vector returns.  The general rule
-counts in units of 2^-1074 (_units); the counts rules count G_2 in units
-of a power of two fixed by the facet size (the proof is in _CountsRule).
+Exact G.  Every rule sums each order of G exactly, as an integer number
+of a fixed unit, a fixed-point accumulator (Kulisch 2008): a term is
+added when its subset appears and subtracted, bit for bit the same value,
+when a member leaves, so the correctly rounded conversion of the sum is
+the correctly rounded sum of the current terms, the value g_vector
+returns.  The general rule holds each order as a running Python int in
+units of 2^-1074 (_units).  The counts rules count G_2 in units of a
+power of two fixed by the facet size (the proof and the conversion bound
+are in _CountsRule): _PairCountsRule as a running Python int, since its
+acceptance takes each move's pair sum, and _CountsRule, whose moves need
+no G_2, once per block, in int64 numpy sums over the pairs its facets
+form.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ from .model import ModelParams, _check_int, _count_determined, _facet_list
 from .ustat import FacetPattern, _subset_sums, _subset_terms
 
 _BLOCK = 1 << 15
+_PAIRS = 1 << 13  # pairs per chunk of the d = 3 counts rule's block pass
+_LOW = (1 << 28) - 1  # the low part of a pair's units
 _MAX_TRACE = 5_000_000  # retained states per chain
 _LOG_STEPS = 1_000_000  # chains this long log their progress once per block
 
@@ -217,7 +224,7 @@ def batch_means_se(values: np.ndarray) -> float:
 
 def _counts_eligible(p: ModelParams) -> bool:
     # orders 1 and d are closed forms in the counts, and the d = 3 order
-    # 2 is the flat pair loop
+    # 2 a sum of free-coordinate overlaps over pairs
     return _count_determined(p) and p.d <= 3
 
 
@@ -267,9 +274,9 @@ def _log_or_minus_inf(u: float) -> float:
 class _ChainState:
     """A pattern moved in place: the facets in pattern order as (center,
     half_extent, orientation) triples.  The rules extend it with what they
-    read, the running G among it as exact ints; the d = 2 counts rule
-    holds the center of a facet it gave birth to as the list of its raw
-    uniforms."""
+    read: the running G as exact ints, or (the d = 3 counts rule at
+    nu_2 = 0) each facet's serial; the d = 2 counts rule holds the center
+    of a facet it gave birth to as the list of its raw uniforms."""
 
     def __init__(self, p: ModelParams):
         self.p = p
@@ -420,15 +427,13 @@ class _CountsRule(_ChainState):
     lambda* = nu_1 (2r)^(d-1) + nu_2 Delta G_2 + nu_d prod_{i != k} n_i,
     where n_i counts the facets on axis i and Delta G_2 (d = 3 only) is
     the sum of the facet's pair terms.  This class serves nu_2 = 0, where
-    log lambda* is a sum of two floats and the pair terms are summed only
-    for accepted moves; _PairCountsRule serves nu_2 != 0.  G_1 and G_d are
-    closed forms in the counts.  In d = 3 each pair of facets on axes
-    k != m meets in the overlap of their free coordinate 3-k-m, the value
-    tuple_content gives when every center lies within r of every other,
-    and G_2 is their running sum, each new facet met against the facets
-    of the flat list on other axes (_pair_sum).
+    log lambda* is a sum of two floats; _PairCountsRule serves nu_2 != 0.
+    G_1 and G_d are closed forms in the counts.  In d = 3 each pair of
+    facets on axes k != m meets in the overlap of their free coordinate
+    3-k-m, the value tuple_content gives when every center lies within r
+    of every other, and G_2 is the sum of these pair terms.
 
-    G_2 is held exactly, as the int g2 in units of q = 2^(e-53), where
+    Pair terms are counted exactly, in units of q = 2^(e-53), where
     2^e <= r < 2^(e+1); every pair term is a multiple of q.  A term is
     t = fl(A - B) with A = fl(w + r) and B = fl(z - r), where w <= z are
     the two centers' free coordinates (swapped otherwise) and z - w is at
@@ -439,13 +444,34 @@ class _CountsRule(_ChainState):
     and a float of at least 2^e elsewhere.  Otherwise w + r and z - r both
     lie below 2^(e+3) in magnitude and each rounds by at most 2^(e-51), so
     A - B > r - 2^(e-49) and t >= 2^(e-1).  t * (1/q) is thus an
-    integer-valued float, scaled exactly, and int() takes it exactly.  A
-    valid model has r > 2^-700 (its total intensity, at most
-    max chi * r^3, is positive), so q and 1/q are normal floats:
-    float(g2) * q, a correctly rounded int-to-float conversion scaled
-    exactly, is the correctly rounded sum of the current terms, the value
-    g_vector returns.  No window coordinate needs a bound, so no model
-    leaves this rule for it.
+    integer-valued float, scaled exactly, and int() takes it exactly.
+    Also t <= fl(z + r) - fl(z - r) <= 4r < 2^56 q: each rounding moves
+    by at most r where floats near z lie at most r apart, and elsewhere
+    to z or a neighbour of z at most 2r away.  A valid model has
+    r > 2^-700 (its total intensity, at most max chi * r^3, is positive),
+    so q and 1/q are normal floats: fl(N) * q, for the exact number N of
+    units of the current terms, is the correctly rounded sum of the
+    current terms, the value g_vector returns.  No window coordinate
+    needs a bound, so no model leaves this rule for it.
+
+    In d = 3 the moves keep only the counts, the facets and each facet's
+    serial (serials: how many facets entered before it), and kept takes
+    G_2 at the kept states from one pass over the block (_pair_units).
+    Event k is the block's k-th accepted move and event 0 its start; each
+    facet alive in the block lives from the event of its birth (0 for a
+    start facet) to that of its death.  The facets it meets are those born
+    while it lives: the start facets after it and a run of the block's
+    births.  Each such pair adds its units at the later birth and takes
+    them at the first death, so the sum over events 0..k is N at event k.
+    The start facets' pairs, about n^2/2, are summed afresh each block:
+    no sum crosses blocks.  Each pair's units are split at 2^28 into two
+    parts below 2^28, summed per event in int64 (np.add.at, _PAIRS pairs
+    at a time, so memory does not grow with the number of pairs) and
+    then over the events.  At a state with P pairs on distinct axes the
+    two sums H and L lie below 2^28 P: while P < 2^25 both convert
+    exactly, and fl(fl(H) 2^28 + fl(L)) rounds once, to fl(N); larger
+    states, of about 10^4 facets, convert N as a Python int
+    (_scaled_units).  int64 holds H and L while P < 2^35.
 
     load maps the birth axis of each of a block's rows through the
     orientation law's array sampler; in d = 3 it maps the rows as
@@ -453,9 +479,10 @@ class _CountsRule(_ChainState):
     add reads the center of an accepted birth.  In d = 2 load keeps the
     raw center columns, and a birth keeps its uniforms until a pattern is
     built.  load also starts the block's log: the counts as the block
-    starts, the axis of each accepted death and, in d = 3, g2 as the
-    block starts and after each accepted move; kept turns it into G and
-    the mask of the kept states."""
+    starts, the axis of each accepted death and, in d = 3, G_2's
+    (_start_g2_log: here the facets and serials as the block starts and
+    the serial of each accepted death); kept turns it into G and the
+    mask of the kept states."""
 
     engine = "counts"
 
@@ -470,10 +497,158 @@ class _CountsRule(_ChainState):
         self.nud = p.nu[p.d - 1]
         e = math.frexp(self.r)[1] - 1  # 2^e <= r < 2^(e+1)
         self.q, self.per_q = math.ldexp(1.0, e - 53), math.ldexp(1.0, 53 - e)
-        self.g2 = 0  # G_2 / q, in d = 3
-        self._g2: list[int] = []  # load restarts this log
+        self.serials: list[int] = []  # in d = 3, in pattern order
+        self.entered = 0  # the facets entered so far
         for f in x.facets:
             self._enter((f.center, f.half_extent, f.orientation))
+
+    def birth(self, i: int) -> float:
+        # c[axis - 1] (and c[axis - 2] in d = 3) are the other axes' counts
+        axis, c = self._axes[i], self.counts
+        if self.d == 2:
+            return self.nu1_term + self.nud * c[axis - 1]
+        return self.nu1_term + self.nud * (c[axis - 1] * c[axis - 2])
+
+    def _enter(self, f: tuple) -> None:
+        self.counts[f[2]] += 1
+        self.facets.append(f)
+        if self.d == 3:
+            self.serials.append(self.entered)
+            self.entered += 1
+
+    def load(self, block) -> None:
+        if self.d == 2:  # the rows' axes and raw center uniforms
+            axes = self.p.orientation.sample_from_uniform(block[:, 1])
+            self._z = block[:, 2:4]
+        else:  # the rows' centers and axes, as every reference draw maps them
+            self._z, _, axes = self.p.sample_facets_from_uniforms(block[:, 1:6])
+        self._birth_axes, self._axes = axes, axes.tolist()
+        self._start = self.counts[:]  # the counts as the block starts
+        self._died = bytearray()  # the axis of each accepted death
+        if self.d == 3:
+            self._start_g2_log()
+
+    def _start_g2_log(self) -> None:
+        self._first = self.facets[:], self.serials[:], self.entered
+        self._dead: list[int] = []  # the serial of each accepted death
+
+    def add(self, i: int) -> None:
+        z = self._z[i].tolist()
+        self._enter((z if self.d == 2 else tuple(z), self.r, self._axes[i]))
+
+    def death(self, i: int) -> float:
+        # x_i's own axis is skipped: the other counts are those of x - x_i
+        axis, c = self.facets[i][2], self.counts
+        if self.d == 2:
+            return self.nu1_term + self.nud * c[axis - 1]
+        return self.nu1_term + self.nud * (c[axis - 1] * c[axis - 2])
+
+    def remove(self, i: int) -> None:
+        f = self.facets.pop(i)
+        self.counts[f[2]] -= 1
+        self._died.append(f[2])
+        if self.d == 3:
+            self._dead.append(self.serials.pop(i))
+
+    def _g2_kept(self, at: np.ndarray, rows: np.ndarray,
+                 born: np.ndarray) -> np.ndarray:
+        """G_2 at the kept states, from one pass over the block's pairs."""
+        high, low = self._pair_units(rows, born)
+        return _scaled_units(high[at], low[at], self.q)
+
+    def _pair_units(self, rows: np.ndarray, born: np.ndarray) -> tuple:
+        """The high and low sums of G_2's units as the block starts and
+        after each accepted move."""
+        facets, serials, entered = self._first
+        births = rows[born]
+        n0, m = len(facets), len(rows)
+        # every facet alive in the block: the start facets in pattern
+        # order, then the births; the event of its birth and of its death
+        # (m + 1 if it outlives the block)
+        z = np.concatenate((np.reshape([f[0] for f in facets], (n0, 3)),
+                            self._z[births]))
+        axes = np.concatenate((np.array([f[2] for f in facets], dtype=np.intp),
+                               self._birth_axes[births]))
+        born_at = np.concatenate((np.zeros(n0, dtype=np.intp),
+                                  np.flatnonzero(born) + 1))
+        dies_at = np.full(len(z), m + 1)
+        ids = np.concatenate((serials, np.arange(entered, entered + len(births))))
+        dies_at[np.searchsorted(ids, self._dead)] = np.flatnonzero(~born) + 1
+        # facet f meets f + 1 .. f + partners[f]: born_at is nondecreasing
+        partners = np.searchsorted(born_at, dies_at) - np.arange(1, len(z) + 1)
+        ends = np.cumsum(partners)  # f's pairs are numbered firsts[f] .. ends[f] - 1
+        firsts = ends - partners
+        total = int(ends[-1]) if len(z) else 0
+        high, low = np.zeros(m + 2, dtype=np.int64), np.zeros(m + 2, dtype=np.int64)
+        r, per_q = self.r, self.per_q
+        for k0 in range(0, total, _PAIRS):
+            k1 = min(k0 + _PAIRS, total)
+            # the facets of pairs k0 .. k1 - 1, each repeated per pair
+            f0, f1 = np.searchsorted(ends, (k0, k1 - 1), side="right").tolist()
+            own = slice(f0, f1 + 1)
+            f = np.repeat(np.arange(f0, f1 + 1), np.minimum(ends[own], k1)
+                          - np.maximum(firsts[own], k0))
+            g = np.arange(k0, k1) - firsts[f] + f + 1
+            apart = axes[f] != axes[g]
+            f, g = f[apart], g[apart]
+            free = 3 - axes[f] - axes[g]
+            w, v = z[f, free], z[g, free]
+            # _PairCountsRule._pair_sum's floats: min + r less max - r
+            units = (((np.minimum(w, v) + r) - (np.maximum(w, v) - r)) * per_q
+                     ).astype(np.int64)
+            joined, parted = born_at[g], np.minimum(dies_at[f], dies_at[g])
+            for sums, part in ((high, units >> 28), (low, units & _LOW)):
+                np.add.at(sums, joined, part)
+                np.subtract.at(sums, parted, part)
+        return np.cumsum(high, out=high), np.cumsum(low, out=low)
+
+    def kept(self, at: np.ndarray, rows: np.ndarray, born: np.ndarray) -> tuple:
+        g = np.empty((len(at), self.d))
+        if self.d == 3:  # before the counts, so their arrays do not add up
+            g[:, 1] = self._g2_kept(at, rows, born)
+        # each axis's count as the block starts and after each accepted
+        # move, at the kept states; int64 sums and products of counts
+        # below 2^53 are exact, and G_1 = n (2r)^(d-1) rounds as the
+        # Python int * float does
+        axes = self._birth_axes[rows]
+        axes[~born] = np.frombuffer(self._died, dtype=np.uint8)
+        sign = np.where(born, 1, -1)
+        c = [np.cumsum(np.concatenate(([start], np.where(axes == k, sign, 0))))
+             [at] for k, start in enumerate(self._start)]
+        g[:, 0] = sum(c) * self.dg1
+        g[:, -1] = math.prod(c)
+        return g, sum((c_k > 0) << k for k, c_k in enumerate(c))
+
+
+def _scaled_units(high: np.ndarray, low: np.ndarray, q: float) -> np.ndarray:
+    """fl(high 2^28 + low) q, elementwise, for int64 high, low >= 0."""
+    if max(high.max(), low.max()) < 1 << 53:  # both convert exactly
+        g2 = high * 2.0 ** 28
+        g2 += low
+        g2 *= q
+        return g2
+    # numpy converts Python ints as float() does: correctly rounded
+    return np.array([(h << 28) + lo for h, lo in zip(high.tolist(), low.tolist())],
+                    dtype=float) * q
+
+
+class _PairCountsRule(_CountsRule):
+    """The counts rule of a d = 3 model with nu_2 != 0: log lambda* is the
+    fsum of nu_1 (2r)^2, nu_2 times the facet's Delta G_2 (its pair sum,
+    _pair_sum, times q: the fsum of its pair terms) and nu_3 times the
+    product of the other axes' counts: the fsum over orders that
+    _GeneralRule takes, where an inactive order adds +-0.0.  birth and
+    death take the pair sum, which the acceptance needs, and add and
+    remove add it as it is to g2, G_2 as a running int in units of q (the
+    proof is in _CountsRule).  The block's log holds g2 as the block
+    starts and after each accepted move."""
+
+    def __init__(self, p: ModelParams, x: FacetPattern):
+        self.g2 = 0  # G_2 / q; _enter adds the initial facets' pairs
+        super().__init__(p, x)
+        self.nu2 = p.nu[1]
+        self._f = None  # the proposed facet
+        self._s = 0  # its pair sum
 
     def _pair_sum(self, f: tuple) -> int:
         """The sum of the G_2 terms of d = 3 facet f, its overlaps with the
@@ -492,82 +667,13 @@ class _CountsRule(_ChainState):
                           else (zf + r) - (wf - r)) * per_q)
         return s
 
-    def birth(self, i: int) -> float:
-        # c[axis - 1] (and c[axis - 2] in d = 3) are the other axes' counts
-        axis, c = self._axes[i], self.counts
-        if self.d == 2:
-            return self.nu1_term + self.nud * c[axis - 1]
-        return self.nu1_term + self.nud * (c[axis - 1] * c[axis - 2])
-
     def _enter(self, f: tuple) -> None:
         self.counts[f[2]] += 1
-        if self.d == 3:
-            self.g2 += self._pair_sum(f)
-            self._g2.append(self.g2)
+        self.g2 += self._pair_sum(f)
         self.facets.append(f)
 
-    def load(self, block) -> None:
-        if self.d == 2:  # the rows' axes and raw center uniforms
-            axes = self.p.orientation.sample_from_uniform(block[:, 1])
-            self._z = block[:, 2:4]
-        else:  # the rows' centers and axes, as every reference draw maps them
-            self._z, _, axes = self.p.sample_facets_from_uniforms(block[:, 1:6])
-        self._birth_axes, self._axes = axes, axes.tolist()
-        self._start = self.counts[:]  # the counts as the block starts
-        self._died = bytearray()  # the axis of each accepted death
-        if self.d == 3:  # g2 as the block starts and after each accepted move
-            self._g2 = [self.g2]
-
-    def add(self, i: int) -> None:
-        z = self._z[i].tolist()
-        self._enter((z if self.d == 2 else tuple(z), self.r, self._axes[i]))
-
-    def death(self, i: int) -> float:
-        # x_i's own axis is skipped: the other counts are those of x - x_i
-        axis, c = self.facets[i][2], self.counts
-        if self.d == 2:
-            return self.nu1_term + self.nud * c[axis - 1]
-        return self.nu1_term + self.nud * (c[axis - 1] * c[axis - 2])
-
-    def remove(self, i: int) -> None:
-        f = self.facets.pop(i)
-        self.counts[f[2]] -= 1
-        self._died.append(f[2])
-        if self.d == 3:
-            self.g2 -= self._pair_sum(f)
-            self._g2.append(self.g2)
-
-    def kept(self, at: np.ndarray, rows: np.ndarray, born: np.ndarray) -> tuple:
-        # each axis's count as the block starts and after each accepted
-        # move, at the kept states; int64 sums and products of counts
-        # below 2^53 are exact, and G_1 = n (2r)^(d-1) rounds as the
-        # Python int * float does
-        axes = self._birth_axes[rows]
-        axes[~born] = np.frombuffer(self._died, dtype=np.uint8)
-        sign = np.where(born, 1, -1)
-        c = [np.cumsum(np.concatenate(([start], np.where(axes == k, sign, 0))))
-             [at] for k, start in enumerate(self._start)]
-        g = np.empty((len(at), self.d))
-        g[:, 0] = sum(c) * self.dg1
-        g[:, -1] = math.prod(c)
-        if self.d == 3:  # numpy converts Python ints as float() does
-            g[:, 1] = np.array(self._g2, dtype=float)[at] * self.q
-        return g, sum((c_k > 0) << k for k, c_k in enumerate(c))
-
-
-class _PairCountsRule(_CountsRule):
-    """The counts rule of a d = 3 model with nu_2 != 0: log lambda* is the
-    fsum of nu_1 (2r)^2, nu_2 times the facet's Delta G_2 (its pair sum,
-    _pair_sum, times q: the fsum of its pair terms) and nu_3 times the
-    product of the other axes' counts: the fsum over orders that
-    _GeneralRule takes, where an inactive order adds +-0.0.  birth and
-    death take the pair sum, and add and remove add it to g2 as it is."""
-
-    def __init__(self, p: ModelParams, x: FacetPattern):
-        super().__init__(p, x)
-        self.nu2 = p.nu[1]
-        self._f = None  # the proposed facet
-        self._s = 0  # its pair sum
+    def _start_g2_log(self) -> None:
+        self._g2 = [self.g2]
 
     def _log_lambda(self, f: tuple) -> float:
         self._s = s = self._pair_sum(f)
@@ -595,6 +701,11 @@ class _PairCountsRule(_CountsRule):
         self.g2 -= self._s
         self._died.append(f[2])
         self._g2.append(self.g2)
+
+    def _g2_kept(self, at: np.ndarray, rows: np.ndarray,
+                 born: np.ndarray) -> np.ndarray:
+        # numpy converts Python ints as float() does
+        return np.array(self._g2, dtype=float)[at] * self.q
 
 
 def _run(rule, n: int, blocks, diag: ChainDiagnostics, samples,

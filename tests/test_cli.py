@@ -122,7 +122,8 @@ RERUN_CASES = {
 # arithmetic and the correctly rounded math module alone, so that any CPU
 # gives these bytes: chains on the d = 2 counts rule, the d = 3 counts rule
 # at nu_2 = 0 (with b = 0.7, so r is no power of two; recorded on the rule
-# that summed G_2 as Shewchuk partials), the d = 3 nu_2 pair rule and the
+# that summed G_2 as Shewchuk partials, and over three blocks of steps on
+# the rule that summed it on every move), the d = 3 nu_2 pair rule and the
 # general rule (nu_2 in d = 4), and the moment constants in d = 3 and d = 4
 # (quadrature and exact I_k).  Commands that pass through numpy's
 # vectorized exp, log or power (rho, e1-e4) are left out.
@@ -134,6 +135,10 @@ PINNED_RESULTS = {
         ["simulate"], "d = 3\nnu.3 = -1\nb = 0.7\na.grid = 8\n"
         "chain.steps = 20000\n",
         "40c43bcc2beded956dbc9f58ba29380aca2a7e862b9c4fd982ecbc21ad71746d"),
+    "simulate-d3-counts-blocks": (
+        ["simulate"], "d = 3\nnu.3 = -1\nb = 0.7\na.grid = 16\n"
+        "chain.steps = 70000\n",
+        "8d13d9614feb6e1db30b6c324b7c01446d96e474812d7091d0f918cd8a67a6a3"),
     "simulate-pair": (
         ["simulate"], "d = 3\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n",
         "961ec137f009837de5ef30171c2926f75aa2c63bac5e0e2bdd4f4bfb744623de"),

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import itertools
 import logging
 import math
+import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -27,6 +30,7 @@ from facetproc.sampler import (
     ChainConfig,
     _CountsRule,
     _GeneralRule,
+    _PairCountsRule,
     _poisson_arrays,
     _units,
     _value,
@@ -324,24 +328,80 @@ def test_running_g2_is_exact_far_from_the_origin(lo):
     # (below 2^53 r = 2^53 for r = 1) and r again with w + r and z - r
     # rounding to even at 2^53, the pair terms drift by up to r from
     # 2r - |z - w|, and are still multiples of q: G_2 / q stays the exact
-    # integer as every facet enters and leaves.
+    # integer as facets enter and leave.  One block of moves from half the
+    # facets: each other facet is born and one facet in the middle dies,
+    # then every facet dies.  The nu_2 = 0 counts rule takes G_2 of every
+    # state from its pass over the block, _PairCountsRule keeps it as a
+    # running int.
     window = Window(((lo, lo + 1.0), (0.0, 1.0), (0.0, 1.0)))
     p = ModelParams(3, 1.0, (0.0, 0.0, -1.0), 1.0,
                     CenterIntensity(window, level=1.0), SizeLaw.fixed(1.0),
                     OrientationLaw(3))
+    p_pair = dataclasses.replace(p, nu=(0.0, -1.0, -1.0))
     assert sampler._counts_eligible(p)
     grid = dict.fromkeys(lo + 0.25 * k for k in range(5))  # distinct floats
     facets = [Facet((x, y, 0.1 + y), 1.0, axis) for axis in range(3)
               for x in grid for y in (0.0, 1 / 3, 0.7)]
-    x = FacetPattern.of(facets)
-    rule = _CountsRule(p, x)
-    rule.load(np.full((1, 7), 0.5))
-    while x.n:
-        assert float(rule.g2) * rule.q == g_vector(x)[1]
-        i = x.n // 2
-        rule.remove(i)
-        x = x.without_index(i)
-    assert rule.g2 == 0
+    start = FacetPattern.of(facets[::2])
+    moves = [m for u in facets[1::2] for m in (u, None)] + [None] * start.n
+    block = np.full((len(moves), 7), 0.5)
+    rules = [_CountsRule(p, start), _PairCountsRule(p_pair, start)]
+    for rule in rules:  # row i proposes the birth of moves[i]
+        rule.load(block)
+        rule._z = np.array([u.center if u else (lo, 0.0, 0.0) for u in moves])
+        rule._birth_axes = np.array([u.orientation if u else 0 for u in moves])
+        rule._axes = rule._birth_axes.tolist()
+    counts, pair = rules
+    states = [start]
+    for i, u in enumerate(moves):
+        x = states[-1]
+        if u is None:
+            j = x.n // 2
+            counts.remove(j)
+            pair.death(j)
+            pair.remove(j)
+            states.append(x.without_index(j))
+        else:
+            counts.add(i)
+            pair.birth(i)
+            pair.add(i)
+            states.append(x.with_facet(u))
+        assert float(pair.g2) * pair.q == g_vector(states[-1])[1]
+    assert states[-1].n == 0 and pair.g2 == 0
+    born = np.array([u is not None for u in moves])
+    expected = np.array([g_vector(x) for x in states])
+    for rule in rules:
+        g, _ = rule.kept(np.arange(len(states)), np.arange(len(moves)), born)
+        assert np.array_equal(g, expected)
+
+
+@pytest.mark.parametrize("high, low", [
+    ([0, 3, 2 ** 52 + 1], [0, 2 ** 28 - 1, 2 ** 53 - 1]),
+    ([2 ** 53 + 1, 2 ** 62 + 1, 5], [1, 2 ** 28, 2 ** 62 + 2 ** 40 + 1]),
+], ids=["exact", "python-int"])
+def test_scaled_units_round_once(high, low):
+    # fl(high 2^28 + low) q, taken through floats while both parts are
+    # below 2^53 and through Python ints above, against the exact rational
+    q = 2.0 ** -53
+    got = sampler._scaled_units(np.array(high), np.array(low), q)
+    for value, h, lo in zip(got.tolist(), high, low):
+        assert value == float(Fraction(h * 2 ** 28 + lo) * Fraction(q))
+
+
+@pytest.mark.parametrize("a, before", [(4.0, 10.33), (8.0, 9.76), (16.0, 8.13)])
+def test_d3_counts_chain_memory_stays_flat(a, before):
+    # The traced peak (MiB) of e4's 50k-step d = 3 counts chains stays
+    # within 1 MiB of the per-move pair loop's, measured as `before`; the
+    # block pass without its chunks of _PAIRS pairs read 14.4, 16.4 and
+    # 20.7 MiB
+    p = ModelParams.special(3, (0.0, 0.0, -1.0), a=a)
+    tracemalloc.start()
+    try:
+        run_chain(p, ChainConfig(n_steps=50_000, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= before + 1.0
 
 
 def _array_increment(x, u, j):
@@ -712,6 +772,20 @@ def test_chain_trajectories_are_pinned(name):
         samples, diag = run(p, ChainConfig(**cfg))
         assert diag.n_retained > 500
         assert _chain_digest(samples, diag) == _PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("rows", [37, 1000])
+@pytest.mark.parametrize("name", ["d3-counts-a16-thin1",
+                                  "d3-counts-thin3-samples",
+                                  "table-d3-counts-samples"])
+def test_d3_counts_pins_hold_at_other_block_sizes(name, rows, monkeypatch):
+    # the d = 3 counts rule sums G_2 afresh over each block's pairs: blocks
+    # of 37 and 1000 rows (facets outliving many blocks, burn-in blocks
+    # with no kept state) give the pinned chains
+    monkeypatch.setattr(sampler, "_BLOCK", rows)
+    p, cfg = _PINNED_CHAINS[name]
+    assert _chain_digest(*run_chain(p, ChainConfig(**cfg))) == \
+        _PINNED_DIGESTS[name]
 
 
 def _chain_digest(samples, diag) -> str:

@@ -92,6 +92,13 @@ BAD_INPUT = {
     "conf-simulate-burnin": lambda: build_experiment_config(
         "simulate", {"d": "2", "a.grid": "2", "chain.steps": "100",
                      "chain.burnin": "100"}, "out", 0),
+    # a half-extent of 2b: the absolute tolerance b + 1e-12 let it in at
+    # b = 1e-20, and local_stability_bound then read e^2 for a first-order
+    # factor of e^4
+    "extent-above-tiny-b": lambda: ModelParams(
+        2, 1e-20, (1e20, 0.0), 1.0,
+        CenterIntensity(Window.cube(1e-20, 2), level=1e40),
+        SizeLaw.fixed(2e-20), OrientationLaw(2)),
     # the closed form assumes half-extent and window sides equal to b;
     # it gave E G_2 = 4.0 against a Monte Carlo 0.75, and 2.22 against
     # 2.43 +- 0.03
