@@ -646,8 +646,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict:
         raise ValueError(f"threads must be 1, got {threads!r}")
     cmd = _COMMANDS[cfg.experiment]
     out = Path(cfg.out_dir)
-    if out.exists() and not out.is_dir():
-        raise ValueError(f"output directory {out} is a file")
+    existing = next(q for q in (out, *out.parents) if q.exists())
+    if not existing.is_dir():
+        raise ValueError(f"output directory {out}: {existing} is a file")
     start = time.perf_counter()
     header, rows, chain = cmd.driver(cfg)
     wall = time.perf_counter() - start

@@ -339,6 +339,9 @@ def local_stability_bound(p: ModelParams) -> float:
     """alpha with lambda*(u; x) <= alpha for every u, x.
 
     Orders j >= 2 contribute nonpositive exponent terms, so only a positive
-    nu_1 can push lambda* above 1, and its increment is capped by (2b)^(d-1).
+    nu_1 can push lambda* above 1, and its increment is capped by (2r)^(d-1)
+    for the largest half-extent r (validate_params admits r up to
+    b(1 + 1e-12)).
     """
-    return math.exp(max(0.0, p.nu[0]) * (2.0 * p.b) ** (p.d - 1))
+    r = p.size.max_extent
+    return math.exp(max(0.0, p.nu[0]) * (2.0 * r) ** (p.d - 1))

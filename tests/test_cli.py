@@ -1,5 +1,6 @@
 """Command-line entry point: subcommand smoke runs, output files,
-error reporting."""
+error reporting, and RUNS, the table of command runs whose results are
+pinned and rerun."""
 
 import hashlib
 import json
@@ -103,83 +104,97 @@ def test_experiment_subcommand_runs_e3(tmp_path, capsys):
     assert "e3" in captured.out and "manifest" in captured.out
 
 
-RERUN_CASES = {
-    "simulate": (["simulate"], "d = 2\nnu.2 = -1\na.grid = 2\n"
-                               "chain.steps = 5000\n"),
-    "rho-series": (["rho"], "d = 2\nnu.2 = -1\na.grid = 1,4\n"),
-    "rho-bounds": (["rho"], "d = 3\nnu.2 = -1\na.grid = 2\n"),
-    "moments": (["moments"], "d = 2\n"),
-    "e1": (["experiment", "e1"], "d = 2\na.grid = 1,2\nreplicates = 20\n"),
-    "e2": (["experiment", "e2"], "d = 2\nnu.2 = -1\na.grid = 1,2\n"
-                                 "chain.steps = 10000\n"),
-    "e3": (["experiment", "e3"], "d = 2\nnu.2 = -0.5\na.grid = 1,2\n"),
-    "e4": (["experiment", "e4"], "d = 3\nnu.3 = -1\na.grid = 2\n"
-                                 "chain.steps = 5000\nreplicates = 2\n"),
-}
-
-
-# sha256 of the results of commands whose floats come from IEEE-exact
+# Every command run that is pinned and rerun, one row per run:
+# name: (command, config, seed, sha256 of the results or None).
+#
+# A row with a sha256 runs a command whose floats come from IEEE-exact
 # arithmetic and the correctly rounded math module alone, so that any CPU
-# gives these bytes: chains on the d = 2 counts rule, the d = 3 counts rule
-# at nu_2 = 0 (with b = 0.7, so r is no power of two; recorded on the rule
-# that summed G_2 as Shewchuk partials, and over three blocks of steps on
-# the rule that summed it on every move), the d = 3 nu_2 pair rule and the
-# general rule (nu_2 in d = 4), and the moment constants in d = 3 and d = 4
-# (quadrature and exact I_k).  Commands that pass through numpy's
-# vectorized exp, log or power (rho, e1-e4) are left out.
-PINNED_RESULTS = {
+# gives these bytes: chains on the d = 2 counts rule (which keeps raw center
+# uniforms), the d = 3 counts rule at nu_2 = 0 (at b = 0.7, so r is no power
+# of two and its low bits enter the G_2 units; over one and three blocks of
+# steps, since the rule sums G_2 afresh per block from its facets'
+# lifetimes), the d = 3 nu_2 pair rule and the general rule (nu_2 in d = 4
+# is not counts-eligible), and the moment constants in d = 3 and d = 4 (the
+# order-3 quadrature builds its overlap grid by outer products, and the
+# exact I_k reaches d - k = 3).  The digest fixes every cell, so these rows
+# keep no values in PINNED_VALUES.
+#
+# PINNED_VALUES holds the cells of the other rows, which must match integer
+# and string cells exactly and floats to a relative 1e-12 (a zero only by a
+# zero): rho and e1-e4 pass through numpy's vectorized exp, log or power,
+# which may move their last bits between CPUs.  `python tests/test_cli.py`
+# rewrites PINNED_VALUES from the current code and prints every digest.
+RUNS = {
+    # each command kind at seed 6
+    "simulate": (["simulate"], "d = 2\nnu.2 = -1\na.grid = 2\n"
+                 "chain.steps = 5000\n", 6, None),
+    "rho-series": (["rho"], "d = 2\nnu.2 = -1\na.grid = 1,4\n", 6, None),
+    "rho-bounds": (["rho"], "d = 3\nnu.2 = -1\na.grid = 2\n", 6, None),
+    "moments": (["moments"], "d = 2\n", 6, None),
+    "e1": (["experiment", "e1"], "d = 2\na.grid = 1,2\nreplicates = 20\n", 6,
+           None),
+    "e2": (["experiment", "e2"], "d = 2\nnu.2 = -1\na.grid = 1,2\n"
+           "chain.steps = 10000\n", 6, None),
+    "e3": (["experiment", "e3"], "d = 2\nnu.2 = -0.5\na.grid = 1,2\n", 6,
+           None),
+    "e4": (["experiment", "e4"], "d = 3\nnu.3 = -1\na.grid = 2\n"
+           "chain.steps = 5000\nreplicates = 2\n", 6, None),
+    # the exact series in d = 4, and e3's over every orientation arrangement
+    "rho-series-d4": (["rho"], "d = 4\nnu.4 = -1\na.grid = 2,8,16\n", 0,
+                      None),
+    "e3-d4": (["experiment", "e3"], "d = 4\nnu.4 = -1\na.grid = 2,8,16\n", 0,
+              None),
+    # certified bounds in d = 4
+    "rho-bounds-d4": (["rho"], "d = 4\nnu.2 = -1\na.grid = 2,4,8\n", 0, None),
+    # e4 on the d = 3 counts rule over two blocks of steps, also at b = 0.7
+    "e4-blocks": (["experiment", "e4"], "d = 3\nnu.3 = -1\na.grid = 4,16\n"
+                  "chain.steps = 50000\n", 0, None),
+    "e4-b07": (["experiment", "e4"], "d = 3\nnu.3 = -1\nb = 0.7\n"
+               "a.grid = 4,16\nchain.steps = 50000\n", 0, None),
+    # e2 at another center intensity, and e1's replicate streams in d = 3
+    "e2-chi4": (["experiment", "e2"], "d = 2\nnu.2 = -2\nchi.const = 4\n"
+                "a.grid = 1,4\nchain.steps = 50000\n", 0, None),
+    "e1-d3": (["experiment", "e1"], "d = 3\na.grid = 1,4\nreplicates = 50\n",
+              0, None),
+    # chains on each increment rule, and the moment constants, by sha256
     "simulate-d2": (
-        ["simulate"], "d = 2\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n",
+        ["simulate"], "d = 2\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n", 3,
         "cf062f535b92bb5bb34746a5b4e0906845d659357cd598ee40d4f7385389f1c7"),
+    # a d = 2 chain whose thin leaves most blocks of steps without a kept
+    # state
+    "simulate-thin": (
+        ["simulate"], "d = 2\nnu.2 = -1\na.grid = 4\nchain.steps = 200000\n"
+        "chain.thin = 40000\n", 3,
+        "db4a83d36a48aa476d9a58f5e9cfd3e10397e236c0abb5c77ddb80302ec674c5"),
     "simulate-d3-counts": (
         ["simulate"], "d = 3\nnu.3 = -1\nb = 0.7\na.grid = 8\n"
-        "chain.steps = 20000\n",
+        "chain.steps = 20000\n", 3,
         "40c43bcc2beded956dbc9f58ba29380aca2a7e862b9c4fd982ecbc21ad71746d"),
     "simulate-d3-counts-blocks": (
         ["simulate"], "d = 3\nnu.3 = -1\nb = 0.7\na.grid = 16\n"
-        "chain.steps = 70000\n",
+        "chain.steps = 70000\n", 3,
         "8d13d9614feb6e1db30b6c324b7c01446d96e474812d7091d0f918cd8a67a6a3"),
     "simulate-pair": (
-        ["simulate"], "d = 3\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n",
+        ["simulate"], "d = 3\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n", 3,
         "961ec137f009837de5ef30171c2926f75aa2c63bac5e0e2bdd4f4bfb744623de"),
+    "simulate-pair-blocks": (
+        ["simulate"], "d = 3\nnu.2 = -1\na.grid = 4\nchain.steps = 50000\n", 3,
+        "a03f9be7e101f323d8286116f9ad5f946c2a54f0f55d779154a8235de052bd9e"),
     "simulate-general": (
-        ["simulate"], "d = 4\nnu.2 = -1\na.grid = 4\nchain.steps = 5000\n",
+        ["simulate"], "d = 4\nnu.2 = -1\na.grid = 4\nchain.steps = 5000\n", 3,
         "e67eb2e69d27db883821b6d95f4c7fc06268950a12003b804b7ec5b457d0eb8e"),
+    "simulate-general-long": (
+        ["simulate"], "d = 4\nnu.2 = -1\na.grid = 4\nchain.steps = 20000\n", 3,
+        "650c313ee80e64ad28a0e427e081e93e7a929ceab26699ce8707c4213bf13ce0"),
     "moments-d3": (
-        ["moments"], "d = 3\n",
+        ["moments"], "d = 3\n", 0,
         "4b527c7f19debebb569e3622f040acaf4d1329d39f763aaf58973caf663082cc"),
     "moments-d4": (
-        ["moments"], "d = 4\n",
+        ["moments"], "d = 4\n", 0,
         "a1a6cdf0900ea85049b7feb14172f7b0ba4835d24dc0e2b80ee0878e91b87b61"),
 }
-
-
-@pytest.mark.parametrize("case", list(PINNED_RESULTS))
-def test_results_bytes_are_pinned(tmp_path, capsys, case):
-    command, text, digest = PINNED_RESULTS[case]
-    simulate = command == ["simulate"]
-    out = tmp_path / "out"
-    assert run(command + ["--config", write_conf(tmp_path, text), "--seed",
-                          "3" if simulate else "0", "--out", str(out)]) == 0
-    name = "trace.csv" if simulate else "results.csv"
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
-    capsys.readouterr()
-
-
-# Every command kind's results, pinned per value: the rerun cases at seed 6
-# and CI's d = 4 rho series and e3 rows at seed 0, whose cells pass through
-# numpy's vectorized exp, log and power and so may differ in the last bits
-# between CPUs.  Integer and string cells must match exactly, floats to a
-# relative 1e-12 (a zero only by a zero).  `python tests/test_cli.py`
-# rewrites PINNED_VALUES from the current code.
-VALUE_CASES = {
-    **{case: (command, text, 6) for case, (command, text)
-       in RERUN_CASES.items()},
-    "rho-series-d4": (["rho"], "d = 4\nnu.4 = -1\na.grid = 2,8,16\n", 0),
-    "e3-d4": (["experiment", "e3"], "d = 4\nnu.4 = -1\na.grid = 2,8,16\n",
-              0),
-}
 PINNED_VALUES = Path(__file__).with_name("pinned_values.json")
+VALUE_PINNED = [case for case, row in RUNS.items() if row[3] is None]
 
 
 def _runs(cases, tmp_path):
@@ -187,7 +202,7 @@ def _runs(cases, tmp_path):
     and its output directory tmp_path / case."""
     runs = []
     for case in cases:
-        command, text, seed = VALUE_CASES[case]
+        command, text, seed, _ = RUNS[case]
         conf = tmp_path / f"{case}.conf"
         conf.write_text(text)
         runs.append(command + ["--config", str(conf), "--seed", str(seed),
@@ -207,16 +222,21 @@ def _cell(text):
     return text
 
 
+def _results(out):
+    """The results file (trace.csv or results.csv) in a command's --out
+    directory: the one output its manifest names."""
+    [name] = json.loads((out / "manifest.json").read_text())["outputs"]
+    return out / name
+
+
 def _table(out):
     """The header and rows of a command's results in its --out directory."""
-    path = next(p for p in (out / "trace.csv", out / "results.csv")
-                if p.exists())
     return [[_cell(text) for text in line.split(",")]
-            for line in path.read_text().splitlines()]
+            for line in _results(out).read_text().splitlines()]
 
 
 def _run_cases(cases, tmp_path, env=None):
-    """Run each case's command in a fresh interpreter (with env's
+    """Run each case's command in one fresh interpreter (with env's
     variables added) and return its table."""
     runs = _runs(cases, tmp_path)
     src = str(Path(facetproc.__file__).resolve().parents[1])
@@ -232,6 +252,44 @@ def _run_cases(cases, tmp_path, env=None):
     subprocess.run([sys.executable, "-c", script], env=full, check=True,
                    capture_output=True)
     return {case: _table(tmp_path / case) for case in cases}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """The directory holding every row of RUNS run twice: in this process
+    under "one", then in one fresh interpreter under "two", with a hash seed
+    other than this process's, so that output depending on the order of a
+    set of strings differs between the runs."""
+    root = tmp_path_factory.mktemp("runs")
+    (root / "one").mkdir()
+    for args in _runs(RUNS, root / "one"):
+        assert main(args) == 0
+    (root / "two").mkdir()
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    _run_cases(RUNS, root / "two", {"PYTHONHASHSEED": hash_seed})
+    return root
+
+
+def _manifest(out):
+    """manifest.json without its wall_seconds line, the one line that
+    differs between reruns."""
+    return [line for line in (out / "manifest.json").read_text().splitlines()
+            if '"wall_seconds"' not in line]
+
+
+# each case compares the command's CSV table and its manifest
+@pytest.mark.parametrize("case", list(RUNS),
+                         ids=[f"{case}-csv" for case in RUNS])
+def test_cli_reruns_are_byte_identical(runs, case):
+    one, two = runs / "one" / case, runs / "two" / case
+    assert _results(one).read_bytes() == _results(two).read_bytes()
+    assert _manifest(one) == _manifest(two)
+
+
+@pytest.mark.parametrize("case", [case for case in RUNS if RUNS[case][3]])
+def test_results_bytes_are_pinned(runs, case):
+    digest = hashlib.sha256(_results(runs / "one" / case).read_bytes())
+    assert digest.hexdigest() == RUNS[case][3]
 
 
 def _differences(tables):
@@ -260,12 +318,9 @@ def _differences(tables):
     return out
 
 
-def test_results_values_are_pinned(tmp_path, capsys):
-    for args in _runs(VALUE_CASES, tmp_path):
-        assert run(args) == 0
-    capsys.readouterr()
-    assert _differences({case: _table(tmp_path / case)
-                         for case in VALUE_CASES}) == []
+def test_results_values_are_pinned(runs):
+    assert _differences({case: _table(runs / "one" / case)
+                         for case in VALUE_PINNED}) == []
 
 
 def _has_x86_v4():
@@ -288,25 +343,6 @@ def test_results_values_hold_on_narrower_simd(tmp_path, disabled):
     tables = _run_cases(cases, tmp_path,
                         {"NPY_DISABLE_CPU_FEATURES": disabled})
     assert _differences(tables) == []
-
-
-# each case compares the command's CSV table
-@pytest.mark.parametrize("case", list(RERUN_CASES),
-                         ids=[f"{case}-csv" for case in RERUN_CASES])
-def test_cli_reruns_are_byte_identical(tmp_path, capsys, case):
-    command, text = RERUN_CASES[case]
-    conf = write_conf(tmp_path, text)
-    name = "trace.csv" if command == ["simulate"] else "results.csv"
-    blobs = []
-    for run_dir in ("one", "two"):
-        out = tmp_path / run_dir
-        assert run(command + ["--config", conf, "--seed", "6",
-                              "--out", str(out)]) == 0
-        blobs.append((out / name).read_bytes())
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest["outputs"]) == [name]
-    assert blobs[0] == blobs[1]
-    assert "manifest" in capsys.readouterr().out
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
@@ -358,11 +394,11 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     # e3 ran and recorded it
     *[(command + ["--seed", "-1"], text,
        ("seed must be an integer >= 0, got -1",))
-      for command, text in RERUN_CASES.values()],
+      for command, text, _, _ in RUNS.values()],
 ], ids=["e2-steps-short", "simulate-nu2-nan", "e2-trace-too-large",
         "e4-d2", "e1-coupled", "e3-nu2", "e2-two-orders", "rho-two-orders",
         "e2-keeps-nothing", "moments-d6", "e1-d6",
-        *[f"{case}-seed" for case in RERUN_CASES]])
+        *[f"{case}-seed" for case in RUNS]])
 def test_cli_rejects_bad_numbers_before_running(tmp_path, capsys, command,
                                                text, named):
     out = tmp_path / "out"
@@ -386,8 +422,11 @@ def test_experiment_choices_are_the_table_e_commands(capsys):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        tables = _run_cases(list(VALUE_CASES), Path(tmp))
+        tables = _run_cases(list(RUNS), Path(tmp))
+        for case in RUNS:
+            digest = hashlib.sha256(_results(Path(tmp) / case).read_bytes())
+            print(case, digest.hexdigest())
     PINNED_VALUES.write_text("{\n" + ",\n".join(
         f" {json.dumps(case)}: [\n"
-        + ",\n".join("  " + json.dumps(row) for row in table) + "\n ]"
-        for case, table in tables.items()) + "\n}\n")
+        + ",\n".join("  " + json.dumps(row) for row in tables[case]) + "\n ]"
+        for case in VALUE_PINNED) + "\n}\n")

@@ -414,6 +414,12 @@ def test_run_experiment_refuses_a_file_as_output_before_running(
         _COMMANDS["e3"], driver=driver))
     with pytest.raises(ValueError, match="is a file"):
         run_experiment(cfg)
+    # an --out under a file: this ran the driver, then failed to make the
+    # directory with "[Errno 20] Not a directory"
+    cfg = make_cfg("e3", {"d": "2", "nu.2": "-0.5", "a.grid": "1"},
+                   out / "sub", seed=0)
+    with pytest.raises(ValueError, match=f"{re.escape(str(out))} is a file"):
+        run_experiment(cfg)
 
 
 # the manifest of a small e2 run, wall time masked and the

@@ -137,6 +137,14 @@ def test_local_stability_bound():
         if u in x.facets:
             continue
         assert log_conditional_intensity([u], x, p) <= alpha
+    # a half-extent just above b, which validate_params admits: the bound
+    # must read r, not b (it gave log alpha = 2.0 against 2.000000000001)
+    p = ModelParams(2, 1.0, (1.0, 0.0), 1.0,
+                    CenterIntensity(Window.cube(1.0, 2), level=1.0),
+                    SizeLaw.fixed(1 + 5e-13), OrientationLaw(2))
+    u = p.sample_facet_from_uniforms(0.5, (0.5, 0.5), 0.5)
+    assert log_conditional_intensity([u], p.empty_pattern(), p) \
+        <= math.log(local_stability_bound(p))
 
 
 def test_center_intensity_table():
