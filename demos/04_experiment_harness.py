@@ -18,26 +18,28 @@ conf = {
     "a.grid": "2,8,32",
 }
 
-root = Path(tempfile.mkdtemp(prefix="facetproc-demo-"))
-cfg = build_experiment_config("e3", conf, root / "run1", seed=7)
-res = run_experiment(cfg)
+with tempfile.TemporaryDirectory(prefix="facetproc-demo-") as tmp:
+    root = Path(tmp)
+    cfg = build_experiment_config("e3", conf, root / "run1", seed=7)
+    res = run_experiment(cfg)
 
-print(f"rows written: {len(res['rows'])}")
-print("columns:", ",".join(res["header"]))
-for row in res["rows"]:
-    if row[2] == "distinct":
-        a, k = row[0], row[1]
-        print(f"  a={a:4.0f} k={k}: series {row[4]:.5f} "
-              f"limit {row[6]:.4f} |err| {row[7]:.2e}")
+    print(f"rows written: {len(res['rows'])}")
+    print("columns:", ",".join(res["header"]))
+    for row in res["rows"]:
+        if row[2] == "distinct":
+            a, k = row[0], row[1]
+            print(f"  a={a:4.0f} k={k}: series {row[4]:.5f} "
+                  f"limit {row[6]:.4f} |err| {row[7]:.2e}")
 
-manifest = json.loads(Path(res["manifest"]).read_text())
-digest = manifest["outputs"]["results.csv"]
-print(f"\nmanifest checksum {digest[:16]}...")
+    manifest = json.loads(Path(res["manifest"]).read_text())
+    digest = manifest["outputs"]["results.csv"]
+    print(f"\nmanifest checksum {digest[:16]}...")
 
-cfg2 = build_experiment_config("e3", conf, root / "run2", seed=7)
-res2 = run_experiment(cfg2)
-same = Path(res["results"]).read_bytes() == Path(res2["results"]).read_bytes()
-print(f"re-run byte-identical: {same}")
+    cfg2 = build_experiment_config("e3", conf, root / "run2", seed=7)
+    res2 = run_experiment(cfg2)
+    same = (Path(res["results"]).read_bytes()
+            == Path(res2["results"]).read_bytes())
+    print(f"re-run byte-identical: {same}")
 
 # the CLI drives the same code path:
 #   facetproc experiment e3 --config model.conf --seed 7 --out results/

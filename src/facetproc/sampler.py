@@ -26,7 +26,10 @@ accepted moves in place on one _ChainState, logging what G and the
 occupancy mask need.  A step only marks the row of an accepted move;
 after each block numpy fills the block's kept states into the trace from
 those marks and the rule's log (kept).  No Facet or FacetPattern is built
-per step, only for kept samples.
+per step, only for kept samples.  The moves of _CountsRule read only
+counts and axes: a birth holds its row of the block in place of its
+center, which is read from the block's rows once, for the births still
+present, as the next block starts or a pattern is built.
 
 Exact G.  Every rule sums each order of G exactly, as an integer number
 of a fixed unit, a fixed-point accumulator (Kulisch 2008): a term is
@@ -275,8 +278,10 @@ class _ChainState:
     """A pattern moved in place: the facets in pattern order as (center,
     half_extent, orientation) triples.  The rules extend it with what they
     read: the running G as exact ints, or (the d = 3 counts rule at
-    nu_2 = 0) each facet's serial; the d = 2 counts rule holds the center
-    of a facet it gave birth to as the list of its raw uniforms."""
+    nu_2 = 0) each facet's serial.  _CountsRule holds in place of the
+    center of a facet born in the current block its row there, a Python
+    int, and from the next block on its center; in d = 2 that is the list
+    of its raw uniforms, which _pattern maps through the center law."""
 
     def __init__(self, p: ModelParams):
         self.p = p
@@ -306,8 +311,10 @@ class _GeneralRule(_ChainState):
     The constructor places the facets of x and starts the running G at
     G(x), held per order as the int g[j - 1] in units of 2^-1074
     (_units), to which each accepted move adds or from which it takes the
-    units of its terms.  birth proposes the facet that load mapped its
-    row to, or gives -inf if it is present.  The block's log holds G and
+    units of its terms.  load maps the block's birth rows alone, as the
+    facets they propose (a death row reads none, and under the hemisphere
+    law each normal is one plain-Python call); birth proposes its row's,
+    or gives -inf if it is present.  The block's log holds G and
     the mask as the block starts and after each accepted move
     (_snapshot), G as the conversion of g (_value): the fsum of the
     current terms.  Each order's conversion is kept in _values and redone
@@ -390,13 +397,17 @@ class _GeneralRule(_ChainState):
         self._masks.append(self._mask())
 
     def load(self, block) -> None:
-        mapped = self.p.sample_facets_from_uniforms(block[:, 1:self.d + 3])
-        self._z, self._r, self._o = (a.tolist() for a in mapped)
+        # only birth rows read their facet, and under the hemisphere law
+        # each row's normal is one plain-Python call: map the birth rows
+        rows = np.flatnonzero(block[:, 0] < 0.5)
+        z, r, o = self.p.sample_facets_from_uniforms(block[rows, 1:self.d + 3])
+        self._proposals = dict(zip(rows.tolist(), zip(
+            map(tuple, z.tolist()), r.tolist(), o.tolist())))
         self._gs, self._masks = [], []  # G and mask, as the block starts
         self._snapshot()                # and after each accepted move
 
     def birth(self, i: int) -> float:
-        f = (tuple(self._z[i]), self._r[i], self._o[i])
+        f = self._proposals[i]
         if f in self.groups.get(f[2], ()):
             return -math.inf
         self._f = f
@@ -474,11 +485,16 @@ class _CountsRule(_ChainState):
     (_scaled_units).  int64 holds H and L while P < 2^35.
 
     load maps the birth axis of each of a block's rows through the
-    orientation law's array sampler; in d = 3 it maps the rows as
-    _GeneralRule.load does (ModelParams.sample_facets_from_uniforms), and
-    add reads the center of an accepted birth.  In d = 2 load keeps the
-    raw center columns, and a birth keeps its uniforms until a pattern is
-    built.  load also starts the block's log: the counts as the block
+    orientation law's array sampler and keeps the rows' centers: in d = 3
+    mapped as every reference draw maps them
+    (ModelParams.sample_facets_from_uniforms), in d = 2 the raw center
+    columns.  A move reads only counts and axes, so an accepted birth
+    raises its axis's count and holds its row of the block in place of its
+    center (and in d = 3 takes a serial).  _place reads the centers of the
+    births still present, at most n rows, from the block's rows as the
+    next block starts and before a pattern is built: the raw uniforms in
+    d = 2, mapped only when a pattern is built, and the mapped tuple in
+    d = 3.  load also starts the block's log: the counts as the block
     starts, the axis of each accepted death and, in d = 3, G_2's
     (_start_g2_log: here the facets and serials as the block starts and
     the serial of each accepted death); kept turns it into G and the
@@ -516,7 +532,23 @@ class _CountsRule(_ChainState):
             self.serials.append(self.entered)
             self.entered += 1
 
+    def _place(self) -> None:
+        """Put in place of the row of each birth of the current block its
+        center: the raw center uniforms in d = 2, the mapped tuple in
+        d = 3."""
+        facets = self.facets
+        born = [k for k, f in enumerate(facets) if type(f[0]) is int]
+        if born:
+            centers = self._z[[facets[k][0] for k in born]].tolist()
+            for k, z in zip(born, centers):
+                facets[k] = (z if self.d == 2 else tuple(z),) + facets[k][1:]
+
+    def _pattern(self) -> FacetPattern:
+        self._place()
+        return super()._pattern()
+
     def load(self, block) -> None:
+        self._place()  # before the rows it reads are gone
         if self.d == 2:  # the rows' axes and raw center uniforms
             axes = self.p.orientation.sample_from_uniform(block[:, 1])
             self._z = block[:, 2:4]
@@ -533,8 +565,12 @@ class _CountsRule(_ChainState):
         self._dead: list[int] = []  # the serial of each accepted death
 
     def add(self, i: int) -> None:
-        z = self._z[i].tolist()
-        self._enter((z if self.d == 2 else tuple(z), self.r, self._axes[i]))
+        axis = self._axes[i]
+        self.counts[axis] += 1
+        self.facets.append((i, self.r, axis))
+        if self.d == 3:
+            self.serials.append(self.entered)
+            self.entered += 1
 
     def death(self, i: int) -> float:
         # x_i's own axis is skipped: the other counts are those of x - x_i
@@ -640,8 +676,9 @@ class _PairCountsRule(_CountsRule):
     _GeneralRule takes, where an inactive order adds +-0.0.  birth and
     death take the pair sum, which the acceptance needs, and add and
     remove add it as it is to g2, G_2 as a running int in units of q (the
-    proof is in _CountsRule).  The block's log holds g2 as the block
-    starts and after each accepted move."""
+    proof is in _CountsRule).  The pair sum reads every facet's center, so
+    birth builds the proposal's and no facet holds a row.  The block's log
+    holds g2 as the block starts and after each accepted move."""
 
     def __init__(self, p: ModelParams, x: FacetPattern):
         self.g2 = 0  # G_2 / q; _enter adds the initial facets' pairs

@@ -14,8 +14,8 @@ DEMOS = sorted(Path(__file__).resolve().parents[1].glob("demos/*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_output_is_reproducible(tmp_path, demo):
-    # each run in a fresh interpreter; demo 04 leaves its runs in a
-    # tempfile.mkdtemp directory, so TMPDIR puts them under tmp_path
+    # each run in a fresh interpreter; demo 04 writes its runs in a
+    # tempfile.TemporaryDirectory, which TMPDIR puts under tmp_path
     src = str(Path(facetproc.__file__).resolve().parents[1])
     outputs = []
     for run in ("first", "second"):

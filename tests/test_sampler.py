@@ -690,13 +690,17 @@ def test_default_burnin_thin():
 
 
 # Short chains through every branch of the chain loop: d = 2 counts at thin
-# 1 over three uniform blocks, d = 3 counts at thin 3 with kept samples, d = 3
-# nu_2 at thin 3, all three orders of d = 3 on both rules, the hemisphere
-# law, and a table center intensity with a zero cell on both rules (the
-# general one through _run_general).
+# 1 over three uniform blocks and with kept samples over four, d = 3 counts
+# at thin 3 with kept samples, d = 3 nu_2 at thin 3, all three orders of
+# d = 3 on both rules, the hemisphere law, and a table center intensity
+# with a zero cell on both rules (the general one through _run_general).
 _PINNED_CHAINS = {
     "d2-counts-thin1": (ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
                         dict(n_steps=70_000, seed=5, burn_in=100, thin=1)),
+    # kept samples hold facets born in earlier blocks than the kept state's
+    "d2-counts-samples-blocks": (
+        ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
+        dict(n_steps=100_000, seed=5, burn_in=0, thin=97, keep_samples=True)),
     "d3-counts-thin3-samples": (
         ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0),
         dict(n_steps=3000, seed=5, burn_in=50, thin=3, keep_samples=True)),
@@ -723,9 +727,11 @@ _PINNED_CHAINS = {
                             dict(n_steps=40_000, seed=5, burn_in=0, thin=1)),
 }
 
-# sha256 of each chain's trace, counters and kept patterns, recorded on the
-# row-per-step loop that read every uniform of a step and wrote each retained
-# state into the trace arrays one item at a time (table-d3-counts-samples:
+# sha256 of each chain's trace, counters and kept patterns (python
+# tests/test_sampler.py prints them), recorded on the row-per-step loop that
+# read every uniform of a step and wrote each retained state into the trace
+# arrays one item at a time (d2-counts-samples-blocks: on the counts rule
+# that built the center of each accepted birth; table-d3-counts-samples:
 # on the counts rule that mapped each accepted birth's center by a
 # plain-Python copy of the center law; d3-counts-a16-thin1: on the counts
 # rule that added each G_2 term on its own; d3-nu2-general and
@@ -734,6 +740,8 @@ _PINNED_CHAINS = {
 _PINNED_DIGESTS = {
     "d2-counts-thin1":
         "b738b2675a58ac71bed747eb3b4b2a699484e71a52f556ced4e76ea4065bac5c",
+    "d2-counts-samples-blocks":
+        "4849ef33ce89d54901736b12cef92bd62cf8e3a87fbbec1e88f7734b5f274013",
     "d3-counts-thin3-samples":
         "76dba2775eb73b77f98678019a20188a921995ff4afb5f7963975f8a7a426d01",
     "d3-nu2-general":
@@ -753,6 +761,11 @@ _PINNED_DIGESTS = {
 }
 
 
+# the rules each pin runs on, where not run_chain's alone
+_PIN_RUNS = {"table-hole-general-samples": [_run_general],
+             "d3-all-orders-both": [run_chain, _run_general]}
+
+
 def _digest(*parts) -> str:
     """sha256 of the reprs of parts, exact for Python floats."""
     h = hashlib.sha256()
@@ -766,9 +779,7 @@ def test_chain_trajectories_are_pinned(name):
     # the determinism contract: the same seed gives the same moves,
     # acceptances, counts, G, occupancy and kept samples, to the last bit
     p, cfg = _PINNED_CHAINS[name]
-    runs = {"table-hole-general-samples": [_run_general],
-            "d3-all-orders-both": [run_chain, _run_general]}.get(name, [run_chain])
-    for run in runs:
+    for run in _PIN_RUNS.get(name, [run_chain]):
         samples, diag = run(p, ChainConfig(**cfg))
         assert diag.n_retained > 500
         assert _chain_digest(samples, diag) == _PINNED_DIGESTS[name]
@@ -777,11 +788,14 @@ def test_chain_trajectories_are_pinned(name):
 @pytest.mark.parametrize("rows", [37, 1000])
 @pytest.mark.parametrize("name", ["d3-counts-a16-thin1",
                                   "d3-counts-thin3-samples",
-                                  "table-d3-counts-samples"])
+                                  "table-d3-counts-samples",
+                                  "d2-counts-samples-blocks"])
 def test_d3_counts_pins_hold_at_other_block_sizes(name, rows, monkeypatch):
-    # the d = 3 counts rule sums G_2 afresh over each block's pairs: blocks
-    # of 37 and 1000 rows (facets outliving many blocks, burn-in blocks
-    # with no kept state) give the pinned chains
+    # the d = 3 counts rule sums G_2 afresh over each block's pairs, and
+    # the counts rule at nu_2 = 0 reads a birth's center from its block's
+    # rows as the next block starts: blocks of 37 and 1000 rows (facets
+    # outliving many blocks, burn-in blocks with no kept state) give the
+    # pinned chains
     monkeypatch.setattr(sampler, "_BLOCK", rows)
     p, cfg = _PINNED_CHAINS[name]
     assert _chain_digest(*run_chain(p, ChainConfig(**cfg))) == \
@@ -800,13 +814,14 @@ def _chain_digest(samples, diag) -> str:
         [x.facets for x in samples])
 
 
-# One short chain per rule and model class: the d = 2 counts rule, the
-# d = 3 counts rule with kept samples, the d = 3 nu_2 pair rule, the
-# general rule on a canonical model, the hemisphere law and a table center
-# intensity (on the pair rule)
+# One short chain per rule and model class: the d = 2 and d = 3 counts
+# rules with kept samples, the d = 3 nu_2 pair rule, the general rule on a
+# canonical model, the hemisphere law and a table center intensity (on the
+# pair rule)
 _RULE_CHAINS = {
     "d2-counts": (ModelParams.special(2, (0.0, -2.0), a=2.0, chi=4.0),
-                  run_chain, dict(n_steps=3000, seed=3, burn_in=10, thin=3)),
+                  run_chain, dict(n_steps=3000, seed=3, burn_in=10, thin=3,
+                                  keep_samples=True)),
     "d3-counts-samples": (ModelParams.special(3, (0.1, 0.0, -1.0), a=8.0),
                           run_chain, dict(n_steps=2000, seed=3, burn_in=5,
                                           thin=2, keep_samples=True)),
@@ -1193,3 +1208,10 @@ def test_general_rule_matches_reweighted_reference_draws(name):
         for j in range(p.d + 1):
             mean, se = diag.n_mean_se() if j == 0 else diag.g_mean_se(j)
             assert abs(mean - means[j]) < 4 * math.hypot(se, ses[j]), j
+
+
+if __name__ == "__main__":
+    # each pinned chain's digest, on the first rule its pin runs on
+    for name, (p, cfg) in _PINNED_CHAINS.items():
+        run = _PIN_RUNS.get(name, [run_chain])[0]
+        print(name, _chain_digest(*run(p, ChainConfig(**cfg))))
